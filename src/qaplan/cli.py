@@ -10,29 +10,29 @@ warnings (warnings go to stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import (
-    SWEEP_AXES,
-    _INTEGER_AXES,
-    ConfigError,
-    RunConfig,
-    load_config,
-)
-from .economics import compare, cost_report, offload_advantage_w
-from .emit import Column, Table, render
+from .cmos import CmosProfile
+from .config import SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
+from .economics import ComparisonResult, CostReport, compare, cost_report
+from .emit import Cell, Column, Table, render
 from .qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
-from .qubit_budget import total_budget
+from .qubit_budget import QubitBudget, total_budget
 from .tables import PAPER_TABLES
-from .timeline import BEST_CASE, WORST_CASE, year_available
-from .workload import BbuTask, CellScenario, workload
+from .timeline import milestones
+from .workload import BbuTask, BbuWorkload, CellScenario, workload
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DOMAIN = 2
 EXIT_WARNINGS = 3
+
+Point = Tuple[str, CellScenario, int]  # row name, scenario, samples
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,17 +83,19 @@ def _parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
             raise ConfigError(
                 f"unknown sweep axis {axis!r}; axes: {', '.join(SWEEP_AXES)}"
             )
-        cast = int if axis in _INTEGER_AXES else float
-        try:
-            sweep[axis] = [cast(v) for v in values.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--sweep {axis}: {exc}") from exc
+        sweep.update(_parse_sweep({axis: values.split(",")}, where="--sweep "))
     return sweep
+
+
+def _label(value: float) -> str:
+    """`:g` where it reads back as the same value, else the exact repr."""
+    text = format(value, "g")
+    return text if float(text) == value else repr(value)
 
 
 def _expand_points(
     cfg: RunConfig, sweep: Dict[str, List[float]], warnings: List[str]
-) -> List[Tuple[str, CellScenario, int]]:
+) -> List[Point]:
     """Evaluation points: (name, scenario, samples) per row.
 
     With a sweep, the grid replaces the scenario list, anchored on the
@@ -107,31 +109,15 @@ def _expand_points(
     points = []
     for combo in itertools.product(*(sweep[axis] for axis in axes)):
         values = dict(zip(axes, combo))
-        samples = int(values.pop("samples", cfg.samples))
-        fields = {
-            "bandwidth_mhz": base.bandwidth_mhz,
-            "modulation_bits": base.modulation_bits,
-            "coding_rate": base.coding_rate,
-            "antennas": base.antennas,
-            "duty_time": base.duty_time,
-            "duty_freq": base.duty_freq,
-        }
-        fields.update(values)
-        label = ",".join(
-            f"{axis}={values[axis]:g}" for axis in axes if axis != "samples"
-        )
+        samples = values.pop("samples", cfg.samples)
+        label = [f"{axis}={_label(value)}" for axis, value in values.items()]
         if "samples" in axes:
-            label = f"{label},samples={samples}" if label else f"samples={samples}"
-        name = f"{base_name}[{label}]"
+            label.append(f"samples={samples}")
+        name = f"{base_name}[{','.join(label)}]"
         try:
-            scenario = CellScenario(
-                bandwidth_mhz=fields["bandwidth_mhz"],
-                modulation_bits=int(fields["modulation_bits"]),
-                coding_rate=fields["coding_rate"],
-                antennas=int(fields["antennas"]),
-                duty_time=fields["duty_time"],
-                duty_freq=fields["duty_freq"],
-            )
+            scenario = dataclasses.replace(base, **values)
+            if samples < 1:
+                raise ValueError(f"samples must be a positive integer, got {samples}")
         except ValueError as exc:
             warnings.append(f"skipping sweep point {name}: {exc}")
             continue
@@ -141,183 +127,181 @@ def _expand_points(
     return points
 
 
-_SCENARIO_COLUMNS = [
-    Column("name", "Scenario"),
-    Column("bandwidth_mhz", "B/W (MHz)", "g"),
-    Column("antennas", "Antennas", "d"),
+class _Record:
+    """One row: a grid point, and for per-node tables a cmos profile.
+
+    Each model result is computed on first use and kept for the row's
+    other columns.
+    """
+
+    def __init__(self, cfg: RunConfig, point: Point,
+                 cmos: Optional[CmosProfile] = None) -> None:
+        self.cfg = cfg
+        self.name, self.scenario, self.samples = point
+        self.cmos = cmos
+
+    @cached_property
+    def load(self) -> BbuWorkload:
+        return workload(self.scenario)
+
+    @cached_property
+    def budget(self) -> QubitBudget:
+        return total_budget(self.load, self.cfg.qa_profile, self.samples)
+
+    @cached_property
+    def comparison(self) -> ComparisonResult:
+        return compare(self.scenario, self.cmos, self.cfg.qa_profile,
+                       self.samples, self.cfg.topology)
+
+    @cached_property
+    def report(self) -> CostReport:
+        return cost_report(self.comparison.delta_w, self.cfg.horizons_years,
+                           self.cfg.costs)
+
+
+def _records(cfg: RunConfig, points: Sequence[Point], per_node: bool = False):
+    if per_node:
+        return (_Record(cfg, p, cmos) for p in points for cmos in cfg.cmos_profiles)
+    return (_Record(cfg, p) for p in points)
+
+
+# A column and how to read its cell from a row's record.
+Columns = List[Tuple[Column, Callable[[Any], Cell]]]
+
+
+def _column(key: str, title: str, spec: str, path: str) -> Tuple[Column, Callable]:
+    """A column whose cell is the record attribute at dotted `path`."""
+    return Column(key, title, spec), attrgetter(path)
+
+
+def _table(
+    name: str,
+    columns: Columns,
+    records: Iterable,
+    warnings: List[str],
+    warn: Optional[Callable[[Any], Optional[str]]] = None,
+    notes: Sequence[str] = (),
+) -> Table:
+    """The row loop every subcommand shares: one row per record."""
+    getters = [(column.key, get) for column, get in columns]
+    rows = []
+    for record in records:
+        rows.append({key: get(record) for key, get in getters})
+        message = warn(record) if warn else None
+        if message:
+            warnings.append(message)
+    return Table(name=name, columns=[c for c, _ in columns], rows=rows,
+                 notes=list(notes))
+
+
+_SCENARIO_COLUMNS: Columns = [
+    _column("name", "Scenario", "", "name"),
+    _column("bandwidth_mhz", "B/W (MHz)", "g", "scenario.bandwidth_mhz"),
+    _column("antennas", "Antennas", "d", "scenario.antennas"),
 ]
+_SAMPLES_COLUMN = _column("samples", "Samples", "d", "samples")
+_NODE_COLUMN = _column("node", "Node", "", "cmos.node")
 
 
 def cmd_targets(cfg: RunConfig, points, warnings) -> Table:
-    columns = list(_SCENARIO_COLUMNS)
-    for task in BbuTask:
-        columns.append(Column(f"{task.value}_tops", task.label, ".3f"))
-    columns.append(Column("total_tops", "Total", ".3f"))
-    rows = []
-    for name, scenario, _ in points:
-        load = workload(scenario)
-        row = {
-            "name": name,
-            "bandwidth_mhz": scenario.bandwidth_mhz,
-            "antennas": scenario.antennas,
-            "total_tops": load.total_tops,
-        }
-        for task in BbuTask:
-            row[f"{task.value}_tops"] = load.tops[task]
-        rows.append(row)
-    return Table(name="targets", columns=columns, rows=rows,
-                 notes=["units: TOPS"])
+    columns = _SCENARIO_COLUMNS + [
+        (Column(f"{task.value}_tops", task.label, ".3f"),
+         lambda r, task=task: r.load.tops[task])
+        for task in BbuTask
+    ] + [_column("total_tops", "Total", ".3f", "load.total_tops")]
+    return _table("targets", columns, _records(cfg, points), warnings,
+                  notes=["units: TOPS"])
 
 
 def cmd_power(cfg: RunConfig, points, warnings) -> Table:
-    columns = list(_SCENARIO_COLUMNS) + [
-        Column("node", "Node"),
-        Column("cmos_bbu_w", "CMOS BBU (W)", ".1f"),
-        Column("cmos_ru_w", "RU (W)", ".1f"),
-        Column("cmos_pa_w", "PA (W)", ".1f"),
-        Column("cmos_ps_w", "Power sys (W)", ".1f"),
-        Column("cmos_fronthaul_w", "Fronthaul (W)", ".1f"),
-        Column("cmos_total_w", "CMOS total (W)", ".1f"),
-        Column("qa_silicon_w", "QA-side silicon (W)", ".1f"),
-        Column("qa_refrigeration_w", "Refrigeration (W)", ".1f"),
-        Column("qa_total_w", "QA total (W)", ".1f"),
-        Column("delta_w", "Saving (W)", ".1f"),
+    columns = _SCENARIO_COLUMNS + [_NODE_COLUMN] + [
+        _column(key, title, ".1f", f"comparison.{path}")
+        for key, title, path in (
+            ("cmos_bbu_w", "CMOS BBU (W)", "cmos.bbu_w"),
+            ("cmos_ru_w", "RU (W)", "cmos.ru_w"),
+            ("cmos_pa_w", "PA (W)", "cmos.pa_w"),
+            ("cmos_ps_w", "Power sys (W)", "cmos.power_system_w"),
+            ("cmos_fronthaul_w", "Fronthaul (W)", "cmos.fronthaul_w"),
+            ("cmos_total_w", "CMOS total (W)", "cmos.total_w"),
+            ("qa_silicon_w", "QA-side silicon (W)", "qa.bbu_w"),
+            ("qa_refrigeration_w", "Refrigeration (W)", "qa.refrigeration_w"),
+            ("qa_total_w", "QA total (W)", "qa.total_w"),
+            ("delta_w", "Saving (W)", "delta_w"),
+        )
     ]
-    rows = []
-    for name, scenario, samples in points:
-        for profile in cfg.cmos_profiles:
-            result = compare(scenario, profile, cfg.qa_profile, samples,
-                             cfg.topology)
-            rows.append({
-                "name": name,
-                "bandwidth_mhz": scenario.bandwidth_mhz,
-                "antennas": scenario.antennas,
-                "node": profile.node,
-                "cmos_bbu_w": result.cmos.bbu_w,
-                "cmos_ru_w": result.cmos.ru_w,
-                "cmos_pa_w": result.cmos.pa_w,
-                "cmos_ps_w": result.cmos.power_system_w,
-                "cmos_fronthaul_w": result.cmos.fronthaul_w,
-                "cmos_total_w": result.cmos.total_w,
-                "qa_silicon_w": result.qa.bbu_w,
-                "qa_refrigeration_w": result.qa.refrigeration_w,
-                "qa_total_w": result.qa.total_w,
-                "delta_w": result.delta_w,
-            })
-    return Table(name="power", columns=columns, rows=rows)
+    return _table("power", columns, _records(cfg, points, per_node=True), warnings)
 
 
 def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
-    columns = list(_SCENARIO_COLUMNS) + [
-        Column("samples", "Samples", "d"),
-        Column("runtime_us", "Runtime (us)", ".0f"),
-        Column("fdnl_qubits", "Detection qubits", "d"),
-        Column("fec_qubits", "Decoding qubits", "d"),
-        Column("covered_fraction", "Covered fraction", ".4f"),
-        Column("total_qubits", "Total qubits", "d"),
-        Column("capacity", "Refrigerator capacity", "d"),
-        Column("fits", "Fits"),
-    ]
     capacity = refrigerator_qubit_capacity()
-    rows = []
-    for name, scenario, samples in points:
-        budget = total_budget(workload(scenario), cfg.qa_profile, samples)
-        fits = budget.total <= capacity
-        if not fits:
-            warnings.append(
-                f"{name}: requirement {budget.total} exceeds refrigerator "
-                f"capacity {capacity}"
-            )
-        rows.append({
-            "name": name,
-            "bandwidth_mhz": scenario.bandwidth_mhz,
-            "antennas": scenario.antennas,
-            "samples": samples,
-            "runtime_us": qmi_runtime_us(cfg.qa_profile, samples),
-            "fdnl_qubits": budget.per_task[BbuTask.FD_NL],
-            "fec_qubits": budget.per_task[BbuTask.FEC],
-            "covered_fraction": budget.covered_fraction,
-            "total_qubits": budget.total,
-            "capacity": capacity,
-            "fits": "yes" if fits else "no",
-        })
-    return Table(name="qubits", columns=columns, rows=rows)
+    columns = _SCENARIO_COLUMNS + [
+        _SAMPLES_COLUMN,
+        (Column("runtime_us", "Runtime (us)", ".0f"),
+         lambda r: qmi_runtime_us(cfg.qa_profile, r.samples)),
+        (Column("fdnl_qubits", "Detection qubits", "d"),
+         lambda r: r.budget.per_task[BbuTask.FD_NL]),
+        (Column("fec_qubits", "Decoding qubits", "d"),
+         lambda r: r.budget.per_task[BbuTask.FEC]),
+        _column("covered_fraction", "Covered fraction", ".4f",
+                "budget.covered_fraction"),
+        _column("total_qubits", "Total qubits", "d", "budget.total"),
+        (Column("capacity", "Refrigerator capacity", "d"), lambda r: capacity),
+        (Column("fits", "Fits"),
+         lambda r: "yes" if r.budget.total <= capacity else "no"),
+    ]
 
+    def warn(r: _Record) -> Optional[str]:
+        if r.budget.total > capacity:
+            return (f"{r.name}: requirement {r.budget.total} exceeds "
+                    f"refrigerator capacity {capacity}")
+        return None
 
-def _horizon_label(years: float) -> str:
-    return format(years, "g")
+    return _table("qubits", columns, _records(cfg, points), warnings, warn)
 
 
 def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
-    columns = list(_SCENARIO_COLUMNS) + [
-        Column("node", "Node"),
-        Column("delta_w", "Saving (W)", ".1f"),
+    columns = _SCENARIO_COLUMNS + [
+        _NODE_COLUMN,
+        _column("delta_w", "Saving (W)", ".1f", "comparison.delta_w"),
     ]
-    for years in cfg.horizons_years:
-        label = _horizon_label(years)
-        columns.append(Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"))
-        columns.append(Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f"))
-    rows = []
-    for name, scenario, samples in points:
-        for profile in cfg.cmos_profiles:
-            result = compare(scenario, profile, cfg.qa_profile, samples,
-                             cfg.topology)
-            if result.capacity_exceeded:
-                warnings.append(
-                    f"{name} ({profile.node}): qubit requirement "
+    for i, years in enumerate(cfg.horizons_years):
+        label = format(years, "g")
+        columns += [
+            (Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"),
+             lambda r, i=i: r.report.opex_savings_usd[i]),
+            (Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f"),
+             lambda r, i=i: r.report.co2_savings_kt[i]),
+        ]
+
+    def warn(r: _Record) -> Optional[str]:
+        result = r.comparison
+        if result.capacity_exceeded:
+            return (f"{r.name} ({r.cmos.node}): qubit requirement "
                     f"{result.budget.total} exceeds refrigerator capacity "
-                    f"{result.capacity}"
-                )
-            report = cost_report(result.delta_w, cfg.horizons_years, cfg.costs)
-            row = {
-                "name": name,
-                "bandwidth_mhz": scenario.bandwidth_mhz,
-                "antennas": scenario.antennas,
-                "node": profile.node,
-                "delta_w": result.delta_w,
-            }
-            for i, years in enumerate(cfg.horizons_years):
-                label = _horizon_label(years)
-                row[f"opex_{label}yr_usd"] = report.opex_savings_usd[i]
-                row[f"co2_{label}yr_kt"] = report.co2_savings_kt[i]
-            rows.append(row)
-    return Table(
-        name="economics", columns=columns, rows=rows,
+                    f"{result.capacity}")
+        return None
+
+    return _table(
+        "economics", columns, _records(cfg, points, per_node=True), warnings, warn,
         notes=["negative savings mean the annealer candidate draws more power; "
                "breakeven hardware budget equals the OpEx column at each horizon"],
     )
 
 
 def cmd_timeline(cfg: RunConfig, points, warnings) -> Table:
-    columns = list(_SCENARIO_COLUMNS) + [
-        Column("samples", "Samples", "d"),
-        Column("required_qubits", "Required qubits", "d"),
-        Column("year_best", "Year (best case)", "d"),
-        Column("year_worst", "Year (worst case)", "d"),
+    columns = _SCENARIO_COLUMNS + [
+        _SAMPLES_COLUMN,
+        _column("required_qubits", "Required qubits", "d", "required_qubits"),
+        _column("year_best", "Year (best case)", "d", "year_best"),
+        _column("year_worst", "Year (worst case)", "d", "year_worst"),
+    ] + [
+        (Column(f"advantage_{p.node}_w", f"Advantage vs {p.node} (W)", ".1f"),
+         lambda r, node=p.node: r.advantage_w[node])
+        for p in cfg.cmos_profiles
     ]
-    for profile in cfg.cmos_profiles:
-        columns.append(Column(
-            f"advantage_{profile.node}_w", f"Advantage vs {profile.node} (W)", ".1f"
-        ))
-    rows = []
-    for name, scenario, samples in points:
-        budget = total_budget(workload(scenario), cfg.qa_profile, samples)
-        row = {
-            "name": name,
-            "bandwidth_mhz": scenario.bandwidth_mhz,
-            "antennas": scenario.antennas,
-            "samples": samples,
-            "required_qubits": budget.total,
-            "year_best": year_available(BEST_CASE, budget.total),
-            "year_worst": year_available(WORST_CASE, budget.total),
-        }
-        for profile in cfg.cmos_profiles:
-            row[f"advantage_{profile.node}_w"] = offload_advantage_w(
-                scenario, profile, cfg.qa_profile
-            )
-        rows.append(row)
-    return Table(
-        name="timeline", columns=columns, rows=rows,
+    return _table(
+        "timeline", columns,
+        milestones(points, cfg.cmos_profiles, cfg.qa_profile), warnings,
         notes=["years are first availability of the required device size under "
                "the best/worst historical growth trends"],
     )

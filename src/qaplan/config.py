@@ -81,6 +81,12 @@ def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
     return str(name), scenario
 
 
+def _check_unique(names: Sequence[str], what: str) -> None:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"duplicate {what}: {name}")
+
+
 def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
     profiles = []
     for i, obj in enumerate(entries):
@@ -117,6 +123,7 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
             raise ConfigError(f"cmos[{i}]: {exc}") from exc
     if not profiles:
         raise ConfigError("cmos list is empty")
+    _check_unique([p.node for p in profiles], "cmos node")
     return tuple(profiles)
 
 
@@ -170,17 +177,18 @@ SWEEP_AXES = ("bandwidth_mhz", "antennas", "samples", "modulation_bits",
 _INTEGER_AXES = ("antennas", "samples", "modulation_bits")
 
 
-def _parse_sweep(obj: dict) -> Dict[str, List[float]]:
+def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
+    """Cast each axis's values; `where` prefixes the axis in messages."""
     _check_keys(obj, SWEEP_AXES, "sweep")
     sweep = {}
     for axis, values in obj.items():
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{axis} must be a non-empty list")
+            raise ConfigError(f"{where}{axis} must be a non-empty list")
         try:
             cast = int if axis in _INTEGER_AXES else float
             sweep[axis] = [cast(v) for v in values]
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep.{axis}: {exc}") from exc
+            raise ConfigError(f"{where}{axis}: {exc}") from exc
     return sweep
 
 
@@ -214,6 +222,8 @@ def parse_config(doc: dict) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"horizons_years: {exc}") from exc
+    # Economics column keys name each horizon by its :g label.
+    _check_unique([format(y, "g") for y in horizons], "horizon")
     return RunConfig(
         scenarios=scenarios,
         cmos_profiles=_parse_cmos(doc["cmos"]) if "cmos" in doc else base.cmos_profiles,

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .cmos import CmosProfile, cmos_power
-from .qa_hardware import (
-    DEFAULT_GEOMETRY,
-    DeviceGeometry,
-    QaProfile,
-    refrigerator_qubit_capacity,
-)
+from .qa_hardware import QaProfile, refrigerator_qubit_capacity
 from .qubit_budget import QubitBudget, total_budget
 from .ran_power import (
     DEFAULT_LOSSES,
@@ -148,8 +143,6 @@ def compare(
     qa_profile: QaProfile,
     samples: int,
     topology: Topology = BsTopology(),
-    geometry: DeviceGeometry = DEFAULT_GEOMETRY,
-    **budget_kwargs,
 ) -> ComparisonResult:
     """Power both candidates for one scenario and size the annealer.
 
@@ -158,7 +151,7 @@ def compare(
     as a lower bound.
     """
     load = workload(scenario)
-    per_bs_budget = total_budget(load, qa_profile, samples, **budget_kwargs)
+    per_bs_budget = total_budget(load, qa_profile, samples)
     refrigeration = qa_profile.refrigeration_w
 
     if isinstance(topology, BsTopology):
@@ -185,7 +178,7 @@ def compare(
         covered_fraction=per_bs_budget.covered_fraction,
         total=per_bs_budget.total * n_bs,
     )
-    capacity = refrigerator_qubit_capacity(geometry)
+    capacity = refrigerator_qubit_capacity()
     return ComparisonResult(
         scenario=scenario,
         cmos=cmos_side,

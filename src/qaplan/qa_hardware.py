@@ -35,17 +35,10 @@ class QaProfile:
     readout_us: float = 1.0  # per sample
     readout_delay_us: float = 1.0  # per sample, qubit reset interval
     refrigeration_w: float = 25e3  # flat draw of the refrigeration unit
-    cooling_power_w: float = 30e-6  # available at the cold stage
-    dac_critical_current_a: float = 1e-6
-    couplers_per_qubit: float = 15.0
-    dacs_per_qubit: int = 6
-    dacs_per_coupler: int = 1
-    bit_precision: int = 5
 
     def __post_init__(self) -> None:
         for name in ("programming_us", "anneal_us", "readout_us",
-                     "readout_delay_us", "refrigeration_w", "cooling_power_w",
-                     "dac_critical_current_a"):
+                     "readout_delay_us", "refrigeration_w"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -59,36 +52,27 @@ class QaProfile:
 QA_PROJECTED = QaProfile(name="projected")
 
 # Shipping hardware today: programming 4-40 us and readout 25-150 us
-# (midpoints), millisecond-scale conservative reset delay, 55 uA DACs.
+# (midpoints), millisecond-scale conservative reset delay.
 QA_CURRENT = QaProfile(
     name="current",
     programming_us=22.0,
     anneal_us=1.0,
     readout_us=87.5,
     readout_delay_us=1000.0,
-    dac_critical_current_a=55e-6,
 )
 
 BUILTIN_QA = {p.name: p for p in (QA_PROJECTED, QA_CURRENT)}
 
 
-def qmi_runtime_us(
-    profile: QaProfile,
-    samples: int,
-    programming_us: Optional[float] = None,
-) -> float:
+def qmi_runtime_us(profile: QaProfile, samples: int) -> float:
     """Wall time of one problem instance, microseconds.
 
     Affine in the sample count: programming once, then one
-    anneal/readout/delay cycle per sample. `programming_us` overrides the
-    profile's programming time for tasks with heavier setup.
+    anneal/readout/delay cycle per sample.
     """
     if samples < 0 or int(samples) != samples:
         raise ValueError(f"samples must be a non-negative integer, got {samples}")
-    prog = profile.programming_us if programming_us is None else programming_us
-    if prog < 0:
-        raise ValueError(f"programming time must be non-negative, got {prog}")
-    return prog + samples * profile.sample_cycle_us
+    return profile.programming_us + samples * profile.sample_cycle_us
 
 
 def dac_count(
@@ -141,19 +125,6 @@ def programming_energy(
         thermalization_s=energy / cooling_power_w,
         dacs=dacs,
     )
-
-
-def programming_data_bytes(
-    n_qubits: int,
-    n_couplers: int,
-    bit_precision: int = 5,
-) -> float:
-    """Worst-case problem upload size in bytes.
-
-    Diagnostic only: at microsecond programming cycles, megabyte-scale
-    uploads imply GHz-bandwidth control lines.
-    """
-    return bit_precision * (n_qubits + n_couplers) / 8.0
 
 
 def readout_parallelism(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from .qa_hardware import QaProfile, qmi_runtime_us
 from .workload import BbuTask, BbuWorkload
@@ -86,20 +86,9 @@ class LdpcCode:
 # Longest traffic-channel code in current macro deployments.
 LDPC_5G_BG1 = LdpcCode(rows=4224, cols=8448, row_weight=8.64, col_weight=20.0)
 
-# Decoder operation count per problem used for rate conversion. The
-# headline convention (default) is the round 150M figure quoted for
-# 20 iterations of the code above; "analytic" recomputes from the
-# belief-propagation count per iteration.
-FEC_HEADLINE_OPS = 150e6
-FEC_HEADLINE_ITERATIONS = 20
-
-
-def ldpc_ops_per_iteration(
-    rows: int, cols: int, row_weight: float, col_weight: float
-) -> float:
-    """Belief-propagation operations per decoding iteration."""
-    m, n, wr, wc = rows, cols, row_weight, col_weight
-    return n + 3 * wr * wr * m - wr * m + 2 * wc * wc * n + 4 * wc * n
+# Decoder operations one problem replaces: the round figure quoted for
+# 20 belief-propagation iterations of the code above.
+FEC_OPS_PER_PROBLEM = 150e6
 
 
 def ldpc_aux_depth(row_weight: float) -> int:
@@ -121,36 +110,12 @@ def ldpc_problem_qubits(code: LdpcCode) -> int:
     return code.cols + code.rows * ldpc_aux_depth(code.row_weight)
 
 
-def fec_problem_model(
-    profile: QaProfile,
-    samples: int,
-    code: LdpcCode = LDPC_5G_BG1,
-    iterations: int = FEC_HEADLINE_ITERATIONS,
-    ops_convention: str = "headline",
-    programming_us: Optional[float] = None,
-) -> TaskProblemModel:
-    """Decoding problem for one LDPC code block.
-
-    `programming_us` overrides the profile's programming time; decoder
-    problems are larger than detection problems and may need a longer
-    setup on some hardware.
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
-    if ops_convention == "headline":
-        ops = FEC_HEADLINE_OPS * iterations / FEC_HEADLINE_ITERATIONS
-    elif ops_convention == "analytic":
-        ops = iterations * ldpc_ops_per_iteration(
-            code.rows, code.cols, code.row_weight, code.col_weight
-        )
-    else:
-        raise ValueError(
-            f"ops_convention must be 'headline' or 'analytic', got {ops_convention!r}"
-        )
+def fec_problem_model(profile: QaProfile, samples: int) -> TaskProblemModel:
+    """Decoding problem for one code block of `LDPC_5G_BG1`."""
     return TaskProblemModel(
-        ops_per_problem=ops,
-        qubits_per_problem=ldpc_problem_qubits(code),
-        runtime_us=qmi_runtime_us(profile, samples, programming_us=programming_us),
+        ops_per_problem=FEC_OPS_PER_PROBLEM,
+        qubits_per_problem=ldpc_problem_qubits(LDPC_5G_BG1),
+        runtime_us=qmi_runtime_us(profile, samples),
     )
 
 
@@ -172,41 +137,22 @@ class QubitBudget:
     total: int
 
 
-def total_budget(
-    load: BbuWorkload,
-    profile: QaProfile,
-    samples: int,
-    fdnl_users: Optional[int] = None,
-    code: LdpcCode = LDPC_5G_BG1,
-    iterations: int = FEC_HEADLINE_ITERATIONS,
-    ops_convention: str = "headline",
-    fec_programming_us: Optional[float] = None,
-    covered_fraction: Optional[float] = MODELED_LOAD_FRACTION,
-) -> QubitBudget:
+def total_budget(load: BbuWorkload, profile: QaProfile, samples: int) -> QubitBudget:
     """Qubit budget for a cell, extrapolated over the unmodeled tasks.
 
-    `covered_fraction=None` computes the modeled tasks' actual share of
-    the scenario's total TOPS instead of using the fixed default.
+    Detection problems serve one user per antenna; the two modeled tasks
+    are taken to carry `MODELED_LOAD_FRACTION` of the load.
     """
     scenario = load.scenario
-    users = scenario.antennas if fdnl_users is None else fdnl_users
-    fdnl = fdnl_problem_model(profile, samples, users, scenario.modulation_bits)
-    fec = fec_problem_model(
-        profile, samples, code, iterations, ops_convention,
-        programming_us=fec_programming_us,
-    )
+    fdnl = fdnl_problem_model(profile, samples, scenario.antennas,
+                              scenario.modulation_bits)
+    fec = fec_problem_model(profile, samples)
     per_task: Dict[BbuTask, int] = {
         BbuTask.FD_NL: task_qubits(load.tops[BbuTask.FD_NL], fdnl),
         BbuTask.FEC: task_qubits(load.tops[BbuTask.FEC], fec),
     }
-    if covered_fraction is None:
-        modeled = load.tops[BbuTask.FD_NL] + load.tops[BbuTask.FEC]
-        covered_fraction = modeled / load.total_tops
-    if not 0 < covered_fraction <= 1:
-        raise ValueError(f"covered_fraction must be in (0, 1], got {covered_fraction}")
-    total = math.ceil(sum(per_task.values()) / covered_fraction)
     return QubitBudget(
         per_task=per_task,
-        covered_fraction=covered_fraction,
-        total=total,
+        covered_fraction=MODELED_LOAD_FRACTION,
+        total=math.ceil(sum(per_task.values()) / MODELED_LOAD_FRACTION),
     )

@@ -2,15 +2,14 @@
 
 Extrapolates annealer qubit counts from the shipped-hardware record and
 answers two questions: how many qubits does a scenario need, and in what
-year does the trend first supply them. Historical years are always
-reported from the record itself, never from the fitted trend.
+year does the trend first supply them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .cmos import CmosProfile
 from .economics import offload_advantage_w
@@ -64,8 +63,6 @@ WORST_CASE = GrowthTrend(
     growth_factor=7440 / 5436,  # 2020 -> 2023 jump
 )
 
-BUILTIN_TRENDS = {t.name: t for t in (BEST_CASE, WORST_CASE)}
-
 
 def qubits_at(trend: GrowthTrend, year: float) -> int:
     """Projected device size in `year` (whole qubits, rounded down)."""
@@ -95,27 +92,13 @@ def year_available(trend: GrowthTrend, required_qubits: int) -> int:
     return year
 
 
-def qubit_series(
-    trend: GrowthTrend,
-    years: Sequence[int],
-    historical: Mapping[int, int] = HISTORICAL_QUBITS,
-) -> Dict[int, int]:
-    """Device size per year: the record where it exists, else the trend."""
-    out: Dict[int, int] = {}
-    for year in years:
-        if year in historical:
-            out[year] = historical[year]
-        else:
-            out[year] = qubits_at(trend, year)
-    return out
-
-
 @dataclass(frozen=True)
 class TimelineProjection:
-    """When one scenario's qubit ask becomes available."""
+    """When one grid point's qubit ask becomes available."""
 
-    label: str
+    name: str
     scenario: CellScenario
+    samples: int
     required_qubits: int
     year_best: int
     year_worst: int
@@ -124,30 +107,22 @@ class TimelineProjection:
 
 
 def milestones(
-    scenarios: Sequence,
+    points: Iterable[Tuple[str, CellScenario, int]],
     cmos_profiles: Sequence[CmosProfile],
     qa_profile: QaProfile,
-    samples: int,
-    best: GrowthTrend = BEST_CASE,
-    worst: GrowthTrend = WORST_CASE,
-    **budget_kwargs,
-) -> List[TimelineProjection]:
-    """Feasibility projection for each (label, scenario) pair."""
-    out: List[TimelineProjection] = []
-    for label, scenario in scenarios:
-        budget = total_budget(workload(scenario), qa_profile, samples, **budget_kwargs)
-        advantage = {
-            p.node: offload_advantage_w(scenario, p, qa_profile)
-            for p in cmos_profiles
-        }
-        out.append(
-            TimelineProjection(
-                label=label,
-                scenario=scenario,
-                required_qubits=budget.total,
-                year_best=year_available(best, budget.total),
-                year_worst=year_available(worst, budget.total),
-                advantage_w=advantage,
-            )
+) -> Iterator[TimelineProjection]:
+    """Feasibility projection for each (name, scenario, samples) point."""
+    for name, scenario, samples in points:
+        required = total_budget(workload(scenario), qa_profile, samples).total
+        yield TimelineProjection(
+            name=name,
+            scenario=scenario,
+            samples=samples,
+            required_qubits=required,
+            year_best=year_available(BEST_CASE, required),
+            year_worst=year_available(WORST_CASE, required),
+            advantage_w={
+                p.node: offload_advantage_w(scenario, p, qa_profile)
+                for p in cmos_profiles
+            },
         )
-    return out

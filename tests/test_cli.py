@@ -117,6 +117,51 @@ def test_capacity_warning_sets_exit_code(capsys):
     assert read_csv(out).rows[0]["fits"] == "no"
 
 
+def test_sweep_labels_keep_values_distinct(capsys):
+    # :g would name both rows antennas=1e+06
+    code, out, _ = run(
+        capsys, "targets", "--format", "csv", "--sweep", "antennas=1000001,1000002",
+    )
+    assert code == EXIT_OK
+    assert [r["name"] for r in read_csv(out).rows] == [
+        "5g-400mhz-64ant[antennas=1000001]", "5g-400mhz-64ant[antennas=1000002]",
+    ]
+
+
+def test_sweep_samples_below_one_are_skipped(capsys):
+    code, out, err = run(
+        capsys, "qubits", "--format", "csv", "--sweep", "samples=0,-1,20",
+    )
+    assert code == EXIT_WARNINGS
+    assert err.splitlines() == [
+        f"qaplan: warning: skipping sweep point 5g-400mhz-64ant[samples={n}]: "
+        f"samples must be a positive integer, got {n}"
+        for n in (0, -1)
+    ]
+    assert [r["samples"] for r in read_csv(out).rows] == [20]
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_sweep_with_only_bad_samples_is_config_error(capsys, samples):
+    code, out, err = run(capsys, "qubits", "--sweep", f"samples={samples}")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.endswith("qaplan: config error: sweep produced no valid points\n")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"horizons_years": [1, 1.0]}, "duplicate horizon: 1"),
+    ({"cmos": ["14nm", {"node": "14nm", "vdd": 0.8}]}, "duplicate cmos node: 14nm"),
+])
+def test_duplicate_column_sources_are_config_errors(tmp_path, capsys, doc, message):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "economics", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"qaplan: config error: {message}\n"
+
+
 def test_missing_config_file_is_config_error(capsys):
     code, _, err = run(capsys, "targets", "--config", "/no/such/file.json")
     assert code == EXIT_CONFIG

@@ -95,6 +95,15 @@ def test_bad_documents_rejected(doc):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("key", [
+    "cooling_power_w", "dac_critical_current_a", "couplers_per_qubit",
+    "dacs_per_qubit", "dacs_per_coupler", "bit_precision",
+])
+def test_qa_rejects_keys_no_model_reads(key):
+    with pytest.raises(ConfigError, match=f"unknown key\\(s\\) in qa: {key}"):
+        parse_config({"qa": {key: 1}})
+
+
 def test_root_must_be_object():
     with pytest.raises(ConfigError):
         parse_config([1, 2])

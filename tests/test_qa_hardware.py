@@ -16,7 +16,6 @@ from qaplan.qa_hardware import (
     coupler_count,
     dac_count,
     die_count,
-    programming_data_bytes,
     programming_energy,
     qmi_runtime_us,
     readout_parallelism,
@@ -45,13 +44,8 @@ def test_runtime_rejects_bad_samples():
         qmi_runtime_us(QA_PROJECTED, 1.5)
 
 
-def test_runtime_override_for_heavier_programming():
-    assert qmi_runtime_us(QA_PROJECTED, 20, programming_us=80.0) == 140.0
-
-
 def test_builtin_profiles():
     assert set(BUILTIN_QA) == {"projected", "current"}
-    assert QA_CURRENT.dac_critical_current_a == 55e-6
     assert QA_PROJECTED.sample_cycle_us == 3.0
     assert QA_CURRENT.sample_cycle_us == pytest.approx(1088.5)
 
@@ -93,11 +87,6 @@ def test_programming_energy_formula():
     got = programming_energy(1, 0, 1e-6, dacs_per_qubit=1, dacs_per_coupler=0)
     assert got.dacs == 1
     assert got.energy_j == pytest.approx(32 * 4.0 * 1e-6 * PHI0, rel=1e-12)
-
-
-def test_programming_data_size():
-    # the 5436-qubit device uploads ~27 kB per problem
-    assert programming_data_bytes(5436, 37440) == pytest.approx(26797.5)
 
 
 def test_readout_time_division():

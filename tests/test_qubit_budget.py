@@ -14,7 +14,6 @@ from qaplan.qubit_budget import (
     fdnl_problem_model,
     fec_problem_model,
     ldpc_aux_depth,
-    ldpc_ops_per_iteration,
     ldpc_problem_qubits,
     task_qubits,
     total_budget,
@@ -53,23 +52,6 @@ def test_decoder_problem_shape():
     assert m.runtime_us == 102.0
 
 
-def test_decoder_iterations_scale_headline_ops():
-    m = fec_problem_model(QA_PROJECTED, 20, iterations=10)
-    assert m.ops_per_problem == pytest.approx(75e6)
-
-
-def test_decoder_analytic_ops():
-    per_iter = ldpc_ops_per_iteration(4224, 8448, 8.64, 20.0)
-    assert per_iter == pytest.approx(8_352_152.3712, rel=1e-9)
-    m = fec_problem_model(QA_PROJECTED, 20, ops_convention="analytic")
-    assert m.ops_per_problem == pytest.approx(20 * per_iter, rel=1e-9)
-
-
-def test_decoder_unknown_convention_rejected():
-    with pytest.raises(ValueError):
-        fec_problem_model(QA_PROJECTED, 20, ops_convention="vibes")
-
-
 @pytest.mark.parametrize(
     "row_weight,depth",
     [(0.0, 0), (0.5, 0), (2.0, 1), (6.0, 2), (8.64, 3), (14.0, 3), (20.0, 4), (30.0, 4)],
@@ -90,23 +72,6 @@ def test_budget_at_quoted_sample_counts(samples, fdnl, fec, total):
     assert budget.per_task[BbuTask.FEC] == fec
     assert budget.total == total
     assert budget.covered_fraction == MODELED_LOAD_FRACTION
-
-
-def test_budget_computed_coverage():
-    load = workload(SCENARIO_400)
-    budget = total_budget(load, QA_PROJECTED, 20, covered_fraction=None)
-    share = (load.tops[BbuTask.FD_NL] + load.tops[BbuTask.FEC]) / load.total_tops
-    assert budget.covered_fraction == pytest.approx(share)
-    assert budget.total == math.ceil(
-        (budget.per_task[BbuTask.FD_NL] + budget.per_task[BbuTask.FEC]) / share
-    )
-
-
-def test_budget_rejects_bad_coverage():
-    with pytest.raises(ValueError):
-        total_budget(workload(SCENARIO_400), QA_PROJECTED, 20, covered_fraction=0.0)
-    with pytest.raises(ValueError):
-        total_budget(workload(SCENARIO_400), QA_PROJECTED, 20, covered_fraction=1.2)
 
 
 def test_bad_problem_models_rejected():

@@ -7,12 +7,10 @@ from qaplan.cmos import CMOS_14NM
 from qaplan.qa_hardware import QA_PROJECTED
 from qaplan.timeline import (
     BEST_CASE,
-    BUILTIN_TRENDS,
     HISTORICAL_QUBITS,
     WORST_CASE,
     GrowthTrend,
     milestones,
-    qubit_series,
     qubits_at,
     year_available,
 )
@@ -30,7 +28,6 @@ def test_trend_anchors():
     assert BEST_CASE.growth_factor == pytest.approx(5436 / 2048)
     assert (WORST_CASE.anchor_year, WORST_CASE.anchor_qubits) == (2023, 7440)
     assert WORST_CASE.growth_factor == pytest.approx(7440 / 5436)
-    assert set(BUILTIN_TRENDS) == {"best-case", "worst-case"}
 
 
 def test_projection_at_anchor_and_beyond():
@@ -63,12 +60,6 @@ def test_small_requirements_available_at_anchor():
     assert year_available(BEST_CASE, 5437) > 2020
 
 
-def test_series_prefers_the_record():
-    s = qubit_series(BEST_CASE, [2017, 2020, 2023, 2026])
-    # 2023 comes from the record (7440), not the trend (14427)
-    assert s == {2017: 2048, 2020: 5436, 2023: 7440, 2026: 38_298}
-
-
 def test_invalid_trends_rejected():
     with pytest.raises(ValueError):
         GrowthTrend("flat", 2020, 5436, growth_factor=1.0)
@@ -78,12 +69,10 @@ def test_invalid_trends_rejected():
 
 def test_milestones_shape():
     scenario = CellScenario(400, 6, 0.5, 64)
-    out = milestones(
-        [("macro", scenario)], [CMOS_14NM], QA_PROJECTED, samples=20,
-    )
+    out = list(milestones([("macro", scenario, 20)], [CMOS_14NM], QA_PROJECTED))
     assert len(out) == 1
     m = out[0]
-    assert m.label == "macro"
+    assert (m.name, m.scenario, m.samples) == ("macro", scenario, 20)
     assert m.required_qubits == 3_320_055
     assert m.year_best == 2040
     assert m.year_worst > m.year_best
