@@ -42,8 +42,6 @@ from .timeline import (
     HISTORICAL_QUBITS,
     WORST_CASE,
     GrowthTrend,
-    TimelineProjection,
-    milestones,
     qubits_at,
     year_available,
 )

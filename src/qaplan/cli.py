@@ -5,6 +5,13 @@ invocation in csv, json, or fixed-width text. Output is deterministic:
 the same config and flags produce byte-identical bytes. Exit codes:
 0 success, 1 config problem, 2 model-domain error, 3 success with
 warnings (warnings go to stderr).
+
+Every subcommand is a list of columns over the rows of one staged
+evaluation (`_rows`), which groups consecutive points with an equal
+scenario into runs, as a sweep over samples produces them. A run
+computes its workload once, its qubit budget once per sample count and,
+per cmos node, the deployments, cost report and offload advantage once,
+each on first use. Nothing outlives a run, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -14,17 +21,19 @@ import dataclasses
 import itertools
 import sys
 from functools import cached_property
-from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .cmos import CmosProfile
 from .config import SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
-from .economics import ComparisonResult, CostReport, compare, cost_report
+from .economics import (CostReport, Deployments, advantage_w, cost_report,
+                        deployment_budget, deployments)
 from .emit import Cell, Column, Table, render
 from .qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
 from .qubit_budget import QubitBudget, total_budget
 from .tables import PAPER_TABLES
-from .timeline import milestones
+from .timeline import BEST_CASE, WORST_CASE, year_available
 from .workload import BbuTask, BbuWorkload, CellScenario, workload
 
 EXIT_OK = 0
@@ -89,7 +98,10 @@ def _parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
 
 def _label(value: float) -> str:
     """`:g` where it reads back as the same value, else the exact repr."""
-    text = format(value, "g")
+    try:
+        text = format(value, "g")
+    except OverflowError:  # an int too large for a float
+        return repr(value)
     return text if float(text) == value else repr(value)
 
 
@@ -100,69 +112,107 @@ def _expand_points(
 
     With a sweep, the grid replaces the scenario list, anchored on the
     first configured scenario. Grid points that fail validation are
-    skipped with a warning rather than aborting the run.
+    skipped with a warning rather than aborting the run. Consecutive
+    points that differ only in samples share one scenario object.
     """
     if not sweep:
         return [(name, s, cfg.samples) for name, s in cfg.scenarios]
     base_name, base = cfg.scenarios[0]
     axes = [axis for axis in SWEEP_AXES if axis in sweep]
+    at = axes.index("samples") if "samples" in sweep else None
+    # (axis, value, name label) per swept value, each label formatted once.
+    grid = [[(a, v, f"{a}={v if a == 'samples' else _label(v)}") for v in sweep[a]]
+            for a in axes]
     points = []
-    for combo in itertools.product(*(sweep[axis] for axis in axes)):
-        values = dict(zip(axes, combo))
-        samples = values.pop("samples", cfg.samples)
-        label = [f"{axis}={_label(value)}" for axis, value in values.items()]
-        if "samples" in axes:
-            label.append(f"samples={samples}")
-        name = f"{base_name}[{','.join(label)}]"
-        try:
-            scenario = dataclasses.replace(base, **values)
-            if samples < 1:
-                raise ValueError(f"samples must be a positive integer, got {samples}")
-        except ValueError as exc:
-            warnings.append(f"skipping sweep point {name}: {exc}")
-            continue
-        points.append((name, scenario, samples))
+    last = None
+    for combo in itertools.product(*grid):
+        key = combo if at is None else combo[:at] + combo[at + 1:]
+        if key != last:  # a new scenario; the samples label goes last in a name
+            last, invalid = key, None
+            labels = [label for _, _, label in key]
+            try:
+                scenario = dataclasses.replace(base, **{a: v for a, v, _ in key})
+            except (ValueError, OverflowError) as exc:
+                invalid = exc
+        if at is None:
+            samples, name = cfg.samples, f"{base_name}[{','.join(labels)}]"
+        else:
+            _, samples, label = combo[at]
+            name = f"{base_name}[{','.join(labels + [label])}]"
+        problem = invalid or (
+            samples < 1 and f"samples must be a positive integer, got {samples}")
+        if problem:
+            warnings.append(f"skipping sweep point {name}: {problem}")
+        else:
+            points.append((name, scenario, samples))
     if not points:
         raise ConfigError("sweep produced no valid points")
     return points
 
 
-class _Record:
-    """One row: a grid point, and for per-node tables a cmos profile.
+class _Node:
+    """One scenario's results against one cmos node, each computed on first use."""
 
-    Each model result is computed on first use and kept for the row's
-    other columns.
-    """
-
-    def __init__(self, cfg: RunConfig, point: Point,
-                 cmos: Optional[CmosProfile] = None) -> None:
-        self.cfg = cfg
-        self.name, self.scenario, self.samples = point
-        self.cmos = cmos
+    def __init__(self, cfg: RunConfig, load: BbuWorkload, cmos: CmosProfile) -> None:
+        self.cfg, self.load, self.cmos = cfg, load, cmos
 
     @cached_property
-    def load(self) -> BbuWorkload:
-        return workload(self.scenario)
-
-    @cached_property
-    def budget(self) -> QubitBudget:
-        return total_budget(self.load, self.cfg.qa_profile, self.samples)
-
-    @cached_property
-    def comparison(self) -> ComparisonResult:
-        return compare(self.scenario, self.cmos, self.cfg.qa_profile,
-                       self.samples, self.cfg.topology)
+    def sides(self) -> Deployments:
+        return deployments(self.load, self.cmos, self.cfg.qa_profile, self.cfg.topology)
 
     @cached_property
     def report(self) -> CostReport:
-        return cost_report(self.comparison.delta_w, self.cfg.horizons_years,
-                           self.cfg.costs)
+        return cost_report(self.sides.delta_w, self.cfg.horizons_years, self.cfg.costs)
+
+    @cached_property
+    def advantage(self) -> float:
+        return advantage_w(self.load, self.cmos, self.cfg.qa_profile)
 
 
-def _records(cfg: RunConfig, points: Sequence[Point], per_node: bool = False):
-    if per_node:
-        return (_Record(cfg, p, cmos) for p in points for cmos in cfg.cmos_profiles)
-    return (_Record(cfg, p) for p in points)
+class _Run:
+    """Consecutive points with an equal scenario, and what they share.
+
+    The workload is computed when the run starts; one cell's qubit budget
+    per sample count, and the `nodes` results, on first use.
+    """
+
+    def __init__(self, cfg: RunConfig, scenario: CellScenario) -> None:
+        self.qa, self.scenario = cfg.qa_profile, scenario
+        self.load = workload(scenario)
+        self.nodes = [_Node(cfg, self.load, cmos) for cmos in cfg.cmos_profiles]
+        self._budgets: Dict[int, QubitBudget] = {}
+
+    def budget(self, samples: int) -> QubitBudget:
+        budget = self._budgets.get(samples)
+        if budget is None:
+            budget = self._budgets[samples] = total_budget(self.load, self.qa, samples)
+        return budget
+
+
+class _Row(NamedTuple):
+    """One table row: a point of `run`, and on per-node tables a `node`."""
+
+    name: str
+    samples: int
+    run: _Run
+    node: Optional[_Node] = None
+
+    @property
+    def budget(self) -> QubitBudget:
+        return self.run.budget(self.samples)
+
+
+def _rows(cfg: RunConfig, points: Iterable[Point], per_node: bool = False
+          ) -> Iterator[_Row]:
+    """One row per point, or with `per_node` per point and cmos node."""
+    for scenario, points_of_run in itertools.groupby(points, key=itemgetter(1)):
+        run = _Run(cfg, scenario)
+        for name, _, samples in points_of_run:
+            if per_node:
+                for node in run.nodes:
+                    yield _Row(name, samples, run, node)
+            else:
+                yield _Row(name, samples, run)
 
 
 # A column and how to read its cell from a row's record.
@@ -196,26 +246,26 @@ def _table(
 
 _SCENARIO_COLUMNS: Columns = [
     _column("name", "Scenario", "", "name"),
-    _column("bandwidth_mhz", "B/W (MHz)", "g", "scenario.bandwidth_mhz"),
-    _column("antennas", "Antennas", "d", "scenario.antennas"),
+    _column("bandwidth_mhz", "B/W (MHz)", "g", "run.scenario.bandwidth_mhz"),
+    _column("antennas", "Antennas", "d", "run.scenario.antennas"),
 ]
 _SAMPLES_COLUMN = _column("samples", "Samples", "d", "samples")
-_NODE_COLUMN = _column("node", "Node", "", "cmos.node")
+_NODE_COLUMN = _column("node", "Node", "", "node.cmos.node")
 
 
 def cmd_targets(cfg: RunConfig, points, warnings) -> Table:
     columns = _SCENARIO_COLUMNS + [
         (Column(f"{task.value}_tops", task.label, ".3f"),
-         lambda r, task=task: r.load.tops[task])
+         lambda r, task=task: r.run.load.tops[task])
         for task in BbuTask
-    ] + [_column("total_tops", "Total", ".3f", "load.total_tops")]
-    return _table("targets", columns, _records(cfg, points), warnings,
+    ] + [_column("total_tops", "Total", ".3f", "run.load.total_tops")]
+    return _table("targets", columns, _rows(cfg, points), warnings,
                   notes=["units: TOPS"])
 
 
 def cmd_power(cfg: RunConfig, points, warnings) -> Table:
     columns = _SCENARIO_COLUMNS + [_NODE_COLUMN] + [
-        _column(key, title, ".1f", f"comparison.{path}")
+        _column(key, title, ".1f", f"node.sides.{path}")
         for key, title, path in (
             ("cmos_bbu_w", "CMOS BBU (W)", "cmos.bbu_w"),
             ("cmos_ru_w", "RU (W)", "cmos.ru_w"),
@@ -229,7 +279,7 @@ def cmd_power(cfg: RunConfig, points, warnings) -> Table:
             ("delta_w", "Saving (W)", "delta_w"),
         )
     ]
-    return _table("power", columns, _records(cfg, points, per_node=True), warnings)
+    return _table("power", columns, _rows(cfg, points, per_node=True), warnings)
 
 
 def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
@@ -250,39 +300,40 @@ def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
          lambda r: "yes" if r.budget.total <= capacity else "no"),
     ]
 
-    def warn(r: _Record) -> Optional[str]:
+    def warn(r: _Row) -> Optional[str]:
         if r.budget.total > capacity:
             return (f"{r.name}: requirement {r.budget.total} exceeds "
                     f"refrigerator capacity {capacity}")
         return None
 
-    return _table("qubits", columns, _records(cfg, points), warnings, warn)
+    return _table("qubits", columns, _rows(cfg, points), warnings, warn)
 
 
 def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
     columns = _SCENARIO_COLUMNS + [
         _NODE_COLUMN,
-        _column("delta_w", "Saving (W)", ".1f", "comparison.delta_w"),
+        _column("delta_w", "Saving (W)", ".1f", "node.sides.delta_w"),
     ]
     for i, years in enumerate(cfg.horizons_years):
         label = format(years, "g")
         columns += [
             (Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"),
-             lambda r, i=i: r.report.opex_savings_usd[i]),
+             lambda r, i=i: r.node.report.opex_savings_usd[i]),
             (Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f"),
-             lambda r, i=i: r.report.co2_savings_kt[i]),
+             lambda r, i=i: r.node.report.co2_savings_kt[i]),
         ]
 
-    def warn(r: _Record) -> Optional[str]:
-        result = r.comparison
-        if result.capacity_exceeded:
-            return (f"{r.name} ({r.cmos.node}): qubit requirement "
-                    f"{result.budget.total} exceeds refrigerator capacity "
-                    f"{result.capacity}")
+    capacity = refrigerator_qubit_capacity()
+
+    def warn(r: _Row) -> Optional[str]:
+        required = deployment_budget(r.budget, cfg.topology).total
+        if required > capacity:
+            return (f"{r.name} ({r.node.cmos.node}): qubit requirement "
+                    f"{required} exceeds refrigerator capacity {capacity}")
         return None
 
     return _table(
-        "economics", columns, _records(cfg, points, per_node=True), warnings, warn,
+        "economics", columns, _rows(cfg, points, per_node=True), warnings, warn,
         notes=["negative savings mean the annealer candidate draws more power; "
                "breakeven hardware budget equals the OpEx column at each horizon"],
     )
@@ -291,17 +342,18 @@ def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
 def cmd_timeline(cfg: RunConfig, points, warnings) -> Table:
     columns = _SCENARIO_COLUMNS + [
         _SAMPLES_COLUMN,
-        _column("required_qubits", "Required qubits", "d", "required_qubits"),
-        _column("year_best", "Year (best case)", "d", "year_best"),
-        _column("year_worst", "Year (worst case)", "d", "year_worst"),
+        _column("required_qubits", "Required qubits", "d", "budget.total"),
+        (Column("year_best", "Year (best case)", "d"),
+         lambda r: year_available(BEST_CASE, r.budget.total)),
+        (Column("year_worst", "Year (worst case)", "d"),
+         lambda r: year_available(WORST_CASE, r.budget.total)),
     ] + [
         (Column(f"advantage_{p.node}_w", f"Advantage vs {p.node} (W)", ".1f"),
-         lambda r, node=p.node: r.advantage_w[node])
-        for p in cfg.cmos_profiles
+         lambda r, i=i: r.run.nodes[i].advantage)
+        for i, p in enumerate(cfg.cmos_profiles)
     ]
     return _table(
-        "timeline", columns,
-        milestones(points, cfg.cmos_profiles, cfg.qa_profile), warnings,
+        "timeline", columns, _rows(cfg, points), warnings,
         notes=["years are first availability of the required device size under "
                "the best/worst historical growth trends"],
     )
@@ -338,17 +390,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             table = _COMMANDS[args.command](cfg, points, warnings)
         _emit(render(table, args.format), args.out)
     except ConfigError as exc:
-        print(f"qaplan: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, problem = EXIT_CONFIG, f"config error: {exc}"
     except ValueError as exc:
-        print(f"qaplan: model error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        code, problem = EXIT_DOMAIN, f"model error: {exc}"
     except OSError as exc:
-        print(f"qaplan: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, problem = EXIT_CONFIG, f"cannot write output: {exc}"
+    else:
+        code, problem = EXIT_WARNINGS if warnings else EXIT_OK, None
+    # Warnings come first, also on failure: they may say why it failed.
     for warning in warnings:
         print(f"qaplan: warning: {warning}", file=sys.stderr)
-    return EXIT_WARNINGS if warnings else EXIT_OK
+    if problem:
+        print(f"qaplan: {problem}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ class CmosProfile:
     leakage_fraction: float = 0.30  # static power as fraction of dynamic
 
     def __post_init__(self) -> None:
+        for name in ("vdd", "efficiency_tops_per_w", "leakage_fraction"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.vdd <= 0:
             raise ValueError(f"vdd must be positive, got {self.vdd}")
         if self.efficiency_tops_per_w <= 0:

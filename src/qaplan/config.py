@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,6 +27,11 @@ SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
     """Bad config file: unreadable, wrong schema, or invalid values."""
+
+
+# What casting or validating a config value raises; int(inf) and
+# float(10**400) raise OverflowError.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
             duty_time=float(obj.get("duty_time", 1.0)),
             duty_freq=float(obj.get("duty_freq", 1.0)),
         )
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"scenarios[{index}]: {exc}") from exc
     return str(name), scenario
 
@@ -119,7 +125,7 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
                 raise ConfigError(
                     f"cmos[{i}] needs vdd or efficiency_tops_per_w"
                 )
-        except (TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise ConfigError(f"cmos[{i}]: {exc}") from exc
     if not profiles:
         raise ConfigError("cmos list is empty")
@@ -142,7 +148,7 @@ def _parse_qa(obj: dict) -> QaProfile:
     overrides = {k: v for k, v in obj.items() if k != "profile"}
     try:
         return dataclasses.replace(base, **overrides)
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"qa: {exc}") from exc
 
 
@@ -158,7 +164,7 @@ def _parse_topology(obj: dict) -> Topology:
                 n_bs=int(obj.get("n_bs", 3)),
                 fronthaul_capacity_bps=float(obj.get("fronthaul_gbps", 100)) * 1e9,
             )
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"topology: {exc}") from exc
     raise ConfigError(f"topology.kind must be 'bs' or 'cran', got {kind!r}")
 
@@ -168,7 +174,7 @@ def _parse_costs(obj: dict) -> CostAssumptions:
     _check_keys(obj, allowed, "costs")
     try:
         return CostAssumptions(**{k: float(v) for k, v in obj.items()})
-    except (TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise ConfigError(f"costs: {exc}") from exc
 
 
@@ -187,7 +193,7 @@ def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
         try:
             cast = int if axis in _INTEGER_AXES else float
             sweep[axis] = [cast(v) for v in values]
-        except (TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise ConfigError(f"{where}{axis}: {exc}") from exc
     return sweep
 
@@ -220,7 +226,10 @@ def parse_config(doc: dict) -> RunConfig:
         horizons = tuple(
             float(y) for y in doc.get("horizons_years", base.horizons_years)
         )
-    except (TypeError, ValueError) as exc:
+        for years in horizons:
+            if not math.isfinite(years):
+                raise ValueError(f"horizons must be finite, got {years}")
+    except _BAD_VALUE as exc:
         raise ConfigError(f"horizons_years: {exc}") from exc
     # Economics column keys name each horizon by its :g label.
     _check_unique([format(y, "g") for y in horizons], "horizon")

@@ -6,12 +6,18 @@ the bandwidth where the annealer starts winning. The annealer side keeps
 platform control and transport processing on silicon; in centralized
 deployments the per-site FFT stage stays on site silicon in both
 candidates.
+
+A comparison splits into two steps: the deployments, which depend on the
+scenario alone, and the qubit budget, which also depends on the sample
+count and is scaled to the deployment's cells. A sweep over samples can
+share the first step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Optional, Sequence, Tuple, Union
 
 from .cmos import CmosProfile, cmos_power
 from .qa_hardware import QaProfile, refrigerator_qubit_capacity
@@ -35,6 +41,10 @@ OFFLOADABLE_TASKS = frozenset({
     BbuTask.FD_LIN, BbuTask.FD_NL, BbuTask.FEC,
 })
 SILICON_RESIDENT_TASKS = frozenset({BbuTask.PCP, BbuTask.CPRI})
+# The same sets in task order, which fixes the order watts are summed in.
+_ALL_TASKS = tuple(BbuTask)
+_OFFLOADABLE_ORDER = tuple(t for t in BbuTask if t in OFFLOADABLE_TASKS)
+_SILICON_RESIDENT_ORDER = tuple(t for t in BbuTask if t in SILICON_RESIDENT_TASKS)
 
 HOURS_PER_YEAR = 8760.0
 LB_PER_METRIC_KILOTON = 2_204_622.6
@@ -45,6 +55,7 @@ class BsTopology:
     """Standalone base station: baseband, radios, and PAs in one cabinet."""
 
     losses: PowerSystemLosses = DEFAULT_LOSSES
+    n_bs: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,10 @@ class CranTopology:
     site_tasks: frozenset = frozenset({BbuTask.FFT})
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.fronthaul_capacity_bps):
+            raise ValueError(
+                f"fronthaul capacity must be finite, got {self.fronthaul_capacity_bps}"
+            )
         if self.n_bs < 1:
             raise ValueError(f"n_bs must be at least 1, got {self.n_bs}")
 
@@ -121,20 +136,58 @@ def _cran_breakdown(
 
 
 @dataclass(frozen=True)
-class ComparisonResult:
-    """Both deployment candidates for one scenario, plus the qubit ask."""
+class Deployments:
+    """Grid power of both deployment candidates for one scenario."""
 
-    scenario: CellScenario
     cmos: PowerBreakdown
     qa: PowerBreakdown
-    budget: QubitBudget  # whole-deployment qubit requirement
-    capacity: int  # qubits one refrigeration unit can hold
-    capacity_exceeded: bool
 
     @property
     def delta_w(self) -> float:
         """Power saved by the annealer candidate (negative = it loses)."""
         return self.cmos.total_w - self.qa.total_w
+
+
+@dataclass(frozen=True)
+class ComparisonResult(Deployments):
+    """Both deployment candidates for one scenario, plus the qubit ask."""
+
+    scenario: CellScenario
+    budget: QubitBudget  # whole-deployment qubit requirement
+    capacity: int  # qubits one refrigeration unit can hold
+    capacity_exceeded: bool
+
+
+def deployments(
+    load: BbuWorkload,
+    cmos_profile: CmosProfile,
+    qa_profile: QaProfile,
+    topology: Topology = BsTopology(),
+) -> Deployments:
+    """Power both candidates for one workload; the sample count does not enter."""
+    if isinstance(topology, BsTopology):
+        breakdown, qa_tasks = _bs_breakdown, _SILICON_RESIDENT_ORDER
+    elif isinstance(topology, CranTopology):
+        breakdown = _cran_breakdown
+        qa_tasks = [t for t in BbuTask if t in SILICON_RESIDENT_TASKS
+                    or t in topology.site_tasks]
+    else:
+        raise ValueError(f"unknown topology {topology!r}")
+    return Deployments(
+        cmos=breakdown(load, _ALL_TASKS, cmos_profile, topology),
+        qa=breakdown(load, qa_tasks, cmos_profile, topology,
+                     refrigeration_w=qa_profile.refrigeration_w),
+    )
+
+
+def deployment_budget(per_bs: QubitBudget, topology: Topology) -> QubitBudget:
+    """One cell's qubit budget scaled to the deployment's n_bs cells."""
+    n_bs = topology.n_bs
+    return QubitBudget(
+        per_task={t: n * n_bs for t, n in per_bs.per_task.items()},
+        covered_fraction=per_bs.covered_fraction,
+        total=per_bs.total * n_bs,
+    )
 
 
 def compare(
@@ -151,38 +204,13 @@ def compare(
     as a lower bound.
     """
     load = workload(scenario)
-    per_bs_budget = total_budget(load, qa_profile, samples)
-    refrigeration = qa_profile.refrigeration_w
-
-    if isinstance(topology, BsTopology):
-        n_bs = 1
-        cmos_side = _bs_breakdown(load, tuple(BbuTask), cmos_profile, topology)
-        qa_side = _bs_breakdown(
-            load, [t for t in BbuTask if t in SILICON_RESIDENT_TASKS],
-            cmos_profile, topology, refrigeration_w=refrigeration,
-        )
-    elif isinstance(topology, CranTopology):
-        n_bs = topology.n_bs
-        qa_pool_tasks = [t for t in BbuTask if t in SILICON_RESIDENT_TASKS
-                         or t in topology.site_tasks]
-        cmos_side = _cran_breakdown(load, tuple(BbuTask), cmos_profile, topology)
-        qa_side = _cran_breakdown(
-            load, qa_pool_tasks, cmos_profile, topology,
-            refrigeration_w=refrigeration,
-        )
-    else:
-        raise ValueError(f"unknown topology {topology!r}")
-
-    budget = QubitBudget(
-        per_task={t: n * n_bs for t, n in per_bs_budget.per_task.items()},
-        covered_fraction=per_bs_budget.covered_fraction,
-        total=per_bs_budget.total * n_bs,
-    )
+    sides = deployments(load, cmos_profile, qa_profile, topology)
+    budget = deployment_budget(total_budget(load, qa_profile, samples), topology)
     capacity = refrigerator_qubit_capacity()
     return ComparisonResult(
+        cmos=sides.cmos,
+        qa=sides.qa,
         scenario=scenario,
-        cmos=cmos_side,
-        qa=qa_side,
         budget=budget,
         capacity=capacity,
         capacity_exceeded=budget.total > capacity,
@@ -197,8 +225,9 @@ class CostAssumptions:
 
     def __post_init__(self) -> None:
         for name in ("electricity_price_per_kwh", "co2_lb_per_kwh", "hours_per_year"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 DEFAULT_COSTS = CostAssumptions()
@@ -255,8 +284,13 @@ def offload_advantage_w(
     the flat refrigeration cost. Supply losses and silicon-resident tasks
     are identical on both sides and cancel.
     """
-    load = workload(scenario)
-    movable = load.subset_tops([t for t in BbuTask if t in OFFLOADABLE_TASKS])
+    return advantage_w(workload(scenario), cmos_profile, qa_profile)
+
+
+def advantage_w(load: BbuWorkload, cmos_profile: CmosProfile,
+                qa_profile: QaProfile) -> float:
+    """`offload_advantage_w` for a workload already computed."""
+    movable = load.subset_tops(_OFFLOADABLE_ORDER)
     return cmos_power(movable, cmos_profile) - qa_profile.refrigeration_w
 
 

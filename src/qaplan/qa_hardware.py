@@ -39,8 +39,9 @@ class QaProfile:
     def __post_init__(self) -> None:
         for name in ("programming_us", "anneal_us", "readout_us",
                      "readout_delay_us", "refrigeration_w"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @property
     def sample_cycle_us(self) -> float:

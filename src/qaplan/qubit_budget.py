@@ -125,6 +125,8 @@ def task_qubits(tops: float, model: TaskProblemModel) -> int:
         raise ValueError(f"tops must be non-negative, got {tops}")
     pps = tops * 1e12 / model.ops_per_problem
     qubits = pps * model.qubits_per_problem * model.runtime_us * 1e-6
+    if not math.isfinite(qubits):
+        raise ValueError(f"qubit requirement at {tops:g} TOPS is not finite")
     return math.ceil(qubits)
 
 

@@ -1,21 +1,14 @@
 """Device-size growth trends and feasibility milestones.
 
 Extrapolates annealer qubit counts from the shipped-hardware record and
-answers two questions: how many qubits does a scenario need, and in what
-year does the trend first supply them.
+finds the first year a trend supplies a required qubit count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
-
-from .cmos import CmosProfile
-from .economics import offload_advantage_w
-from .qa_hardware import QaProfile
-from .qubit_budget import total_budget
-from .workload import CellScenario, workload
+from typing import Mapping
 
 # Shipped (and announced) device sizes by year.
 HISTORICAL_QUBITS: Mapping[int, int] = {
@@ -90,39 +83,3 @@ def year_available(trend: GrowthTrend, required_qubits: int) -> int:
     while year > trend.anchor_year and qubits_at(trend, year - 1) >= required_qubits:
         year -= 1
     return year
-
-
-@dataclass(frozen=True)
-class TimelineProjection:
-    """When one grid point's qubit ask becomes available."""
-
-    name: str
-    scenario: CellScenario
-    samples: int
-    required_qubits: int
-    year_best: int
-    year_worst: int
-    # Baseband watts saved per silicon node if offloading (negative = loss).
-    advantage_w: Mapping[str, float]
-
-
-def milestones(
-    points: Iterable[Tuple[str, CellScenario, int]],
-    cmos_profiles: Sequence[CmosProfile],
-    qa_profile: QaProfile,
-) -> Iterator[TimelineProjection]:
-    """Feasibility projection for each (name, scenario, samples) point."""
-    for name, scenario, samples in points:
-        required = total_budget(workload(scenario), qa_profile, samples).total
-        yield TimelineProjection(
-            name=name,
-            scenario=scenario,
-            samples=samples,
-            required_qubits=required,
-            year_best=year_available(BEST_CASE, required),
-            year_worst=year_available(WORST_CASE, required),
-            advantage_w={
-                p.node: offload_advantage_w(scenario, p, qa_profile)
-                for p in cmos_profiles
-            },
-        )

@@ -8,7 +8,8 @@ cycles. Each baseband task has its own scaling exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Dict, Mapping
 
@@ -67,6 +68,10 @@ class CellScenario:
     duty_freq: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("bandwidth_mhz", "coding_rate", "antennas", "duty_time", "duty_freq"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.bandwidth_mhz <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mhz}")
         if self.modulation_bits not in VALID_MODULATION_BITS:
@@ -167,6 +172,13 @@ def _axis_ratios(scenario: CellScenario, reference: CellScenario):
     )
 
 
+def _scaled(reference_tops: float, powers, ratios) -> float:
+    result = reference_tops
+    for ratio, power in zip(ratios, powers):
+        result *= ratio ** power
+    return result
+
+
 def scale_task(
     task: BbuTask,
     scenario: CellScenario,
@@ -178,24 +190,25 @@ def scale_task(
     Scales the reference demand by the product of per-axis ratios, each
     raised to the task's exponent for that axis.
     """
-    exps = SCALING[task]
-    ratios = _axis_ratios(scenario, reference)
-    powers = (exps.bandwidth, exps.modulation, exps.coding_rate,
-              exps.antennas, exps.duty_time, exps.duty_freq)
-    result = reference_tops[task]
-    for ratio, power in zip(ratios, powers):
-        result *= ratio ** power
-    return result
+    return _scaled(reference_tops[task], astuple(SCALING[task]),
+                   _axis_ratios(scenario, reference))
 
 
-def workload(
-    scenario: CellScenario,
-    reference: CellScenario = REFERENCE_SCENARIO,
-    reference_tops: Mapping[BbuTask, float] = REFERENCE_TOPS,
-) -> BbuWorkload:
-    """Per-task compute targets for a scenario."""
+# (task, reference TOPS, exponents) in task order, so `workload` looks
+# nothing up per task.
+_TASK_SCALING = tuple(
+    (task, REFERENCE_TOPS[task], astuple(SCALING[task])) for task in BbuTask
+)
+
+
+def workload(scenario: CellScenario) -> BbuWorkload:
+    """Per-task compute targets for a scenario, each equal to `scale_task`."""
+    ratios = _axis_ratios(scenario, REFERENCE_SCENARIO)
     tops: Dict[BbuTask, float] = {
-        task: scale_task(task, scenario, reference, reference_tops)
-        for task in BbuTask
+        task: _scaled(reference_tops, powers, ratios)
+        for task, reference_tops, powers in _TASK_SCALING
     }
+    total = sum(tops.values())
+    if not math.isfinite(total):
+        raise ValueError(f"compute targets overflow: {total} TOPS")
     return BbuWorkload(scenario=scenario, tops=tops)

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from qaplan.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS, main
-from qaplan.config import ENV_CONFIG_PATH
+from qaplan.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
+                        cmd_timeline, main)
+from qaplan.config import ENV_CONFIG_PATH, default_config
 from qaplan.emit import read_csv, read_json
 from qaplan.tables import PAPER_TABLES
 
@@ -147,6 +148,81 @@ def test_sweep_with_only_bad_samples_is_config_error(capsys, samples):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.endswith("qaplan: config error: sweep produced no valid points\n")
+
+
+def test_timeline_row_at_reference_point():
+    cfg = default_config()  # 400 MHz, 64 antennas, 20 samples, 14nm
+    points = [(name, scenario, cfg.samples) for name, scenario in cfg.scenarios]
+    (row,) = cmd_timeline(cfg, points, []).rows
+    assert (row["name"], row["samples"]) == ("5g-400mhz-64ant", 20)
+    assert row["required_qubits"] == 3_320_055
+    assert row["year_best"] == 2040
+    assert row["year_worst"] > row["year_best"]
+    assert row["advantage_14nm_w"] == pytest.approx(3584.0 / 0.076 * 1.3 - 25e3,
+                                                    rel=1e-9)
+
+
+_SKIP_NAN = ("qaplan: warning: skipping sweep point 5g-400mhz-64ant[bandwidth_mhz={}]: "
+             "bandwidth_mhz must be finite, got {}")
+_NO_POINTS = "qaplan: config error: sweep produced no valid points"
+_OVERFLOW = "qaplan: model error: compute targets overflow: inf TOPS"
+
+
+@pytest.mark.parametrize("command,sweep,code,lines", [
+    ("economics", "bandwidth_mhz=100,nan", EXIT_WARNINGS, [_SKIP_NAN.format("nan", "nan")]),
+    ("power", "bandwidth_mhz=inf,100,-inf", EXIT_WARNINGS,
+     [_SKIP_NAN.format("inf", "inf"), _SKIP_NAN.format("-inf", "-inf")]),
+    ("economics", "bandwidth_mhz=nan", EXIT_CONFIG,
+     [_SKIP_NAN.format("nan", "nan"), _NO_POINTS]),
+    ("timeline", "bandwidth_mhz=inf", EXIT_CONFIG,
+     [_SKIP_NAN.format("inf", "inf"), _NO_POINTS]),
+    *[(command, "bandwidth_mhz=100,1e308", EXIT_DOMAIN, [_OVERFLOW])
+      for command in ("targets", "power", "qubits", "economics", "timeline")],
+    ("qubits", "bandwidth_mhz=1e300", EXIT_DOMAIN,  # finite TOPS, too many qubits
+     ["qaplan: model error: qubit requirement at 6.144e+300 TOPS is not finite"]),
+    ("targets", "antennas=64,1" + "0" * 400, EXIT_WARNINGS, [
+        "qaplan: warning: skipping sweep point 5g-400mhz-64ant[antennas=1" + "0" * 400
+        + "]: int too large to convert to float",
+    ]),
+])
+def test_non_finite_sweep_values_end_in_one_line_each(capsys, command, sweep, code, lines):
+    got, out, err = run(capsys, command, "--format", "csv", "--sweep", sweep)
+    assert got == code
+    assert "Traceback" not in err
+    assert err.splitlines() == lines
+    if code == EXIT_WARNINGS:
+        assert len(read_csv(out).rows) == 1
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"qa": {"refrigeration_w": float("nan")}},
+     "qa: refrigeration_w must be finite and non-negative, got nan"),
+    ({"costs": {"electricity_price_per_kwh": float("inf")}},
+     "costs: electricity_price_per_kwh must be finite and non-negative, got inf"),
+    ({"cmos": [{"node": "x", "efficiency_tops_per_w": float("nan")}]},
+     "cmos[0]: efficiency_tops_per_w must be finite, got nan"),
+    ({"cmos": [{"node": "x", "vdd": float("inf")}]},
+     "cmos[0]: vdd must be finite, got inf"),
+    ({"topology": {"kind": "cran", "fronthaul_gbps": float("inf")}},
+     "topology: fronthaul capacity must be finite, got inf"),
+    ({"topology": {"kind": "cran", "n_bs": float("inf")}},
+     "topology: cannot convert float infinity to integer"),
+    ({"horizons_years": [1, float("inf")]}, "horizons_years: horizons must be finite, got inf"),
+    ({"scenarios": [{"bandwidth_mhz": float("nan")}]},
+     "scenarios[0]: bandwidth_mhz must be finite, got nan"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "antennas": float("inf")}]},
+     "scenarios[0]: cannot convert float infinity to integer"),
+    ({"sweep": {"antennas": [float("-inf")]}},
+     "sweep.antennas: cannot convert float infinity to integer"),
+])
+def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, message):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN/Infinity tokens
+    for command in ("power", "economics"):
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"qaplan: config error: {message}\n"
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -3,18 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qaplan.cmos import CMOS_14NM
-from qaplan.qa_hardware import QA_PROJECTED
 from qaplan.timeline import (
     BEST_CASE,
     HISTORICAL_QUBITS,
     WORST_CASE,
     GrowthTrend,
-    milestones,
     qubits_at,
     year_available,
 )
-from qaplan.workload import CellScenario
 
 
 def test_shipped_device_record():
@@ -65,18 +61,6 @@ def test_invalid_trends_rejected():
         GrowthTrend("flat", 2020, 5436, growth_factor=1.0)
     with pytest.raises(ValueError):
         GrowthTrend("empty", 2020, 0, growth_factor=2.0)
-
-
-def test_milestones_shape():
-    scenario = CellScenario(400, 6, 0.5, 64)
-    out = list(milestones([("macro", scenario, 20)], [CMOS_14NM], QA_PROJECTED))
-    assert len(out) == 1
-    m = out[0]
-    assert (m.name, m.scenario, m.samples) == ("macro", scenario, 20)
-    assert m.required_qubits == 3_320_055
-    assert m.year_best == 2040
-    assert m.year_worst > m.year_best
-    assert m.advantage_w["14nm"] == pytest.approx(3584.0 / 0.076 * 1.3 - 25e3, rel=1e-9)
 
 
 trends = st.sampled_from([BEST_CASE, WORST_CASE])

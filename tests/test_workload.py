@@ -114,6 +114,19 @@ def test_scaling_is_separable(scenario, task):
     assert scale_task(task, scenario) == pytest.approx(expected, rel=1e-9)
 
 
+@given(scenarios)
+def test_workload_equals_scale_task_bit_for_bit(scenario):
+    load = workload(scenario)
+    for task in BbuTask:
+        assert load.tops[task].hex() == scale_task(task, scenario).hex()
+
+
+def test_workload_rejects_overflowing_targets():
+    with pytest.raises(ValueError, match="compute targets overflow: inf TOPS"):
+        workload(CellScenario(bandwidth_mhz=1e308, modulation_bits=6,
+                              coding_rate=1.0, antennas=64))
+
+
 @given(scenarios, st.floats(min_value=1.0, max_value=8.0))
 def test_demand_never_drops_when_bandwidth_grows(scenario, factor):
     import dataclasses
