@@ -11,7 +11,11 @@ evaluation (`_rows`), which groups consecutive points with an equal
 scenario into runs, as a sweep over samples produces them. A run
 computes its workload once, its qubit budget once per sample count and,
 per cmos node, the deployments, cost report and offload advantage once,
-each on first use. Nothing outlives a run, so memory stays flat.
+each on first use. What does not depend on the scenario is built once
+per call, not per row: the problem models behind the budgets once per
+sample count (`ProblemModels`), and the topology's task layout and
+fronthaul link once per topology. Besides those bounded caches nothing
+outlives a run, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
 
 from .cmos import CmosProfile
 from .config import SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
-from .economics import (CostReport, Deployments, advantage_w, cost_report,
-                        deployment_budget, deployments)
+from .economics import CostReport, Deployments, advantage_w, cost_report, deployments
 from .emit import Cell, Column, Table, render
 from .qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
-from .qubit_budget import QubitBudget, total_budget
+from .qubit_budget import ProblemModels, QubitBudget, total_budget
 from .tables import PAPER_TABLES
 from .timeline import BEST_CASE, WORST_CASE, year_available
 from .workload import BbuTask, BbuWorkload, CellScenario, workload
@@ -118,6 +121,8 @@ def _expand_points(
     if not sweep:
         return [(name, s, cfg.samples) for name, s in cfg.scenarios]
     base_name, base = cfg.scenarios[0]
+    # `dataclasses.replace(base, **changes)`, with base's fields read once.
+    base_fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
     axes = [axis for axis in SWEEP_AXES if axis in sweep]
     at = axes.index("samples") if "samples" in sweep else None
     # (axis, value, name label) per swept value, each label formatted once.
@@ -131,7 +136,7 @@ def _expand_points(
             last, invalid = key, None
             labels = [label for _, _, label in key]
             try:
-                scenario = dataclasses.replace(base, **{a: v for a, v, _ in key})
+                scenario = CellScenario(**{**base_fields, **{a: v for a, v, _ in key}})
             except (ValueError, OverflowError) as exc:
                 invalid = exc
         if at is None:
@@ -173,11 +178,13 @@ class _Run:
     """Consecutive points with an equal scenario, and what they share.
 
     The workload is computed when the run starts; one cell's qubit budget
-    per sample count, and the `nodes` results, on first use.
+    per sample count, and the `nodes` results, on first use. The problem
+    models behind the budgets are shared by every run of the call.
     """
 
-    def __init__(self, cfg: RunConfig, scenario: CellScenario) -> None:
-        self.qa, self.scenario = cfg.qa_profile, scenario
+    def __init__(self, cfg: RunConfig, scenario: CellScenario,
+                 models: ProblemModels) -> None:
+        self.qa, self.scenario, self.models = cfg.qa_profile, scenario, models
         self.load = workload(scenario)
         self.nodes = [_Node(cfg, self.load, cmos) for cmos in cfg.cmos_profiles]
         self._budgets: Dict[int, QubitBudget] = {}
@@ -185,7 +192,8 @@ class _Run:
     def budget(self, samples: int) -> QubitBudget:
         budget = self._budgets.get(samples)
         if budget is None:
-            budget = self._budgets[samples] = total_budget(self.load, self.qa, samples)
+            budget = self._budgets[samples] = total_budget(
+                self.load, self.qa, samples, self.models)
         return budget
 
 
@@ -205,8 +213,9 @@ class _Row(NamedTuple):
 def _rows(cfg: RunConfig, points: Iterable[Point], per_node: bool = False
           ) -> Iterator[_Row]:
     """One row per point, or with `per_node` per point and cmos node."""
+    models = ProblemModels(cfg.qa_profile)
     for scenario, points_of_run in itertools.groupby(points, key=itemgetter(1)):
-        run = _Run(cfg, scenario)
+        run = _Run(cfg, scenario, models)
         for name, _, samples in points_of_run:
             if per_node:
                 for node in run.nodes:
@@ -312,7 +321,9 @@ def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
 def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
     columns = _SCENARIO_COLUMNS + [
         _NODE_COLUMN,
-        _column("delta_w", "Saving (W)", ".1f", "node.sides.delta_w"),
+        # The report holds the run's saving as one object, so its text is
+        # formatted once per run rather than once per row.
+        _column("delta_w", "Saving (W)", ".1f", "node.report.delta_w"),
     ]
     for i, years in enumerate(cfg.horizons_years):
         label = format(years, "g")
@@ -324,9 +335,10 @@ def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
         ]
 
     capacity = refrigerator_qubit_capacity()
+    n_bs = cfg.topology.n_bs
 
     def warn(r: _Row) -> Optional[str]:
-        required = deployment_budget(r.budget, cfg.topology).total
+        required = r.budget.total * n_bs  # deployment_budget(...).total
         if required > capacity:
             return (f"{r.name} ({r.node.cmos.node}): qubit requirement "
                     f"{required} exceeds refrigerator capacity {capacity}")

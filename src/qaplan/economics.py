@@ -10,13 +10,18 @@ candidates.
 A comparison splits into two steps: the deployments, which depend on the
 scenario alone, and the qubit budget, which also depends on the sample
 count and is scaled to the deployment's cells. A sweep over samples can
-share the first step.
+share the first step. Within it, what depends only on the topology (the
+task orders of pool, sites and candidates, and the fronthaul link) is
+built once per topology, and each task's silicon watts once per workload
+and node, shared by both candidates. Sums keep their task order, so
+every float is the same as when each part was built afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Dict, Optional, Sequence, Tuple, Union
 
 from .cmos import CmosProfile, cmos_power
@@ -48,6 +53,26 @@ _SILICON_RESIDENT_ORDER = tuple(t for t in BbuTask if t in SILICON_RESIDENT_TASK
 
 HOURS_PER_YEAR = 8760.0
 LB_PER_METRIC_KILOTON = 2_204_622.6
+# Most remote sites one pool may serve: the power model walks a list of
+# n_bs sites, so an unbounded count would exhaust memory.
+MAX_N_BS = 10_000
+
+
+class _Layout:
+    """What the power model reads of a topology, in task order.
+
+    `cmos` and `qa` are the tasks each candidate runs on its pooled (for a
+    standalone station, its only) baseband silicon; `site` the tasks pinned
+    at every radio site; `link` one site's fronthaul link. A plain class:
+    a `NamedTuple` would cost about 0.2 ms at import.
+    """
+
+    __slots__ = ("cmos", "qa", "site", "link")
+
+    def __init__(self, cmos: Tuple[BbuTask, ...], qa: Tuple[BbuTask, ...],
+                 site: Tuple[BbuTask, ...] = (),
+                 link: Optional[FronthaulLink] = None) -> None:
+        self.cmos, self.qa, self.site, self.link = cmos, qa, site, link
 
 
 @dataclass(frozen=True)
@@ -56,6 +81,7 @@ class BsTopology:
 
     losses: PowerSystemLosses = DEFAULT_LOSSES
     n_bs: ClassVar[int] = 1
+    _layout: ClassVar[_Layout] = _Layout(cmos=_ALL_TASKS, qa=_SILICON_RESIDENT_ORDER)
 
 
 @dataclass(frozen=True)
@@ -76,23 +102,40 @@ class CranTopology:
             )
         if self.n_bs < 1:
             raise ValueError(f"n_bs must be at least 1, got {self.n_bs}")
+        if self.n_bs > MAX_N_BS:
+            raise ValueError(f"n_bs must be at most {MAX_N_BS}, got {self.n_bs}")
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        site = self.site_tasks
+        return _Layout(
+            cmos=tuple(t for t in _ALL_TASKS if t not in site),
+            qa=tuple(t for t in _SILICON_RESIDENT_ORDER if t not in site),
+            site=tuple(t for t in _ALL_TASKS if t in site),
+            link=FronthaulLink.scaled_from_reference(
+                capacity_bps=self.fronthaul_capacity_bps,
+                load_bps=self.fronthaul_capacity_bps,  # provisioned at full rate
+            ),
+        )
 
 
 Topology = Union[BsTopology, CranTopology]
 
 
-def _task_watts(load: BbuWorkload, tasks, profile: CmosProfile) -> Dict[BbuTask, float]:
-    return {t: cmos_power(load.tops[t], profile) for t in tasks}
+def _task_watts(load: BbuWorkload, profile: CmosProfile) -> Dict[BbuTask, float]:
+    """Silicon watts of every task, shared by both candidates."""
+    tops = load.tops
+    return {t: cmos_power(tops[t], profile) for t in _ALL_TASKS}
 
 
 def _bs_breakdown(
     load: BbuWorkload,
-    tasks,
-    profile: CmosProfile,
+    watts: Dict[BbuTask, float],
+    tasks: Tuple[BbuTask, ...],
     topology: BsTopology,
     refrigeration_w: float = 0.0,
 ) -> PowerBreakdown:
-    tasks_w = _task_watts(load, tasks, profile)
+    tasks_w = {t: watts[t] for t in tasks}
     return bs_power(
         bbu_w=sum(tasks_w.values()),
         antennas=load.scenario.antennas,
@@ -104,25 +147,20 @@ def _bs_breakdown(
 
 def _cran_breakdown(
     load: BbuWorkload,
-    pool_tasks,
-    profile: CmosProfile,
+    watts: Dict[BbuTask, float],
+    pool_tasks: Tuple[BbuTask, ...],
     topology: CranTopology,
     refrigeration_w: float = 0.0,
 ) -> PowerBreakdown:
-    site_task_order = [t for t in BbuTask if t in topology.site_tasks]
-    site_tasks_w = _task_watts(load, site_task_order, profile)
-    pool_only = [t for t in pool_tasks if t not in topology.site_tasks]
-    pool_tasks_w = _task_watts(load, pool_only, profile)
-    link = FronthaulLink.scaled_from_reference(
-        capacity_bps=topology.fronthaul_capacity_bps,
-        load_bps=topology.fronthaul_capacity_bps,  # provisioned at full rate
-    )
+    layout = topology._layout
+    site_tasks_w = {t: watts[t] for t in layout.site}
+    pool_tasks_w = {t: watts[t] for t in pool_tasks}
     site = RrhSite(
         ru_w=load.scenario.antennas * RU_CHAIN_W,
         pa_w=load.scenario.antennas * PA_W,
         bbu_w=sum(site_tasks_w.values()),
         losses=topology.site_losses,
-        fronthaul=link,
+        fronthaul=layout.link,
     )
     n = topology.n_bs
     aggregate = {t: w * n for t, w in {**pool_tasks_w, **site_tasks_w}.items()}
@@ -166,18 +204,23 @@ def deployments(
 ) -> Deployments:
     """Power both candidates for one workload; the sample count does not enter."""
     if isinstance(topology, BsTopology):
-        breakdown, qa_tasks = _bs_breakdown, _SILICON_RESIDENT_ORDER
+        breakdown = _bs_breakdown
     elif isinstance(topology, CranTopology):
         breakdown = _cran_breakdown
-        qa_tasks = [t for t in BbuTask if t in SILICON_RESIDENT_TASKS
-                    or t in topology.site_tasks]
     else:
         raise ValueError(f"unknown topology {topology!r}")
-    return Deployments(
-        cmos=breakdown(load, _ALL_TASKS, cmos_profile, topology),
-        qa=breakdown(load, qa_tasks, cmos_profile, topology,
+    layout = topology._layout
+    watts = _task_watts(load, cmos_profile)
+    sides = Deployments(
+        cmos=breakdown(load, watts, layout.cmos, topology),
+        qa=breakdown(load, watts, layout.qa, topology,
                      refrigeration_w=qa_profile.refrigeration_w),
     )
+    # Every component is non-negative, so finite totals mean finite parts.
+    for side in (sides.cmos, sides.qa):
+        if not math.isfinite(side.total_w):
+            raise ValueError(f"deployment power overflows: {side.total_w} W")
+    return sides
 
 
 def deployment_budget(per_bs: QubitBudget, topology: Topology) -> QubitBudget:
@@ -265,6 +308,8 @@ def cost_report(
         kwh_per_year * years * assumptions.co2_lb_per_kwh / LB_PER_METRIC_KILOTON
         for years in horizons_years
     )
+    if not all(map(math.isfinite, opex + co2)):
+        raise ValueError(f"savings of {delta_w:g} W overflow over the horizons")
     return CostReport(
         delta_w=delta_w,
         horizons_years=tuple(horizons_years),
@@ -291,7 +336,10 @@ def advantage_w(load: BbuWorkload, cmos_profile: CmosProfile,
                 qa_profile: QaProfile) -> float:
     """`offload_advantage_w` for a workload already computed."""
     movable = load.subset_tops(_OFFLOADABLE_ORDER)
-    return cmos_power(movable, cmos_profile) - qa_profile.refrigeration_w
+    silicon_w = cmos_power(movable, cmos_profile)
+    if not math.isfinite(silicon_w):
+        raise ValueError(f"offloadable silicon power overflows: {silicon_w} W")
+    return silicon_w - qa_profile.refrigeration_w
 
 
 def crossover_bandwidth_mhz(

@@ -4,6 +4,12 @@ Every report the tool produces flows through one Table shape. Cells are
 formatted through per-column format specs so that repeated runs emit
 byte-identical output, and csv/json carry the same numbers. Emitted csv
 and json can be read back with the readers below.
+
+Renderers resolve each column's key and spec once per table, and reuse a
+cell's text when its value is the very object in the row above, as the
+per-run cells of a sweep are. The test is identity, never equality:
+0.0 and -0.0, or 1, 1.0 and True, are equal but format differently. Csv
+rows stream into the writer one at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Union
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -50,6 +57,30 @@ def _parse_number(text: str) -> Cell:
         return text
 
 
+_NOTHING = object()  # the previous value of a column before the first row
+
+
+def _cells(table: Table, convert: Callable[[Cell, str], Any]) -> Iterator[List[Any]]:
+    """Each row's cells through `convert(value, spec)`, in column order,
+    reusing the cell above where the value `is` the same object."""
+    keys = [c.key for c in table.columns]
+    specs = [c.spec for c in table.columns]
+    get = itemgetter(*keys) if len(keys) > 1 else (lambda row: [row[k] for k in keys])
+    last: Sequence[Any] = [_NOTHING] * len(keys)
+    cells: List[Any] = [None] * len(keys)
+    for row in table.rows:
+        values = get(row)
+        cells = [cell if value is old else convert(value, spec)
+                 for value, old, cell, spec in zip(values, last, cells, specs)]
+        last = values
+        yield cells
+
+
+def _json_cell(value: Cell, spec: str) -> Cell:
+    formatted = format_cell(value, spec)
+    return formatted if isinstance(value, str) else _parse_number(formatted)
+
+
 def render_csv(table: Table) -> str:
     """Csv emission; notes become leading '#' comment lines."""
     buf = io.StringIO()
@@ -57,26 +88,17 @@ def render_csv(table: Table) -> str:
         buf.write(f"# {note}\r\n")
     writer = csv.writer(buf)
     writer.writerow([c.key for c in table.columns])
-    for row in table.rows:
-        writer.writerow([format_cell(row[c.key], c.spec) for c in table.columns])
+    writer.writerows(_cells(table, format_cell))  # streamed, row by row
     return buf.getvalue()
 
 
 def render_json(table: Table) -> str:
     """Json emission carrying the same numbers as the csv rendering."""
-    rows = []
-    for row in table.rows:
-        out: Dict[str, Cell] = {}
-        for col in table.columns:
-            formatted = format_cell(row[col.key], col.spec)
-            out[col.key] = (
-                formatted if isinstance(row[col.key], str) else _parse_number(formatted)
-            )
-        rows.append(out)
+    keys = [c.key for c in table.columns]
     doc = {
         "table": table.name,
         "columns": [{"key": c.key, "title": c.title} for c in table.columns],
-        "rows": rows,
+        "rows": [dict(zip(keys, cells)) for cells in _cells(table, _json_cell)],
         "notes": list(table.notes),
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -85,10 +107,7 @@ def render_json(table: Table) -> str:
 def render_text(table: Table) -> str:
     """Fixed-width text rendering for terminals."""
     headers = [c.title for c in table.columns]
-    grid = [
-        [format_cell(row[c.key], c.spec) for c in table.columns]
-        for row in table.rows
-    ]
+    grid = list(_cells(table, format_cell))  # widths need every row first
     widths = [
         max(len(headers[i]), *(len(r[i]) for r in grid)) if grid else len(headers[i])
         for i in range(len(headers))

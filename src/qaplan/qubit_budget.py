@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from functools import lru_cache, partial
+from typing import Callable, Dict, Mapping, Optional
 
 from .qa_hardware import QaProfile, qmi_runtime_us
 from .workload import BbuTask, BbuWorkload
@@ -139,16 +140,36 @@ class QubitBudget:
     total: int
 
 
-def total_budget(load: BbuWorkload, profile: QaProfile, samples: int) -> QubitBudget:
+class ProblemModels:
+    """The detection and decoding problem models of one qa profile.
+
+    `fdnl(samples, users, modulation_bits)` and `fec(samples)` build each
+    model once and then return the same object. The cache keys are plain
+    ints, so a sweep never hashes the profile per point, and the caches
+    are bounded, so memory stays flat over any number of antenna counts.
+    """
+
+    def __init__(self, profile: QaProfile) -> None:
+        cache = lru_cache(maxsize=4096)
+        self.fdnl: Callable[[int, int, int], TaskProblemModel] = cache(
+            partial(fdnl_problem_model, profile))
+        self.fec: Callable[[int], TaskProblemModel] = cache(
+            partial(fec_problem_model, profile))
+
+
+def total_budget(load: BbuWorkload, profile: QaProfile, samples: int,
+                 models: Optional[ProblemModels] = None) -> QubitBudget:
     """Qubit budget for a cell, extrapolated over the unmodeled tasks.
 
     Detection problems serve one user per antenna; the two modeled tasks
-    are taken to carry `MODELED_LOAD_FRACTION` of the load.
+    are taken to carry `MODELED_LOAD_FRACTION` of the load. `models`, built
+    for the same `profile`, shares the problem models across calls.
     """
+    if models is None:
+        models = ProblemModels(profile)
     scenario = load.scenario
-    fdnl = fdnl_problem_model(profile, samples, scenario.antennas,
-                              scenario.modulation_bits)
-    fec = fec_problem_model(profile, samples)
+    fdnl = models.fdnl(samples, scenario.antennas, scenario.modulation_bits)
+    fec = models.fec(samples)
     per_task: Dict[BbuTask, int] = {
         BbuTask.FD_NL: task_qubits(load.tops[BbuTask.FD_NL], fdnl),
         BbuTask.FEC: task_qubits(load.tops[BbuTask.FEC], fec),

@@ -26,6 +26,11 @@ class BbuTask(Enum):
     CPRI = "cpri"
     PCP = "pcp"
 
+    # Members compare by identity, so the C-level identity hash agrees with
+    # equality (Enum's hashes the name in Python). No output iterates a set
+    # of tasks: every sum walks a fixed task-order tuple.
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         return _TASK_LABELS[self]
@@ -194,20 +199,25 @@ def scale_task(
                    _axis_ratios(scenario, reference))
 
 
-# (task, reference TOPS, exponents) in task order, so `workload` looks
-# nothing up per task.
-_TASK_SCALING = tuple(
-    (task, REFERENCE_TOPS[task], astuple(SCALING[task])) for task in BbuTask
+# (task, reference TOPS, (axis, exponent) per nonzero exponent) in task
+# order, so `workload` looks nothing up per task. Dropping the zero
+# exponents keeps every bit of `scale_task`: `ratio ** 0` is exactly 1.0
+# for any float, and a product times 1.0 is unchanged.
+_TASK_FACTORS = tuple(
+    (task, REFERENCE_TOPS[task],
+     tuple((axis, power) for axis, power in enumerate(astuple(SCALING[task])) if power))
+    for task in BbuTask
 )
 
 
 def workload(scenario: CellScenario) -> BbuWorkload:
     """Per-task compute targets for a scenario, each equal to `scale_task`."""
     ratios = _axis_ratios(scenario, REFERENCE_SCENARIO)
-    tops: Dict[BbuTask, float] = {
-        task: _scaled(reference_tops, powers, ratios)
-        for task, reference_tops, powers in _TASK_SCALING
-    }
+    tops: Dict[BbuTask, float] = {}
+    for task, result, factors in _TASK_FACTORS:
+        for axis, power in factors:  # the order of `_scaled`
+            result *= ratios[axis] ** power
+        tops[task] = result
     total = sum(tops.values())
     if not math.isfinite(total):
         raise ValueError(f"compute targets overflow: {total} TOPS")

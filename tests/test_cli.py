@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import qaplan
 from qaplan.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
                         cmd_timeline, main)
 from qaplan.config import ENV_CONFIG_PATH, default_config
@@ -54,6 +55,34 @@ def test_output_stable_under_hash_randomization(tmp_path):
         assert proc.returncode == EXIT_OK, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command,fmt", [("economics", "csv"), ("power", "table")])
+def test_cran_sweep_is_byte_identical_under_any_hash_seed(tmp_path, command, fmt):
+    # Tasks hash by identity, and string hashes follow PYTHONHASHSEED: no
+    # set or dict order may reach the output.
+    config = tmp_path / "cran.json"
+    config.write_text(json.dumps({
+        "topology": {"kind": "cran", "n_bs": 3},
+        "cmos": ["65nm", "14nm", "1.5nm"],
+    }))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qaplan.__file__)))
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env.pop(ENV_CONFIG_PATH, None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qaplan.cli", command, "--format", fmt,
+             "--config", str(config), "--sweep", "bandwidth_mhz=100,400",
+             "--sweep", "antennas=8,64", "--sweep", "samples=1,20"],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_WARNINGS), proc.stderr
+        assert b"Traceback" not in proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_csv_and_json_agree_numerically(capsys):

@@ -1,0 +1,120 @@
+"""The CLI contract under generated configs and sweep flags.
+
+Whatever the input, `cli.main` ends in exit code 0, 1, 2 or 3 with no
+traceback; every numeric cell it emits is finite; and its csv and json
+emissions of the same call carry the same cells.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+from hypothesis import example, given, settings, strategies as st
+
+from qaplan.cli import main
+from qaplan.emit import _parse_number, read_csv, read_json
+
+COMMANDS = ("targets", "power", "qubits", "economics", "timeline")
+# Boundary values, and ordinary ones drawn more often so that a good share
+# of calls gets past the config checks and emits a table.
+NASTY = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-300,
+         0, -1, -0.5]
+ORDINARY = [1, 2, 3, 6, 20, 64, 0.5, 0.25, 100.0, 400.0]
+numbers = st.sampled_from(ORDINARY * 3 + NASTY)
+fractions = st.sampled_from([1, 0.5, 0.25] * 3 + NASTY)  # valid in (0, 1]
+# Memory-safe site counts: a huge finite n_bs would build a list of that
+# many sites, so only values that fail fast or stay small are drawn.
+site_counts = st.sampled_from([float("nan"), float("inf"), 1e308, 0, -1, 1, 3])
+
+
+def _optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+scenario = st.fixed_dictionaries({"bandwidth_mhz": numbers}, optional={
+    "name": st.sampled_from(["a", "b"]),
+    "modulation_bits": st.sampled_from([2, 6, 8, 2, 6, 8, 3, 0, -1]),
+    "coding_rate": fractions,
+    "antennas": numbers,
+    "duty_time": fractions,
+    "duty_freq": fractions,
+})
+cmos_entry = st.one_of(
+    st.sampled_from(["65nm", "14nm", "1.5nm"]),
+    st.fixed_dictionaries({"efficiency_tops_per_w": numbers},
+                          optional={"vdd": numbers, "leakage_fraction": numbers}),
+    st.fixed_dictionaries({"vdd": numbers}),
+)
+configs = _optional(
+    scenarios=st.lists(scenario, min_size=1, max_size=2),
+    cmos=st.lists(cmos_entry, min_size=1, max_size=2),
+    qa=_optional(profile=st.sampled_from(["projected", "current"]),
+                 programming_us=numbers, anneal_us=numbers, readout_us=numbers,
+                 readout_delay_us=numbers, refrigeration_w=numbers),
+    samples=st.sampled_from([1, 20, 50, 0, -1]),
+    topology=st.one_of(
+        st.just({"kind": "bs"}),
+        _optional(n_bs=site_counts, fronthaul_gbps=numbers).map(
+            lambda t: {"kind": "cran", **t}),
+    ),
+    costs=_optional(electricity_price_per_kwh=numbers, co2_lb_per_kwh=numbers,
+                    hours_per_year=numbers),
+    horizons_years=st.lists(numbers, min_size=1, max_size=2),
+)
+SWEEP_AXES = ("bandwidth_mhz", "antennas", "samples", "modulation_bits",
+              "coding_rate", "duty_time", "duty_freq")
+flag_values = st.sampled_from(["nan", "inf", "-inf", "1e308", "1e300", "1e-300",
+                               "0", "-1", "1", "2", "6", "20", "64", "0.5", "400"])
+sweep_flags = st.dictionaries(
+    st.sampled_from(SWEEP_AXES), st.lists(flag_values, min_size=1, max_size=3),
+    max_size=3,
+).map(lambda sweep: [f"{axis}={','.join(values)}" for axis, values in sweep.items()])
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COMMANDS), configs, sweep_flags)
+@example("power", {"topology": {"kind": "cran", "n_bs": 1e308}}, [])
+@example("economics", {"costs": {"electricity_price_per_kwh": 1e308}}, [])
+@example("power", {"cmos": [{"efficiency_tops_per_w": 1e-300}]}, [])
+@example("timeline", {"qa": {"programming_us": 1e300}}, ["bandwidth_mhz=1e300"])
+def test_cli_contract(command, doc, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # nan and inf as NaN/Infinity, as json.load reads them
+        argv = [command, "--config", path]
+        for flag in flags:
+            argv += ["--sweep", flag]
+        csv_code, csv_text, csv_err = _call(argv + ["--format", "csv"])
+        json_code, json_text, json_err = _call(argv + ["--format", "json"])
+
+    assert csv_code in (0, 1, 2, 3)
+    assert "Traceback" not in csv_err
+    assert (json_code, json_err) == (csv_code, csv_err)
+    if csv_code in (0, 3):
+        from_csv = read_csv(csv_text).rows
+        from_json = read_json(json_text).rows
+        for row in from_csv:
+            for key, cell in row.items():
+                assert not isinstance(cell, float) or math.isfinite(cell), (key, cell)
+        # csv carries no types: its reader parses every cell, strings too.
+        assert from_csv == [
+            {key: _parse_number(cell) if isinstance(cell, str) else cell
+             for key, cell in row.items()}
+            for row in from_json
+        ]
+    else:
+        assert csv_text == json_text == ""
+        assert csv_err.splitlines()[-1].startswith(("qaplan: config error: ",
+                                                     "qaplan: model error: ",
+                                                     "qaplan: cannot write output: "))

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qaplan.cmos import CMOS_1_5NM, CMOS_14NM
+from qaplan.cmos import CMOS_1_5NM, CMOS_14NM, CmosProfile, cmos_power
 from qaplan.economics import (
+    MAX_N_BS,
     OFFLOADABLE_TASKS,
     SILICON_RESIDENT_TASKS,
     BsTopology,
@@ -13,10 +14,11 @@ from qaplan.economics import (
     compare,
     cost_report,
     crossover_bandwidth_mhz,
+    deployments,
     offload_advantage_w,
 )
 from qaplan.qa_hardware import QA_PROJECTED
-from qaplan.workload import BbuTask, CellScenario
+from qaplan.workload import BbuTask, CellScenario, workload
 
 SCENARIO_400_64 = CellScenario(400, 6, 0.5, 64)
 
@@ -59,6 +61,40 @@ def test_centralized_comparison_totals():
     assert BbuTask.FFT in r.qa.bbu_tasks_w
     assert r.qa.bbu_tasks_w[BbuTask.FFT] == r.cmos.bbu_tasks_w[BbuTask.FFT]
 
+
+
+@pytest.mark.parametrize("site_tasks", [
+    frozenset(), frozenset({BbuTask.FFT}), frozenset({BbuTask.FFT, BbuTask.DPD}),
+    frozenset({BbuTask.PCP}),  # a silicon-resident task pinned at the site
+])
+def test_site_tasks_split_the_watts_of_both_candidates(site_tasks):
+    topology = CranTopology(n_bs=2, site_tasks=site_tasks)
+    load = workload(SCENARIO_400_64)
+    sides = deployments(load, CMOS_14NM, QA_PROJECTED, topology)
+    assert list(sides.cmos.bbu_tasks_w) == (
+        [t for t in BbuTask if t not in site_tasks] + [t for t in BbuTask if t in site_tasks])
+    assert set(sides.qa.bbu_tasks_w) == SILICON_RESIDENT_TASKS | site_tasks
+    for side in (sides.cmos, sides.qa):
+        for task, watts in side.bbu_tasks_w.items():
+            assert watts == cmos_power(load.tops[task], CMOS_14NM) * 2
+    assert topology._layout is topology._layout  # built once per topology
+
+
+def test_site_count_is_bounded():
+    assert CranTopology(n_bs=MAX_N_BS).n_bs == MAX_N_BS
+    with pytest.raises(ValueError, match=f"n_bs must be at most {MAX_N_BS}"):
+        CranTopology(n_bs=MAX_N_BS + 1)
+
+
+def test_overflowing_results_are_model_errors():
+    tiny = CmosProfile(node="x", vdd=1.0, efficiency_tops_per_w=1e-306)
+    load = workload(SCENARIO_400_64)
+    with pytest.raises(ValueError, match="deployment power overflows"):
+        deployments(load, tiny, QA_PROJECTED)
+    with pytest.raises(ValueError, match="offloadable silicon power overflows"):
+        offload_advantage_w(SCENARIO_400_64, tiny, QA_PROJECTED)
+    with pytest.raises(ValueError, match="overflow over the horizons"):
+        cost_report(1e308, (1e308,))
 
 def test_capacity_excess_reported_not_raised():
     big = CellScenario(1000, 6, 0.5, 512)

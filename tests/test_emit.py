@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from qaplan.emit import (
     Column,
     Table,
+    _parse_number,
     format_cell,
     read_csv,
     read_json,
@@ -107,3 +108,35 @@ def test_csv_and_json_carry_identical_numbers(pairs):
     assert len(from_csv) == len(from_json) == len(pairs)
     for a, b in zip(from_csv, from_json):
         assert a["x"] == b["x"] and a["y"] == b["y"]
+
+
+def test_equal_but_distinct_neighbours_are_formatted_on_their_own():
+    # Renderers reuse a cell's text when its value `is` the one above it.
+    # Values that are equal but not identical must still be formatted each.
+    half, other_half = float("0.5"), float("0.5")
+    assert half is not other_half
+    shared = float("2.5")  # one object in every row
+    columns = [Column("z", "Z"), Column("n", "N"), Column("f", "F", ".2f"),
+               Column("s", "S"), Column("shared", "Shared", ".3f")]
+    cycles = {"z": [0.0, -0.0], "n": [1, 1.0, True], "f": [half, other_half],
+              "s": ["1", 1]}
+    table = Table("reuse", columns, [
+        {**{key: cycle[i % len(cycle)] for key, cycle in cycles.items()},
+         "shared": shared}
+        for i in range(8)
+    ])
+    expected = [[format_cell(row[c.key], c.spec) for c in columns]
+                for row in table.rows]
+    assert [cells[0] for cells in expected[:2]] == ["0.0", "-0.0"]
+    assert [cells[1] for cells in expected[:3]] == ["1", "1.0", "True"]
+
+    assert render_csv(table).split("\r\n")[1:-1] == [",".join(c) for c in expected]
+    text_rows = render_text(table).splitlines()[3:]
+    assert [line.split() for line in text_rows] == expected
+    for row, cells, got in zip(table.rows, expected,
+                               json.loads(render_json(table))["rows"]):
+        for column, text in zip(columns, cells):
+            value = row[column.key]
+            want = text if isinstance(value, str) else _parse_number(text)
+            assert got[column.key] == want
+            assert type(got[column.key]) is type(want)

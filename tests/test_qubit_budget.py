@@ -10,6 +10,7 @@ from qaplan.qubit_budget import (
     LDPC_5G_BG1,
     MODELED_LOAD_FRACTION,
     LdpcCode,
+    ProblemModels,
     TaskProblemModel,
     fdnl_problem_model,
     fec_problem_model,
@@ -111,3 +112,16 @@ def test_parity_chain_depth_covers_weight(w):
     target = w - math.fmod(w, 2.0)
     assert 2 ** (n + 1) - 2 >= target
     assert n == 0 or 2**n - 2 < target
+
+
+def test_shared_problem_models_give_the_same_budget():
+    models = ProblemModels(QA_PROJECTED)
+    for scenario in (SCENARIO_400, CellScenario(100, 2, 0.5, 8), SCENARIO_400):
+        load = workload(scenario)
+        for samples in (1, 20, 1):
+            assert (total_budget(load, QA_PROJECTED, samples, models)
+                    == total_budget(load, QA_PROJECTED, samples))
+    assert models.fec(20) is models.fec(20)
+    assert models.fdnl(20, 64, 6) is models.fdnl(20, 64, 6)
+    assert models.fdnl(20, 64, 6) == fdnl_problem_model(QA_PROJECTED, 20, 64, 6)
+
