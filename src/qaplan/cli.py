@@ -15,7 +15,16 @@ each on first use. What does not depend on the scenario is built once
 per call, not per row: the problem models behind the budgets once per
 sample count (`ProblemModels`), and the topology's task layout and
 fronthaul link once per topology. Besides those bounded caches nothing
-outlives a run, so memory stays flat.
+outlives a run.
+
+The table's rows are not held either: a subcommand returns a table whose
+rows are a one-pass stream (`_Stream`). Each row dict is built, and its
+warning gathered, when the renderer reads it, and is dropped once
+rendered, so memory stays flat in the number of points. The stream
+answers `len()` up front: the point count, times the cmos node count on
+per-node tables. The rendered text is held whole and written only once
+the call has succeeded, so a failing call prints nothing on stdout and
+creates no `--out` file.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ import itertools
 import sys
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .cmos import CmosProfile
 from .config import SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
@@ -210,18 +219,35 @@ class _Row(NamedTuple):
         return self.run.budget(self.samples)
 
 
-def _rows(cfg: RunConfig, points: Iterable[Point], per_node: bool = False
-          ) -> Iterator[_Row]:
+class _Stream:
+    """Items produced as they are read, in one pass; `len` is known up front."""
+
+    def __init__(self, items: Iterator, count: int) -> None:
+        self._items, self._count = items, count
+
+    def __iter__(self) -> Iterator:
+        return self._items
+
+    def __len__(self) -> int:
+        return self._count
+
+
+def _rows(cfg: RunConfig, points: Sequence[Point], per_node: bool = False
+          ) -> _Stream:
     """One row per point, or with `per_node` per point and cmos node."""
     models = ProblemModels(cfg.qa_profile)
-    for scenario, points_of_run in itertools.groupby(points, key=itemgetter(1)):
-        run = _Run(cfg, scenario, models)
-        for name, _, samples in points_of_run:
-            if per_node:
-                for node in run.nodes:
-                    yield _Row(name, samples, run, node)
-            else:
-                yield _Row(name, samples, run)
+
+    def rows() -> Iterator[_Row]:
+        for scenario, points_of_run in itertools.groupby(points, key=itemgetter(1)):
+            run = _Run(cfg, scenario, models)
+            for name, _, samples in points_of_run:
+                if per_node:
+                    for node in run.nodes:
+                        yield _Row(name, samples, run, node)
+                else:
+                    yield _Row(name, samples, run)
+
+    return _Stream(rows(), len(points) * (len(cfg.cmos_profiles) if per_node else 1))
 
 
 # A column and how to read its cell from a row's record.
@@ -236,21 +262,25 @@ def _column(key: str, title: str, spec: str, path: str) -> Tuple[Column, Callabl
 def _table(
     name: str,
     columns: Columns,
-    records: Iterable,
+    records: _Stream,
     warnings: List[str],
     warn: Optional[Callable[[Any], Optional[str]]] = None,
     notes: Sequence[str] = (),
 ) -> Table:
-    """The row loop every subcommand shares: one row per record."""
+    """The row loop every subcommand shares: one row per record, built and
+    its warning gathered as the renderer reads it."""
     getters = [(column.key, get) for column, get in columns]
-    rows = []
-    for record in records:
-        rows.append({key: get(record) for key, get in getters})
-        message = warn(record) if warn else None
-        if message:
-            warnings.append(message)
-    return Table(name=name, columns=[c for c, _ in columns], rows=rows,
-                 notes=list(notes))
+
+    def rows() -> Iterator[Dict[str, Cell]]:
+        for record in records:
+            row = {key: get(record) for key, get in getters}
+            message = warn(record) if warn else None
+            if message:
+                warnings.append(message)
+            yield row
+
+    return Table(name=name, columns=[c for c, _ in columns],
+                 rows=_Stream(rows(), len(records)), notes=list(notes))
 
 
 _SCENARIO_COLUMNS: Columns = [

@@ -58,6 +58,14 @@ def default_config() -> RunConfig:
     )
 
 
+def _number(value, key: str):
+    """`value`, refused if it is a json boolean where a number belongs:
+    Python would cast true and false as 1 and 0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def _check_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
     unknown = set(obj) - set(allowed)
     if unknown:
@@ -73,14 +81,18 @@ def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
     if "bandwidth_mhz" not in obj:
         raise ConfigError(f"scenarios[{index}] needs bandwidth_mhz")
     name = obj.get("name", f"scenario-{index}")
+
+    def get(key: str, default=None):
+        return _number(obj.get(key, default), f"scenarios[{index}].{key}")
+
     try:
         scenario = CellScenario(
-            bandwidth_mhz=float(obj["bandwidth_mhz"]),
-            modulation_bits=int(obj.get("modulation_bits", 6)),
-            coding_rate=float(obj.get("coding_rate", 0.5)),
-            antennas=int(obj.get("antennas", 64)),
-            duty_time=float(obj.get("duty_time", 1.0)),
-            duty_freq=float(obj.get("duty_freq", 1.0)),
+            bandwidth_mhz=float(get("bandwidth_mhz")),
+            modulation_bits=int(get("modulation_bits", 6)),
+            coding_rate=float(get("coding_rate", 0.5)),
+            antennas=int(get("antennas", 64)),
+            duty_time=float(get("duty_time", 1.0)),
+            duty_freq=float(get("duty_freq", 1.0)),
         )
     except _BAD_VALUE as exc:
         raise ConfigError(f"scenarios[{index}]: {exc}") from exc
@@ -107,18 +119,22 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
         _check_keys(obj, ("node", "vdd", "efficiency_tops_per_w",
                           "leakage_fraction", "mode"), f"cmos[{i}]")
         node = obj.get("node", f"custom-{i}")
+
+        def get(key: str, default=None):
+            return _number(obj.get(key, default), f"cmos[{i}].{key}")
+
         try:
             if "efficiency_tops_per_w" in obj:
                 profiles.append(CmosProfile(
                     node=node,
-                    vdd=float(obj.get("vdd", 1.0)),
-                    efficiency_tops_per_w=float(obj["efficiency_tops_per_w"]),
-                    leakage_fraction=float(obj.get("leakage_fraction", 0.30)),
+                    vdd=float(get("vdd", 1.0)),
+                    efficiency_tops_per_w=float(get("efficiency_tops_per_w")),
+                    leakage_fraction=float(get("leakage_fraction", 0.30)),
                 ))
             elif "vdd" in obj:
                 profiles.append(scaled_profile(
                     node=node,
-                    vdd=float(obj["vdd"]),
+                    vdd=float(get("vdd")),
                     mode=obj.get("mode", "as-printed"),
                 ))
             else:
@@ -146,6 +162,10 @@ def _parse_qa(obj: dict) -> QaProfile:
                 f"built-ins: {', '.join(sorted(BUILTIN_QA))}"
             ) from None
     overrides = {k: v for k, v in obj.items() if k != "profile"}
+    for key, value in overrides.items():  # every field but the name is a number
+        if key != "name" and (isinstance(value, bool)
+                              or not isinstance(value, (int, float))):
+            raise ConfigError(f"qa.{key} must be a number, got {json.dumps(value)}")
     try:
         return dataclasses.replace(base, **overrides)
     except _BAD_VALUE as exc:
@@ -161,8 +181,9 @@ def _parse_topology(obj: dict) -> Topology:
             return BsTopology()
         if kind == "cran":
             return CranTopology(
-                n_bs=int(obj.get("n_bs", 3)),
-                fronthaul_capacity_bps=float(obj.get("fronthaul_gbps", 100)) * 1e9,
+                n_bs=int(_number(obj.get("n_bs", 3), "topology.n_bs")),
+                fronthaul_capacity_bps=float(_number(
+                    obj.get("fronthaul_gbps", 100), "topology.fronthaul_gbps")) * 1e9,
             )
     except _BAD_VALUE as exc:
         raise ConfigError(f"topology: {exc}") from exc
@@ -173,7 +194,8 @@ def _parse_costs(obj: dict) -> CostAssumptions:
     allowed = tuple(f.name for f in dataclasses.fields(CostAssumptions))
     _check_keys(obj, allowed, "costs")
     try:
-        return CostAssumptions(**{k: float(v) for k, v in obj.items()})
+        return CostAssumptions(
+            **{k: float(_number(v, f"costs.{k}")) for k, v in obj.items()})
     except _BAD_VALUE as exc:
         raise ConfigError(f"costs: {exc}") from exc
 
@@ -192,7 +214,7 @@ def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
             raise ConfigError(f"{where}{axis} must be a non-empty list")
         try:
             cast = int if axis in _INTEGER_AXES else float
-            sweep[axis] = [cast(v) for v in values]
+            sweep[axis] = [cast(_number(v, f"{where}{axis}")) for v in values]
         except _BAD_VALUE as exc:
             raise ConfigError(f"{where}{axis}: {exc}") from exc
     return sweep
@@ -219,12 +241,13 @@ def parse_config(doc: dict) -> RunConfig:
         scenarios = tuple(
             _parse_scenario(s, i) for i, s in enumerate(doc["scenarios"])
         )
-    samples = doc.get("samples", base.samples)
+    samples = _number(doc.get("samples", base.samples), "samples")
     if not isinstance(samples, int) or samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     try:
         horizons = tuple(
-            float(y) for y in doc.get("horizons_years", base.horizons_years)
+            float(_number(y, "horizons_years"))
+            for y in doc.get("horizons_years", base.horizons_years)
         )
         for years in horizons:
             if not math.isfinite(years):

@@ -5,11 +5,16 @@ formatted through per-column format specs so that repeated runs emit
 byte-identical output, and csv/json carry the same numbers. Emitted csv
 and json can be read back with the readers below.
 
+A table's rows may be a one-pass stream, as the cli's are: every renderer
+reads them once, in order, and holds no row dict. Csv and json write each
+row into one text buffer as it is read; text keeps only the formatted cell
+grid, which its width pass needs. Json is written by hand but byte for
+byte as `json.dumps(doc, indent=2)` would write the whole document.
+
 Renderers resolve each column's key and spec once per table, and reuse a
 cell's text when its value is the very object in the row above, as the
 per-run cells of a sweep are. The test is identity, never equality:
-0.0 and -0.0, or 1, 1.0 and True, are equal but format differently. Csv
-rows stream into the writer one at a time.
+0.0 and -0.0, or 1, 1.0 and True, are equal but format differently.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -35,7 +41,7 @@ class Column:
 class Table:
     name: str
     columns: List[Column]
-    rows: List[Dict[str, Cell]]
+    rows: Iterable[Dict[str, Cell]]  # read once, in order
     notes: List[str] = field(default_factory=list)
 
 
@@ -81,6 +87,29 @@ def _json_cell(value: Cell, spec: str) -> Cell:
     return formatted if isinstance(value, str) else _parse_number(formatted)
 
 
+# What json.dumps writes for a string, with its default ensure_ascii.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_literal(value: Cell, spec: str) -> str:
+    """The json text `json.dumps` gives `_json_cell(value, spec)`."""
+    cell = _json_cell(value, spec)
+    if isinstance(cell, str):
+        return _json_string(cell)
+    if isinstance(cell, int):
+        return int.__repr__(cell)
+    if math.isfinite(cell):
+        return float.__repr__(cell)
+    return "NaN" if cell != cell else "Infinity" if cell > 0 else "-Infinity"
+
+
+def _json_nested(value: Any) -> str:
+    """`value` as `json.dumps(..., indent=2)` writes it one level down."""
+    # Json text holds no raw newline inside a string, so every newline is
+    # a line break of the layout.
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
 def render_csv(table: Table) -> str:
     """Csv emission; notes become leading '#' comment lines."""
     buf = io.StringIO()
@@ -93,15 +122,29 @@ def render_csv(table: Table) -> str:
 
 
 def render_json(table: Table) -> str:
-    """Json emission carrying the same numbers as the csv rendering."""
-    keys = [c.key for c in table.columns]
-    doc = {
-        "table": table.name,
-        "columns": [{"key": c.key, "title": c.title} for c in table.columns],
-        "rows": [dict(zip(keys, cells)) for cells in _cells(table, _json_cell)],
-        "notes": list(table.notes),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Json emission carrying the same numbers as the csv rendering.
+
+    The bytes are `json.dumps(doc, indent=2) + "\\n"` of the document
+    {"table", "columns", "rows", "notes"}, with each row the dict of its
+    column keys and `_json_cell` values; the rows are written one by one.
+    """
+    # As in a dict, a repeated key keeps its first place and its last value.
+    last = {c.key: i for i, c in enumerate(table.columns)}
+    fields = [("\n      " + _json_string(key) + ": ", last[key]) for key in last]
+    buf = io.StringIO()
+    buf.write('{\n  "table": ' + _json_string(table.name))
+    buf.write(',\n  "columns": ' + _json_nested(
+        [{"key": c.key, "title": c.title} for c in table.columns]))
+    buf.write(',\n  "rows": [')
+    close = "\n    }" if fields else "}"  # json.dumps writes {} for an empty dict
+    separator = "\n    "
+    for cells in _cells(table, _json_literal):
+        buf.write(separator + "{" + ",".join([prefix + cells[i] for prefix, i in fields])
+                  + close)
+        separator = ",\n    "
+    buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows
+    buf.write(',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
+    return buf.getvalue()
 
 
 def render_text(table: Table) -> str:

@@ -254,6 +254,53 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, messa
         assert err == f"qaplan: config error: {message}\n"
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"samples": True}, "samples"),
+    ({"scenarios": [{"bandwidth_mhz": True}]}, "scenarios[0].bandwidth_mhz"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "antennas": True}]}, "scenarios[0].antennas"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "modulation_bits": True}]},
+     "scenarios[0].modulation_bits"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "coding_rate": True}]},
+     "scenarios[0].coding_rate"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "duty_time": True}]}, "scenarios[0].duty_time"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "duty_freq": True}]}, "scenarios[0].duty_freq"),
+    ({"cmos": [{"node": "x", "vdd": True}]}, "cmos[0].vdd"),
+    ({"cmos": [{"node": "x", "efficiency_tops_per_w": True}]},
+     "cmos[0].efficiency_tops_per_w"),
+    ({"cmos": [{"node": "x", "efficiency_tops_per_w": 1, "leakage_fraction": True}]},
+     "cmos[0].leakage_fraction"),
+    ({"qa": {"refrigeration_w": True}}, "qa.refrigeration_w"),
+    ({"qa": {"programming_us": True}}, "qa.programming_us"),
+    ({"qa": {"anneal_us": True}}, "qa.anneal_us"),
+    ({"qa": {"readout_us": True}}, "qa.readout_us"),
+    ({"qa": {"readout_delay_us": True}}, "qa.readout_delay_us"),
+    ({"topology": {"kind": "cran", "n_bs": True}}, "topology.n_bs"),
+    ({"topology": {"kind": "cran", "fronthaul_gbps": True}}, "topology.fronthaul_gbps"),
+    ({"costs": {"electricity_price_per_kwh": True}}, "costs.electricity_price_per_kwh"),
+    ({"horizons_years": [True, 2]}, "horizons_years"),
+    ({"sweep": {"antennas": [True, 2]}}, "sweep.antennas"),
+    ({"sweep": {"bandwidth_mhz": [100, False]}}, "sweep.bandwidth_mhz"),
+])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, doc, key):
+    # Python casts true and false as 1 and 0; a config must not.
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    value = "false" if "false" in json.dumps(doc) else "true"
+    code, out, err = run(capsys, "economics", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"qaplan: config error: {key} must be a number, got {value}\n"
+
+
+def test_wrong_typed_qa_override_names_its_field(tmp_path, capsys):
+    path = tmp_path / "qa.json"
+    path.write_text(json.dumps({"qa": {"refrigeration_w": "5"}}), encoding="utf-8")
+    code, out, err = run(capsys, "economics", "--config", str(path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == 'qaplan: config error: qa.refrigeration_w must be a number, got "5"\n'
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"horizons_years": [1, 1.0]}, "duplicate horizon: 1"),
     ({"cmos": ["14nm", {"node": "14nm", "vdd": 0.8}]}, "duplicate cmos node: 14nm"),

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from qaplan.emit import (
     Column,
     Table,
+    _json_cell,
     _parse_number,
     format_cell,
     read_csv,
@@ -140,3 +141,44 @@ def test_equal_but_distinct_neighbours_are_formatted_on_their_own():
             want = text if isinstance(value, str) else _parse_number(text)
             assert got[column.key] == want
             assert type(got[column.key]) is type(want)
+
+
+def _reference_json(table):
+    """The json rendering as one `json.dumps` over the whole document."""
+    keys = [c.key for c in table.columns]
+    doc = {
+        "table": table.name,
+        "columns": [{"key": c.key, "title": c.title} for c in table.columns],
+        "rows": [dict(zip(keys, [_json_cell(row[c.key], c.spec) for c in table.columns]))
+                 for row in table.rows],
+        "notes": list(table.notes),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_INTS = st.integers(min_value=-10**40, max_value=10**40)
+_NUMBERS = _INTS | st.floats() | st.just(-0.0)  # nan and +-inf included
+_STRINGS = st.text(max_size=6) | st.sampled_from(
+    ["0", "-0.0", "007", "1,000", "1e5", "nan", "-inf", "12.50"])  # read as numbers
+
+
+@st.composite
+def json_tables(draw):
+    # A small key alphabet, so that columns sometimes repeat a key.
+    keys = st.sampled_from(["k", "v", "ü", "n x"]) | st.text(max_size=3)
+    specs = draw(st.lists(st.tuples(keys, st.text(max_size=6),
+                                    st.sampled_from(["", ",", ".3f", "d", "g"])),
+                          max_size=6))
+    columns = [Column(key, title, spec) for key, title, spec in specs]
+    # A key's numbers must format under every spec it has: "d" takes ints only.
+    values = {key: (_INTS if any(c.spec == "d" for c in columns if c.key == key)
+                    else _NUMBERS) | _STRINGS
+              for key in dict.fromkeys(c.key for c in columns)}
+    rows = draw(st.lists(st.fixed_dictionaries(values), max_size=4))
+    return Table(draw(st.text(max_size=8)), columns, rows,
+                 draw(st.lists(st.text(max_size=8), max_size=3)))
+
+
+@given(json_tables())
+def test_json_matches_one_dumps_of_the_whole_document(table):
+    assert render_json(table) == _reference_json(table)

@@ -1,0 +1,70 @@
+"""Rows stream from the evaluation into the renderer: memory stays flat."""
+
+import tracemalloc
+
+import pytest
+
+from qaplan.cli import (_expand_points, cmd_economics, cmd_power, cmd_qubits,
+                        cmd_targets, cmd_timeline)
+from qaplan.config import _parse_sweep, default_config, parse_config
+
+
+def _grid(bandwidth_step: int) -> dict:
+    # The benchmark's 30k-point economics grid at a bandwidth step of 10.
+    return _parse_sweep({"bandwidth_mhz": list(range(10, 1001, bandwidth_step)),
+                         "antennas": list(range(1, 101)), "samples": [1, 20, 50]})
+
+
+class _Tally(list):
+    """A warnings list that counts its messages without holding them.
+
+    Warnings are held by design, to be printed after the output; they grow
+    with the grid, so they would hide what the rows themselves hold.
+    """
+
+    count = 0
+
+    def append(self, message: str) -> None:
+        self.count += 1
+
+
+def _traced_peak(cfg, points) -> int:
+    """Traced peak bytes while the economics rows are read one at a time."""
+    warnings = _Tally()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rows = cmd_economics(cfg, points, warnings).rows
+        count = 0
+        for _ in rows:
+            count += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == len(rows) == len(points)
+    assert warnings.count  # capacity warnings were gathered as the rows were read
+    return peak
+
+
+def test_reading_the_rows_keeps_memory_flat():
+    cfg = default_config()
+    small = _expand_points(cfg, _grid(100), [])
+    large = _expand_points(cfg, _grid(10), [])
+    assert (len(small), len(large)) == (3_000, 30_000)
+    small_peak, large_peak = _traced_peak(cfg, small), _traced_peak(cfg, large)
+    assert large_peak < 1 << 20, large_peak
+    assert large_peak < 2 * small_peak, (small_peak, large_peak)
+
+
+@pytest.mark.parametrize("command,per_node", [
+    (cmd_targets, False), (cmd_power, True), (cmd_qubits, False),
+    (cmd_economics, True), (cmd_timeline, False),
+])
+def test_row_count_is_known_before_reading(command, per_node):
+    cfg = parse_config({"cmos": ["65nm", "14nm"]})
+    points = _expand_points(cfg, {"antennas": [8, 16, 32]}, [])
+    rows = command(cfg, points, []).rows
+    expected = len(points) * (2 if per_node else 1)
+    assert len(rows) == expected
+    assert sum(1 for _ in rows) == expected
+    assert len(rows) == expected  # still answered once read
