@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cmos import BUILTIN_CMOS, CmosProfile, scaled_profile
-from .economics import BsTopology, CostAssumptions, CranTopology, Topology
+from .economics import MAX_N_BS, BsTopology, CostAssumptions, CranTopology, Topology
 from .qa_hardware import BUILTIN_QA, QaProfile
 from .workload import CellScenario
 
@@ -172,6 +172,16 @@ def _parse_qa(obj: dict) -> QaProfile:
         raise ConfigError(f"qa: {exc}") from exc
 
 
+def _site_count(value):
+    """`topology.n_bs` as an int, refused rather than truncated if it has a
+    fraction; out of range, as given, for `CranTopology` to refuse."""
+    value = _number(value, "topology.n_bs")
+    count = int(value)  # nan and inf are refused here
+    if count != value:
+        raise ConfigError(f"topology.n_bs must be a positive integer, got {value!r}")
+    return count if 1 <= count <= MAX_N_BS else value
+
+
 def _parse_topology(obj: dict) -> Topology:
     _check_keys(obj, ("kind", "n_bs", "fronthaul_gbps"), "topology")
     kind = obj.get("kind", "bs")
@@ -181,7 +191,7 @@ def _parse_topology(obj: dict) -> Topology:
             return BsTopology()
         if kind == "cran":
             return CranTopology(
-                n_bs=int(_number(obj.get("n_bs", 3), "topology.n_bs")),
+                n_bs=_site_count(obj.get("n_bs", 3)),
                 fronthaul_capacity_bps=float(_number(
                     obj.get("fronthaul_gbps", 100), "topology.fronthaul_gbps")) * 1e9,
             )

@@ -13,8 +13,15 @@ count and is scaled to the deployment's cells. A sweep over samples can
 share the first step. Within it, what depends only on the topology (the
 task orders of pool, sites and candidates, and the fronthaul link) is
 built once per topology, and each task's silicon watts once per workload
-and node, shared by both candidates. Sums keep their task order, so
-every float is the same as when each part was built afresh.
+and node, shared by both candidates, which sum them in task order.
+
+A centralized radio site (radios, amplifiers, site silicon, its supply
+overhead and fronthaul) is the same for both candidates, so it is built
+once and handed to both; they differ only in pool silicon and
+refrigeration. Each site total is the site count times one site's value.
+Up to three sites this equals, bit for bit, the left-to-right sum over a
+list of sites the model once walked: `0 + x` and `x + x` are exact, and
+`2x + x` is one rounding of `3x`, as is `3 * x`.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .ran_power import (
     bs_power,
     cran_power,
 )
-from .workload import BbuTask, BbuWorkload, CellScenario, workload
+from .workload import BbuTask, BbuWorkload, CellScenario, left_sum, workload
 
 # Tasks an annealer can take over; control and transport stay on silicon.
 OFFLOADABLE_TASKS = frozenset({
@@ -53,8 +60,9 @@ _SILICON_RESIDENT_ORDER = tuple(t for t in BbuTask if t in SILICON_RESIDENT_TASK
 
 HOURS_PER_YEAR = 8760.0
 LB_PER_METRIC_KILOTON = 2_204_622.6
-# Most remote sites one pool may serve: the power model walks a list of
-# n_bs sites, so an unbounded count would exhaust memory.
+# Most remote sites one pool may serve. The power model costs the same at
+# any count; the bound stays because a count beyond float range would
+# overflow when the model multiplies a site's watts by it.
 MAX_N_BS = 10_000
 
 
@@ -128,51 +136,6 @@ def _task_watts(load: BbuWorkload, profile: CmosProfile) -> Dict[BbuTask, float]
     return {t: cmos_power(tops[t], profile) for t in _ALL_TASKS}
 
 
-def _bs_breakdown(
-    load: BbuWorkload,
-    watts: Dict[BbuTask, float],
-    tasks: Tuple[BbuTask, ...],
-    topology: BsTopology,
-    refrigeration_w: float = 0.0,
-) -> PowerBreakdown:
-    tasks_w = {t: watts[t] for t in tasks}
-    return bs_power(
-        bbu_w=sum(tasks_w.values()),
-        antennas=load.scenario.antennas,
-        losses=topology.losses,
-        refrigeration_w=refrigeration_w,
-        bbu_tasks_w=tasks_w,
-    )
-
-
-def _cran_breakdown(
-    load: BbuWorkload,
-    watts: Dict[BbuTask, float],
-    pool_tasks: Tuple[BbuTask, ...],
-    topology: CranTopology,
-    refrigeration_w: float = 0.0,
-) -> PowerBreakdown:
-    layout = topology._layout
-    site_tasks_w = {t: watts[t] for t in layout.site}
-    pool_tasks_w = {t: watts[t] for t in pool_tasks}
-    site = RrhSite(
-        ru_w=load.scenario.antennas * RU_CHAIN_W,
-        pa_w=load.scenario.antennas * PA_W,
-        bbu_w=sum(site_tasks_w.values()),
-        losses=topology.site_losses,
-        fronthaul=layout.link,
-    )
-    n = topology.n_bs
-    aggregate = {t: w * n for t, w in {**pool_tasks_w, **site_tasks_w}.items()}
-    return cran_power(
-        bbu_w=sum(pool_tasks_w.values()) * n,
-        losses=topology.pool_losses,
-        sites=[site] * n,
-        refrigeration_w=refrigeration_w,
-        bbu_tasks_w=aggregate,
-    )
-
-
 @dataclass(frozen=True)
 class Deployments:
     """Grid power of both deployment candidates for one scenario."""
@@ -203,19 +166,30 @@ def deployments(
     topology: Topology = BsTopology(),
 ) -> Deployments:
     """Power both candidates for one workload; the sample count does not enter."""
-    if isinstance(topology, BsTopology):
-        breakdown = _bs_breakdown
-    elif isinstance(topology, CranTopology):
-        breakdown = _cran_breakdown
-    else:
+    if not isinstance(topology, (BsTopology, CranTopology)):
         raise ValueError(f"unknown topology {topology!r}")
     layout = topology._layout
-    watts = _task_watts(load, cmos_profile)
-    sides = Deployments(
-        cmos=breakdown(load, watts, layout.cmos, topology),
-        qa=breakdown(load, watts, layout.qa, topology,
-                     refrigeration_w=qa_profile.refrigeration_w),
-    )
+    watts = _task_watts(load, cmos_profile).__getitem__
+    cmos_w, qa_w = left_sum(map(watts, layout.cmos)), left_sum(map(watts, layout.qa))
+    antennas, fridge_w = load.scenario.antennas, qa_profile.refrigeration_w
+    if isinstance(topology, BsTopology):
+        sides = Deployments(
+            cmos=bs_power(cmos_w, antennas, topology.losses),
+            qa=bs_power(qa_w, antennas, topology.losses, refrigeration_w=fridge_w),
+        )
+    else:  # one radio site, shared by both candidates
+        n, losses = topology.n_bs, topology.pool_losses
+        site = RrhSite(
+            ru_w=antennas * RU_CHAIN_W,
+            pa_w=antennas * PA_W,
+            bbu_w=left_sum(map(watts, layout.site)),
+            losses=topology.site_losses,
+            fronthaul=layout.link,
+        )
+        sides = Deployments(
+            cmos=cran_power(cmos_w * n, losses, site, n),
+            qa=cran_power(qa_w * n, losses, site, n, refrigeration_w=fridge_w),
+        )
     # Every component is non-negative, so finite totals mean finite parts.
     for side in (sides.cmos, sides.qa):
         if not math.isfinite(side.total_w):

@@ -4,14 +4,15 @@ Component powers (baseband silicon, radio units, power amplifiers) pass
 through a chain of supply losses: AC/DC conversion, mains supply, and DC/DC
 conversion. Flat loads that bypass the supply chain (e.g. a cryogenic
 refrigerator with its own plant) are added after the loss denominator.
+A centralized deployment is priced from one pool, one radio site and a
+count of such sites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
-
-from .workload import BbuTask
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
@@ -31,7 +32,7 @@ class PowerSystemLosses:
             if not 0 <= value < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
 
-    @property
+    @cached_property
     def supply_factor(self) -> float:
         """Multiplier turning component watts into grid watts."""
         return 1.0 / (
@@ -113,7 +114,6 @@ class PowerBreakdown:
     power_system_w: float
     fronthaul_w: float = 0.0
     refrigeration_w: float = 0.0
-    bbu_tasks_w: Mapping[BbuTask, float] = field(default_factory=dict)
 
     @property
     def total_w(self) -> float:
@@ -134,7 +134,6 @@ def bs_power(
     ru_chain_w: float = RU_CHAIN_W,
     pa_w: float = PA_W,
     refrigeration_w: float = 0.0,
-    bbu_tasks_w: Optional[Mapping[BbuTask, float]] = None,
 ) -> PowerBreakdown:
     """Grid power of one base station.
 
@@ -156,38 +155,34 @@ def bs_power(
         pa_w=pa,
         power_system_w=overhead,
         refrigeration_w=refrigeration_w,
-        bbu_tasks_w=dict(bbu_tasks_w or {}),
     )
 
 
 def cran_power(
     bbu_w: float,
     losses: PowerSystemLosses = DEFAULT_LOSSES,
-    sites: Sequence[RrhSite] = (),
+    site: RrhSite = RrhSite(),
+    n_sites: int = 0,
     refrigeration_w: float = 0.0,
-    bbu_tasks_w: Optional[Mapping[BbuTask, float]] = None,
 ) -> PowerBreakdown:
-    """Grid power of a centralized deployment.
+    """Grid power of a centralized deployment: one pool, `n_sites` radio sites.
 
-    The pooled baseband (`bbu_w`) and each remote site pass through their
+    The pooled baseband (`bbu_w`) and every remote site pass through their
     own supply-loss chains; fronthaul links draw load-proportional power
-    outside the loss chain, as does `refrigeration_w`.
+    outside the loss chain, as does `refrigeration_w`. The sites are
+    identical: each site total is `n_sites` times one site's value.
     """
     if bbu_w < 0:
         raise ValueError(f"bbu_w must be non-negative, got {bbu_w}")
-    pool_overhead = bbu_w * (losses.supply_factor - 1.0)
-    ru = sum(s.ru_w for s in sites)
-    pa = sum(s.pa_w for s in sites)
-    site_bbu = sum(s.bbu_w for s in sites)
-    site_overhead = sum(s.component_w * (s.losses.supply_factor - 1.0) for s in sites)
-    fh = sum(fronthaul_power(s.fronthaul) for s in sites if s.fronthaul is not None)
-    tasks: Dict[BbuTask, float] = dict(bbu_tasks_w or {})
+    if n_sites < 0:
+        raise ValueError(f"n_sites must be non-negative, got {n_sites}")
+    site_overhead = site.component_w * (site.losses.supply_factor - 1.0)
+    fh = 0.0 if site.fronthaul is None else fronthaul_power(site.fronthaul)
     return PowerBreakdown(
-        bbu_w=bbu_w + site_bbu,
-        ru_w=ru,
-        pa_w=pa,
-        power_system_w=pool_overhead + site_overhead,
-        fronthaul_w=fh,
+        bbu_w=bbu_w + n_sites * site.bbu_w,
+        ru_w=n_sites * site.ru_w,
+        pa_w=n_sites * site.pa_w,
+        power_system_w=bbu_w * (losses.supply_factor - 1.0) + n_sites * site_overhead,
+        fronthaul_w=n_sites * fh,
         refrigeration_w=refrigeration_w,
-        bbu_tasks_w=tasks,
     )

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
-from typing import Dict, Mapping
+from functools import reduce
+from operator import add
+from typing import Dict, Iterable, Mapping
 
 
 class BbuTask(Enum):
@@ -46,6 +48,14 @@ _TASK_LABELS = {
     BbuTask.CPRI: "CPRI",
     BbuTask.PCP: "PCP",
 }
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """`sum()` as Python 3.10 and 3.11 compute it: left to right, rounding
+    each addition. From 3.12 `sum()` of floats is compensated and can end
+    a bit apart, so the report path sums with this instead."""
+    return reduce(add, values, 0)
+
 
 # Modulation orders with a defined bits-per-symbol count.
 VALID_MODULATION_BITS = (1, 2, 4, 6, 8)
@@ -159,11 +169,11 @@ class BbuWorkload:
 
     @property
     def total_tops(self) -> float:
-        return sum(self.tops.values())
+        return left_sum(self.tops.values())
 
     def subset_tops(self, tasks) -> float:
         """Summed TOPS over a subset of tasks."""
-        return sum(self.tops[t] for t in tasks)
+        return left_sum(map(self.tops.__getitem__, tasks))
 
 
 def _axis_ratios(scenario: CellScenario, reference: CellScenario):
@@ -218,7 +228,7 @@ def workload(scenario: CellScenario) -> BbuWorkload:
         for axis, power in factors:  # the order of `_scaled`
             result *= ratios[axis] ** power
         tops[task] = result
-    total = sum(tops.values())
+    total = left_sum(tops.values())
     if not math.isfinite(total):
         raise ValueError(f"compute targets overflow: {total} TOPS")
     return BbuWorkload(scenario=scenario, tops=tops)

@@ -254,6 +254,31 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, messa
         assert err == f"qaplan: config error: {message}\n"
 
 
+@pytest.mark.parametrize("n_bs,message", [
+    (2.5, "topology.n_bs must be a positive integer, got 2.5"),
+    ("3", "topology.n_bs must be a positive integer, got '3'"),
+    (1e308, "topology: n_bs must be at most 10000, got 1e+308"),
+    (-1e308, "topology: n_bs must be at least 1, got -1e+308"),
+    (10001, "topology: n_bs must be at most 10000, got 10001"),
+])
+def test_site_counts_are_whole_and_printed_as_given(tmp_path, capsys, n_bs, message):
+    path = tmp_path / "sites.json"
+    path.write_text(json.dumps({"topology": {"kind": "cran", "n_bs": n_bs}}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "power", "--config", str(path))
+    assert (code, out, err) == (EXIT_CONFIG, "", f"qaplan: config error: {message}\n")
+
+
+@pytest.mark.parametrize("n_bs", [3.0, 10000])
+def test_whole_site_counts_run(tmp_path, capsys, n_bs):
+    path = tmp_path / "sites.json"
+    path.write_text(json.dumps({"topology": {"kind": "cran", "n_bs": n_bs}}),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "power", "--format", "csv", "--config", str(path))
+    assert code == EXIT_OK
+    assert read_csv(out).rows[0]["cmos_fronthaul_w"] == 7400.0 * n_bs  # one link a site
+
+
 @pytest.mark.parametrize("doc,key", [
     ({"samples": True}, "samples"),
     ({"scenarios": [{"bandwidth_mhz": True}]}, "scenarios[0].bandwidth_mhz"),

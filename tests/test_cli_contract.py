@@ -25,9 +25,8 @@ NASTY = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-300,
 ORDINARY = [1, 2, 3, 6, 20, 64, 0.5, 0.25, 100.0, 400.0]
 numbers = st.sampled_from(ORDINARY * 3 + NASTY)
 fractions = st.sampled_from([1, 0.5, 0.25] * 3 + NASTY)  # valid in (0, 1]
-# Memory-safe site counts: a huge finite n_bs would build a list of that
-# many sites, so only values that fail fast or stay small are drawn.
-site_counts = st.sampled_from([float("nan"), float("inf"), 1e308, 0, -1, 1, 3])
+site_counts = st.sampled_from([float("nan"), float("inf"), 1e308, 0, -1, 1, 3,
+                               2.5, 10000, 10001])
 
 
 def _optional(**fields):

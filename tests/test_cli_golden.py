@@ -91,6 +91,24 @@ STDOUT_SHA256 = {
 }
 
 
+# Two rows whose printed cells once depended on the Python version: 3.12
+# made `sum()` of floats compensated, which printed Total 18.533 and
+# cmos_bbu_w 629.9 where 3.10 and 3.11 print 18.532 and 629.8. Recorded on
+# 3.11, so a float sum that follows the interpreter again fails on 3.12+.
+VERSION_CASES = {
+    "targets-sum": (
+        None,
+        ["targets", "--format", "csv", "--sweep", "bandwidth_mhz=31", "--sweep", "antennas=7"],
+        "662c7de99de6d662411caf4960aee90796a7454fa6a24ba6171c4142c51df0a9",
+    ),
+    "cran4-power-sum": (
+        {"topology": {"kind": "cran", "n_bs": 4}, "cmos": ["65nm"]},
+        ["power", "--format", "csv", "--sweep", "bandwidth_mhz=70", "--sweep", "antennas=1"],
+        "3772f110ab9a47e5cc7bbc9990f7c681d6d4dad3ae89e413041329a777eec573",
+    ),
+}
+
+
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
@@ -115,3 +133,16 @@ def test_every_command_format_and_input_is_pinned():
     assert set(STDOUT_SHA256) == {
         (n, c, f) for n in INPUTS for c in COMMANDS for f in FORMATS
     }
+
+
+@pytest.mark.parametrize("case", sorted(VERSION_CASES))
+def test_output_does_not_depend_on_the_python_version(case, tmp_path, capsys):
+    config, argv, digest = VERSION_CASES[case]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -39,10 +39,22 @@ def test_standalone_comparison_totals():
     assert not r.capacity_exceeded
 
 
+def _watts(load, tasks, profile=CMOS_14NM):
+    """Silicon watts of `tasks`, summed left to right in their order."""
+    total = 0
+    for task in tasks:
+        total += cmos_power(load.tops[task], profile)
+    return total
+
+
 def test_annealer_candidate_keeps_control_and_transport_on_silicon():
     r = compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=20)
-    assert set(r.qa.bbu_tasks_w) == SILICON_RESIDENT_TASKS
-    assert set(r.cmos.bbu_tasks_w) == set(BbuTask)
+    layout = BsTopology._layout
+    assert set(layout.qa) == SILICON_RESIDENT_TASKS
+    assert set(layout.cmos) == set(BbuTask)
+    load = workload(SCENARIO_400_64)
+    assert r.qa.bbu_w == _watts(load, layout.qa)
+    assert r.cmos.bbu_w == _watts(load, layout.cmos)
     assert r.qa.refrigeration_w == 25e3
     assert r.cmos.refrigeration_w == 0.0
 
@@ -58,9 +70,13 @@ def test_centralized_comparison_totals():
     assert r.budget.total == 3 * 3_320_055
     assert r.cmos.fronthaul_w == pytest.approx(3 * 7400.0)
     # local low-L1 silicon stays at the radio sites in both candidates
-    assert BbuTask.FFT in r.qa.bbu_tasks_w
-    assert r.qa.bbu_tasks_w[BbuTask.FFT] == r.cmos.bbu_tasks_w[BbuTask.FFT]
-
+    layout = CranTopology()._layout
+    assert layout.site == (BbuTask.FFT,)
+    assert BbuTask.FFT not in layout.cmos + layout.qa
+    load = workload(SCENARIO_400_64)
+    fft_w = _watts(load, layout.site)
+    assert r.qa.bbu_w == _watts(load, layout.qa) * 3 + 3 * fft_w
+    assert r.cmos.bbu_w == _watts(load, layout.cmos) * 3 + 3 * fft_w
 
 
 @pytest.mark.parametrize("site_tasks", [
@@ -71,12 +87,15 @@ def test_site_tasks_split_the_watts_of_both_candidates(site_tasks):
     topology = CranTopology(n_bs=2, site_tasks=site_tasks)
     load = workload(SCENARIO_400_64)
     sides = deployments(load, CMOS_14NM, QA_PROJECTED, topology)
-    assert list(sides.cmos.bbu_tasks_w) == (
+    layout = topology._layout
+    assert list(layout.cmos + layout.site) == (
         [t for t in BbuTask if t not in site_tasks] + [t for t in BbuTask if t in site_tasks])
-    assert set(sides.qa.bbu_tasks_w) == SILICON_RESIDENT_TASKS | site_tasks
-    for side in (sides.cmos, sides.qa):
-        for task, watts in side.bbu_tasks_w.items():
-            assert watts == cmos_power(load.tops[task], CMOS_14NM) * 2
+    assert list(layout.site) == [t for t in BbuTask if t in site_tasks]
+    assert set(layout.qa + layout.site) == SILICON_RESIDENT_TASKS | site_tasks
+    assert not set(layout.qa) & set(layout.site)
+    site_w = _watts(load, layout.site)
+    for side, pool in ((sides.cmos, layout.cmos), (sides.qa, layout.qa)):
+        assert side.bbu_w == _watts(load, pool) * 2 + 2 * site_w
     assert topology._layout is topology._layout  # built once per topology
 
 

@@ -73,7 +73,7 @@ def test_cran_sums_remote_sites():
         pa_w=3 * PA_W,
         fronthaul=FronthaulLink.scaled_from_reference(100e9, load_bps=100e9),
     )
-    pool = cran_power(bbu_w=1000.0, sites=[site, site])
+    pool = cran_power(bbu_w=1000.0, site=site, n_sites=2)
     solo = cran_power(bbu_w=1000.0)
     assert pool.fronthaul_w == pytest.approx(2 * 7400.0)
     assert pool.ru_w == pytest.approx(2 * 3 * RU_CHAIN_W)
@@ -82,9 +82,14 @@ def test_cran_sums_remote_sites():
     assert pool.total_w > solo.total_w
 
 
+def test_negative_site_count_rejected():
+    with pytest.raises(ValueError, match="n_sites must be non-negative"):
+        cran_power(bbu_w=100.0, site=RrhSite(ru_w=10.8), n_sites=-1)
+
+
 def test_remote_silicon_shows_up_in_bbu_total():
     site = RrhSite(bbu_w=50.0)
-    pool = cran_power(bbu_w=100.0, sites=[site])
+    pool = cran_power(bbu_w=100.0, site=site, n_sites=1)
     assert pool.bbu_w == pytest.approx(150.0)
 
 
