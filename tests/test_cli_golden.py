@@ -13,6 +13,7 @@ import pytest
 
 from qaplan.cli import main
 from qaplan.config import ENV_CONFIG_PATH
+from qaplan.tables import PAPER_TABLES
 
 CRAN_CONFIG = {
     "topology": {"kind": "cran", "n_bs": 3},
@@ -146,3 +147,43 @@ def test_output_does_not_depend_on_the_python_version(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Every reference report in every format, recorded before the model's
+# unreached options were removed: `compare`, `programming_energy` and
+# `scaled_profile` reach stdout only through these tables.
+PAPER_TABLE_SHA256 = {
+    ("costsavings", "csv"): "a54dec8e140b1785b22087caa06865e1477b252181340f7d2e5968469d528be8",
+    ("costsavings", "json"): "f19fb0dc75325396cd797a42dbfb60243167b7807e38347a645883282ae02073",
+    ("costsavings", "table"): "2561c6504906167de315f4748318f931b375e4e08c33b03fd8fdaca17ed7a0b4",
+    ("energy", "csv"): "5d347439bd6a4f096fc12432918a22a6707b8d944d06633cbbae9d512c8b6edd",
+    ("energy", "json"): "dba9e39100efd8ba809ad7d25d493a10ea5632da323211d10262cb677d636ad9",
+    ("energy", "table"): "99a18bd04381412d98a65ff46292437fa3fe721a2ca9ac9983725ad76ca818d0",
+    ("powerbenefit", "csv"): "c4070f3eedd6b524b90687513a4984bc7c8bd7a2db160df900c07049c96ea22b",
+    ("powerbenefit", "json"): "d106ce2d29723478a432cd4f5b238703d6eed01a6a66c75a112428cb58919df2",
+    ("powerbenefit", "table"): "0c9afb8d8fa379680dba2617334a005d84593b959802e1aa6999b0ca017106ec",
+    ("qubits-time", "csv"): "513dc29d9116bd297c7e1364a9b25791e808799b3a85dc03f70e5165783e2340",
+    ("qubits-time", "json"): "781e5c39750f9f1e2ebceb390a4faa7b24697a6221fd310b2084029610819a6a",
+    ("qubits-time", "table"): "fbe4ba0a1d50245fa68f0f13aa95dc5ba5a89593038299758b26368624c8a25a",
+    ("readout", "csv"): "6b30272d3f1e1bcf223815386e53bd8a9306422de81945e8ef809f02b4804412",
+    ("readout", "json"): "42941d9a8c5366e70235fafc691794ea4d676985c3151bc71e4b8b951598e660",
+    ("readout", "table"): "89e3c096e6e0ac0f72064b5c92f9331c570736be97e75361f0b794cfb5b3ce55",
+    ("targets", "csv"): "eaa9d5d0ef6b705b313863d0845e9efccb78e7a7a58bd489ab73b21f3e49db29",
+    ("targets", "json"): "c4ee147afdf0cebf8eb583e1ceb5155be0fd79c4fa717ee08724cb5a91a1577e",
+    ("targets", "table"): "ebb5dc30492e925d8436656ae4c34c3dbc99f530b1f5191cdfa0fd376089afbb",
+}
+
+
+def test_every_paper_table_and_format_is_pinned():
+    assert set(PAPER_TABLE_SHA256) == {
+        (name, f) for name in PAPER_TABLES for f in FORMATS
+    }
+
+
+@pytest.mark.parametrize("key", sorted(PAPER_TABLE_SHA256), ids="-".join)
+def test_paper_table_output(key, capsys):
+    name, fmt = key
+    code = main(["targets", "--paper-table", name, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAPER_TABLE_SHA256[key]
