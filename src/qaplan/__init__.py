@@ -14,13 +14,11 @@ from .economics import (
     CranTopology,
     compare,
     cost_report,
-    crossover_bandwidth_mhz,
 )
 from .qa_hardware import (
     BUILTIN_QA,
     QA_CURRENT,
     QA_PROJECTED,
-    DeviceGeometry,
     QaProfile,
     programming_energy,
     qmi_runtime_us,

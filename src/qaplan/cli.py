@@ -39,7 +39,8 @@ from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .cmos import CmosProfile
-from .config import SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
+from .config import (_INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep,
+                     load_config)
 from .economics import CostReport, Deployments, advantage_w, cost_report, deployments
 from .emit import Cell, Column, Table, render
 from .qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
@@ -104,7 +105,12 @@ def _parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
             raise ConfigError(
                 f"unknown sweep axis {axis!r}; axes: {', '.join(SWEEP_AXES)}"
             )
-        sweep.update(_parse_sweep({axis: values.split(",")}, where="--sweep "))
+        cast = int if axis in _INTEGER_AXES else float
+        try:  # the text first; `_parse_sweep` refuses strings
+            numbers = [cast(v) for v in values.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--sweep {axis}: {exc}") from exc
+        sweep.update(_parse_sweep({axis: numbers}, where="--sweep "))
     return sweep
 
 

@@ -61,26 +61,23 @@ def round_sig(value: float, digits: int = 2) -> float:
     return round(value, digits - 1 - magnitude)
 
 
-def scaled_profile(
-    node: str,
-    vdd: float,
-    base: CmosProfile = CMOS_65NM,
-    mode: str = "as-printed",
-) -> CmosProfile:
-    """Profile for a projected node at the given supply voltage.
+def scaled_profile(node: str, vdd: float, mode: str = "as-printed") -> CmosProfile:
+    """Profile for a node projected from the 65nm anchor at the given
+    supply voltage.
 
     mode="as-printed" rounds the projected efficiency to two significant
     figures (the precision projections are usually quoted at);
-    mode="exact" keeps the full Vdd^2-scaled value.
+    mode="exact" keeps the full Vdd^2-scaled value. The config's
+    `cmos[].mode` key chooses it.
     """
-    eff = efficiency_from_vdd(base, vdd)
+    eff = efficiency_from_vdd(CMOS_65NM, vdd)
     if mode == "as-printed":
         eff = round_sig(eff, 2)
     elif mode != "exact":
         raise ValueError(f"mode must be 'as-printed' or 'exact', got {mode!r}")
     return CmosProfile(node=node, vdd=vdd,
                        efficiency_tops_per_w=eff,
-                       leakage_fraction=base.leakage_fraction)
+                       leakage_fraction=CMOS_65NM.leakage_fraction)
 
 
 # Node roadmap used throughout: a near-term node and an end-of-roadmap node,

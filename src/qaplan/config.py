@@ -59,11 +59,26 @@ def default_config() -> RunConfig:
 
 
 def _number(value, key: str):
-    """`value`, refused if it is a json boolean where a number belongs:
-    Python would cast true and false as 1 and 0."""
-    if isinstance(value, bool):
+    """`value`, refused unless it is a json number: Python would cast true
+    and false as 1 and 0, and "5" as 5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
     return value
+
+
+def _real(value, key: str) -> float:
+    """`_number`, as a float."""
+    return float(_number(value, key))
+
+
+def _whole(value, key: str) -> int:
+    """`value` as an int, refused rather than truncated if it has a fraction.
+    nan and inf raise in `int`; a string is refused as not an integer."""
+    if not isinstance(value, str):
+        count = int(_number(value, key))
+        if count == value:
+            return count
+    raise ConfigError(f"{key} must be a positive integer, got {value!r}")
 
 
 def _check_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
@@ -82,17 +97,17 @@ def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
         raise ConfigError(f"scenarios[{index}] needs bandwidth_mhz")
     name = obj.get("name", f"scenario-{index}")
 
-    def get(key: str, default=None):
-        return _number(obj.get(key, default), f"scenarios[{index}].{key}")
+    def get(key: str, default=None, check=_real):
+        return check(obj.get(key, default), f"scenarios[{index}].{key}")
 
     try:
         scenario = CellScenario(
-            bandwidth_mhz=float(get("bandwidth_mhz")),
-            modulation_bits=int(get("modulation_bits", 6)),
-            coding_rate=float(get("coding_rate", 0.5)),
-            antennas=int(get("antennas", 64)),
-            duty_time=float(get("duty_time", 1.0)),
-            duty_freq=float(get("duty_freq", 1.0)),
+            bandwidth_mhz=get("bandwidth_mhz"),
+            modulation_bits=get("modulation_bits", 6, _whole),
+            coding_rate=get("coding_rate", 0.5),
+            antennas=get("antennas", 64, _whole),
+            duty_time=get("duty_time", 1.0),
+            duty_freq=get("duty_freq", 1.0),
         )
     except _BAD_VALUE as exc:
         raise ConfigError(f"scenarios[{index}]: {exc}") from exc
@@ -121,20 +136,20 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
         node = obj.get("node", f"custom-{i}")
 
         def get(key: str, default=None):
-            return _number(obj.get(key, default), f"cmos[{i}].{key}")
+            return _real(obj.get(key, default), f"cmos[{i}].{key}")
 
         try:
             if "efficiency_tops_per_w" in obj:
                 profiles.append(CmosProfile(
                     node=node,
-                    vdd=float(get("vdd", 1.0)),
-                    efficiency_tops_per_w=float(get("efficiency_tops_per_w")),
-                    leakage_fraction=float(get("leakage_fraction", 0.30)),
+                    vdd=get("vdd", 1.0),
+                    efficiency_tops_per_w=get("efficiency_tops_per_w"),
+                    leakage_fraction=get("leakage_fraction", 0.30),
                 ))
             elif "vdd" in obj:
                 profiles.append(scaled_profile(
                     node=node,
-                    vdd=float(get("vdd")),
+                    vdd=get("vdd"),
                     mode=obj.get("mode", "as-printed"),
                 ))
             else:
@@ -163,23 +178,12 @@ def _parse_qa(obj: dict) -> QaProfile:
             ) from None
     overrides = {k: v for k, v in obj.items() if k != "profile"}
     for key, value in overrides.items():  # every field but the name is a number
-        if key != "name" and (isinstance(value, bool)
-                              or not isinstance(value, (int, float))):
-            raise ConfigError(f"qa.{key} must be a number, got {json.dumps(value)}")
+        if key != "name":
+            _number(value, f"qa.{key}")
     try:
         return dataclasses.replace(base, **overrides)
     except _BAD_VALUE as exc:
         raise ConfigError(f"qa: {exc}") from exc
-
-
-def _site_count(value):
-    """`topology.n_bs` as an int, refused rather than truncated if it has a
-    fraction; out of range, as given, for `CranTopology` to refuse."""
-    value = _number(value, "topology.n_bs")
-    count = int(value)  # nan and inf are refused here
-    if count != value:
-        raise ConfigError(f"topology.n_bs must be a positive integer, got {value!r}")
-    return count if 1 <= count <= MAX_N_BS else value
 
 
 def _parse_topology(obj: dict) -> Topology:
@@ -190,10 +194,12 @@ def _parse_topology(obj: dict) -> Topology:
             _check_keys(obj, ("kind",), "topology (kind=bs)")
             return BsTopology()
         if kind == "cran":
+            n_bs = _whole(obj.get("n_bs", 3), "topology.n_bs")
             return CranTopology(
-                n_bs=_site_count(obj.get("n_bs", 3)),
-                fronthaul_capacity_bps=float(_number(
-                    obj.get("fronthaul_gbps", 100), "topology.fronthaul_gbps")) * 1e9,
+                # out of range, as given, for `CranTopology` to refuse
+                n_bs=n_bs if 1 <= n_bs <= MAX_N_BS else obj["n_bs"],
+                fronthaul_capacity_bps=_real(
+                    obj.get("fronthaul_gbps", 100), "topology.fronthaul_gbps") * 1e9,
             )
     except _BAD_VALUE as exc:
         raise ConfigError(f"topology: {exc}") from exc
@@ -205,7 +211,7 @@ def _parse_costs(obj: dict) -> CostAssumptions:
     _check_keys(obj, allowed, "costs")
     try:
         return CostAssumptions(
-            **{k: float(_number(v, f"costs.{k}")) for k, v in obj.items()})
+            **{k: _real(v, f"costs.{k}") for k, v in obj.items()})
     except _BAD_VALUE as exc:
         raise ConfigError(f"costs: {exc}") from exc
 
@@ -216,15 +222,15 @@ _INTEGER_AXES = ("antennas", "samples", "modulation_bits")
 
 
 def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
-    """Cast each axis's values; `where` prefixes the axis in messages."""
+    """Check each axis's values; `where` prefixes the axis in messages."""
     _check_keys(obj, SWEEP_AXES, "sweep")
     sweep = {}
     for axis, values in obj.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{where}{axis} must be a non-empty list")
+        check = _whole if axis in _INTEGER_AXES else _real
         try:
-            cast = int if axis in _INTEGER_AXES else float
-            sweep[axis] = [cast(_number(v, f"{where}{axis}")) for v in values]
+            sweep[axis] = [check(v, f"{where}{axis}") for v in values]
         except _BAD_VALUE as exc:
             raise ConfigError(f"{where}{axis}: {exc}") from exc
     return sweep
@@ -256,7 +262,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     try:
         horizons = tuple(
-            float(_number(y, "horizons_years"))
+            _real(y, "horizons_years")
             for y in doc.get("horizons_years", base.horizons_years)
         )
         for years in horizons:

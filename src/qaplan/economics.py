@@ -1,19 +1,18 @@
 """Deployment comparison and operating economics.
 
 Builds the two candidate deployments for a scenario (all-silicon vs
-annealer-offloaded baseband), prices their power difference, and finds
-the bandwidth where the annealer starts winning. The annealer side keeps
-platform control and transport processing on silicon; in centralized
-deployments the per-site FFT stage stays on site silicon in both
-candidates.
+annealer-offloaded baseband) and prices their power difference. The
+annealer side keeps platform control and transport processing on silicon;
+in centralized deployments the per-site FFT stage stays on site silicon in
+both candidates.
 
 A comparison splits into two steps: the deployments, which depend on the
 scenario alone, and the qubit budget, which also depends on the sample
 count and is scaled to the deployment's cells. A sweep over samples can
-share the first step. Within it, what depends only on the topology (the
-task orders of pool, sites and candidates, and the fronthaul link) is
-built once per topology, and each task's silicon watts once per workload
-and node, shared by both candidates, which sum them in task order.
+share the first step. Within it, the task lists of pool, sites and
+candidates are module constants, a topology's fronthaul link is built
+once per topology, and each task's silicon watts once per workload and
+node, shared by both candidates, which sum them in task order.
 
 A centralized radio site (radios, amplifiers, site silicon, its supply
 overhead and fronthaul) is the same for both candidates, so it is built
@@ -29,18 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Dict, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Sequence, Tuple, Union
 
 from .cmos import CmosProfile, cmos_power
-from .qa_hardware import QaProfile, refrigerator_qubit_capacity
+from .qa_hardware import QaProfile
 from .qubit_budget import QubitBudget, total_budget
 from .ran_power import (
-    DEFAULT_LOSSES,
     PA_W,
     RU_CHAIN_W,
     FronthaulLink,
     PowerBreakdown,
-    PowerSystemLosses,
     RrhSite,
     bs_power,
     cran_power,
@@ -54,9 +51,16 @@ OFFLOADABLE_TASKS = frozenset({
 })
 SILICON_RESIDENT_TASKS = frozenset({BbuTask.PCP, BbuTask.CPRI})
 # The same sets in task order, which fixes the order watts are summed in.
+# A standalone station runs `_ALL_TASKS` on all-silicon baseband and
+# `_SILICON_RESIDENT_ORDER` beside the annealer.
 _ALL_TASKS = tuple(BbuTask)
 _OFFLOADABLE_ORDER = tuple(t for t in BbuTask if t in OFFLOADABLE_TASKS)
 _SILICON_RESIDENT_ORDER = tuple(t for t in BbuTask if t in SILICON_RESIDENT_TASKS)
+# Low-L1 processing pinned at every centralized radio site in both
+# candidates, and what the all-silicon pool keeps. The annealer's pool keeps
+# `_SILICON_RESIDENT_ORDER`, as a standalone station does.
+_SITE_TASKS = (BbuTask.FFT,)
+_CRAN_CMOS = tuple(t for t in _ALL_TASKS if t not in _SITE_TASKS)
 
 HOURS_PER_YEAR = 8760.0
 LB_PER_METRIC_KILOTON = 2_204_622.6
@@ -66,30 +70,11 @@ LB_PER_METRIC_KILOTON = 2_204_622.6
 MAX_N_BS = 10_000
 
 
-class _Layout:
-    """What the power model reads of a topology, in task order.
-
-    `cmos` and `qa` are the tasks each candidate runs on its pooled (for a
-    standalone station, its only) baseband silicon; `site` the tasks pinned
-    at every radio site; `link` one site's fronthaul link. A plain class:
-    a `NamedTuple` would cost about 0.2 ms at import.
-    """
-
-    __slots__ = ("cmos", "qa", "site", "link")
-
-    def __init__(self, cmos: Tuple[BbuTask, ...], qa: Tuple[BbuTask, ...],
-                 site: Tuple[BbuTask, ...] = (),
-                 link: Optional[FronthaulLink] = None) -> None:
-        self.cmos, self.qa, self.site, self.link = cmos, qa, site, link
-
-
 @dataclass(frozen=True)
 class BsTopology:
     """Standalone base station: baseband, radios, and PAs in one cabinet."""
 
-    losses: PowerSystemLosses = DEFAULT_LOSSES
     n_bs: ClassVar[int] = 1
-    _layout: ClassVar[_Layout] = _Layout(cmos=_ALL_TASKS, qa=_SILICON_RESIDENT_ORDER)
 
 
 @dataclass(frozen=True)
@@ -98,10 +83,6 @@ class CranTopology:
 
     n_bs: int = 3
     fronthaul_capacity_bps: float = 100e9
-    pool_losses: PowerSystemLosses = DEFAULT_LOSSES
-    site_losses: PowerSystemLosses = DEFAULT_LOSSES
-    # Low-L1 processing pinned at the radio site in every candidate.
-    site_tasks: frozenset = frozenset({BbuTask.FFT})
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.fronthaul_capacity_bps):
@@ -114,16 +95,11 @@ class CranTopology:
             raise ValueError(f"n_bs must be at most {MAX_N_BS}, got {self.n_bs}")
 
     @cached_property
-    def _layout(self) -> _Layout:
-        site = self.site_tasks
-        return _Layout(
-            cmos=tuple(t for t in _ALL_TASKS if t not in site),
-            qa=tuple(t for t in _SILICON_RESIDENT_ORDER if t not in site),
-            site=tuple(t for t in _ALL_TASKS if t in site),
-            link=FronthaulLink.scaled_from_reference(
-                capacity_bps=self.fronthaul_capacity_bps,
-                load_bps=self.fronthaul_capacity_bps,  # provisioned at full rate
-            ),
+    def _link(self) -> FronthaulLink:
+        """One site's fronthaul link, provisioned at full rate."""
+        return FronthaulLink.scaled_from_reference(
+            capacity_bps=self.fronthaul_capacity_bps,
+            load_bps=self.fronthaul_capacity_bps,
         )
 
 
@@ -153,10 +129,7 @@ class Deployments:
 class ComparisonResult(Deployments):
     """Both deployment candidates for one scenario, plus the qubit ask."""
 
-    scenario: CellScenario
     budget: QubitBudget  # whole-deployment qubit requirement
-    capacity: int  # qubits one refrigeration unit can hold
-    capacity_exceeded: bool
 
 
 def deployments(
@@ -166,30 +139,29 @@ def deployments(
     topology: Topology = BsTopology(),
 ) -> Deployments:
     """Power both candidates for one workload; the sample count does not enter."""
-    if not isinstance(topology, (BsTopology, CranTopology)):
-        raise ValueError(f"unknown topology {topology!r}")
-    layout = topology._layout
     watts = _task_watts(load, cmos_profile).__getitem__
-    cmos_w, qa_w = left_sum(map(watts, layout.cmos)), left_sum(map(watts, layout.qa))
     antennas, fridge_w = load.scenario.antennas, qa_profile.refrigeration_w
     if isinstance(topology, BsTopology):
         sides = Deployments(
-            cmos=bs_power(cmos_w, antennas, topology.losses),
-            qa=bs_power(qa_w, antennas, topology.losses, refrigeration_w=fridge_w),
+            cmos=bs_power(left_sum(map(watts, _ALL_TASKS)), antennas),
+            qa=bs_power(left_sum(map(watts, _SILICON_RESIDENT_ORDER)), antennas,
+                        refrigeration_w=fridge_w),
         )
-    else:  # one radio site, shared by both candidates
-        n, losses = topology.n_bs, topology.pool_losses
+    elif isinstance(topology, CranTopology):  # one radio site, shared by both
+        n = topology.n_bs
         site = RrhSite(
             ru_w=antennas * RU_CHAIN_W,
             pa_w=antennas * PA_W,
-            bbu_w=left_sum(map(watts, layout.site)),
-            losses=topology.site_losses,
-            fronthaul=layout.link,
+            bbu_w=left_sum(map(watts, _SITE_TASKS)),
+            fronthaul=topology._link,
         )
         sides = Deployments(
-            cmos=cran_power(cmos_w * n, losses, site, n),
-            qa=cran_power(qa_w * n, losses, site, n, refrigeration_w=fridge_w),
+            cmos=cran_power(left_sum(map(watts, _CRAN_CMOS)) * n, site, n),
+            qa=cran_power(left_sum(map(watts, _SILICON_RESIDENT_ORDER)) * n, site, n,
+                          refrigeration_w=fridge_w),
         )
+    else:
+        raise ValueError(f"unknown topology {topology!r}")
     # Every component is non-negative, so finite totals mean finite parts.
     for side in (sides.cmos, sides.qa):
         if not math.isfinite(side.total_w):
@@ -216,22 +188,13 @@ def compare(
 ) -> ComparisonResult:
     """Power both candidates for one scenario and size the annealer.
 
-    A budget above one refrigeration unit's capacity is reported via
-    `capacity_exceeded`, not raised: the comparison is still meaningful
-    as a lower bound.
+    The CLI evaluates these steps apart and shares them across rows; the
+    reference power table calls this whole.
     """
     load = workload(scenario)
     sides = deployments(load, cmos_profile, qa_profile, topology)
     budget = deployment_budget(total_budget(load, qa_profile, samples), topology)
-    capacity = refrigerator_qubit_capacity()
-    return ComparisonResult(
-        cmos=sides.cmos,
-        qa=sides.qa,
-        scenario=scenario,
-        budget=budget,
-        capacity=capacity,
-        capacity_exceeded=budget.total > capacity,
-    )
+    return ComparisonResult(cmos=sides.cmos, qa=sides.qa, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -258,11 +221,6 @@ class CostReport:
     horizons_years: Tuple[float, ...]
     opex_savings_usd: Tuple[float, ...]
     co2_savings_kt: Tuple[float, ...]
-
-    @property
-    def breakeven_capex_usd(self) -> Tuple[float, ...]:
-        """Largest hardware spend the savings recoup per horizon."""
-        return self.opex_savings_usd
 
 
 def cost_report(
@@ -302,6 +260,10 @@ def offload_advantage_w(
     Compares only what moves: the offloadable tasks' silicon draw against
     the flat refrigeration cost. Supply losses and silicon-resident tasks
     are identical on both sides and cancel.
+
+    The CLI calls `advantage_w` on the workload it already has. This entry
+    stays because the benchmark's traced run (`perfbench/spans.py`) wraps
+    it by name and fails without it.
     """
     return advantage_w(workload(scenario), cmos_profile, qa_profile)
 
@@ -309,34 +271,9 @@ def offload_advantage_w(
 def advantage_w(load: BbuWorkload, cmos_profile: CmosProfile,
                 qa_profile: QaProfile) -> float:
     """`offload_advantage_w` for a workload already computed."""
-    movable = load.subset_tops(_OFFLOADABLE_ORDER)
+    movable = left_sum(map(load.tops.__getitem__, _OFFLOADABLE_ORDER))
     silicon_w = cmos_power(movable, cmos_profile)
     if not math.isfinite(silicon_w):
         raise ValueError(f"offloadable silicon power overflows: {silicon_w} W")
     return silicon_w - qa_profile.refrigeration_w
 
-
-def crossover_bandwidth_mhz(
-    antennas: int,
-    cmos_profile: CmosProfile,
-    qa_profile: QaProfile,
-    grid_mhz: Sequence[float] = tuple(range(10, 1001, 10)),
-    modulation_bits: int = 6,
-    coding_rate: float = 0.5,
-) -> Optional[float]:
-    """Smallest grid bandwidth where the annealer wins on baseband power.
-
-    Returns None if the annealer never wins within the grid.
-    """
-    if antennas < 1:
-        raise ValueError(f"antennas must be at least 1, got {antennas}")
-    for bw in grid_mhz:
-        scenario = CellScenario(
-            bandwidth_mhz=bw,
-            modulation_bits=modulation_bits,
-            coding_rate=coding_rate,
-            antennas=antennas,
-        )
-        if offload_advantage_w(scenario, cmos_profile, qa_profile) > 0:
-            return bw
-    return None

@@ -5,7 +5,9 @@ anneal/readout/delay once per requested sample. Programming dissipates
 on-chip heat proportional to the flux moved into the control DACs, which
 sets a thermalization time given the cold-stage cooling power. Separate
 helpers size readout parallelism and the qubit capacity of one
-refrigeration unit.
+refrigeration unit. Device physics and packaging are module constants:
+`FULL_SCALE_SFQ`, `KAPPA`, `COOLING_POWER_W`, `DACS_PER_QUBIT`,
+`DACS_PER_COUPLER`, `WAFER_RADIUS_MM`, `DIE_EDGE_MM` and `QUBITS_PER_DIE`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,19 @@ FULL_SCALE_SFQ = 32  # -16..+16 at five-bit precision
 
 # Energy per SFQ move is about kappa * I_c * Phi0; kappa calibrates the
 # per-loop dissipation against the device's junction design.
-DEFAULT_KAPPA = 4.0
+KAPPA = 4.0
+
+# Heat the cold stage removes, watts.
+COOLING_POWER_W = 30e-6
+
+# Control DACs per qubit and per coupler.
+DACS_PER_QUBIT = 6
+DACS_PER_COUPLER = 1
+
+# Packaging of qubit dies in one refrigeration unit.
+WAFER_RADIUS_MM = 250.0  # experimental space radius
+DIE_EDGE_MM = 0.335  # square die holding one unit cell
+QUBITS_PER_DIE = 8
 
 
 @dataclass(frozen=True)
@@ -76,21 +90,11 @@ def qmi_runtime_us(profile: QaProfile, samples: int) -> float:
     return profile.programming_us + samples * profile.sample_cycle_us
 
 
-def dac_count(
-    n_qubits: int,
-    n_couplers: int,
-    dacs_per_qubit: int = 6,
-    dacs_per_coupler: int = 1,
-) -> int:
+def dac_count(n_qubits: int, n_couplers: int) -> int:
     """Control DACs needed to program every qubit bias and coupling."""
     if n_qubits < 0 or n_couplers < 0:
         raise ValueError("qubit and coupler counts must be non-negative")
-    return dacs_per_qubit * n_qubits + dacs_per_coupler * n_couplers
-
-
-def coupler_count(n_qubits: int, couplers_per_qubit: float = 15.0) -> int:
-    """Couplers in a device topology; each coupler joins two qubits."""
-    return int(n_qubits * couplers_per_qubit / 2)
+    return DACS_PER_QUBIT * n_qubits + DACS_PER_COUPLER * n_couplers
 
 
 class ProgrammingEnergy(NamedTuple):
@@ -99,31 +103,20 @@ class ProgrammingEnergy(NamedTuple):
     dacs: int
 
 
-def programming_energy(
-    n_qubits: int,
-    n_couplers: int,
-    i_c_a: float,
-    kappa: float = DEFAULT_KAPPA,
-    cooling_power_w: float = 30e-6,
-    dacs_per_qubit: int = 6,
-    dacs_per_coupler: int = 1,
-    full_scale_sfq: int = FULL_SCALE_SFQ,
-) -> ProgrammingEnergy:
+def programming_energy(n_qubits: int, n_couplers: int, i_c_a: float) -> ProgrammingEnergy:
     """Worst-case on-chip programming dissipation and thermalization time.
 
-    Every DAC loop absorbs `full_scale_sfq` flux quanta at kappa*I_c*Phi0
-    each; the heat drains at `cooling_power_w`, giving the thermalization
+    Every DAC loop absorbs `FULL_SCALE_SFQ` flux quanta at kappa*I_c*Phi0
+    each; the heat drains at `COOLING_POWER_W`, giving the thermalization
     time as energy / cooling power.
     """
     if i_c_a <= 0:
         raise ValueError(f"critical current must be positive, got {i_c_a}")
-    if cooling_power_w <= 0:
-        raise ValueError(f"cooling power must be positive, got {cooling_power_w}")
-    dacs = dac_count(n_qubits, n_couplers, dacs_per_qubit, dacs_per_coupler)
-    energy = dacs * full_scale_sfq * kappa * i_c_a * PHI0
+    dacs = dac_count(n_qubits, n_couplers)
+    energy = dacs * FULL_SCALE_SFQ * KAPPA * i_c_a * PHI0
     return ProgrammingEnergy(
         energy_j=energy,
-        thermalization_s=energy / cooling_power_w,
+        thermalization_s=energy / COOLING_POWER_W,
         dacs=dacs,
     )
 
@@ -151,31 +144,12 @@ def readout_parallelism(
     raise ValueError(f"unknown readout scheme {scheme!r}")
 
 
-@dataclass(frozen=True)
-class DeviceGeometry:
-    """Physical packaging of qubit dies in one refrigeration unit."""
-
-    wafer_radius_mm: float = 250.0  # experimental space radius
-    die_edge_mm: float = 0.335  # square die holding one unit cell
-    qubits_per_die: int = 8
-
-    def __post_init__(self) -> None:
-        if self.wafer_radius_mm <= 0 or self.die_edge_mm <= 0:
-            raise ValueError("wafer radius and die edge must be positive")
-        if self.qubits_per_die < 1:
-            raise ValueError("qubits_per_die must be at least 1")
-
-
-DEFAULT_GEOMETRY = DeviceGeometry()
-
-
-def die_count(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> int:
+def die_count() -> int:
     """Useful square dies on the wafer, edge losses included."""
-    ratio = geometry.wafer_radius_mm / geometry.die_edge_mm
-    dies = math.pi * ratio * ratio - 1.16 * math.pi * ratio
-    return max(0, math.floor(dies))
+    ratio = WAFER_RADIUS_MM / DIE_EDGE_MM
+    return math.floor(math.pi * ratio * ratio - 1.16 * math.pi * ratio)
 
 
-def refrigerator_qubit_capacity(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> int:
+def refrigerator_qubit_capacity() -> int:
     """Qubits that fit in one refrigeration unit."""
-    return die_count(geometry) * geometry.qubits_per_die
+    return die_count() * QUBITS_PER_DIE

@@ -5,7 +5,7 @@ through a chain of supply losses: AC/DC conversion, mains supply, and DC/DC
 conversion. Flat loads that bypass the supply chain (e.g. a cryogenic
 refrigerator with its own plant) are added after the loss denominator.
 A centralized deployment is priced from one pool, one radio site and a
-count of such sites.
+count of such sites; pool and sites share the default loss chain.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from typing import Optional
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
+# Reference fronthaul link: 37 W at full load on 500 Mb/s.
+FRONTHAUL_REF_W = 37.0
+FRONTHAUL_REF_BPS = 500e6
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class PowerSystemLosses:
 
 
 DEFAULT_LOSSES = PowerSystemLosses()
+# Supply overhead per component watt of a centralized pool and its sites.
+_CRAN_OVERHEAD = DEFAULT_LOSSES.supply_factor - 1.0
 
 
 @dataclass(frozen=True)
@@ -63,19 +68,10 @@ class FronthaulLink:
             raise ValueError(f"p_max must be non-negative, got {self.p_max_w}")
 
     @classmethod
-    def scaled_from_reference(
-        cls,
-        capacity_bps: float,
-        load_bps: float,
-        ref_p_max_w: float = 37.0,
-        ref_capacity_bps: float = 500e6,
-    ) -> "FronthaulLink":
-        """Link whose full-load draw scales linearly from a reference link.
-
-        Default reference: 37 W at 500 Mb/s, so a 100 Gb/s link peaks
-        at 7.4 kW.
-        """
-        p_max = ref_p_max_w * capacity_bps / ref_capacity_bps
+    def scaled_from_reference(cls, capacity_bps: float, load_bps: float) -> "FronthaulLink":
+        """Link whose full-load draw scales linearly from the reference link,
+        so a 100 Gb/s link peaks at 7.4 kW."""
+        p_max = FRONTHAUL_REF_W * capacity_bps / FRONTHAUL_REF_BPS
         return cls(capacity_bps=capacity_bps, load_bps=load_bps, p_max_w=p_max)
 
 
@@ -91,7 +87,6 @@ class RrhSite:
     ru_w: float = 0.0
     pa_w: float = 0.0
     bbu_w: float = 0.0  # local baseband silicon (e.g. FFT stage)
-    losses: PowerSystemLosses = DEFAULT_LOSSES
     fronthaul: Optional[FronthaulLink] = None
 
     @property
@@ -131,8 +126,6 @@ def bs_power(
     bbu_w: float,
     antennas: int,
     losses: PowerSystemLosses = DEFAULT_LOSSES,
-    ru_chain_w: float = RU_CHAIN_W,
-    pa_w: float = PA_W,
     refrigeration_w: float = 0.0,
 ) -> PowerBreakdown:
     """Grid power of one base station.
@@ -145,8 +138,8 @@ def bs_power(
         raise ValueError(f"bbu_w must be non-negative, got {bbu_w}")
     if antennas < 0:
         raise ValueError(f"antennas must be non-negative, got {antennas}")
-    ru = antennas * ru_chain_w
-    pa = antennas * pa_w
+    ru = antennas * RU_CHAIN_W
+    pa = antennas * PA_W
     components = bbu_w + ru + pa
     overhead = components * (losses.supply_factor - 1.0)
     return PowerBreakdown(
@@ -160,15 +153,14 @@ def bs_power(
 
 def cran_power(
     bbu_w: float,
-    losses: PowerSystemLosses = DEFAULT_LOSSES,
     site: RrhSite = RrhSite(),
     n_sites: int = 0,
     refrigeration_w: float = 0.0,
 ) -> PowerBreakdown:
     """Grid power of a centralized deployment: one pool, `n_sites` radio sites.
 
-    The pooled baseband (`bbu_w`) and every remote site pass through their
-    own supply-loss chains; fronthaul links draw load-proportional power
+    The pooled baseband (`bbu_w`) and every remote site pass through the
+    default supply-loss chain; fronthaul links draw load-proportional power
     outside the loss chain, as does `refrigeration_w`. The sites are
     identical: each site total is `n_sites` times one site's value.
     """
@@ -176,13 +168,13 @@ def cran_power(
         raise ValueError(f"bbu_w must be non-negative, got {bbu_w}")
     if n_sites < 0:
         raise ValueError(f"n_sites must be non-negative, got {n_sites}")
-    site_overhead = site.component_w * (site.losses.supply_factor - 1.0)
+    site_overhead = site.component_w * _CRAN_OVERHEAD
     fh = 0.0 if site.fronthaul is None else fronthaul_power(site.fronthaul)
     return PowerBreakdown(
         bbu_w=bbu_w + n_sites * site.bbu_w,
         ru_w=n_sites * site.ru_w,
         pa_w=n_sites * site.pa_w,
-        power_system_w=bbu_w * (losses.supply_factor - 1.0) + n_sites * site_overhead,
+        power_system_w=bbu_w * _CRAN_OVERHEAD + n_sites * site_overhead,
         fronthaul_w=n_sites * fh,
         refrigeration_w=refrigeration_w,
     )

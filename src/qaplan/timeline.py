@@ -20,6 +20,9 @@ HISTORICAL_QUBITS: Mapping[int, int] = {
     2023: 7440,
 }
 
+# Years between device generations, the step both trends grow by.
+PERIOD_YEARS = 3.0
+
 
 @dataclass(frozen=True)
 class GrowthTrend:
@@ -29,31 +32,28 @@ class GrowthTrend:
     anchor_year: int
     anchor_qubits: int
     growth_factor: float  # size multiplier per period
-    period_years: float = 3.0
 
     def __post_init__(self) -> None:
         if self.anchor_qubits < 1:
             raise ValueError(f"anchor_qubits must be positive, got {self.anchor_qubits}")
         if self.growth_factor <= 1.0:
             raise ValueError(f"growth factor must exceed 1, got {self.growth_factor}")
-        if self.period_years <= 0:
-            raise ValueError(f"period must be positive, got {self.period_years}")
 
 
 # Optimistic: the fastest recent generation-over-generation jump.
 BEST_CASE = GrowthTrend(
     name="best-case",
     anchor_year=2020,
-    anchor_qubits=5436,
-    growth_factor=5436 / 2048,  # 2017 -> 2020 jump
+    anchor_qubits=HISTORICAL_QUBITS[2020],
+    growth_factor=HISTORICAL_QUBITS[2020] / HISTORICAL_QUBITS[2017],
 )
 
 # Conservative: the most recent (announced) jump.
 WORST_CASE = GrowthTrend(
     name="worst-case",
     anchor_year=2023,
-    anchor_qubits=7440,
-    growth_factor=7440 / 5436,  # 2020 -> 2023 jump
+    anchor_qubits=HISTORICAL_QUBITS[2023],
+    growth_factor=HISTORICAL_QUBITS[2023] / HISTORICAL_QUBITS[2020],
 )
 
 
@@ -63,7 +63,7 @@ def qubits_at(trend: GrowthTrend, year: float) -> int:
         raise ValueError(
             f"{trend.name} trend starts at {trend.anchor_year}; got {year}"
         )
-    periods = (year - trend.anchor_year) / trend.period_years
+    periods = (year - trend.anchor_year) / PERIOD_YEARS
     return math.floor(trend.anchor_qubits * trend.growth_factor ** periods)
 
 
@@ -76,7 +76,7 @@ def year_available(trend: GrowthTrend, required_qubits: int) -> int:
     periods = math.log(required_qubits / trend.anchor_qubits) / math.log(
         trend.growth_factor
     )
-    year = trend.anchor_year + math.ceil(periods * trend.period_years)
+    year = trend.anchor_year + math.ceil(periods * PERIOD_YEARS)
     # Closed form can land one year off either way after flooring.
     while qubits_at(trend, year) < required_qubits:
         year += 1

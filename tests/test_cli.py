@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -305,16 +306,75 @@ def test_whole_site_counts_run(tmp_path, capsys, n_bs):
     ({"horizons_years": [True, 2]}, "horizons_years"),
     ({"sweep": {"antennas": [True, 2]}}, "sweep.antennas"),
     ({"sweep": {"bandwidth_mhz": [100, False]}}, "sweep.bandwidth_mhz"),
+    # numeric strings
+    ({"samples": "20"}, "samples"),
+    ({"scenarios": [{"bandwidth_mhz": "100"}]}, "scenarios[0].bandwidth_mhz"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "coding_rate": "0.5"}]},
+     "scenarios[0].coding_rate"),
+    ({"cmos": [{"node": "x", "vdd": "0.7"}]}, "cmos[0].vdd"),
+    ({"qa": {"anneal_us": "1"}}, "qa.anneal_us"),
+    ({"topology": {"kind": "cran", "fronthaul_gbps": "50"}}, "topology.fronthaul_gbps"),
+    ({"costs": {"hours_per_year": "8760"}}, "costs.hours_per_year"),
+    ({"horizons_years": ["5"]}, "horizons_years"),
+    ({"sweep": {"bandwidth_mhz": ["100"]}}, "sweep.bandwidth_mhz"),
 ])
 def test_json_booleans_are_not_numbers(tmp_path, capsys, doc, key):
-    # Python casts true and false as 1 and 0; a config must not.
+    # Python casts true and false as 1 and 0, and "5" as 5; a config must not.
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    value = "false" if "false" in json.dumps(doc) else "true"
+    value = doc  # the value at `key`; in a list, its first non-number
+    for part in re.findall(r"[^.\[\]]+", key):
+        value = value[int(part)] if part.isdigit() else value[part]
+    if isinstance(value, list):
+        value = next(v for v in value if isinstance(v, (bool, str)))
+    value = json.dumps(value)
     code, out, err = run(capsys, "economics", "--config", str(path))
     assert code == EXIT_CONFIG
     assert out == ""
     assert err == f"qaplan: config error: {key} must be a number, got {value}\n"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"scenarios": [{"bandwidth_mhz": 100, "antennas": 2.5}]},
+     "scenarios[0].antennas must be a positive integer, got 2.5"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "modulation_bits": 6.5}]},
+     "scenarios[0].modulation_bits must be a positive integer, got 6.5"),
+    ({"scenarios": [{"bandwidth_mhz": 100, "antennas": "64"}]},
+     "scenarios[0].antennas must be a positive integer, got '64'"),
+    ({"sweep": {"antennas": [64, 2.5]}}, "sweep.antennas must be a positive integer, got 2.5"),
+    ({"sweep": {"samples": [2.5]}}, "sweep.samples must be a positive integer, got 2.5"),
+    ({"sweep": {"modulation_bits": [6.5]}},
+     "sweep.modulation_bits must be a positive integer, got 6.5"),
+    ({"sweep": {"antennas": ["2"]}}, "sweep.antennas must be a positive integer, got '2'"),
+])
+def test_fractional_integers_are_refused_not_truncated(tmp_path, capsys, doc, message):
+    path = tmp_path / "fraction.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("targets", "economics"):
+        code, out, err = run(capsys, command, "--format", "csv", "--config", str(path))
+        assert (code, out, err) == (EXIT_CONFIG, "", f"qaplan: config error: {message}\n")
+
+
+def test_whole_floats_count_as_integers(tmp_path, capsys):
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps({
+        "scenarios": [{"bandwidth_mhz": 100, "antennas": 8.0, "modulation_bits": 4.0}],
+        "sweep": {"samples": [3.0]},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "qubits", "--format", "csv", "--config", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    row = read_csv(out).rows[0]
+    assert (row["name"], row["antennas"], row["samples"]) == ("scenario-0[samples=3]", 8, 3)
+
+
+def test_antenna_count_past_float_range_is_a_model_error(tmp_path, capsys):
+    # antennas ** 2 of a finite ratio raises rather than giving inf
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"scenarios": [{"bandwidth_mhz": 1, "antennas": 1e308}]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "targets", "--config", str(path))
+    assert (code, out, err) == (
+        EXIT_DOMAIN, "", "qaplan: model error: compute targets overflow: inf TOPS\n")
 
 
 def test_wrong_typed_qa_override_names_its_field(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Deployment comparisons, crossover search, and operating-cost pricing."""
+"""Deployment comparisons, the offload advantage, and operating-cost pricing."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,19 +8,22 @@ from qaplan.economics import (
     MAX_N_BS,
     OFFLOADABLE_TASKS,
     SILICON_RESIDENT_TASKS,
-    BsTopology,
     CostAssumptions,
     CranTopology,
     compare,
     cost_report,
-    crossover_bandwidth_mhz,
     deployments,
     offload_advantage_w,
 )
-from qaplan.qa_hardware import QA_PROJECTED
+from qaplan.qa_hardware import QA_PROJECTED, refrigerator_qubit_capacity
 from qaplan.workload import BbuTask, CellScenario, workload
 
 SCENARIO_400_64 = CellScenario(400, 6, 0.5, 64)
+# Task lists in task order: what stays on silicon beside the annealer, the
+# low-L1 stage pinned at every centralized radio site, and the rest.
+RESIDENT = [BbuTask.CPRI, BbuTask.PCP]
+SITE = [BbuTask.FFT]
+POOL = [t for t in BbuTask if t not in SITE]
 
 
 def test_task_partition_is_complete():
@@ -35,8 +38,8 @@ def test_standalone_comparison_totals():
     assert r.qa.total_w == pytest.approx(44_581.6, rel=1e-4)
     assert r.delta_w == pytest.approx(52_062.9, rel=1e-4)
     assert r.budget.total == 3_320_055
-    assert r.capacity == 13_975_088
-    assert not r.capacity_exceeded
+    assert refrigerator_qubit_capacity() == 13_975_088
+    assert not r.budget.total > refrigerator_qubit_capacity()
 
 
 def _watts(load, tasks, profile=CMOS_14NM):
@@ -49,12 +52,10 @@ def _watts(load, tasks, profile=CMOS_14NM):
 
 def test_annealer_candidate_keeps_control_and_transport_on_silicon():
     r = compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=20)
-    layout = BsTopology._layout
-    assert set(layout.qa) == SILICON_RESIDENT_TASKS
-    assert set(layout.cmos) == set(BbuTask)
+    assert set(RESIDENT) == SILICON_RESIDENT_TASKS
     load = workload(SCENARIO_400_64)
-    assert r.qa.bbu_w == _watts(load, layout.qa)
-    assert r.cmos.bbu_w == _watts(load, layout.cmos)
+    assert r.qa.bbu_w == _watts(load, RESIDENT)
+    assert r.cmos.bbu_w == _watts(load, BbuTask)
     assert r.qa.refrigeration_w == 25e3
     assert r.cmos.refrigeration_w == 0.0
 
@@ -70,33 +71,20 @@ def test_centralized_comparison_totals():
     assert r.budget.total == 3 * 3_320_055
     assert r.cmos.fronthaul_w == pytest.approx(3 * 7400.0)
     # local low-L1 silicon stays at the radio sites in both candidates
-    layout = CranTopology()._layout
-    assert layout.site == (BbuTask.FFT,)
-    assert BbuTask.FFT not in layout.cmos + layout.qa
     load = workload(SCENARIO_400_64)
-    fft_w = _watts(load, layout.site)
-    assert r.qa.bbu_w == _watts(load, layout.qa) * 3 + 3 * fft_w
-    assert r.cmos.bbu_w == _watts(load, layout.cmos) * 3 + 3 * fft_w
+    fft_w = _watts(load, SITE)
+    assert r.qa.bbu_w == _watts(load, RESIDENT) * 3 + 3 * fft_w
+    assert r.cmos.bbu_w == _watts(load, POOL) * 3 + 3 * fft_w
 
 
-@pytest.mark.parametrize("site_tasks", [
-    frozenset(), frozenset({BbuTask.FFT}), frozenset({BbuTask.FFT, BbuTask.DPD}),
-    frozenset({BbuTask.PCP}),  # a silicon-resident task pinned at the site
-])
-def test_site_tasks_split_the_watts_of_both_candidates(site_tasks):
-    topology = CranTopology(n_bs=2, site_tasks=site_tasks)
+def test_site_tasks_split_the_watts_of_both_candidates():
+    topology = CranTopology(n_bs=2)
     load = workload(SCENARIO_400_64)
     sides = deployments(load, CMOS_14NM, QA_PROJECTED, topology)
-    layout = topology._layout
-    assert list(layout.cmos + layout.site) == (
-        [t for t in BbuTask if t not in site_tasks] + [t for t in BbuTask if t in site_tasks])
-    assert list(layout.site) == [t for t in BbuTask if t in site_tasks]
-    assert set(layout.qa + layout.site) == SILICON_RESIDENT_TASKS | site_tasks
-    assert not set(layout.qa) & set(layout.site)
-    site_w = _watts(load, layout.site)
-    for side, pool in ((sides.cmos, layout.cmos), (sides.qa, layout.qa)):
+    site_w = _watts(load, SITE)
+    for side, pool in ((sides.cmos, POOL), (sides.qa, RESIDENT)):
         assert side.bbu_w == _watts(load, pool) * 2 + 2 * site_w
-    assert topology._layout is topology._layout  # built once per topology
+    assert topology._link is topology._link  # built once per topology
 
 
 def test_site_count_is_bounded():
@@ -118,14 +106,19 @@ def test_overflowing_results_are_model_errors():
 def test_capacity_excess_reported_not_raised():
     big = CellScenario(1000, 6, 0.5, 512)
     r = compare(big, CMOS_14NM, QA_PROJECTED, samples=20)
-    assert r.capacity_exceeded
-    assert r.budget.total > r.capacity
+    assert r.budget.total > refrigerator_qubit_capacity()
 
 
 def test_offload_advantage_point():
     got = offload_advantage_w(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED)
     # 3584 movable TOPS on 14 nm silicon vs the flat refrigeration draw
     assert got == pytest.approx(3584.0 / 0.076 * 1.3 - 25e3, rel=1e-9)
+
+
+def _advantage(bandwidth_mhz, antennas, profile=CMOS_14NM):
+    """Offload advantage at 64-QAM, rate 1/2."""
+    scenario = CellScenario(bandwidth_mhz, 6, 0.5, antennas)
+    return offload_advantage_w(scenario, profile, QA_PROJECTED)
 
 
 @pytest.mark.parametrize(
@@ -140,11 +133,14 @@ def test_offload_advantage_point():
     ],
 )
 def test_crossover_bandwidths(antennas, profile, expected):
-    assert crossover_bandwidth_mhz(antennas, profile, QA_PROJECTED) == expected
+    # the annealer first wins at `expected` on a 10 MHz grid
+    assert _advantage(expected, antennas, profile) > 0
+    assert _advantage(expected - 10, antennas, profile) <= 0
 
 
 def test_crossover_can_miss_entirely():
-    assert crossover_bandwidth_mhz(1, CMOS_14NM, QA_PROJECTED) is None
+    # one antenna never pays for the refrigerator up to 1 GHz
+    assert _advantage(1000, 1) <= 0
 
 
 def test_cost_report_reference_point():
@@ -153,7 +149,6 @@ def test_cost_report_reference_point():
     assert r.opex_savings_usd[0] == pytest.approx(51_359.88)
     assert r.opex_savings_usd[3] == pytest.approx(513_598.8)
     assert r.co2_savings_kt[0] == pytest.approx(0.14988, rel=1e-3)
-    assert r.breakeven_capex_usd == r.opex_savings_usd
 
 
 def test_cost_report_rejects_negative_horizon():
@@ -185,26 +180,17 @@ def test_cost_linear_in_delta_and_time(delta, y1, y2):
     )
 
 
-@given(st.sampled_from([(32, 64), (64, 128), (128, 256)]))
-def test_crossover_moves_down_with_more_antennas(pair):
+@given(st.sampled_from([(32, 64), (64, 128), (128, 256)]),
+       st.integers(min_value=1, max_value=100))
+def test_crossover_moves_down_with_more_antennas(pair, step):
+    # more antennas never lower the advantage, so the crossover cannot rise
     few, many = pair
-    bw_few = crossover_bandwidth_mhz(few, CMOS_14NM, QA_PROJECTED)
-    bw_many = crossover_bandwidth_mhz(many, CMOS_14NM, QA_PROJECTED)
-    assert bw_many is not None
-    assert bw_few is None or bw_many <= bw_few
+    assert _advantage(10 * step, many) >= _advantage(10 * step, few)
 
 
 @given(st.integers(min_value=16, max_value=512))
 def test_advantage_positive_exactly_at_crossover(antennas):
-    bw = crossover_bandwidth_mhz(antennas, CMOS_14NM, QA_PROJECTED)
-    if bw is None:
-        return
-    at = offload_advantage_w(
-        CellScenario(bw, 6, 0.5, antennas), CMOS_14NM, QA_PROJECTED
-    )
-    assert at > 0
-    if bw > 10:
-        before = offload_advantage_w(
-            CellScenario(bw - 10, 6, 0.5, antennas), CMOS_14NM, QA_PROJECTED
-        )
-        assert before <= 0
+    # the advantage does not fall as bandwidth rises, so once the annealer
+    # wins on the grid it keeps winning
+    grid = [_advantage(bw, antennas) for bw in range(10, 1001, 10)]
+    assert grid == sorted(grid)

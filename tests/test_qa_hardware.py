@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from qaplan.qa_hardware import (
     BUILTIN_QA,
-    DEFAULT_GEOMETRY,
+    DACS_PER_QUBIT,
     FULL_SCALE_SFQ,
+    KAPPA,
     PHI0,
     QA_CURRENT,
     QA_PROJECTED,
-    DeviceGeometry,
-    coupler_count,
+    QUBITS_PER_DIE,
     dac_count,
     die_count,
     programming_energy,
@@ -23,7 +23,7 @@ from qaplan.qa_hardware import (
 )
 
 # Historical device inventory used for the energy cross-checks. Coupler
-# counts are per-device facts, not derived from the 15/qubit projection.
+# counts are per-device facts.
 DEVICES = [
     (512, 1472),
     (2048, 6016),
@@ -56,10 +56,6 @@ def test_dac_counts_per_device():
     assert got == expected
 
 
-def test_coupler_projection():
-    assert coupler_count(10_000_000) == 75_000_000
-
-
 @pytest.mark.parametrize(
     "n_qubits,n_couplers,i_c,energy,seconds",
     [
@@ -84,9 +80,9 @@ def test_programming_energy_per_device(n_qubits, n_couplers, i_c, energy, second
 
 
 def test_programming_energy_formula():
-    got = programming_energy(1, 0, 1e-6, dacs_per_qubit=1, dacs_per_coupler=0)
-    assert got.dacs == 1
-    assert got.energy_j == pytest.approx(32 * 4.0 * 1e-6 * PHI0, rel=1e-12)
+    got = programming_energy(1, 0, 1e-6)
+    assert (got.dacs, DACS_PER_QUBIT, FULL_SCALE_SFQ, KAPPA) == (6, 6, 32, 4.0)
+    assert got.energy_j == pytest.approx(6 * 32 * 4.0 * 1e-6 * PHI0, rel=1e-12)
 
 
 def test_readout_time_division():
@@ -113,12 +109,7 @@ def test_readout_rejects_unknown_scheme():
 def test_wafer_die_budget():
     assert die_count() == 1_746_886
     assert refrigerator_qubit_capacity() == 13_975_088
-    assert DEFAULT_GEOMETRY.qubits_per_die == 8
-
-
-def test_degenerate_wafer_has_no_dies():
-    # edge losses exceed the usable area
-    assert die_count(DeviceGeometry(wafer_radius_mm=0.3, die_edge_mm=0.3)) == 0
+    assert QUBITS_PER_DIE == 8
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))
