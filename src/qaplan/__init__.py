@@ -25,7 +25,7 @@ from .qa_hardware import (
     readout_parallelism,
     refrigerator_qubit_capacity,
 )
-from .qubit_budget import LDPC_5G_BG1, LdpcCode, QubitBudget, task_qubits, total_budget
+from .qubit_budget import QubitBudget, task_qubits, total_budget
 from .ran_power import (
     FronthaulLink,
     PowerBreakdown,

@@ -13,8 +13,8 @@ computes its workload once, its qubit budget once per sample count and,
 per cmos node, the deployments, cost report and offload advantage once,
 each on first use. What does not depend on the scenario is built once
 per call, not per row: the problem models behind the budgets once per
-sample count (`ProblemModels`), and the topology's task layout and
-fronthaul link once per topology. Besides those bounded caches nothing
+sample count (`ProblemModels`), and the topology's fronthaul link once
+per topology (`CranTopology._link`). Besides those bounded caches nothing
 outlives a run.
 
 The table's rows are not held either: a subcommand returns a table whose

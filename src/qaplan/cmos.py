@@ -2,8 +2,9 @@
 
 Power for a compute demand follows from a node's efficiency (TOPS/W) plus
 a fixed leakage fraction on top of dynamic power. Efficiencies for future
-nodes are projected from a measured anchor node by supply-voltage (Vdd^2)
-scaling.
+nodes are projected from the measured 65 nm anchor (`CMOS_65NM`, supplied
+at `ANCHOR_VDD`) by supply-voltage (Vdd^2) scaling, quoted to two
+significant figures (`round_sig`).
 """
 
 from __future__ import annotations
@@ -17,17 +18,14 @@ class CmosProfile:
     """One process node's compute-efficiency operating point."""
 
     node: str
-    vdd: float  # supply voltage, volts
     efficiency_tops_per_w: float  # dynamic efficiency, TOPS/W
     leakage_fraction: float = 0.30  # static power as fraction of dynamic
 
     def __post_init__(self) -> None:
-        for name in ("vdd", "efficiency_tops_per_w", "leakage_fraction"):
+        for name in ("efficiency_tops_per_w", "leakage_fraction"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.vdd <= 0:
-            raise ValueError(f"vdd must be positive, got {self.vdd}")
         if self.efficiency_tops_per_w <= 0:
             raise ValueError(
                 f"efficiency must be positive, got {self.efficiency_tops_per_w}"
@@ -38,27 +36,30 @@ class CmosProfile:
             )
 
 
-# Measured anchor the projections scale from.
-CMOS_65NM = CmosProfile(node="65nm", vdd=1.1, efficiency_tops_per_w=0.04)
+# Measured anchor the projections scale from, and its supply voltage.
+CMOS_65NM = CmosProfile(node="65nm", efficiency_tops_per_w=0.04)
+ANCHOR_VDD = 1.1  # volts
 
 
-def efficiency_from_vdd(base: CmosProfile, vdd: float) -> float:
-    """Project dynamic efficiency at a new supply voltage.
+def efficiency_from_vdd(vdd: float) -> float:
+    """Project the anchor's dynamic efficiency to a new supply voltage.
 
     Dynamic energy per op goes as Vdd^2, so efficiency scales as
-    (vdd_base / vdd)^2 relative to the base profile.
+    (ANCHOR_VDD / vdd)^2 relative to `CMOS_65NM`.
     """
     if vdd <= 0:
         raise ValueError(f"vdd must be positive, got {vdd}")
-    return base.efficiency_tops_per_w * (base.vdd / vdd) ** 2
+    if not math.isfinite(vdd):
+        raise ValueError(f"vdd must be finite, got {vdd}")
+    return CMOS_65NM.efficiency_tops_per_w * (ANCHOR_VDD / vdd) ** 2
 
 
-def round_sig(value: float, digits: int = 2) -> float:
-    """Round to `digits` significant figures."""
+def round_sig(value: float) -> float:
+    """Round to two significant figures."""
     if value == 0:
         return 0.0
     magnitude = math.floor(math.log10(abs(value)))
-    return round(value, digits - 1 - magnitude)
+    return round(value, 1 - magnitude)
 
 
 def scaled_profile(node: str, vdd: float, mode: str = "as-printed") -> CmosProfile:
@@ -70,13 +71,12 @@ def scaled_profile(node: str, vdd: float, mode: str = "as-printed") -> CmosProfi
     mode="exact" keeps the full Vdd^2-scaled value. The config's
     `cmos[].mode` key chooses it.
     """
-    eff = efficiency_from_vdd(CMOS_65NM, vdd)
+    eff = efficiency_from_vdd(vdd)
     if mode == "as-printed":
-        eff = round_sig(eff, 2)
+        eff = round_sig(eff)
     elif mode != "exact":
         raise ValueError(f"mode must be 'as-printed' or 'exact', got {mode!r}")
-    return CmosProfile(node=node, vdd=vdd,
-                       efficiency_tops_per_w=eff,
+    return CmosProfile(node=node, efficiency_tops_per_w=eff,
                        leakage_fraction=CMOS_65NM.leakage_fraction)
 
 

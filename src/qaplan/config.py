@@ -71,6 +71,14 @@ def _real(value, key: str) -> float:
     return float(_number(value, key))
 
 
+def _name(value, key: str) -> str:
+    """`value`, refused unless it is a json string: 5 and "5" would name
+    different things yet print the same."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _whole(value, key: str) -> int:
     """`value` as an int, refused rather than truncated if it has a fraction.
     nan and inf raise in `int`; a string is refused as not an integer."""
@@ -82,6 +90,9 @@ def _whole(value, key: str) -> int:
 
 
 def _check_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
+    """Refuse `obj` unless it is a json object with only `allowed` keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a json object, got {json.dumps(obj)}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -95,7 +106,7 @@ def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
     _check_keys(obj, _SCENARIO_KEYS, f"scenarios[{index}]")
     if "bandwidth_mhz" not in obj:
         raise ConfigError(f"scenarios[{index}] needs bandwidth_mhz")
-    name = obj.get("name", f"scenario-{index}")
+    name = _name(obj.get("name", f"scenario-{index}"), f"scenarios[{index}].name")
 
     def get(key: str, default=None, check=_real):
         return check(obj.get(key, default), f"scenarios[{index}].{key}")
@@ -111,7 +122,7 @@ def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
         )
     except _BAD_VALUE as exc:
         raise ConfigError(f"scenarios[{index}]: {exc}") from exc
-    return str(name), scenario
+    return name, scenario
 
 
 def _check_unique(names: Sequence[str], what: str) -> None:
@@ -120,7 +131,15 @@ def _check_unique(names: Sequence[str], what: str) -> None:
             raise ConfigError(f"duplicate {what}: {name}")
 
 
+# The keys of each `cmos[]` object: an explicit efficiency, or a projection
+# from the 65 nm anchor at a supply voltage.
+_EFFICIENCY_KEYS = ("node", "efficiency_tops_per_w", "leakage_fraction")
+_VDD_KEYS = ("node", "vdd", "mode")
+
+
 def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("cmos must be a non-empty list")
     profiles = []
     for i, obj in enumerate(entries):
         if isinstance(obj, str):
@@ -131,18 +150,17 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
                 )
             profiles.append(BUILTIN_CMOS[obj])
             continue
-        _check_keys(obj, ("node", "vdd", "efficiency_tops_per_w",
-                          "leakage_fraction", "mode"), f"cmos[{i}]")
-        node = obj.get("node", f"custom-{i}")
+        explicit = isinstance(obj, dict) and "efficiency_tops_per_w" in obj
+        _check_keys(obj, _EFFICIENCY_KEYS if explicit else _VDD_KEYS, f"cmos[{i}]")
+        node = _name(obj.get("node", f"custom-{i}"), f"cmos[{i}].node")
 
         def get(key: str, default=None):
             return _real(obj.get(key, default), f"cmos[{i}].{key}")
 
         try:
-            if "efficiency_tops_per_w" in obj:
+            if explicit:
                 profiles.append(CmosProfile(
                     node=node,
-                    vdd=get("vdd", 1.0),
                     efficiency_tops_per_w=get("efficiency_tops_per_w"),
                     leakage_fraction=get("leakage_fraction", 0.30),
                 ))
@@ -158,28 +176,26 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
                 )
         except _BAD_VALUE as exc:
             raise ConfigError(f"cmos[{i}]: {exc}") from exc
-    if not profiles:
-        raise ConfigError("cmos list is empty")
     _check_unique([p.node for p in profiles], "cmos node")
     return tuple(profiles)
 
 
 def _parse_qa(obj: dict) -> QaProfile:
+    # The profile's name is not a setting: `profile` picks it.
     _check_keys(obj, ("profile",) + tuple(
-        f.name for f in dataclasses.fields(QaProfile)), "qa")
+        f.name for f in dataclasses.fields(QaProfile) if f.name != "name"), "qa")
     base = BUILTIN_QA["projected"]
     if "profile" in obj:
         try:
             base = BUILTIN_QA[obj["profile"]]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a list or object is unhashable
             raise ConfigError(
                 f"qa.profile: unknown profile {obj['profile']!r}; "
                 f"built-ins: {', '.join(sorted(BUILTIN_QA))}"
             ) from None
     overrides = {k: v for k, v in obj.items() if k != "profile"}
-    for key, value in overrides.items():  # every field but the name is a number
-        if key != "name":
-            _number(value, f"qa.{key}")
+    for key, value in overrides.items():
+        _number(value, f"qa.{key}")
     try:
         return dataclasses.replace(base, **overrides)
     except _BAD_VALUE as exc:
@@ -241,8 +257,6 @@ _TOP_KEYS = ("schema_version", "scenarios", "cmos", "qa", "samples",
 
 
 def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a json object")
     _check_keys(doc, _TOP_KEYS, "config")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -257,14 +271,17 @@ def parse_config(doc: dict) -> RunConfig:
         scenarios = tuple(
             _parse_scenario(s, i) for i, s in enumerate(doc["scenarios"])
         )
+        # Scenario names become row names.
+        _check_unique([name for name, _ in scenarios], "scenario name")
     samples = _number(doc.get("samples", base.samples), "samples")
-    if not isinstance(samples, int) or samples < 1:
+    # nan, inf and fractions all fail one test or leave a remainder.
+    if not samples >= 1 or samples % 1:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
+    listed = doc.get("horizons_years", base.horizons_years)
+    if not isinstance(listed, (list, tuple)):
+        raise ConfigError(f"horizons_years must be a list, got {json.dumps(listed)}")
     try:
-        horizons = tuple(
-            _real(y, "horizons_years")
-            for y in doc.get("horizons_years", base.horizons_years)
-        )
+        horizons = tuple(_real(y, "horizons_years") for y in listed)
         for years in horizons:
             if not math.isfinite(years):
                 raise ValueError(f"horizons must be finite, got {years}")
@@ -276,7 +293,7 @@ def parse_config(doc: dict) -> RunConfig:
         scenarios=scenarios,
         cmos_profiles=_parse_cmos(doc["cmos"]) if "cmos" in doc else base.cmos_profiles,
         qa_profile=_parse_qa(doc["qa"]) if "qa" in doc else base.qa_profile,
-        samples=samples,
+        samples=int(samples),
         topology=_parse_topology(doc["topology"]) if "topology" in doc else base.topology,
         costs=_parse_costs(doc["costs"]) if "costs" in doc else base.costs,
         horizons_years=horizons,

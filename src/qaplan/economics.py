@@ -44,21 +44,16 @@ from .ran_power import (
 )
 from .workload import BbuTask, BbuWorkload, CellScenario, left_sum, workload
 
-# Tasks an annealer can take over; control and transport stay on silicon.
-OFFLOADABLE_TASKS = frozenset({
-    BbuTask.DPD, BbuTask.FILTER, BbuTask.FFT,
-    BbuTask.FD_LIN, BbuTask.FD_NL, BbuTask.FEC,
-})
-SILICON_RESIDENT_TASKS = frozenset({BbuTask.PCP, BbuTask.CPRI})
-# The same sets in task order, which fixes the order watts are summed in.
-# A standalone station runs `_ALL_TASKS` on all-silicon baseband and
-# `_SILICON_RESIDENT_ORDER` beside the annealer.
+# Tasks that stay on silicon (control and transport) and those an annealer
+# can take over, each in task order, which fixes the order watts are summed
+# in. A standalone station runs `_ALL_TASKS` on all-silicon baseband and
+# `SILICON_RESIDENT_TASKS` beside the annealer.
+SILICON_RESIDENT_TASKS = (BbuTask.CPRI, BbuTask.PCP)
+OFFLOADABLE_TASKS = tuple(t for t in BbuTask if t not in SILICON_RESIDENT_TASKS)
 _ALL_TASKS = tuple(BbuTask)
-_OFFLOADABLE_ORDER = tuple(t for t in BbuTask if t in OFFLOADABLE_TASKS)
-_SILICON_RESIDENT_ORDER = tuple(t for t in BbuTask if t in SILICON_RESIDENT_TASKS)
 # Low-L1 processing pinned at every centralized radio site in both
 # candidates, and what the all-silicon pool keeps. The annealer's pool keeps
-# `_SILICON_RESIDENT_ORDER`, as a standalone station does.
+# `SILICON_RESIDENT_TASKS`, as a standalone station does.
 _SITE_TASKS = (BbuTask.FFT,)
 _CRAN_CMOS = tuple(t for t in _ALL_TASKS if t not in _SITE_TASKS)
 
@@ -144,7 +139,7 @@ def deployments(
     if isinstance(topology, BsTopology):
         sides = Deployments(
             cmos=bs_power(left_sum(map(watts, _ALL_TASKS)), antennas),
-            qa=bs_power(left_sum(map(watts, _SILICON_RESIDENT_ORDER)), antennas,
+            qa=bs_power(left_sum(map(watts, SILICON_RESIDENT_TASKS)), antennas,
                         refrigeration_w=fridge_w),
         )
     elif isinstance(topology, CranTopology):  # one radio site, shared by both
@@ -157,7 +152,7 @@ def deployments(
         )
         sides = Deployments(
             cmos=cran_power(left_sum(map(watts, _CRAN_CMOS)) * n, site, n),
-            qa=cran_power(left_sum(map(watts, _SILICON_RESIDENT_ORDER)) * n, site, n,
+            qa=cran_power(left_sum(map(watts, SILICON_RESIDENT_TASKS)) * n, site, n,
                           refrigeration_w=fridge_w),
         )
     else:
@@ -174,7 +169,6 @@ def deployment_budget(per_bs: QubitBudget, topology: Topology) -> QubitBudget:
     n_bs = topology.n_bs
     return QubitBudget(
         per_task={t: n * n_bs for t, n in per_bs.per_task.items()},
-        covered_fraction=per_bs.covered_fraction,
         total=per_bs.total * n_bs,
     )
 
@@ -215,10 +209,9 @@ DEFAULT_COSTS = CostAssumptions()
 
 @dataclass(frozen=True)
 class CostReport:
-    """Savings from a power delta over a set of horizons."""
+    """Savings from a power delta, one entry per horizon given to `cost_report`."""
 
     delta_w: float
-    horizons_years: Tuple[float, ...]
     opex_savings_usd: Tuple[float, ...]
     co2_savings_kt: Tuple[float, ...]
 
@@ -244,7 +237,6 @@ def cost_report(
         raise ValueError(f"savings of {delta_w:g} W overflow over the horizons")
     return CostReport(
         delta_w=delta_w,
-        horizons_years=tuple(horizons_years),
         opex_savings_usd=opex,
         co2_savings_kt=co2,
     )
@@ -271,7 +263,7 @@ def offload_advantage_w(
 def advantage_w(load: BbuWorkload, cmos_profile: CmosProfile,
                 qa_profile: QaProfile) -> float:
     """`offload_advantage_w` for a workload already computed."""
-    movable = left_sum(map(load.tops.__getitem__, _OFFLOADABLE_ORDER))
+    movable = left_sum(map(load.tops.__getitem__, OFFLOADABLE_TASKS))
     silicon_w = cmos_power(movable, cmos_profile)
     if not math.isfinite(silicon_w):
         raise ValueError(f"offloadable silicon power overflows: {silicon_w} W")

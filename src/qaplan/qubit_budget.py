@@ -8,7 +8,10 @@ problem: enough problem slots in flight to sustain the rate.
 
 Two tasks have established embeddings and dominate the load: nonlinear
 frequency-domain detection and LDPC decoding. The remainder of the
-baseband load is covered by provisioning qubits proportionately.
+baseband load is covered by provisioning qubits proportionately
+(`MODELED_LOAD_FRACTION`). Decoding sizes one code, 5G NR LDPC base
+graph 1 (`LDPC_ROWS`, `LDPC_COLS`, `LDPC_ROW_WEIGHT`); its embedding
+takes `FEC_QUBITS_PER_PROBLEM` qubits, derived once at import.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, ClassVar, Dict, Mapping, Optional
 
 from .qa_hardware import QaProfile, qmi_runtime_us
 from .workload import BbuTask, BbuWorkload
@@ -48,8 +51,8 @@ class TaskProblemModel:
 def fdnl_problem_model(
     profile: QaProfile,
     samples: int,
-    users: int = 64,
-    modulation_bits: int = 6,
+    users: int,
+    modulation_bits: int,
 ) -> TaskProblemModel:
     """Detection problem for a users x users MIMO system.
 
@@ -68,30 +71,6 @@ def fdnl_problem_model(
     )
 
 
-@dataclass(frozen=True)
-class LdpcCode:
-    """Parity-check matrix shape of one LDPC code."""
-
-    rows: int  # M
-    cols: int  # N
-    row_weight: float  # average ones per row
-    col_weight: float  # average ones per column
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("parity-check matrix must be non-empty")
-        if self.row_weight <= 0 or self.col_weight <= 0:
-            raise ValueError("row and column weights must be positive")
-
-
-# Longest traffic-channel code in current macro deployments.
-LDPC_5G_BG1 = LdpcCode(rows=4224, cols=8448, row_weight=8.64, col_weight=20.0)
-
-# Decoder operations one problem replaces: the round figure quoted for
-# 20 belief-propagation iterations of the code above.
-FEC_OPS_PER_PROBLEM = 150e6
-
-
 def ldpc_aux_depth(row_weight: float) -> int:
     """Depth of the auxiliary chain embedding a parity constraint.
 
@@ -106,16 +85,25 @@ def ldpc_aux_depth(row_weight: float) -> int:
     return n
 
 
-def ldpc_problem_qubits(code: LdpcCode) -> int:
-    """Qubits to embed one decoding problem: variables plus aux chains."""
-    return code.cols + code.rows * ldpc_aux_depth(code.row_weight)
+# Longest traffic-channel code in current macro deployments, 5G NR LDPC
+# base graph 1: the parity-check matrix's rows and columns, and its
+# average ones per row.
+LDPC_ROWS = 4224
+LDPC_COLS = 8448
+LDPC_ROW_WEIGHT = 8.64
+# Qubits to embed one decoding problem: one per variable plus one
+# auxiliary parity chain per row (21120).
+FEC_QUBITS_PER_PROBLEM = LDPC_COLS + LDPC_ROWS * ldpc_aux_depth(LDPC_ROW_WEIGHT)
+# Decoder operations one problem replaces: the round figure quoted for
+# 20 belief-propagation iterations of this code.
+FEC_OPS_PER_PROBLEM = 150e6
 
 
 def fec_problem_model(profile: QaProfile, samples: int) -> TaskProblemModel:
-    """Decoding problem for one code block of `LDPC_5G_BG1`."""
+    """Decoding problem for one code block of the 5G NR code above."""
     return TaskProblemModel(
         ops_per_problem=FEC_OPS_PER_PROBLEM,
-        qubits_per_problem=ldpc_problem_qubits(LDPC_5G_BG1),
+        qubits_per_problem=FEC_QUBITS_PER_PROBLEM,
         runtime_us=qmi_runtime_us(profile, samples),
     )
 
@@ -136,8 +124,9 @@ class QubitBudget:
     """Total qubit requirement for one cell's baseband offload."""
 
     per_task: Mapping[BbuTask, int]
-    covered_fraction: float
     total: int
+    # Every budget extrapolates from the two modeled tasks alike.
+    covered_fraction: ClassVar[float] = MODELED_LOAD_FRACTION
 
 
 class ProblemModels:
@@ -176,6 +165,5 @@ def total_budget(load: BbuWorkload, profile: QaProfile, samples: int,
     }
     return QubitBudget(
         per_task=per_task,
-        covered_fraction=MODELED_LOAD_FRACTION,
         total=math.ceil(sum(per_task.values()) / MODELED_LOAD_FRACTION),
     )

@@ -4,15 +4,18 @@ Component powers (baseband silicon, radio units, power amplifiers) pass
 through a chain of supply losses: AC/DC conversion, mains supply, and DC/DC
 conversion. Flat loads that bypass the supply chain (e.g. a cryogenic
 refrigerator with its own plant) are added after the loss denominator.
-A centralized deployment is priced from one pool, one radio site and a
-count of such sites; pool and sites share the default loss chain.
+A centralized deployment is priced from one pool, one radio site
+(`RrhSite`, which always has its fronthaul link) and a count of such
+sites; pool and sites share the default loss chain. The per-antenna radio
+and amplifier draws (`RU_CHAIN_W`, `PA_W`), the reference fronthaul link
+(`FRONTHAUL_REF_W`, `FRONTHAUL_REF_BPS`) and the loss chain
+(`DEFAULT_LOSSES`) are module constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
@@ -84,10 +87,10 @@ def fronthaul_power(link: FronthaulLink) -> float:
 class RrhSite:
     """One remote radio site: radios, amplifiers, local low-L1 silicon."""
 
-    ru_w: float = 0.0
-    pa_w: float = 0.0
-    bbu_w: float = 0.0  # local baseband silicon (e.g. FFT stage)
-    fronthaul: Optional[FronthaulLink] = None
+    ru_w: float
+    pa_w: float
+    bbu_w: float  # local baseband silicon (e.g. FFT stage)
+    fronthaul: FronthaulLink
 
     @property
     def component_w(self) -> float:
@@ -153,8 +156,8 @@ def bs_power(
 
 def cran_power(
     bbu_w: float,
-    site: RrhSite = RrhSite(),
-    n_sites: int = 0,
+    site: RrhSite,
+    n_sites: int,
     refrigeration_w: float = 0.0,
 ) -> PowerBreakdown:
     """Grid power of a centralized deployment: one pool, `n_sites` radio sites.
@@ -169,12 +172,11 @@ def cran_power(
     if n_sites < 0:
         raise ValueError(f"n_sites must be non-negative, got {n_sites}")
     site_overhead = site.component_w * _CRAN_OVERHEAD
-    fh = 0.0 if site.fronthaul is None else fronthaul_power(site.fronthaul)
     return PowerBreakdown(
         bbu_w=bbu_w + n_sites * site.bbu_w,
         ru_w=n_sites * site.ru_w,
         pa_w=n_sites * site.pa_w,
         power_system_w=bbu_w * _CRAN_OVERHEAD + n_sites * site_overhead,
-        fronthaul_w=n_sites * fh,
+        fronthaul_w=n_sites * fronthaul_power(site.fronthaul),
         refrigeration_w=refrigeration_w,
     )

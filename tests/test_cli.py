@@ -244,6 +244,12 @@ def test_non_finite_sweep_values_end_in_one_line_each(capsys, command, sweep, co
      "scenarios[0]: cannot convert float infinity to integer"),
     ({"sweep": {"antennas": [float("-inf")]}},
      "sweep.antennas: cannot convert float infinity to integer"),
+    ({"cmos": [{"node": "x", "vdd": float("nan")}]},
+     "cmos[0]: vdd must be finite, got nan"),
+    ({"cmos": [{"node": "x", "vdd": -1}]}, "cmos[0]: vdd must be positive, got -1.0"),
+    # (1.1 / 1e200) ** 2 underflows to an efficiency of zero
+    ({"cmos": [{"node": "x", "vdd": 1e200}]},
+     "cmos[0]: efficiency must be positive, got 0.0"),
 ])
 def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, message):
     path = tmp_path / "nonfinite.json"
@@ -357,14 +363,15 @@ def test_fractional_integers_are_refused_not_truncated(tmp_path, capsys, doc, me
 
 def test_whole_floats_count_as_integers(tmp_path, capsys):
     path = tmp_path / "whole.json"
-    path.write_text(json.dumps({
-        "scenarios": [{"bandwidth_mhz": 100, "antennas": 8.0, "modulation_bits": 4.0}],
-        "sweep": {"samples": [3.0]},
-    }), encoding="utf-8")
-    code, out, err = run(capsys, "qubits", "--format", "csv", "--config", str(path))
-    assert (code, err) == (EXIT_OK, "")
-    row = read_csv(out).rows[0]
-    assert (row["name"], row["antennas"], row["samples"]) == ("scenario-0[samples=3]", 8, 3)
+    scenarios = [{"bandwidth_mhz": 100, "antennas": 8.0, "modulation_bits": 4.0}]
+    for doc, name in (({"sweep": {"samples": [3.0]}}, "scenario-0[samples=3]"),
+                      ({"samples": 3.0}, "scenario-0")):
+        path.write_text(json.dumps({"scenarios": scenarios, **doc}), encoding="utf-8")
+        code, out, err = run(capsys, "qubits", "--format", "csv", "--config", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        row = read_csv(out).rows[0]
+        assert (row["name"], row["antennas"], row["samples"]) == (name, 8, 3)
+        assert out.splitlines()[1].split(",")[3] == "3"  # printed as a count
 
 
 def test_antenna_count_past_float_range_is_a_model_error(tmp_path, capsys):
@@ -389,6 +396,15 @@ def test_wrong_typed_qa_override_names_its_field(tmp_path, capsys):
 @pytest.mark.parametrize("doc,message", [
     ({"horizons_years": [1, 1.0]}, "duplicate horizon: 1"),
     ({"cmos": ["14nm", {"node": "14nm", "vdd": 0.8}]}, "duplicate cmos node: 14nm"),
+    # 5 and "5" would both head an advantage_5_w column
+    ({"cmos": [{"vdd": 0.8, "node": 5}, {"vdd": 0.7, "node": "5"}]},
+     "cmos[0].node must be a string, got 5"),
+    ({"scenarios": [{"name": "a", "bandwidth_mhz": 100}, {"name": "a", "bandwidth_mhz": 200}]},
+     "duplicate scenario name: a"),
+    ({"scenarios": [{"bandwidth_mhz": 100}, {"name": "scenario-0", "bandwidth_mhz": 200}]},
+     "duplicate scenario name: scenario-0"),
+    ({"scenarios": [{"name": 1, "bandwidth_mhz": 100}, {"name": "1", "bandwidth_mhz": 200}]},
+     "scenarios[0].name must be a string, got 1"),
 ])
 def test_duplicate_column_sources_are_config_errors(tmp_path, capsys, doc, message):
     path = tmp_path / "dup.json"
@@ -397,6 +413,35 @@ def test_duplicate_column_sources_are_config_errors(tmp_path, capsys, doc, messa
     assert code == EXIT_CONFIG
     assert out == ""
     assert err == f"qaplan: config error: {message}\n"
+
+
+@pytest.mark.parametrize("doc,message", [
+    # a cmos entry takes the keys of one shape only
+    ({"cmos": [{"node": "7nm", "vdd": 0.7, "leakage_fraction": 0.9}]},
+     "unknown key(s) in cmos[0]: leakage_fraction"),
+    ({"cmos": [{"node": "e", "efficiency_tops_per_w": 0.1, "mode": "bogus"}]},
+     "unknown key(s) in cmos[0]: mode"),
+    ({"cmos": [{"node": "e", "efficiency_tops_per_w": 0.1, "vdd": 0.5}]},
+     "unknown key(s) in cmos[0]: vdd"),
+    # wrong-typed sections
+    ({"scenarios": [5]}, "scenarios[0] must be a json object, got 5"),
+    ({"cmos": [5]}, "cmos[0] must be a json object, got 5"),
+    ({"cmos": "14nm"}, "cmos must be a non-empty list"),
+    ({"qa": 5}, "qa must be a json object, got 5"),
+    ({"qa": {"profile": ["current"]}},
+     "qa.profile: unknown profile ['current']; built-ins: current, projected"),
+    ({"topology": 5}, "topology must be a json object, got 5"),
+    ({"costs": 5}, "costs must be a json object, got 5"),
+    ({"sweep": 5}, "sweep must be a json object, got 5"),
+    ({"horizons_years": 5}, "horizons_years must be a list, got 5"),
+    ({"samples": 20.5}, "samples must be a positive integer, got 20.5"),
+    ({"samples": float("inf")}, "samples must be a positive integer, got inf"),
+])
+def test_misshapen_config_is_one_config_error_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "timeline", "--config", str(path))
+    assert (code, out, err) == (EXIT_CONFIG, "", f"qaplan: config error: {message}\n")
 
 
 def test_missing_config_file_is_config_error(capsys):

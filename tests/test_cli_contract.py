@@ -41,16 +41,21 @@ scenario = st.fixed_dictionaries({"bandwidth_mhz": numbers}, optional={
     "duty_time": fractions,
     "duty_freq": fractions,
 })
+# The two shapes of a cmos object, each with a key of the other now and then.
 cmos_entry = st.one_of(
     st.sampled_from(["65nm", "14nm", "1.5nm"]),
-    st.fixed_dictionaries({"efficiency_tops_per_w": numbers},
-                          optional={"vdd": numbers, "leakage_fraction": numbers}),
-    st.fixed_dictionaries({"vdd": numbers}),
+    st.fixed_dictionaries({"efficiency_tops_per_w": numbers}, optional={
+        "node": st.sampled_from(["a", "b", 5]), "leakage_fraction": numbers,
+        "vdd": numbers}),
+    st.fixed_dictionaries({"vdd": numbers}, optional={
+        "node": st.sampled_from(["a", "b", 5]),
+        "mode": st.sampled_from(["as-printed", "exact", "as-printed", "bogus"]),
+        "leakage_fraction": numbers}),
 )
-configs = _optional(
+sound_configs = _optional(
     scenarios=st.lists(scenario, min_size=1, max_size=2),
     cmos=st.lists(cmos_entry, min_size=1, max_size=2),
-    qa=_optional(profile=st.sampled_from(["projected", "current"]),
+    qa=_optional(profile=st.sampled_from(["projected", "current"] * 2 + [["current"]]),
                  programming_us=numbers, anneal_us=numbers, readout_us=numbers,
                  readout_delay_us=numbers, refrigeration_w=numbers),
     samples=st.sampled_from([1, 20, 50, 0, -1]),
@@ -62,6 +67,17 @@ configs = _optional(
     costs=_optional(electricity_price_per_kwh=numbers, co2_lb_per_kwh=numbers,
                     hours_per_year=numbers),
     horizons_years=st.lists(numbers, min_size=1, max_size=2),
+)
+# A wrong-typed value at one section, or at the first entry of a list section.
+SECTIONS = ("scenarios", "cmos", "qa", "samples", "topology", "costs",
+            "horizons_years", "sweep")
+misfits = st.sampled_from([5, 2.5, "14nm", None, True, [5], ["x"], {"a": 1}, []])
+configs = st.one_of(
+    sound_configs,
+    st.builds(lambda doc, key, value: {**doc, key: value},
+              sound_configs, st.sampled_from(SECTIONS), misfits),
+    st.builds(lambda doc, key, value: {**doc, key: [value]},
+              sound_configs, st.sampled_from(("scenarios", "cmos")), misfits),
 )
 SWEEP_AXES = ("bandwidth_mhz", "antennas", "samples", "modulation_bits",
               "coding_rate", "duty_time", "duty_freq")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qaplan.cmos import (
+    ANCHOR_VDD,
     BUILTIN_CMOS,
     CMOS_1_5NM,
     CMOS_14NM,
@@ -16,7 +17,7 @@ from qaplan.cmos import (
 
 
 def test_anchor_profile():
-    assert CMOS_65NM.vdd == 1.1
+    assert ANCHOR_VDD == 1.1
     assert CMOS_65NM.efficiency_tops_per_w == 0.04
     assert CMOS_65NM.leakage_fraction == 0.30
 
@@ -39,18 +40,15 @@ def test_builtin_registry():
     assert BUILTIN_CMOS["14nm"] is CMOS_14NM
 
 
-@pytest.mark.parametrize(
-    "value,digits,expected",
-    [
-        (0.075625, 2, 0.076),
-        (0.3025, 2, 0.30),
-        (12345, 2, 12000),
-        (0.04, 2, 0.04),
-        (0.0, 2, 0.0),
-    ],
-)
-def test_round_sig(value, digits, expected):
-    assert round_sig(value, digits) == expected
+ROUND_SIG_CASES = [(0.075625, 0.076), (0.3025, 0.30), (12345, 12000),
+                   (0.04, 0.04), (0.0, 0.0)]
+
+
+# Each id names the two significant figures every rounding keeps.
+@pytest.mark.parametrize("value,expected", ROUND_SIG_CASES,
+                         ids=[f"{v}-2-{e}" for v, e in ROUND_SIG_CASES])
+def test_round_sig(value, expected):
+    assert round_sig(value) == expected
 
 
 def test_power_includes_leakage():
@@ -74,7 +72,7 @@ def test_bad_mode_rejected():
 
 @given(st.floats(min_value=0.2, max_value=1.2))
 def test_efficiency_scales_with_inverse_square_voltage(vdd):
-    eff = efficiency_from_vdd(CMOS_65NM, vdd)
+    eff = efficiency_from_vdd(vdd)
     assert eff == pytest.approx(0.04 * (1.1 / vdd) ** 2, rel=1e-12)
 
 
@@ -91,6 +89,4 @@ def test_power_is_linear_in_load(tops, factor):
 
 @given(st.floats(min_value=0.2, max_value=1.0), st.floats(min_value=1.01, max_value=3.0))
 def test_lower_voltage_never_hurts_efficiency(vdd, factor):
-    assert efficiency_from_vdd(CMOS_65NM, vdd) > efficiency_from_vdd(
-        CMOS_65NM, vdd * factor
-    )
+    assert efficiency_from_vdd(vdd) > efficiency_from_vdd(vdd * factor)

@@ -97,7 +97,7 @@ def test_bad_documents_rejected(doc):
 
 @pytest.mark.parametrize("key", [
     "cooling_power_w", "dac_critical_current_a", "couplers_per_qubit",
-    "dacs_per_qubit", "dacs_per_coupler", "bit_precision",
+    "dacs_per_qubit", "dacs_per_coupler", "bit_precision", "name",
 ])
 def test_qa_rejects_keys_no_model_reads(key):
     with pytest.raises(ConfigError, match=f"unknown key\\(s\\) in qa: {key}"):

@@ -7,15 +7,15 @@ from hypothesis import given, strategies as st
 
 from qaplan.qa_hardware import QA_PROJECTED
 from qaplan.qubit_budget import (
-    LDPC_5G_BG1,
+    FEC_QUBITS_PER_PROBLEM,
+    LDPC_COLS,
+    LDPC_ROWS,
     MODELED_LOAD_FRACTION,
-    LdpcCode,
     ProblemModels,
     TaskProblemModel,
     fdnl_problem_model,
     fec_problem_model,
     ldpc_aux_depth,
-    ldpc_problem_qubits,
     task_qubits,
     total_budget,
 )
@@ -34,14 +34,14 @@ BUDGET_ROWS = [
 
 
 def test_detection_problem_shape():
-    m = fdnl_problem_model(QA_PROJECTED, samples=20)
+    m = fdnl_problem_model(QA_PROJECTED, samples=20, users=64, modulation_bits=6)
     assert m.ops_per_problem == 80e6
     assert m.qubits_per_problem == 384  # 6 bits x 64 users
     assert m.runtime_us == 102.0
 
 
 def test_detection_ops_scale_with_system_area():
-    small = fdnl_problem_model(QA_PROJECTED, 20, users=32)
+    small = fdnl_problem_model(QA_PROJECTED, 20, users=32, modulation_bits=6)
     assert small.ops_per_problem == pytest.approx(20e6)
     assert small.qubits_per_problem == 192
 
@@ -63,7 +63,8 @@ def test_parity_chain_depth(row_weight, depth):
 
 def test_decoder_embedding_size():
     # 8448 variables plus 4224 rows x depth-3 chains
-    assert ldpc_problem_qubits(LDPC_5G_BG1) == 8448 + 3 * 4224 == 21_120
+    assert (LDPC_ROWS, LDPC_COLS) == (4224, 8448)
+    assert FEC_QUBITS_PER_PROBLEM == 8448 + 3 * 4224 == 21_120
 
 
 @pytest.mark.parametrize("samples,fdnl,fec,total", BUDGET_ROWS)
@@ -80,8 +81,6 @@ def test_bad_problem_models_rejected():
         TaskProblemModel(ops_per_problem=0, qubits_per_problem=1, runtime_us=1)
     with pytest.raises(ValueError):
         TaskProblemModel(ops_per_problem=1, qubits_per_problem=0, runtime_us=1)
-    with pytest.raises(ValueError):
-        LdpcCode(rows=0, cols=1, row_weight=1, col_weight=1)
 
 
 @given(

@@ -15,6 +15,8 @@ from qaplan.ran_power import (
     fronthaul_power,
 )
 
+LINK = FronthaulLink.scaled_from_reference(100e9, load_bps=100e9)  # 7.4 kW
+
 
 def test_default_loss_chain():
     s = DEFAULT_LOSSES
@@ -68,13 +70,9 @@ def test_fronthaul_overload_rejected():
 
 
 def test_cran_sums_remote_sites():
-    site = RrhSite(
-        ru_w=3 * RU_CHAIN_W,
-        pa_w=3 * PA_W,
-        fronthaul=FronthaulLink.scaled_from_reference(100e9, load_bps=100e9),
-    )
+    site = RrhSite(ru_w=3 * RU_CHAIN_W, pa_w=3 * PA_W, bbu_w=0.0, fronthaul=LINK)
     pool = cran_power(bbu_w=1000.0, site=site, n_sites=2)
-    solo = cran_power(bbu_w=1000.0)
+    solo = cran_power(bbu_w=1000.0, site=site, n_sites=0)
     assert pool.fronthaul_w == pytest.approx(2 * 7400.0)
     assert pool.ru_w == pytest.approx(2 * 3 * RU_CHAIN_W)
     assert pool.pa_w == pytest.approx(2 * 3 * PA_W)
@@ -84,11 +82,11 @@ def test_cran_sums_remote_sites():
 
 def test_negative_site_count_rejected():
     with pytest.raises(ValueError, match="n_sites must be non-negative"):
-        cran_power(bbu_w=100.0, site=RrhSite(ru_w=10.8), n_sites=-1)
+        cran_power(bbu_w=100.0, site=RrhSite(10.8, 0.0, 0.0, LINK), n_sites=-1)
 
 
 def test_remote_silicon_shows_up_in_bbu_total():
-    site = RrhSite(bbu_w=50.0)
+    site = RrhSite(ru_w=0.0, pa_w=0.0, bbu_w=50.0, fronthaul=LINK)
     pool = cran_power(bbu_w=100.0, site=site, n_sites=1)
     assert pool.bbu_w == pytest.approx(150.0)
 
@@ -117,8 +115,10 @@ def test_supply_overhead_identity(bbu_w, antennas, sig):
 
 @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
 def test_pool_power_additive_in_load(a, b):
-    lone = cran_power(bbu_w=a).total_w + cran_power(bbu_w=b).total_w
-    joint = cran_power(bbu_w=a + b).total_w
+    site = RrhSite(ru_w=RU_CHAIN_W, pa_w=PA_W, bbu_w=1.0, fronthaul=LINK)
+    lone = (cran_power(bbu_w=a, site=site, n_sites=0).total_w
+            + cran_power(bbu_w=b, site=site, n_sites=0).total_w)
+    joint = cran_power(bbu_w=a + b, site=site, n_sites=0).total_w
     assert joint == pytest.approx(lone, rel=1e-9, abs=1e-6)
 
 

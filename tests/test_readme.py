@@ -1,16 +1,20 @@
-"""The README's config example and sample output match the code."""
+"""The README's config example, sample output and dependency promise
+match the code."""
 
+import ast
+import glob
 import json
 import os
 import re
+import sys
 
 import pytest
 
 from qaplan.cli import main
 from qaplan.config import ENV_CONFIG_PATH, parse_config
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +37,22 @@ def test_sample_output_is_live(readme, monkeypatch, capsys):
     sample = readme.split(prompt, 1)[1].split("```", 1)[0]
     assert main(["qubits", "--sweep", "samples=20,50"]) == 0
     assert capsys.readouterr().out == sample
+
+
+def test_package_imports_the_standard_library_only():
+    # The README promises no runtime dependencies.
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "qaplan", "*.py")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:  # not an import, or one relative to qaplan
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                assert top == "qaplan" or top in sys.stdlib_module_names, (path, module)
