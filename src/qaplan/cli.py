@@ -4,27 +4,35 @@ Subcommands evaluate the configured scenarios and emit one table per
 invocation in csv, json, or fixed-width text. Output is deterministic:
 the same config and flags produce byte-identical bytes. Exit codes:
 0 success, 1 config problem, 2 model-domain error, 3 success with
-warnings (warnings go to stderr).
+warnings (warnings go to stderr, before the problem line of a failure).
 
 Every subcommand is a list of columns over the rows of one staged
 evaluation (`_rows`), which groups consecutive points with an equal
 scenario into runs, as a sweep over samples produces them. A run
-computes its workload once, its qubit budget once per sample count and,
-per cmos node, the deployments, cost report and offload advantage once,
-each on first use. What does not depend on the scenario is built once
-per call, not per row: the problem models behind the budgets once per
-sample count (`ProblemModels`), and the topology's fronthaul link once
-per topology (`CranTopology._link`). Besides those bounded caches nothing
-outlives a run.
+computes its workload once, the sample-free part of its qubit ask
+(`qubit_rates`) once, its qubit budget once per sample count and, per
+cmos node, the deployments, cost report and offload advantage once, each
+on first use. What does not depend on the scenario is built once per
+call, not per row: the topology's fronthaul link once per topology
+(`CranTopology._link`). Nothing else outlives a run.
+
+A subcommand has two lists of columns. A row's own columns (the name,
+samples, and whatever is read through the qubit budget) are read from
+the row; its shared columns, which end the row, are read from the row's
+owner: the `_Node` on per-node tables, the `_Run` otherwise, so a shared
+cell cannot read a per-point value. The shared cells are built into one
+tuple once per owner, and every row of that owner hands the renderer
+that same tuple, which the renderer formats once (`emit`).
 
 The table's rows are not held either: a subcommand returns a table whose
-rows are a one-pass stream (`_Stream`). Each row dict is built, and its
-warning gathered, when the renderer reads it, and is dropped once
-rendered, so memory stays flat in the number of points. The stream
-answers `len()` up front: the point count, times the cmos node count on
-per-node tables. The rendered text is held whole and written only once
-the call has succeeded, so a failing call prints nothing on stdout and
-creates no `--out` file.
+rows are a one-pass stream (`_Stream`). Each row is built, and its
+warning written to stderr, when the renderer reads it, and is dropped
+once rendered, so memory stays flat in the number of points; `main`
+keeps only the count of warnings. The stream answers `len()` up front:
+the point count, times the cmos node count on per-node tables. The
+rendered text is held whole and written only once the call has
+succeeded, so a failing call prints nothing on stdout and creates no
+`--out` file.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ import argparse
 import dataclasses
 import itertools
 import sys
-from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -44,7 +51,7 @@ from .config import (_INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_s
 from .economics import CostReport, Deployments, advantage_w, cost_report, deployments
 from .emit import Cell, Column, Table, render
 from .qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
-from .qubit_budget import ProblemModels, QubitBudget, total_budget
+from .qubit_budget import QubitBudget, QubitRates, qubit_rates, rates_budget
 from .tables import PAPER_TABLES
 from .timeline import BEST_CASE, WORST_CASE, year_available
 from .workload import BbuTask, BbuWorkload, CellScenario, workload
@@ -123,9 +130,8 @@ def _label(value: float) -> str:
     return text if float(text) == value else repr(value)
 
 
-def _expand_points(
-    cfg: RunConfig, sweep: Dict[str, List[float]], warnings: List[str]
-) -> List[Point]:
+def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings
+                   ) -> List[Point]:
     """Evaluation points: (name, scenario, samples) per row.
 
     With a sweep, the grid replaces the scenario list, anchored on the
@@ -173,52 +179,67 @@ def _expand_points(
 class _Node:
     """One scenario's results against one cmos node, each computed on first use."""
 
+    __slots__ = ("cfg", "load", "cmos", "_sides", "_report", "_advantage")
+
     def __init__(self, cfg: RunConfig, load: BbuWorkload, cmos: CmosProfile) -> None:
         self.cfg, self.load, self.cmos = cfg, load, cmos
+        self._sides = self._report = self._advantage = None
 
-    @cached_property
+    @property
     def sides(self) -> Deployments:
-        return deployments(self.load, self.cmos, self.cfg.qa_profile, self.cfg.topology)
+        if self._sides is None:
+            cfg = self.cfg
+            self._sides = deployments(self.load, self.cmos, cfg.qa_profile, cfg.topology)
+        return self._sides
 
-    @cached_property
+    @property
     def report(self) -> CostReport:
-        return cost_report(self.sides.delta_w, self.cfg.horizons_years, self.cfg.costs)
+        if self._report is None:
+            cfg = self.cfg
+            self._report = cost_report(self.sides.delta_w, cfg.horizons_years, cfg.costs)
+        return self._report
 
-    @cached_property
+    @property
     def advantage(self) -> float:
-        return advantage_w(self.load, self.cmos, self.cfg.qa_profile)
+        if self._advantage is None:
+            self._advantage = advantage_w(self.load, self.cmos, self.cfg.qa_profile)
+        return self._advantage
 
 
 class _Run:
     """Consecutive points with an equal scenario, and what they share.
 
-    The workload is computed when the run starts; one cell's qubit budget
-    per sample count, and the `nodes` results, on first use. The problem
-    models behind the budgets are shared by every run of the call.
+    The workload is computed when the run starts; the sample-free part of
+    the qubit ask (`qubit_rates`), one cell's qubit budget per sample
+    count, and the `nodes` results, on first use.
     """
 
-    def __init__(self, cfg: RunConfig, scenario: CellScenario,
-                 models: ProblemModels) -> None:
-        self.qa, self.scenario, self.models = cfg.qa_profile, scenario, models
+    __slots__ = ("qa", "load", "nodes", "_rates", "_budgets")
+
+    def __init__(self, cfg: RunConfig, scenario: CellScenario) -> None:
+        self.qa = cfg.qa_profile
         self.load = workload(scenario)
         self.nodes = [_Node(cfg, self.load, cmos) for cmos in cfg.cmos_profiles]
+        self._rates: Optional[QubitRates] = None
         self._budgets: Dict[int, QubitBudget] = {}
 
     def budget(self, samples: int) -> QubitBudget:
         budget = self._budgets.get(samples)
         if budget is None:
-            budget = self._budgets[samples] = total_budget(
-                self.load, self.qa, samples, self.models)
+            if self._rates is None:
+                self._rates = qubit_rates(self.load)
+            budget = self._budgets[samples] = rates_budget(self._rates, self.qa, samples)
         return budget
 
 
 class _Row(NamedTuple):
-    """One table row: a point of `run`, and on per-node tables a `node`."""
+    """One table row: a point of `run`, and the row's `owner`, which holds
+    its shared cells: on per-node tables a `_Node` of the run, else the run."""
 
     name: str
     samples: int
     run: _Run
-    node: Optional[_Node] = None
+    owner: Any
 
     @property
     def budget(self) -> QubitBudget:
@@ -241,76 +262,94 @@ class _Stream:
 def _rows(cfg: RunConfig, points: Sequence[Point], per_node: bool = False
           ) -> _Stream:
     """One row per point, or with `per_node` per point and cmos node."""
-    models = ProblemModels(cfg.qa_profile)
 
     def rows() -> Iterator[_Row]:
         for scenario, points_of_run in itertools.groupby(points, key=itemgetter(1)):
-            run = _Run(cfg, scenario, models)
+            run = _Run(cfg, scenario)
+            owners = run.nodes if per_node else (run,)
             for name, _, samples in points_of_run:
-                if per_node:
-                    for node in run.nodes:
-                        yield _Row(name, samples, run, node)
-                else:
-                    yield _Row(name, samples, run)
+                for owner in owners:
+                    yield _Row(name, samples, run, owner)
 
     return _Stream(rows(), len(points) * (len(cfg.cmos_profiles) if per_node else 1))
 
 
-# A column and how to read its cell from a row's record.
+# A column and how to read its cell: from a row's record, or for a shared
+# column from the record's owner.
 Columns = List[Tuple[Column, Callable[[Any], Cell]]]
 
 
 def _column(key: str, title: str, spec: str, path: str) -> Tuple[Column, Callable]:
-    """A column whose cell is the record attribute at dotted `path`."""
+    """A column whose cell is the attribute at dotted `path`."""
     return Column(key, title, spec), attrgetter(path)
 
 
 def _table(
     name: str,
     columns: Columns,
+    shared_columns: Columns,
     records: _Stream,
-    warnings: List[str],
-    warn: Optional[Callable[[Any], Optional[str]]] = None,
+    warnings,
+    warn: Optional[Callable[[_Row], Optional[str]]] = None,
     notes: Sequence[str] = (),
 ) -> Table:
     """The row loop every subcommand shares: one row per record, built and
-    its warning gathered as the renderer reads it."""
-    getters = [(column.key, get) for column, get in columns]
+    its warning gathered as the renderer reads it.
 
-    def rows() -> Iterator[Dict[str, Cell]]:
+    A row is its own cells, read from the record, followed by its shared
+    cells, read from the record's owner. The shared tuple is built once
+    per owner, and every row of that owner gets the same tuple object.
+    """
+    own = [get for _, get in columns]
+    shared = [get for _, get in shared_columns]
+
+    def rows() -> Iterator[Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]]:
+        run = None
         for record in records:
-            row = {key: get(record) for key, get in getters}
+            if record.run is not run:  # the owners of a run end with it
+                run, suffixes = record.run, {}
+            cells = tuple([get(record) for get in own])
+            suffix = suffixes.get(record.owner)
+            if suffix is None:
+                suffix = suffixes[record.owner] = tuple(
+                    [get(record.owner) for get in shared])
             message = warn(record) if warn else None
             if message:
                 warnings.append(message)
-            yield row
+            yield cells, suffix
 
-    return Table(name=name, columns=[c for c, _ in columns],
+    return Table(name=name, columns=[c for c, _ in columns + shared_columns],
                  rows=_Stream(rows(), len(records)), notes=list(notes))
 
 
-_SCENARIO_COLUMNS: Columns = [
-    _column("name", "Scenario", "", "name"),
-    _column("bandwidth_mhz", "B/W (MHz)", "g", "run.scenario.bandwidth_mhz"),
-    _column("antennas", "Antennas", "d", "run.scenario.antennas"),
-]
+_NAME_COLUMN = _column("name", "Scenario", "", "name")
+
+
+def _scenario_columns(prefix: str) -> Columns:
+    """Bandwidth and antenna columns, read at `prefix` + "load.scenario"."""
+    return [
+        _column("bandwidth_mhz", "B/W (MHz)", "g", f"{prefix}load.scenario.bandwidth_mhz"),
+        _column("antennas", "Antennas", "d", f"{prefix}load.scenario.antennas"),
+    ]
+
+
 _SAMPLES_COLUMN = _column("samples", "Samples", "d", "samples")
-_NODE_COLUMN = _column("node", "Node", "", "node.cmos.node")
+_NODE_COLUMN = _column("node", "Node", "", "cmos.node")
 
 
 def cmd_targets(cfg: RunConfig, points, warnings) -> Table:
-    columns = _SCENARIO_COLUMNS + [
+    shared = _scenario_columns("") + [
         (Column(f"{task.value}_tops", task.label, ".3f"),
-         lambda r, task=task: r.run.load.tops[task])
+         lambda run, task=task: run.load.tops[task])
         for task in BbuTask
-    ] + [_column("total_tops", "Total", ".3f", "run.load.total_tops")]
-    return _table("targets", columns, _rows(cfg, points), warnings,
+    ] + [_column("total_tops", "Total", ".3f", "load.total_tops")]
+    return _table("targets", [_NAME_COLUMN], shared, _rows(cfg, points), warnings,
                   notes=["units: TOPS"])
 
 
 def cmd_power(cfg: RunConfig, points, warnings) -> Table:
-    columns = _SCENARIO_COLUMNS + [_NODE_COLUMN] + [
-        _column(key, title, ".1f", f"node.sides.{path}")
+    shared = _scenario_columns("") + [_NODE_COLUMN] + [
+        _column(key, title, ".1f", f"sides.{path}")
         for key, title, path in (
             ("cmos_bbu_w", "CMOS BBU (W)", "cmos.bbu_w"),
             ("cmos_ru_w", "RU (W)", "cmos.ru_w"),
@@ -324,12 +363,13 @@ def cmd_power(cfg: RunConfig, points, warnings) -> Table:
             ("delta_w", "Saving (W)", "delta_w"),
         )
     ]
-    return _table("power", columns, _rows(cfg, points, per_node=True), warnings)
+    return _table("power", [_NAME_COLUMN], shared, _rows(cfg, points, per_node=True),
+                  warnings)
 
 
 def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
     capacity = refrigerator_qubit_capacity()
-    columns = _SCENARIO_COLUMNS + [
+    columns = [_NAME_COLUMN] + _scenario_columns("run.") + [
         _SAMPLES_COLUMN,
         (Column("runtime_us", "Runtime (us)", ".0f"),
          lambda r: qmi_runtime_us(cfg.qa_profile, r.samples)),
@@ -351,23 +391,21 @@ def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
                     f"refrigerator capacity {capacity}")
         return None
 
-    return _table("qubits", columns, _rows(cfg, points), warnings, warn)
+    return _table("qubits", columns, [], _rows(cfg, points), warnings, warn)
 
 
 def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
-    columns = _SCENARIO_COLUMNS + [
+    shared = _scenario_columns("") + [
         _NODE_COLUMN,
-        # The report holds the run's saving as one object, so its text is
-        # formatted once per run rather than once per row.
-        _column("delta_w", "Saving (W)", ".1f", "node.report.delta_w"),
+        _column("delta_w", "Saving (W)", ".1f", "report.delta_w"),
     ]
     for i, years in enumerate(cfg.horizons_years):
         label = format(years, "g")
-        columns += [
+        shared += [
             (Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"),
-             lambda r, i=i: r.node.report.opex_savings_usd[i]),
+             lambda node, i=i: node.report.opex_savings_usd[i]),
             (Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f"),
-             lambda r, i=i: r.node.report.co2_savings_kt[i]),
+             lambda node, i=i: node.report.co2_savings_kt[i]),
         ]
 
     capacity = refrigerator_qubit_capacity()
@@ -376,32 +414,34 @@ def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
     def warn(r: _Row) -> Optional[str]:
         required = r.budget.total * n_bs  # deployment_budget(...).total
         if required > capacity:
-            return (f"{r.name} ({r.node.cmos.node}): qubit requirement "
+            return (f"{r.name} ({r.owner.cmos.node}): qubit requirement "
                     f"{required} exceeds refrigerator capacity {capacity}")
         return None
 
     return _table(
-        "economics", columns, _rows(cfg, points, per_node=True), warnings, warn,
+        "economics", [_NAME_COLUMN], shared, _rows(cfg, points, per_node=True),
+        warnings, warn,
         notes=["negative savings mean the annealer candidate draws more power; "
                "breakeven hardware budget equals the OpEx column at each horizon"],
     )
 
 
 def cmd_timeline(cfg: RunConfig, points, warnings) -> Table:
-    columns = _SCENARIO_COLUMNS + [
+    columns = [_NAME_COLUMN] + _scenario_columns("run.") + [
         _SAMPLES_COLUMN,
         _column("required_qubits", "Required qubits", "d", "budget.total"),
         (Column("year_best", "Year (best case)", "d"),
          lambda r: year_available(BEST_CASE, r.budget.total)),
         (Column("year_worst", "Year (worst case)", "d"),
          lambda r: year_available(WORST_CASE, r.budget.total)),
-    ] + [
+    ]
+    shared = [
         (Column(f"advantage_{p.node}_w", f"Advantage vs {p.node} (W)", ".1f"),
-         lambda r, i=i: r.run.nodes[i].advantage)
+         lambda run, i=i: run.nodes[i].advantage)
         for i, p in enumerate(cfg.cmos_profiles)
     ]
     return _table(
-        "timeline", columns, _rows(cfg, points), warnings,
+        "timeline", columns, shared, _rows(cfg, points), warnings,
         notes=["years are first availability of the required device size under "
                "the best/worst historical growth trends"],
     )
@@ -424,10 +464,23 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
+class _Warnings:
+    """Warnings written to stderr as they are gathered; only their count is
+    kept. The row loop takes each one through `append`, as a list has."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def append(self, warning: str) -> None:
+        self.count += 1
+        print(f"qaplan: warning: {warning}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    warnings: List[str] = []
+    # Warnings come first on stderr, also on failure: they may say why it failed.
+    warnings = _Warnings()
     try:
         if args.paper_table:
             table = PAPER_TABLES[args.paper_table]()
@@ -444,10 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         code, problem = EXIT_CONFIG, f"cannot write output: {exc}"
     else:
-        code, problem = EXIT_WARNINGS if warnings else EXIT_OK, None
-    # Warnings come first, also on failure: they may say why it failed.
-    for warning in warnings:
-        print(f"qaplan: warning: {warning}", file=sys.stderr)
+        code, problem = EXIT_WARNINGS if warnings.count else EXIT_OK, None
     if problem:
         print(f"qaplan: {problem}", file=sys.stderr)
     return code

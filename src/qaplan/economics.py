@@ -12,7 +12,10 @@ count and is scaled to the deployment's cells. A sweep over samples can
 share the first step. Within it, the task lists of pool, sites and
 candidates are module constants, a topology's fronthaul link is built
 once per topology, and each task's silicon watts once per workload and
-node, shared by both candidates, which sum them in task order.
+node, shared by both candidates, which sum them in task order from 0, as
+`left_sum` does. The results are plain slotted objects and named tuples
+(`Deployments`, `CostReport`), built with no per-call dict; a
+deployment's saving, like each breakdown's total, is computed once.
 
 A centralized radio site (radios, amplifiers, site silicon, its supply
 overhead and fronthaul) is the same for both candidates, so it is built
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Dict, Sequence, Tuple, Union
+from typing import ClassVar, NamedTuple, Sequence, Tuple, Union
 
 from .cmos import CmosProfile, cmos_power
 from .qa_hardware import QaProfile
@@ -101,30 +104,41 @@ class CranTopology:
 Topology = Union[BsTopology, CranTopology]
 
 
-def _task_watts(load: BbuWorkload, profile: CmosProfile) -> Dict[BbuTask, float]:
-    """Silicon watts of every task, shared by both candidates."""
-    tops = load.tops
-    return {t: cmos_power(tops[t], profile) for t in _ALL_TASKS}
+def _sum_at(watts: Sequence[float], at: Sequence[int]) -> float:
+    """`left_sum` of the watts at positions `at`, in that order."""
+    total = 0
+    for i in at:
+        total += watts[i]
+    return total
 
 
-@dataclass(frozen=True)
+# Positions in `_ALL_TASKS` of each task list the candidates sum.
+_ALL_AT = tuple(range(len(_ALL_TASKS)))
+_RESIDENT_AT = tuple(map(_ALL_TASKS.index, SILICON_RESIDENT_TASKS))
+_SITE_AT = tuple(map(_ALL_TASKS.index, _SITE_TASKS))
+_CRAN_CMOS_AT = tuple(map(_ALL_TASKS.index, _CRAN_CMOS))
+
+
 class Deployments:
     """Grid power of both deployment candidates for one scenario."""
 
-    cmos: PowerBreakdown
-    qa: PowerBreakdown
+    __slots__ = ("cmos", "qa", "delta_w")
 
-    @property
-    def delta_w(self) -> float:
-        """Power saved by the annealer candidate (negative = it loses)."""
-        return self.cmos.total_w - self.qa.total_w
+    def __init__(self, cmos: PowerBreakdown, qa: PowerBreakdown) -> None:
+        self.cmos, self.qa = cmos, qa
+        # Power saved by the annealer candidate (negative = it loses).
+        self.delta_w = cmos.total_w - qa.total_w
 
 
-@dataclass(frozen=True)
 class ComparisonResult(Deployments):
     """Both deployment candidates for one scenario, plus the qubit ask."""
 
-    budget: QubitBudget  # whole-deployment qubit requirement
+    __slots__ = ("budget",)
+
+    def __init__(self, cmos: PowerBreakdown, qa: PowerBreakdown,
+                 budget: QubitBudget) -> None:
+        super().__init__(cmos, qa)
+        self.budget = budget  # whole-deployment qubit requirement
 
 
 def deployments(
@@ -134,26 +148,23 @@ def deployments(
     topology: Topology = BsTopology(),
 ) -> Deployments:
     """Power both candidates for one workload; the sample count does not enter."""
-    watts = _task_watts(load, cmos_profile).__getitem__
+    tops = load.tops
+    # Every task's silicon watts, in task order, shared by both candidates.
+    watts = [cmos_power(tops[t], cmos_profile) for t in _ALL_TASKS]
     antennas, fridge_w = load.scenario.antennas, qa_profile.refrigeration_w
     if isinstance(topology, BsTopology):
         sides = Deployments(
-            cmos=bs_power(left_sum(map(watts, _ALL_TASKS)), antennas),
-            qa=bs_power(left_sum(map(watts, SILICON_RESIDENT_TASKS)), antennas,
-                        refrigeration_w=fridge_w),
+            bs_power(_sum_at(watts, _ALL_AT), antennas),
+            bs_power(_sum_at(watts, _RESIDENT_AT), antennas, refrigeration_w=fridge_w),
         )
     elif isinstance(topology, CranTopology):  # one radio site, shared by both
         n = topology.n_bs
-        site = RrhSite(
-            ru_w=antennas * RU_CHAIN_W,
-            pa_w=antennas * PA_W,
-            bbu_w=left_sum(map(watts, _SITE_TASKS)),
-            fronthaul=topology._link,
-        )
+        site = RrhSite(antennas * RU_CHAIN_W, antennas * PA_W, _sum_at(watts, _SITE_AT),
+                       topology._link)
         sides = Deployments(
-            cmos=cran_power(left_sum(map(watts, _CRAN_CMOS)) * n, site, n),
-            qa=cran_power(left_sum(map(watts, SILICON_RESIDENT_TASKS)) * n, site, n,
-                          refrigeration_w=fridge_w),
+            cran_power(_sum_at(watts, _CRAN_CMOS_AT) * n, site, n),
+            cran_power(_sum_at(watts, _RESIDENT_AT) * n, site, n,
+                       refrigeration_w=fridge_w),
         )
     else:
         raise ValueError(f"unknown topology {topology!r}")
@@ -188,7 +199,7 @@ def compare(
     load = workload(scenario)
     sides = deployments(load, cmos_profile, qa_profile, topology)
     budget = deployment_budget(total_budget(load, qa_profile, samples), topology)
-    return ComparisonResult(cmos=sides.cmos, qa=sides.qa, budget=budget)
+    return ComparisonResult(sides.cmos, sides.qa, budget)
 
 
 @dataclass(frozen=True)
@@ -207,8 +218,7 @@ class CostAssumptions:
 DEFAULT_COSTS = CostAssumptions()
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Savings from a power delta, one entry per horizon given to `cost_report`."""
 
     delta_w: float
@@ -222,24 +232,19 @@ def cost_report(
     assumptions: CostAssumptions = DEFAULT_COSTS,
 ) -> CostReport:
     """Price a power saving in electricity dollars and avoided CO2."""
-    if any(y < 0 for y in horizons_years):
-        raise ValueError("horizons must be non-negative")
     kwh_per_year = delta_w / 1000.0 * assumptions.hours_per_year
-    opex = tuple(
-        kwh_per_year * years * assumptions.electricity_price_per_kwh
-        for years in horizons_years
-    )
-    co2 = tuple(
-        kwh_per_year * years * assumptions.co2_lb_per_kwh / LB_PER_METRIC_KILOTON
-        for years in horizons_years
-    )
-    if not all(map(math.isfinite, opex + co2)):
-        raise ValueError(f"savings of {delta_w:g} W overflow over the horizons")
-    return CostReport(
-        delta_w=delta_w,
-        opex_savings_usd=opex,
-        co2_savings_kt=co2,
-    )
+    price, co2_lb = assumptions.electricity_price_per_kwh, assumptions.co2_lb_per_kwh
+    opex, co2 = [], []
+    for years in horizons_years:
+        if years < 0:
+            raise ValueError("horizons must be non-negative")
+        kwh = kwh_per_year * years
+        opex.append(kwh * price)
+        co2.append(kwh * co2_lb / LB_PER_METRIC_KILOTON)
+    for value in opex + co2:
+        if not math.isfinite(value):
+            raise ValueError(f"savings of {delta_w:g} W overflow over the horizons")
+    return CostReport(delta_w, tuple(opex), tuple(co2))
 
 
 def offload_advantage_w(

@@ -5,16 +5,21 @@ formatted through per-column format specs so that repeated runs emit
 byte-identical output, and csv/json carry the same numbers. Emitted csv
 and json can be read back with the readers below.
 
-A table's rows may be a one-pass stream, as the cli's are: every renderer
-reads them once, in order, and holds no row dict. Csv and json write each
-row into one text buffer as it is read; text keeps only the formatted cell
-grid, which its width pass needs. Json is written by hand but byte for
-byte as `json.dumps(doc, indent=2)` would write the whole document.
+A row is a pair of tuples, its own cells and its shared cells, which
+together are its cells in column order. The rows of one cli run share
+their trailing cells: each such row hands over the very same shared
+tuple. Every renderer formats a shared tuple once and reuses the result
+whenever the same object comes back (csv its quoted text, json its
+`"key": value` fields, text its cells and widths), keeping the results
+of the last few distinct tuples (`_Once`). The test is identity, never
+equality: 0.0 and -0.0, or 1, 1.0 and True, are equal but format
+differently.
 
-Renderers resolve each column's key and spec once per table, and reuse a
-cell's text when its value is the very object in the row above, as the
-per-run cells of a sweep are. The test is identity, never equality:
-0.0 and -0.0, or 1, 1.0 and True, are equal but format differently.
+A table's rows may be a one-pass stream, as the cli's are: every renderer
+reads them once, in order. Csv and json write each row into one text
+buffer as it is read; text keeps only the formatted cell grid, which its
+width pass needs. Json is written by hand but byte for byte as
+`json.dumps(doc, indent=2)` would write the whole document.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Cell = Union[str, int, float]
 
@@ -37,12 +41,33 @@ class Column:
     spec: str = ""  # format() spec for numeric cells, e.g. ".3f" or ","
 
 
+Row = Tuple[Sequence[Cell], Sequence[Cell]]  # (own cells, shared cells)
+
+
 @dataclass
 class Table:
+    """A named table whose rows are (cells, shared) pairs.
+
+    Rows given as a list of dicts keyed by column key are converted to
+    pairs here, once: all cells their own, none shared.
+    """
+
     name: str
     columns: List[Column]
-    rows: Iterable[Dict[str, Cell]]  # read once, in order
+    rows: Iterable[Row]  # read once, in order
     notes: List[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.rows, list):
+            keys = [c.key for c in self.columns]
+            self.rows = [(tuple([row[k] for k in keys]), ()) if isinstance(row, Mapping)
+                         else row for row in self.rows]
+
+    def records(self) -> List[Dict[str, Cell]]:
+        """The rows as dicts keyed by column key; a repeated key keeps its
+        last cell."""
+        keys = [c.key for c in self.columns]
+        return [dict(zip(keys, (*cells, *shared))) for cells, shared in self.rows]
 
 
 def format_cell(value: Cell, spec: str) -> str:
@@ -61,25 +86,6 @@ def _parse_number(text: str) -> Cell:
         return float(cleaned)
     except ValueError:
         return text
-
-
-_NOTHING = object()  # the previous value of a column before the first row
-
-
-def _cells(table: Table, convert: Callable[[Cell, str], Any]) -> Iterator[List[Any]]:
-    """Each row's cells through `convert(value, spec)`, in column order,
-    reusing the cell above where the value `is` the same object."""
-    keys = [c.key for c in table.columns]
-    specs = [c.spec for c in table.columns]
-    get = itemgetter(*keys) if len(keys) > 1 else (lambda row: [row[k] for k in keys])
-    last: Sequence[Any] = [_NOTHING] * len(keys)
-    cells: List[Any] = [None] * len(keys)
-    for row in table.rows:
-        values = get(row)
-        cells = [cell if value is old else convert(value, spec)
-                 for value, old, cell, spec in zip(values, last, cells, specs)]
-        last = values
-        yield cells
 
 
 def _json_cell(value: Cell, spec: str) -> Cell:
@@ -110,6 +116,37 @@ def _json_nested(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
+class _Once:
+    """`render(shared, *args)` once per distinct shared tuple, by identity.
+
+    The rows of a run hand over the same tuple again, in a row or, on a
+    per-node table, taking turns with the tuples of the run's other
+    nodes. The results of the last `KEEP` distinct tuples are kept, so
+    memory stays bounded over any number of rows.
+    """
+
+    KEEP = 64
+
+    def __init__(self, render: Callable[..., Any]) -> None:
+        self._render = render
+        self._kept: Dict[int, Tuple[Sequence[Cell], Any]] = {}
+
+    def __call__(self, shared: Sequence[Cell], *args: Any) -> Any:
+        # The kept tuple stays alive, so no other object can take its id.
+        kept = self._kept.get(id(shared))
+        if kept is None:
+            if len(self._kept) == self.KEEP:
+                self._kept.clear()
+            kept = self._kept[id(shared)] = (shared, self._render(shared, *args))
+        return kept[1]
+
+
+class _Lines(list):
+    """A file for a csv writer that keeps each written line."""
+
+    write = list.append
+
+
 def render_csv(table: Table) -> str:
     """Csv emission; notes become leading '#' comment lines."""
     buf = io.StringIO()
@@ -117,7 +154,31 @@ def render_csv(table: Table) -> str:
         buf.write(f"# {note}\r\n")
     writer = csv.writer(buf)
     writer.writerow([c.key for c in table.columns])
-    writer.writerows(_cells(table, format_cell))  # streamed, row by row
+    specs = [c.spec for c in table.columns]
+    # A row with shared cells is written as two parts, each through the csv
+    # module, which quotes every field on its own terms, except that it
+    # writes a row of one empty field as "": within a longer row, such a
+    # part is written empty.
+    lines = _Lines()
+    write_part = csv.writer(lines).writerow
+
+    def after(shared: Sequence[Cell], cells: Sequence[Cell]) -> str:
+        """The text of a row after its own cells."""
+        write_part(map(format_cell, shared, specs[len(cells):]))
+        text = lines.pop()
+        return "," + ("\r\n" if text == '""\r\n' else text) if cells else text
+
+    tails = _Once(after)
+    last = tail = None
+    for cells, shared in table.rows:
+        if not shared:
+            writer.writerow(map(format_cell, cells, specs))
+            continue
+        if shared is not last:
+            last, tail = shared, tails(shared, cells)
+        write_part(map(format_cell, cells, specs))
+        head = lines.pop()[:-2]
+        buf.write(("" if head == '""' else head) + tail)
     return buf.getvalue()
 
 
@@ -129,8 +190,13 @@ def render_json(table: Table) -> str:
     column keys and `_json_cell` values; the rows are written one by one.
     """
     # As in a dict, a repeated key keeps its first place and its last value.
-    last = {c.key: i for i, c in enumerate(table.columns)}
-    fields = [("\n      " + _json_string(key) + ": ", last[key]) for key in last]
+    first, last_at = {}, {}
+    for i, c in enumerate(table.columns):
+        first.setdefault(c.key, i)
+        last_at[c.key] = i
+    fields = [("\n      " + _json_string(key) + ": ", first[key], last_at[key])
+              for key in first]
+    specs = [c.spec for c in table.columns]
     buf = io.StringIO()
     buf.write('{\n  "table": ' + _json_string(table.name))
     buf.write(',\n  "columns": ' + _json_nested(
@@ -138,9 +204,27 @@ def render_json(table: Table) -> str:
     buf.write(',\n  "rows": [')
     close = "\n    }" if fields else "}"  # json.dumps writes {} for an empty dict
     separator = "\n    "
-    for cells in _cells(table, _json_literal):
-        buf.write(separator + "{" + ",".join([prefix + cells[i] for prefix, i in fields])
-                  + close)
+
+    def literals_and_tail(shared: Sequence[Cell]) -> Tuple[List[str], str]:
+        literals = [_json_literal(v, s) for v, s in zip(shared, specs[split:])]
+        tail = ",".join([prefix + literals[i] for prefix, i in rest])
+        return literals, "," + tail if own and rest else tail
+
+    split = last = None
+    for cells, shared in table.rows:
+        if len(cells) != split:
+            # Fields placed among the row's own cells are written per row (a
+            # repeated key may take its value from the shared cells); the
+            # rest, once per shared tuple.
+            split, last = len(cells), None
+            own = [(prefix, i) for prefix, at, i in fields if at < split]
+            rest = [(prefix, i - split) for prefix, at, i in fields if at >= split]
+            rendered = _Once(literals_and_tail)
+        if shared is not last:
+            last, (literals, tail) = shared, rendered(shared)
+        values = [_json_literal(v, s) for v, s in zip(cells, specs)] + literals
+        buf.write(separator + "{" + ",".join([prefix + values[i] for prefix, i in own])
+                  + tail + close)
         separator = ",\n    "
     buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows
     buf.write(',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
@@ -150,19 +234,44 @@ def render_json(table: Table) -> str:
 def render_text(table: Table) -> str:
     """Fixed-width text rendering for terminals."""
     headers = [c.title for c in table.columns]
-    grid = list(_cells(table, format_cell))  # widths need every row first
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in grid)) if grid else len(headers[i])
-        for i in range(len(headers))
-    ]
+    specs = [c.spec for c in table.columns]
+    # Widths need every row first. The grid holds each row's own cells,
+    # formatted, followed by its formatted shared cells: one tuple per
+    # shared tuple, held by reference, whose widths are taken once.
+    grid: List[Tuple] = []
+    split, last, shared_widths = len(headers), None, [len(h) for h in headers]
+
+    def formatted(shared: Sequence[Cell]) -> Tuple[str, ...]:
+        texts = tuple(map(format_cell, shared, specs[split:]))
+        shared_widths[split:] = map(max, shared_widths[split:], map(len, texts))
+        return texts
+
+    texts_of = _Once(formatted)
+    for cells, shared in table.rows:
+        if shared is not last:
+            last, split = shared, len(cells)
+            texts = texts_of(shared)
+        grid.append((*map(format_cell, cells, specs), texts))
+    widths = [max(len(h), max((len(row[i]) for row in grid), default=0))
+              for i, h in enumerate(headers[:split])] + shared_widths[split:]
     lines = [table.name]
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     lines.append("  ".join("-" * w for w in widths))
-    for r in grid:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip())
+    def padded(texts: Tuple[str, ...]) -> str:
+        tail = "  ".join([t.rjust(w) for t, w in zip(texts, widths[split:])])
+        return "  " + tail if split and texts else tail
+
+    tails, last = _Once(padded), None
+    for row in grid:
+        if row[-1] is not last:
+            last, tail = row[-1], tails(row[-1])
+        lines.append(("  ".join([cell.rjust(w) for cell, w in zip(row[:-1], widths)])
+                      + tail).rstrip())
+    del grid  # held in `lines` now; freed before the text is joined
     for note in table.notes:
         lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
 RENDERERS = {
@@ -192,10 +301,7 @@ def read_csv(text: str) -> Table:
     reader = csv.reader(data_lines)
     header = next(reader)
     columns = [Column(key=k, title=k) for k in header]
-    rows = [
-        {key: _parse_number(cell) for key, cell in zip(header, record)}
-        for record in reader
-    ]
+    rows = [(tuple([_parse_number(cell) for cell in record]), ()) for record in reader]
     return Table(name="", columns=columns, rows=rows, notes=notes)
 
 

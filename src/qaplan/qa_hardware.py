@@ -83,11 +83,16 @@ def qmi_runtime_us(profile: QaProfile, samples: int) -> float:
     """Wall time of one problem instance, microseconds.
 
     Affine in the sample count: programming once, then one
-    anneal/readout/delay cycle per sample.
+    anneal/readout/delay cycle per sample. A count past float range is a
+    domain error, not an `OverflowError`.
     """
     if samples < 0 or int(samples) != samples:
         raise ValueError(f"samples must be a non-negative integer, got {samples}")
-    return profile.programming_us + samples * profile.sample_cycle_us
+    try:
+        return profile.programming_us + samples * profile.sample_cycle_us
+    except OverflowError:  # int * float converts the int first
+        raise ValueError(
+            f"sample count past float range: {len(str(samples))} digits") from None
 
 
 def dac_count(n_qubits: int, n_couplers: int) -> int:

@@ -12,14 +12,22 @@ baseband load is covered by provisioning qubits proportionately
 (`MODELED_LOAD_FRACTION`). Decoding sizes one code, 5G NR LDPC base
 graph 1 (`LDPC_ROWS`, `LDPC_COLS`, `LDPC_ROW_WEIGHT`); its embedding
 takes `FEC_QUBITS_PER_PROBLEM` qubits, derived once at import.
+
+A budget is computed in two steps. `qubit_rates` takes the workload
+alone: each modeled task's problems/s x qubits-per-problem, which the
+sample count does not change. `rates_budget` adds the sample count: the
+problem runtime, the multiply by it and the rounding up. The product is
+evaluated in the same order as in `task_qubits`, so the split moves no
+bit. `total_budget` is the two steps in one call; the cli keeps the
+first step per run of equal scenarios and takes the second per sample
+count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, ClassVar, Dict, Mapping, Optional
+from typing import Mapping, NamedTuple, Tuple
 
 from .qa_hardware import QaProfile, qmi_runtime_us
 from .workload import BbuTask, BbuWorkload
@@ -48,13 +56,8 @@ class TaskProblemModel:
             raise ValueError(f"runtime must be positive, got {self.runtime_us}")
 
 
-def fdnl_problem_model(
-    profile: QaProfile,
-    samples: int,
-    users: int,
-    modulation_bits: int,
-) -> TaskProblemModel:
-    """Detection problem for a users x users MIMO system.
+def _fdnl_problem_shape(users: int, modulation_bits: int) -> Tuple[float, int]:
+    """Operations and qubits of one detection problem, users x users MIMO.
 
     Sphere decoding needs about 80M operations for the 64x64 system and
     scales quadratically with size; the annealer embedding uses one qubit
@@ -62,8 +65,17 @@ def fdnl_problem_model(
     """
     if users < 1:
         raise ValueError(f"users must be at least 1, got {users}")
-    ops = 80e6 * (users / 64.0) ** 2
-    qubits = modulation_bits * users
+    return 80e6 * (users / 64.0) ** 2, modulation_bits * users
+
+
+def fdnl_problem_model(
+    profile: QaProfile,
+    samples: int,
+    users: int,
+    modulation_bits: int,
+) -> TaskProblemModel:
+    """Detection problem for a users x users MIMO system (`_fdnl_problem_shape`)."""
+    ops, qubits = _fdnl_problem_shape(users, modulation_bits)
     return TaskProblemModel(
         ops_per_problem=ops,
         qubits_per_problem=qubits,
@@ -108,62 +120,73 @@ def fec_problem_model(profile: QaProfile, samples: int) -> TaskProblemModel:
     )
 
 
-def task_qubits(tops: float, model: TaskProblemModel) -> int:
-    """Qubits to sustain `tops` on problems shaped like `model`."""
+def _qubit_rate(tops: float, ops_per_problem: float, qubits_per_problem: int) -> float:
+    """Problems/s x qubits per problem: qubits held per second of problem runtime."""
     if tops < 0:
         raise ValueError(f"tops must be non-negative, got {tops}")
-    pps = tops * 1e12 / model.ops_per_problem
-    qubits = pps * model.qubits_per_problem * model.runtime_us * 1e-6
+    return tops * 1e12 / ops_per_problem * qubits_per_problem
+
+
+def _qubits(tops: float, rate: float, runtime_us: float) -> int:
+    """Qubits to hold `rate` over problems of `runtime_us` each."""
+    qubits = rate * runtime_us * 1e-6
     if not math.isfinite(qubits):
         raise ValueError(f"qubit requirement at {tops:g} TOPS is not finite")
     return math.ceil(qubits)
 
 
-@dataclass(frozen=True)
-class QubitBudget:
+def task_qubits(tops: float, model: TaskProblemModel) -> int:
+    """Qubits to sustain `tops` on problems shaped like `model`."""
+    rate = _qubit_rate(tops, model.ops_per_problem, model.qubits_per_problem)
+    return _qubits(tops, rate, model.runtime_us)
+
+
+class QubitBudget(NamedTuple):
     """Total qubit requirement for one cell's baseband offload."""
 
     per_task: Mapping[BbuTask, int]
     total: int
     # Every budget extrapolates from the two modeled tasks alike.
-    covered_fraction: ClassVar[float] = MODELED_LOAD_FRACTION
+    covered_fraction = MODELED_LOAD_FRACTION
 
 
-class ProblemModels:
-    """The detection and decoding problem models of one qa profile.
+class QubitRates(NamedTuple):
+    """What a cell's qubit ask holds whatever the sample count: each modeled
+    task's TOPS and its qubits per second of problem runtime."""
 
-    `fdnl(samples, users, modulation_bits)` and `fec(samples)` build each
-    model once and then return the same object. The cache keys are plain
-    ints, so a sweep never hashes the profile per point, and the caches
-    are bounded, so memory stays flat over any number of antenna counts.
+    fdnl_tops: float
+    fdnl_rate: float
+    fec_tops: float
+    fec_rate: float
+
+
+def qubit_rates(load: BbuWorkload) -> QubitRates:
+    """The per-workload step of `total_budget`.
+
+    Detection problems serve one user per antenna.
     """
-
-    def __init__(self, profile: QaProfile) -> None:
-        cache = lru_cache(maxsize=4096)
-        self.fdnl: Callable[[int, int, int], TaskProblemModel] = cache(
-            partial(fdnl_problem_model, profile))
-        self.fec: Callable[[int], TaskProblemModel] = cache(
-            partial(fec_problem_model, profile))
-
-
-def total_budget(load: BbuWorkload, profile: QaProfile, samples: int,
-                 models: Optional[ProblemModels] = None) -> QubitBudget:
-    """Qubit budget for a cell, extrapolated over the unmodeled tasks.
-
-    Detection problems serve one user per antenna; the two modeled tasks
-    are taken to carry `MODELED_LOAD_FRACTION` of the load. `models`, built
-    for the same `profile`, shares the problem models across calls.
-    """
-    if models is None:
-        models = ProblemModels(profile)
     scenario = load.scenario
-    fdnl = models.fdnl(samples, scenario.antennas, scenario.modulation_bits)
-    fec = models.fec(samples)
-    per_task: Dict[BbuTask, int] = {
-        BbuTask.FD_NL: task_qubits(load.tops[BbuTask.FD_NL], fdnl),
-        BbuTask.FEC: task_qubits(load.tops[BbuTask.FEC], fec),
-    }
-    return QubitBudget(
-        per_task=per_task,
-        total=math.ceil(sum(per_task.values()) / MODELED_LOAD_FRACTION),
+    fdnl_tops, fec_tops = load.tops[BbuTask.FD_NL], load.tops[BbuTask.FEC]
+    return QubitRates(
+        fdnl_tops, _qubit_rate(fdnl_tops, *_fdnl_problem_shape(
+            scenario.antennas, scenario.modulation_bits)),
+        fec_tops, _qubit_rate(fec_tops, FEC_OPS_PER_PROBLEM, FEC_QUBITS_PER_PROBLEM),
     )
+
+
+def rates_budget(rates: QubitRates, profile: QaProfile, samples: int) -> QubitBudget:
+    """The per-sample step of `total_budget`: every problem runs `samples`
+    samples, and the two modeled tasks are taken to carry
+    `MODELED_LOAD_FRACTION` of the load."""
+    runtime = qmi_runtime_us(profile, samples)
+    if runtime <= 0:  # as `TaskProblemModel` requires
+        raise ValueError(f"runtime must be positive, got {runtime}")
+    fdnl = _qubits(rates.fdnl_tops, rates.fdnl_rate, runtime)
+    fec = _qubits(rates.fec_tops, rates.fec_rate, runtime)
+    return QubitBudget({BbuTask.FD_NL: fdnl, BbuTask.FEC: fec},
+                       math.ceil((fdnl + fec) / MODELED_LOAD_FRACTION))
+
+
+def total_budget(load: BbuWorkload, profile: QaProfile, samples: int) -> QubitBudget:
+    """Qubit budget for a cell, extrapolated over the unmodeled tasks."""
+    return rates_budget(qubit_rates(load), profile, samples)

@@ -9,13 +9,15 @@ A centralized deployment is priced from one pool, one radio site
 sites; pool and sites share the default loss chain. The per-antenna radio
 and amplifier draws (`RU_CHAIN_W`, `PA_W`), the reference fronthaul link
 (`FRONTHAUL_REF_W`, `FRONTHAUL_REF_BPS`) and the loss chain
-(`DEFAULT_LOSSES`) are module constants.
+(`DEFAULT_LOSSES`) are module constants. A `PowerBreakdown` is a slotted
+object that sums its grid total once, when it is built, in field order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
@@ -83,8 +85,7 @@ def fronthaul_power(link: FronthaulLink) -> float:
     return link.p_max_w * link.load_bps / link.capacity_bps
 
 
-@dataclass(frozen=True)
-class RrhSite:
+class RrhSite(NamedTuple):
     """One remote radio site: radios, amplifiers, local low-L1 silicon."""
 
     ru_w: float
@@ -97,32 +98,28 @@ class RrhSite:
         return self.ru_w + self.pa_w + self.bbu_w
 
 
-@dataclass(frozen=True)
 class PowerBreakdown:
     """Grid power of a site or deployment, split by component.
 
     All component fields are pre-loss watts; `power_system_w` is the
     supply-chain overhead on top of them; `refrigeration_w` bypasses the
-    supply chain. `total_w` is grid draw.
+    supply chain. `total_w`, the grid draw, is their sum in field order,
+    taken once.
     """
 
-    bbu_w: float
-    ru_w: float
-    pa_w: float
-    power_system_w: float
-    fronthaul_w: float = 0.0
-    refrigeration_w: float = 0.0
+    __slots__ = ("bbu_w", "ru_w", "pa_w", "power_system_w", "fronthaul_w",
+                 "refrigeration_w", "total_w")
 
-    @property
-    def total_w(self) -> float:
-        return (
-            self.bbu_w
-            + self.ru_w
-            + self.pa_w
-            + self.power_system_w
-            + self.fronthaul_w
-            + self.refrigeration_w
-        )
+    def __init__(self, bbu_w: float, ru_w: float, pa_w: float, power_system_w: float,
+                 fronthaul_w: float = 0.0, refrigeration_w: float = 0.0) -> None:
+        self.bbu_w = bbu_w
+        self.ru_w = ru_w
+        self.pa_w = pa_w
+        self.power_system_w = power_system_w
+        self.fronthaul_w = fronthaul_w
+        self.refrigeration_w = refrigeration_w
+        self.total_w = (bbu_w + ru_w + pa_w + power_system_w + fronthaul_w
+                        + refrigeration_w)
 
 
 def bs_power(
@@ -145,13 +142,7 @@ def bs_power(
     pa = antennas * PA_W
     components = bbu_w + ru + pa
     overhead = components * (losses.supply_factor - 1.0)
-    return PowerBreakdown(
-        bbu_w=bbu_w,
-        ru_w=ru,
-        pa_w=pa,
-        power_system_w=overhead,
-        refrigeration_w=refrigeration_w,
-    )
+    return PowerBreakdown(bbu_w, ru, pa, overhead, 0.0, refrigeration_w)
 
 
 def cran_power(
@@ -173,10 +164,10 @@ def cran_power(
         raise ValueError(f"n_sites must be non-negative, got {n_sites}")
     site_overhead = site.component_w * _CRAN_OVERHEAD
     return PowerBreakdown(
-        bbu_w=bbu_w + n_sites * site.bbu_w,
-        ru_w=n_sites * site.ru_w,
-        pa_w=n_sites * site.pa_w,
-        power_system_w=bbu_w * _CRAN_OVERHEAD + n_sites * site_overhead,
-        fronthaul_w=n_sites * fronthaul_power(site.fronthaul),
-        refrigeration_w=refrigeration_w,
+        bbu_w + n_sites * site.bbu_w,
+        n_sites * site.ru_w,
+        n_sites * site.pa_w,
+        bbu_w * _CRAN_OVERHEAD + n_sites * site_overhead,
+        n_sites * fronthaul_power(site.fronthaul),
+        refrigeration_w,
     )

@@ -32,8 +32,8 @@ def test_default_run_exits_clean(capsys):
     assert code == EXIT_OK
     assert err == ""
     table = read_csv(out)
-    assert table.rows[0]["name"] == "5g-400mhz-64ant"
-    assert table.rows[0]["total_tops"] == 4070.4
+    assert table.records()[0]["name"] == "5g-400mhz-64ant"
+    assert table.records()[0]["total_tops"] == 4070.4
 
 
 def test_output_is_byte_identical_across_runs(capsys):
@@ -89,8 +89,8 @@ def test_cran_sweep_is_byte_identical_under_any_hash_seed(tmp_path, command, fmt
 def test_csv_and_json_agree_numerically(capsys):
     _, csv_text, _ = run(capsys, "qubits", "--format", "csv")
     _, json_text, _ = run(capsys, "qubits", "--format", "json")
-    csv_rows = read_csv(csv_text).rows
-    json_rows = read_json(json_text).rows
+    csv_rows = read_csv(csv_text).records()
+    json_rows = read_json(json_text).records()
     assert len(csv_rows) == len(json_rows) == 1
     for key, value in csv_rows[0].items():
         assert json_rows[0][key] == value
@@ -111,7 +111,7 @@ def test_sweep_expands_grid(capsys):
         "--sweep", "bandwidth_mhz=50,100", "--sweep", "antennas=32,64",
     )
     assert code == EXIT_OK
-    rows = read_csv(out).rows
+    rows = read_csv(out).records()
     assert len(rows) == 4
     names = [r["name"] for r in rows]
     assert "5g-400mhz-64ant[bandwidth_mhz=50,antennas=32]" in names
@@ -123,7 +123,7 @@ def test_sweep_skips_invalid_points_with_warning(capsys):
     )
     assert code == EXIT_WARNINGS
     assert "skipping sweep point" in err
-    assert len(read_csv(out).rows) == 1
+    assert len(read_csv(out).records()) == 1
 
 
 def test_sweep_with_no_valid_points_is_config_error(capsys):
@@ -145,7 +145,7 @@ def test_capacity_warning_sets_exit_code(capsys):
     )
     assert code == EXIT_WARNINGS
     assert "exceeds refrigerator capacity" in err
-    assert read_csv(out).rows[0]["fits"] == "no"
+    assert read_csv(out).records()[0]["fits"] == "no"
 
 
 def test_sweep_labels_keep_values_distinct(capsys):
@@ -154,7 +154,7 @@ def test_sweep_labels_keep_values_distinct(capsys):
         capsys, "targets", "--format", "csv", "--sweep", "antennas=1000001,1000002",
     )
     assert code == EXIT_OK
-    assert [r["name"] for r in read_csv(out).rows] == [
+    assert [r["name"] for r in read_csv(out).records()] == [
         "5g-400mhz-64ant[antennas=1000001]", "5g-400mhz-64ant[antennas=1000002]",
     ]
 
@@ -169,7 +169,7 @@ def test_sweep_samples_below_one_are_skipped(capsys):
         f"samples must be a positive integer, got {n}"
         for n in (0, -1)
     ]
-    assert [r["samples"] for r in read_csv(out).rows] == [20]
+    assert [r["samples"] for r in read_csv(out).records()] == [20]
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])
@@ -183,7 +183,7 @@ def test_sweep_with_only_bad_samples_is_config_error(capsys, samples):
 def test_timeline_row_at_reference_point():
     cfg = default_config()  # 400 MHz, 64 antennas, 20 samples, 14nm
     points = [(name, scenario, cfg.samples) for name, scenario in cfg.scenarios]
-    (row,) = cmd_timeline(cfg, points, []).rows
+    (row,) = cmd_timeline(cfg, points, []).records()
     assert (row["name"], row["samples"]) == ("5g-400mhz-64ant", 20)
     assert row["required_qubits"] == 3_320_055
     assert row["year_best"] == 2040
@@ -221,7 +221,7 @@ def test_non_finite_sweep_values_end_in_one_line_each(capsys, command, sweep, co
     assert "Traceback" not in err
     assert err.splitlines() == lines
     if code == EXIT_WARNINGS:
-        assert len(read_csv(out).rows) == 1
+        assert len(read_csv(out).records()) == 1
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -283,7 +283,7 @@ def test_whole_site_counts_run(tmp_path, capsys, n_bs):
                     encoding="utf-8")
     code, out, _ = run(capsys, "power", "--format", "csv", "--config", str(path))
     assert code == EXIT_OK
-    assert read_csv(out).rows[0]["cmos_fronthaul_w"] == 7400.0 * n_bs  # one link a site
+    assert read_csv(out).records()[0]["cmos_fronthaul_w"] == 7400.0 * n_bs  # one link a site
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -369,7 +369,7 @@ def test_whole_floats_count_as_integers(tmp_path, capsys):
         path.write_text(json.dumps({"scenarios": scenarios, **doc}), encoding="utf-8")
         code, out, err = run(capsys, "qubits", "--format", "csv", "--config", str(path))
         assert (code, err) == (EXIT_OK, "")
-        row = read_csv(out).rows[0]
+        row = read_csv(out).records()[0]
         assert (row["name"], row["antennas"], row["samples"]) == (name, 8, 3)
         assert out.splitlines()[1].split(",")[3] == "3"  # printed as a count
 
@@ -382,6 +382,22 @@ def test_antenna_count_past_float_range_is_a_model_error(tmp_path, capsys):
     code, out, err = run(capsys, "targets", "--config", str(path))
     assert (code, out, err) == (
         EXIT_DOMAIN, "", "qaplan: model error: compute targets overflow: inf TOPS\n")
+
+
+_FLOAT_RANGE_PAST = 10**400  # a 401-digit sample count
+
+
+@pytest.mark.parametrize("entry", ["config", "config sweep", "sweep flag"])
+@pytest.mark.parametrize("command", ["qubits", "economics", "timeline"])
+def test_sample_count_past_float_range_is_a_model_error(tmp_path, capsys, entry, command):
+    path = tmp_path / "samples.json"
+    doc = {"samples": _FLOAT_RANGE_PAST} if entry == "config" else (
+        {"sweep": {"samples": [_FLOAT_RANGE_PAST]}} if entry == "config sweep" else {})
+    path.write_text(json.dumps(doc), encoding="utf-8")  # the count in full, as digits
+    flags = ["--sweep", f"samples={_FLOAT_RANGE_PAST}"] if entry == "sweep flag" else []
+    code, out, err = run(capsys, command, "--config", str(path), *flags)
+    assert (code, out, err) == (
+        EXIT_DOMAIN, "", "qaplan: model error: sample count past float range: 401 digits\n")
 
 
 def test_wrong_typed_qa_override_names_its_field(tmp_path, capsys):
@@ -503,7 +519,7 @@ def test_env_var_points_at_config(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(ENV_CONFIG_PATH, str(path))
     code, out, _ = run(capsys, "targets", "--format", "csv")
     assert code == EXIT_OK
-    assert read_csv(out).rows[0]["name"] == "small"
+    assert read_csv(out).records()[0]["name"] == "small"
 
 
 def test_config_flag_beats_env_var(tmp_path, monkeypatch, capsys):
@@ -512,7 +528,7 @@ def test_config_flag_beats_env_var(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps({"samples": 50}), encoding="utf-8")
     code, out, _ = run(capsys, "qubits", "--format", "csv", "--config", str(path))
     assert code == EXIT_OK
-    assert read_csv(out).rows[0]["samples"] == 50
+    assert read_csv(out).records()[0]["samples"] == 50
 
 
 def test_config_sweep_used_when_no_flag(tmp_path, capsys):
@@ -520,7 +536,7 @@ def test_config_sweep_used_when_no_flag(tmp_path, capsys):
     path.write_text(json.dumps({"sweep": {"antennas": [32, 64]}}), encoding="utf-8")
     code, out, _ = run(capsys, "targets", "--format", "csv", "--config", str(path))
     assert code == EXIT_OK
-    assert len(read_csv(out).rows) == 2
+    assert len(read_csv(out).records()) == 2
 
 
 def test_sweep_flag_overrides_config_sweep(tmp_path, capsys):
@@ -531,7 +547,7 @@ def test_sweep_flag_overrides_config_sweep(tmp_path, capsys):
         "--sweep", "antennas=128",
     )
     assert code == EXIT_OK
-    rows = read_csv(out).rows
+    rows = read_csv(out).records()
     assert len(rows) == 1
     assert rows[0]["antennas"] == 128
 

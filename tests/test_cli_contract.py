@@ -58,7 +58,7 @@ sound_configs = _optional(
     qa=_optional(profile=st.sampled_from(["projected", "current"] * 2 + [["current"]]),
                  programming_us=numbers, anneal_us=numbers, readout_us=numbers,
                  readout_delay_us=numbers, refrigeration_w=numbers),
-    samples=st.sampled_from([1, 20, 50, 0, -1]),
+    samples=st.sampled_from([1, 20, 50, 0, -1, 10**400]),  # the last past float range
     topology=st.one_of(
         st.just({"kind": "bs"}),
         _optional(n_bs=site_counts, fronthaul_gbps=numbers).map(
@@ -82,7 +82,8 @@ configs = st.one_of(
 SWEEP_AXES = ("bandwidth_mhz", "antennas", "samples", "modulation_bits",
               "coding_rate", "duty_time", "duty_freq")
 flag_values = st.sampled_from(["nan", "inf", "-inf", "1e308", "1e300", "1e-300",
-                               "0", "-1", "1", "2", "6", "20", "64", "0.5", "400"])
+                               "0", "-1", "1", "2", "6", "20", "64", "0.5", "400",
+                               "1" + "0" * 400])
 sweep_flags = st.dictionaries(
     st.sampled_from(SWEEP_AXES), st.lists(flag_values, min_size=1, max_size=3),
     max_size=3,
@@ -102,6 +103,8 @@ def _call(argv):
 @example("economics", {"costs": {"electricity_price_per_kwh": 1e308}}, [])
 @example("power", {"cmos": [{"efficiency_tops_per_w": 1e-300}]}, [])
 @example("timeline", {"qa": {"programming_us": 1e300}}, ["bandwidth_mhz=1e300"])
+@example("qubits", {"samples": 10**400}, [])
+@example("economics", {}, ["samples=1" + "0" * 400])
 def test_cli_contract(command, doc, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -117,8 +120,8 @@ def test_cli_contract(command, doc, flags):
     assert "Traceback" not in csv_err
     assert (json_code, json_err) == (csv_code, csv_err)
     if csv_code in (0, 3):
-        from_csv = read_csv(csv_text).rows
-        from_json = read_json(json_text).rows
+        from_csv = read_csv(csv_text).records()
+        from_json = read_json(json_text).records()
         for row in from_csv:
             for key, cell in row.items():
                 assert not isinstance(cell, float) or math.isfinite(cell), (key, cell)

@@ -1,10 +1,15 @@
 """Deployment comparisons, the offload advantage, and operating-cost pricing."""
 
-import pytest
-from hypothesis import given, strategies as st
+import functools
+import math
+import operator
 
-from qaplan.cmos import CMOS_1_5NM, CMOS_14NM, CmosProfile, cmos_power
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qaplan.cmos import BUILTIN_CMOS, CMOS_1_5NM, CMOS_14NM, CmosProfile, cmos_power
 from qaplan.economics import (
+    LB_PER_METRIC_KILOTON,
     MAX_N_BS,
     OFFLOADABLE_TASKS,
     SILICON_RESIDENT_TASKS,
@@ -16,7 +21,8 @@ from qaplan.economics import (
     offload_advantage_w,
 )
 from qaplan.qa_hardware import QA_PROJECTED, refrigerator_qubit_capacity
-from qaplan.workload import BbuTask, CellScenario, workload
+from qaplan.ran_power import bs_power
+from qaplan.workload import VALID_MODULATION_BITS, BbuTask, CellScenario, workload
 
 SCENARIO_400_64 = CellScenario(400, 6, 0.5, 64)
 # Task lists in task order: what stays on silicon beside the annealer, the
@@ -195,3 +201,51 @@ def test_advantage_positive_exactly_at_crossover(antennas):
     # wins on the grid it keeps winning
     grid = [_advantage(bw, antennas) for bw in range(10, 1001, 10)]
     assert grid == sorted(grid)
+
+
+def _left_sum(values):
+    return functools.reduce(operator.add, values, 0)
+
+
+def _reference_cost_report(delta_w, horizons_years, assumptions):
+    # `cost_report`'s arithmetic as it was with generator expressions.
+    kwh_per_year = delta_w / 1000.0 * assumptions.hours_per_year
+    opex = tuple(kwh_per_year * years * assumptions.electricity_price_per_kwh
+                 for years in horizons_years)
+    co2 = tuple(kwh_per_year * years * assumptions.co2_lb_per_kwh / LB_PER_METRIC_KILOTON
+                for years in horizons_years)
+    return delta_w, opex, co2
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+
+
+@given(finite, st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=4),
+       st.builds(CostAssumptions, st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+                 st.floats(0.0, 1e4)))
+def test_cost_report_is_bit_identical_to_its_reference(delta_w, horizons, assumptions):
+    got = cost_report(delta_w, horizons, assumptions)
+    assert tuple(got) == _reference_cost_report(delta_w, horizons, assumptions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(
+    CellScenario,
+    bandwidth_mhz=st.floats(min_value=1.0, max_value=1000.0),
+    modulation_bits=st.sampled_from(VALID_MODULATION_BITS),
+    coding_rate=st.floats(min_value=0.01, max_value=1.0),
+    antennas=st.integers(min_value=1, max_value=512),
+), st.sampled_from(sorted(BUILTIN_CMOS)))
+def test_standalone_sides_are_bit_identical_to_a_sum_per_candidate(scenario, node):
+    # Each candidate's silicon summed left to right from 0, in task order.
+    load = workload(scenario)
+    watts = {t: cmos_power(load.tops[t], BUILTIN_CMOS[node]) for t in BbuTask}
+    sides = deployments(load, BUILTIN_CMOS[node], QA_PROJECTED)
+    want_cmos = bs_power(_left_sum(watts[t] for t in BbuTask), scenario.antennas)
+    want_qa = bs_power(_left_sum(watts[t] for t in RESIDENT), scenario.antennas,
+                       refrigeration_w=QA_PROJECTED.refrigeration_w)
+    for got, want in ((sides.cmos, want_cmos), (sides.qa, want_qa)):
+        assert [getattr(got, f) for f in got.__slots__] == [
+            getattr(want, f) for f in want.__slots__]
+    assert sides.delta_w == want_cmos.total_w - want_qa.total_w
+    assert math.isfinite(sides.delta_w)

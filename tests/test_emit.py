@@ -1,10 +1,14 @@
 """Emission layer: deterministic rendering and round-trip parsing."""
 
+import csv
+import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qaplan.cli import _COMMANDS, _expand_points
+from qaplan.config import parse_config
 from qaplan.emit import (
     Column,
     Table,
@@ -79,7 +83,7 @@ def test_csv_round_trip():
     back = read_csv(render_csv(sample_table()))
     assert back.notes == ["first note", "second note"]
     assert [c.key for c in back.columns] == ["k", "v", "n"]
-    assert back.rows == [
+    assert back.records() == [
         {"k": "a", "v": 1.23, "n": 7},
         {"k": "b", "v": 50.0, "n": 1200},
     ]
@@ -88,7 +92,7 @@ def test_csv_round_trip():
 def test_json_round_trip():
     back = read_json(render_json(sample_table()))
     assert back.name == "demo"
-    assert back.rows[1] == {"k": "b", "v": 50.0, "n": 1200}
+    assert back.records()[1] == {"k": "b", "v": 50.0, "n": 1200}
     assert back.notes == ["first note", "second note"]
 
 
@@ -104,53 +108,77 @@ def test_csv_and_json_carry_identical_numbers(pairs):
         columns=[Column("x", "X", ".6g"), Column("y", "Y", ".6g")],
         rows=[{"x": x, "y": y} for x, y in pairs],
     )
-    from_csv = read_csv(render_csv(t)).rows
-    from_json = read_json(render_json(t)).rows
+    from_csv = read_csv(render_csv(t)).records()
+    from_json = read_json(render_json(t)).records()
     assert len(from_csv) == len(from_json) == len(pairs)
     for a, b in zip(from_csv, from_json):
         assert a["x"] == b["x"] and a["y"] == b["y"]
 
 
 def test_equal_but_distinct_neighbours_are_formatted_on_their_own():
-    # Renderers reuse a cell's text when its value `is` the one above it.
-    # Values that are equal but not identical must still be formatted each.
-    half, other_half = float("0.5"), float("0.5")
-    assert half is not other_half
-    shared = float("2.5")  # one object in every row
-    columns = [Column("z", "Z"), Column("n", "N"), Column("f", "F", ".2f"),
-               Column("s", "S"), Column("shared", "Shared", ".3f")]
-    cycles = {"z": [0.0, -0.0], "n": [1, 1.0, True], "f": [half, other_half],
-              "s": ["1", 1]}
-    table = Table("reuse", columns, [
-        {**{key: cycle[i % len(cycle)] for key, cycle in cycles.items()},
-         "shared": shared}
-        for i in range(8)
-    ])
-    expected = [[format_cell(row[c.key], c.spec) for c in columns]
-                for row in table.rows]
-    assert [cells[0] for cells in expected[:2]] == ["0.0", "-0.0"]
-    assert [cells[1] for cells in expected[:3]] == ["1", "1.0", "True"]
+    # Renderers format a shared tuple once and reuse the result while the
+    # very same tuple comes back. Shared tuples that are equal but not the
+    # same object must still be formatted each: 0.0 and -0.0, or 1, 1.0
+    # and True, are equal but format differently.
+    columns = [Column("name", "Name"), Column("z", "Z"), Column("n", "N"),
+               Column("f", "F", ".2f"), Column("s", "S")]
+    repeated = (1.0, True, 0.5, "1")  # one object, in rows 1 and 2
+    suffixes = [(0.0, 1, 0.5, "1"), (-0.0, 1.0, float("0.5"), 1), repeated, repeated,
+                (0.0, True, 0.5, "1"), (0.0, 1, 0.5, "1")]
+    assert suffixes[0] == suffixes[4] == suffixes[5]  # equal, yet each formatted
+    table = Table("reuse", columns, [((f"r{i}",), shared)
+                                     for i, shared in enumerate(suffixes)])
+    expected = [[cells[0]] + [format_cell(v, c.spec) for v, c in zip(shared, columns[1:])]
+                for cells, shared in table.rows]
+    assert [cells[1] for cells in expected[:2]] == ["0.0", "-0.0"]
+    assert [cells[2] for cells in expected[:3]] == ["1", "1.0", "True"]
+    assert expected[4][2] == "True"
 
     assert render_csv(table).split("\r\n")[1:-1] == [",".join(c) for c in expected]
     text_rows = render_text(table).splitlines()[3:]
     assert [line.split() for line in text_rows] == expected
-    for row, cells, got in zip(table.rows, expected,
-                               json.loads(render_json(table))["rows"]):
-        for column, text in zip(columns, cells):
-            value = row[column.key]
+    for (cells, shared), texts, got in zip(table.rows, expected,
+                                           json.loads(render_json(table))["rows"]):
+        for value, column, text in zip(cells + shared, columns, texts):
             want = text if isinstance(value, str) else _parse_number(text)
             assert got[column.key] == want
             assert type(got[column.key]) is type(want)
 
 
+class _Counted(float):
+    """A float that counts how often it is formatted."""
+
+    formats = 0
+
+    def __format__(self, spec):
+        _Counted.formats += 1
+        return float.__format__(self, spec)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_interleaved_shared_tuples_are_formatted_once(fmt):
+    # On a per-node table the rows of a run hand over their nodes' shared
+    # tuples in turn; each tuple is still formatted once.
+    first, second = (_Counted(1.5),), (_Counted(2.5),)
+    rows = [(("a",), first), (("b",), second), (("c",), first), (("d",), second)]
+    table = Table("t", [Column("name", "Name"), Column("x", "X", ".2f")], rows)
+    _Counted.formats = 0
+    got = render(table, fmt)
+    assert _Counted.formats == 2
+    flat = Table("t", table.columns, [(cells + shared, ()) for cells, shared in rows])
+    assert got == render(flat, fmt)
+
+
 def _reference_json(table):
-    """The json rendering as one `json.dumps` over the whole document."""
+    """The json rendering as one `json.dumps` over the whole document, each
+    row built on its own from its flat cells."""
     keys = [c.key for c in table.columns]
     doc = {
         "table": table.name,
         "columns": [{"key": c.key, "title": c.title} for c in table.columns],
-        "rows": [dict(zip(keys, [_json_cell(row[c.key], c.spec) for c in table.columns]))
-                 for row in table.rows],
+        "rows": [dict(zip(keys, [_json_cell(v, c.spec)
+                                 for v, c in zip((*cells, *shared), table.columns)]))
+                 for cells, shared in table.rows],
         "notes": list(table.notes),
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -175,10 +203,108 @@ def json_tables(draw):
                     else _NUMBERS) | _STRINGS
               for key in dict.fromkeys(c.key for c in columns)}
     rows = draw(st.lists(st.fixed_dictionaries(values), max_size=4))
-    return Table(draw(st.text(max_size=8)), columns, rows,
-                 draw(st.lists(st.text(max_size=8), max_size=3)))
+    table = Table(draw(st.text(max_size=8)), columns, rows,
+                  draw(st.lists(st.text(max_size=8), max_size=3)))
+    # Split every row at one column, and let runs of rows hand over one
+    # shared tuple, as the cli's rows of one run do.
+    split = draw(st.integers(min_value=0, max_value=len(columns)))
+    paired = []
+    for cells, _ in table.rows:
+        if paired and draw(st.booleans()):
+            paired.append((cells[:split], paired[-1][1]))
+        else:
+            paired.append((cells[:split], cells[split:]))
+    table.rows = paired
+    return table
 
 
 @given(json_tables())
 def test_json_matches_one_dumps_of_the_whole_document(table):
     assert render_json(table) == _reference_json(table)
+
+
+def _flat_cells(table):
+    """Each row's cells formatted on their own, in column order."""
+    return [[format_cell(v, c.spec) for v, c in zip((*cells, *shared), table.columns)]
+            for cells, shared in table.rows]
+
+
+def _reference_csv(table):
+    """The csv rendering with every row written whole by the csv module."""
+    buf = io.StringIO()
+    for note in table.notes:
+        buf.write(f"# {note}\r\n")
+    writer = csv.writer(buf)
+    writer.writerow([c.key for c in table.columns])
+    writer.writerows(_flat_cells(table))
+    return buf.getvalue()
+
+
+def _reference_text(table):
+    """The text rendering with every row formatted on its own."""
+    headers = [c.title for c in table.columns]
+    grid = _flat_cells(table)
+    widths = [max([len(h)] + [len(row[i]) for row in grid]) for i, h in enumerate(headers)]
+    lines = [table.name,
+             "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+             "  ".join("-" * w for w in widths)]
+    lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip() for row in grid]
+    lines += [f"note: {note}" for note in table.notes]
+    return "\n".join(lines) + "\n"
+
+
+_REFERENCES = {"csv": _reference_csv, "json": _reference_json, "table": _reference_text}
+
+
+@given(json_tables())
+def test_csv_and_text_match_a_rendering_of_flat_rows(table):
+    # Strings with commas, quotes, newlines or nothing at all test the csv
+    # module's quoting of a row written in two parts.
+    assert render_csv(table) == _reference_csv(table)
+    assert render_text(table) == _reference_text(table)
+
+
+@pytest.mark.parametrize("rows", [
+    [(("",), ("x",))], [(("x",), ("",))], [(("",), ("",))], [((), ("",))],
+    [(("",), ())], [((), ())], [(("a,b", 'q"'), ("\n", ""))],
+])
+def test_csv_row_parts_quote_as_the_whole_row(rows):
+    # The csv module writes a row of one empty field as "", and an empty
+    # field within a longer row as nothing.
+    n = len(rows[0][0]) + len(rows[0][1])
+    table = Table("t", [Column(f"c{i}", f"C{i}") for i in range(n)], rows)
+    assert render_csv(table) == _reference_csv(table)
+
+
+_AXES = {"bandwidth_mhz": [20.0, 100.0, 400.0], "antennas": [8, 64],
+         "modulation_bits": [2, 6], "coding_rate": [0.5, 1.0]}
+cli_configs = st.fixed_dictionaries({
+    "topology": st.one_of(st.just({"kind": "bs"}), st.builds(
+        lambda n: {"kind": "cran", "n_bs": n}, st.integers(1, 4))),
+    "cmos": st.lists(st.sampled_from(["65nm", "14nm", "1.5nm"]), min_size=1, max_size=3,
+                     unique=True),
+    "qa": st.sampled_from([{"profile": "projected"}, {"profile": "current"}]),
+    "horizons_years": st.sampled_from([[1, 10], [2.5]]),
+})
+# Every sweep has a samples axis, so runs hold several rows.
+cli_sweeps = st.dictionaries(st.sampled_from(sorted(_AXES)), st.none(), max_size=2).flatmap(
+    lambda axes: st.fixed_dictionaries({
+        "samples": st.lists(st.sampled_from([1, 20, 50]), min_size=1, max_size=3),
+        **{axis: st.lists(st.sampled_from(_AXES[axis]), min_size=1, max_size=3)
+           for axis in axes},
+    }))
+
+
+@pytest.mark.parametrize("fmt", sorted(_REFERENCES))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=15, deadline=None)
+@given(doc=cli_configs, sweep=cli_sweeps)
+def test_cli_tables_render_as_their_flat_rows(command, fmt, doc, sweep):
+    # The cli's rows share their trailing cells within a run; rendering
+    # them must give what rendering every row on its own gives.
+    cfg = parse_config(doc)
+    points = _expand_points(cfg, sweep, [])
+    got = render(_COMMANDS[command](cfg, points, []), fmt)
+    table = _COMMANDS[command](cfg, points, [])
+    table.rows = list(table.rows)
+    assert got == _REFERENCES[fmt](table)

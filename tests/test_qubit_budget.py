@@ -3,23 +3,25 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qaplan.qa_hardware import QA_PROJECTED
+from qaplan.qa_hardware import QA_CURRENT, QA_PROJECTED, QaProfile
 from qaplan.qubit_budget import (
     FEC_QUBITS_PER_PROBLEM,
     LDPC_COLS,
     LDPC_ROWS,
     MODELED_LOAD_FRACTION,
-    ProblemModels,
+    QubitBudget,
     TaskProblemModel,
     fdnl_problem_model,
     fec_problem_model,
     ldpc_aux_depth,
+    qubit_rates,
+    rates_budget,
     task_qubits,
     total_budget,
 )
-from qaplan.workload import BbuTask, CellScenario, workload
+from qaplan.workload import VALID_MODULATION_BITS, BbuTask, CellScenario, workload
 
 SCENARIO_400 = CellScenario(400, 6, 0.5, 64)
 
@@ -113,14 +115,73 @@ def test_parity_chain_depth_covers_weight(w):
     assert n == 0 or 2**n - 2 < target
 
 
-def test_shared_problem_models_give_the_same_budget():
-    models = ProblemModels(QA_PROJECTED)
-    for scenario in (SCENARIO_400, CellScenario(100, 2, 0.5, 8), SCENARIO_400):
-        load = workload(scenario)
-        for samples in (1, 20, 1):
-            assert (total_budget(load, QA_PROJECTED, samples, models)
-                    == total_budget(load, QA_PROJECTED, samples))
-    assert models.fec(20) is models.fec(20)
-    assert models.fdnl(20, 64, 6) is models.fdnl(20, 64, 6)
-    assert models.fdnl(20, 64, 6) == fdnl_problem_model(QA_PROJECTED, 20, 64, 6)
+def _reference_task_qubits(tops, model):
+    # `task_qubits` as it was before the split, one product per task.
+    if tops < 0:
+        raise ValueError(f"tops must be non-negative, got {tops}")
+    pps = tops * 1e12 / model.ops_per_problem
+    qubits = pps * model.qubits_per_problem * model.runtime_us * 1e-6
+    if not math.isfinite(qubits):
+        raise ValueError(f"qubit requirement at {tops:g} TOPS is not finite")
+    return math.ceil(qubits)
 
+
+def _reference_budget(load, profile, samples):
+    # `total_budget` as it was before the split: problem models built per
+    # call, each task's qubits in one product.
+    scenario = load.scenario
+    fdnl = fdnl_problem_model(profile, samples, scenario.antennas, scenario.modulation_bits)
+    fec = fec_problem_model(profile, samples)
+    per_task = {
+        BbuTask.FD_NL: _reference_task_qubits(load.tops[BbuTask.FD_NL], fdnl),
+        BbuTask.FEC: _reference_task_qubits(load.tops[BbuTask.FEC], fec),
+    }
+    return per_task, math.ceil(sum(per_task.values()) / MODELED_LOAD_FRACTION)
+
+
+def _outcome(budget):
+    try:
+        return budget()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+fractions = st.sampled_from([1.0, 0.5, 0.25])
+workloads = st.builds(
+    CellScenario,
+    bandwidth_mhz=st.floats(min_value=1e-300, max_value=1e6),
+    modulation_bits=st.sampled_from(VALID_MODULATION_BITS),
+    coding_rate=st.floats(min_value=1e-3, max_value=1.0),
+    antennas=st.integers(min_value=1, max_value=10**5),
+    duty_time=fractions,
+    duty_freq=fractions,
+).map(workload)
+times = st.sampled_from([0.0, 1.0, 87.5, 1000.0, 1e300])
+profiles = st.builds(QaProfile, name=st.just("drawn"), programming_us=times,
+                     anneal_us=times, readout_us=times, readout_delay_us=times)
+sample_counts = st.one_of(st.integers(min_value=0, max_value=10**4),
+                          st.sampled_from([10**300, 10**308, 10**400]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(workloads, st.one_of(st.just(QA_PROJECTED), st.just(QA_CURRENT), profiles),
+       sample_counts)
+@example(workload(SCENARIO_400), QaProfile("idle", 0.0, 0.0, 0.0, 0.0), 20)  # no runtime
+@example(workload(SCENARIO_400), QaProfile("slow", 1e300, 1e300), 10**300)  # inf qubits
+def test_split_budget_is_bit_identical_to_the_unsplit_one(load, profile, samples):
+    # The sample-free step (`qubit_rates`) keeps the left part of each
+    # task's product, so every field and every message must be unchanged.
+    want = _outcome(lambda: _reference_budget(load, profile, samples))
+    got = _outcome(lambda: total_budget(load, profile, samples))
+    if isinstance(got, QubitBudget):
+        got = dict(got.per_task), got.total
+    assert got == want
+    rates = qubit_rates(load)
+    assert _outcome(lambda: rates_budget(rates, profile, samples)) == _outcome(
+        lambda: total_budget(load, profile, samples))
+
+
+def test_sample_counts_past_float_range_are_domain_errors():
+    load = workload(SCENARIO_400)
+    with pytest.raises(ValueError, match="^sample count past float range: 401 digits$"):
+        total_budget(load, QA_PROJECTED, 10**400)

@@ -8,6 +8,7 @@ from qaplan.ran_power import (
     PA_W,
     RU_CHAIN_W,
     FronthaulLink,
+    PowerBreakdown,
     PowerSystemLosses,
     RrhSite,
     bs_power,
@@ -127,3 +128,14 @@ def test_radio_power_proportional_to_antennas(n):
     b = bs_power(bbu_w=0.0, antennas=n)
     assert b.ru_w == pytest.approx(10.8 * n)
     assert b.pa_w == pytest.approx(102.6 * n)
+
+
+watts = st.floats(min_value=0.0, max_value=1e12)
+
+
+@given(st.lists(watts, min_size=6, max_size=6))
+def test_total_is_the_left_to_right_sum_of_the_components(parts):
+    b = PowerBreakdown(*parts)
+    assert b.total_w == ((((parts[0] + parts[1]) + parts[2]) + parts[3]) + parts[4]) + parts[5]
+    assert [b.bbu_w, b.ru_w, b.pa_w, b.power_system_w, b.fronthaul_w,
+            b.refrigeration_w] == parts

@@ -61,12 +61,12 @@ def test_every_cell_matches_an_unshared_evaluation(doc, sweep):
     qa, topology = cfg.qa_profile, cfg.topology
     capacity = refrigerator_qubit_capacity()
 
-    targets = iter(cmd_targets(cfg, points, []).rows)
-    qubits = iter(cmd_qubits(cfg, points, []).rows)
-    timeline = iter(cmd_timeline(cfg, points, []).rows)
-    power = iter(cmd_power(cfg, points, []).rows)
+    targets = iter(cmd_targets(cfg, points, []).records())
+    qubits = iter(cmd_qubits(cfg, points, []).records())
+    timeline = iter(cmd_timeline(cfg, points, []).records())
+    power = iter(cmd_power(cfg, points, []).records())
     economics_warnings = []
-    economics = iter(cmd_economics(cfg, points, economics_warnings).rows)
+    economics = iter(cmd_economics(cfg, points, economics_warnings).records())
     expected_warnings = []
 
     for name, scenario, samples in points:

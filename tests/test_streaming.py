@@ -1,10 +1,12 @@
 """Rows stream from the evaluation into the renderer: memory stays flat."""
 
+import contextlib
+import os
 import tracemalloc
 
 import pytest
 
-from qaplan.cli import (_expand_points, cmd_economics, cmd_power, cmd_qubits,
+from qaplan.cli import (_expand_points, _Warnings, cmd_economics, cmd_power, cmd_qubits,
                         cmd_targets, cmd_timeline)
 from qaplan.config import _parse_sweep, default_config, parse_config
 
@@ -15,34 +17,23 @@ def _grid(bandwidth_step: int) -> dict:
                          "antennas": list(range(1, 101)), "samples": [1, 20, 50]})
 
 
-class _Tally(list):
-    """A warnings list that counts its messages without holding them.
-
-    Warnings are held by design, to be printed after the output; they grow
-    with the grid, so they would hide what the rows themselves hold.
-    """
-
-    count = 0
-
-    def append(self, message: str) -> None:
-        self.count += 1
-
-
 def _traced_peak(cfg, points) -> int:
-    """Traced peak bytes while the economics rows are read one at a time."""
-    warnings = _Tally()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        rows = cmd_economics(cfg, points, warnings).rows
-        count = 0
-        for _ in rows:
-            count += 1
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    """Traced peak bytes while the economics rows are read one at a time,
+    each capacity warning written out as it is gathered, as `main` does."""
+    warnings = _Warnings()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rows = cmd_economics(cfg, points, warnings).rows
+            count = 0
+            for _ in rows:
+                count += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert count == len(rows) == len(points)
-    assert warnings.count  # capacity warnings were gathered as the rows were read
+    assert warnings.count  # capacity warnings were written as the rows were read
     return peak
 
 

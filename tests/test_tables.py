@@ -21,11 +21,11 @@ def test_registry_is_complete():
 
 def test_targets_shape_and_cells():
     t = targets_table()
-    assert [r["task"] for r in t.rows][-1] == "Total"
-    assert len(t.rows) == 9
-    ref = {r["task"]: r["reference"] for r in t.rows}
+    assert [r["task"] for r in t.records()][-1] == "Total"
+    assert len(t.records()) == 9
+    ref = {r["task"]: r["reference"] for r in t.records()}
     assert ref["FEC"] == pytest.approx(0.140)
-    total = t.rows[-1]
+    total = t.records()[-1]
     assert total["4g_8"] == pytest.approx(15.040)
     # the one divergent printed total reports the column sum, with a flag
     assert total["5g200_128"] == pytest.approx(6553.6)
@@ -34,8 +34,8 @@ def test_targets_shape_and_cells():
 
 def test_energy_rows():
     t = energy_table()
-    assert [r["dacs"] for r in t.rows] == [4_544, 18_304, 70_056, 135_000_000]
-    first = t.rows[0]
+    assert [r["dacs"] for r in t.records()] == [4_544, 18_304, 70_056, 135_000_000]
+    first = t.records()[0]
     assert first["energy_55ua_j"] == pytest.approx(6.615e-14, rel=1e-3)
     assert first["energy_1ua_j"] == pytest.approx(1.2027e-15, rel=1e-3)
     assert any("paper-inconsistent" in n for n in t.notes)
@@ -43,9 +43,9 @@ def test_energy_rows():
 
 def test_readout_rows():
     t = readout_table()
-    assert [r["time_division"] for r in t.rows] == [16, 32, 52, 2236]
-    assert [r["freq_mux_q1e3"] for r in t.rows] == [512, 666, 666, 666]
-    assert [r["freq_mux_q1e6"] for r in t.rows] == [512, 2048, 5436, 666_666]
+    assert [r["time_division"] for r in t.records()] == [16, 32, 52, 2236]
+    assert [r["freq_mux_q1e3"] for r in t.records()] == [512, 666, 666, 666]
+    assert [r["freq_mux_q1e6"] for r in t.records()] == [512, 2048, 5436, 666_666]
 
 
 def test_qubits_time_rows_and_flags():
@@ -53,7 +53,7 @@ def test_qubits_time_rows_and_flags():
     got = [
         (r["samples"], r["runtime_us"], r["fdnl_qubits"], r["fec_qubits"],
          r["total_qubits"])
-        for r in t.rows
+        for r in t.records()
     ]
     assert got == [
         (1, 45.0, 530_842, 567_706, 1_464_731),
@@ -69,23 +69,23 @@ def test_qubits_time_rows_and_flags():
 
 def test_powerbenefit_rows():
     t = powerbenefit_table()
-    assert [r["bandwidth_mhz"] for r in t.rows] == [50, 100, 200, 400]
-    heavy = t.rows[-1]
+    assert [r["bandwidth_mhz"] for r in t.records()] == [50, 100, 200, 400]
+    heavy = t.records()[-1]
     assert heavy["qubits_bs"] == 3_320_055
     assert heavy["qubits_cran"] == 3 * 3_320_055
     assert heavy["bs_cmos_kw"] == pytest.approx(96.64, rel=1e-3)
     assert heavy["bs_qa_kw"] == pytest.approx(44.58, rel=1e-3)
     assert heavy["cran_cmos_mw"] == pytest.approx(0.31213, rel=1e-3)
     assert heavy["cran_qa_mw"] == pytest.approx(0.11915, rel=1e-3)
-    light = t.rows[0]
+    light = t.records()[0]
     assert light["qubits_bs"] == 415_008
     assert light["bs_cmos_kw"] == pytest.approx(20.54, rel=1e-3)
 
 
 def test_costsavings_rows():
     t = costsavings_table()
-    assert [r["years"] for r in t.rows] == [1, 2, 5, 10]
-    first, last = t.rows[0], t.rows[-1]
+    assert [r["years"] for r in t.records()] == [1, 2, 5, 10]
+    first, last = t.records()[0], t.records()[-1]
     assert first["cost_bs64_usd"] == pytest.approx(51_359.88)
     assert first["co2_bs64_kt"] == pytest.approx(0.1499, rel=1e-3)
     assert first["cost_cran_usd"] == pytest.approx(199_176.1, rel=1e-6)
