@@ -41,6 +41,7 @@ import argparse
 import dataclasses
 import itertools
 import sys
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -179,31 +180,20 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings
 class _Node:
     """One scenario's results against one cmos node, each computed on first use."""
 
-    __slots__ = ("cfg", "load", "cmos", "_sides", "_report", "_advantage")
-
     def __init__(self, cfg: RunConfig, load: BbuWorkload, cmos: CmosProfile) -> None:
         self.cfg, self.load, self.cmos = cfg, load, cmos
-        self._sides = self._report = self._advantage = None
 
-    @property
+    @cached_property
     def sides(self) -> Deployments:
-        if self._sides is None:
-            cfg = self.cfg
-            self._sides = deployments(self.load, self.cmos, cfg.qa_profile, cfg.topology)
-        return self._sides
+        return deployments(self.load, self.cmos, self.cfg.qa_profile, self.cfg.topology)
 
-    @property
+    @cached_property
     def report(self) -> CostReport:
-        if self._report is None:
-            cfg = self.cfg
-            self._report = cost_report(self.sides.delta_w, cfg.horizons_years, cfg.costs)
-        return self._report
+        return cost_report(self.sides.delta_w, self.cfg.horizons_years, self.cfg.costs)
 
-    @property
+    @cached_property
     def advantage(self) -> float:
-        if self._advantage is None:
-            self._advantage = advantage_w(self.load, self.cmos, self.cfg.qa_profile)
-        return self._advantage
+        return advantage_w(self.load, self.cmos, self.cfg.qa_profile)
 
 
 class _Run:
@@ -214,21 +204,20 @@ class _Run:
     count, and the `nodes` results, on first use.
     """
 
-    __slots__ = ("qa", "load", "nodes", "_rates", "_budgets")
-
     def __init__(self, cfg: RunConfig, scenario: CellScenario) -> None:
         self.qa = cfg.qa_profile
         self.load = workload(scenario)
         self.nodes = [_Node(cfg, self.load, cmos) for cmos in cfg.cmos_profiles]
-        self._rates: Optional[QubitRates] = None
         self._budgets: Dict[int, QubitBudget] = {}
+
+    @cached_property
+    def rates(self) -> QubitRates:
+        return qubit_rates(self.load)
 
     def budget(self, samples: int) -> QubitBudget:
         budget = self._budgets.get(samples)
         if budget is None:
-            if self._rates is None:
-                self._rates = qubit_rates(self.load)
-            budget = self._budgets[samples] = rates_budget(self._rates, self.qa, samples)
+            budget = self._budgets[samples] = rates_budget(self.rates, self.qa, samples)
         return budget
 
 

@@ -13,9 +13,8 @@ share the first step. Within it, the task lists of pool, sites and
 candidates are module constants, a topology's fronthaul link is built
 once per topology, and each task's silicon watts once per workload and
 node, shared by both candidates, which sum them in task order from 0, as
-`left_sum` does. The results are plain slotted objects and named tuples
-(`Deployments`, `CostReport`), built with no per-call dict; a
-deployment's saving, like each breakdown's total, is computed once.
+`left_sum` does. The results (`Deployments`, `ComparisonResult`,
+`CostReport`) are named tuples, built with no per-call dict.
 
 A centralized radio site (radios, amplifiers, site silicon, its supply
 overhead and fronthaul) is the same for both candidates, so it is built
@@ -119,26 +118,26 @@ _SITE_AT = tuple(map(_ALL_TASKS.index, _SITE_TASKS))
 _CRAN_CMOS_AT = tuple(map(_ALL_TASKS.index, _CRAN_CMOS))
 
 
-class Deployments:
+class Deployments(NamedTuple):
     """Grid power of both deployment candidates for one scenario."""
 
-    __slots__ = ("cmos", "qa", "delta_w")
+    cmos: PowerBreakdown
+    qa: PowerBreakdown
 
-    def __init__(self, cmos: PowerBreakdown, qa: PowerBreakdown) -> None:
-        self.cmos, self.qa = cmos, qa
-        # Power saved by the annealer candidate (negative = it loses).
-        self.delta_w = cmos.total_w - qa.total_w
+    @property
+    def delta_w(self) -> float:
+        """Power saved by the annealer candidate (negative = it loses)."""
+        return self.cmos.total_w - self.qa.total_w
 
 
-class ComparisonResult(Deployments):
+class ComparisonResult(NamedTuple):
     """Both deployment candidates for one scenario, plus the qubit ask."""
 
-    __slots__ = ("budget",)
+    cmos: PowerBreakdown
+    qa: PowerBreakdown
+    budget: QubitBudget  # whole-deployment qubit requirement
 
-    def __init__(self, cmos: PowerBreakdown, qa: PowerBreakdown,
-                 budget: QubitBudget) -> None:
-        super().__init__(cmos, qa)
-        self.budget = budget  # whole-deployment qubit requirement
+    delta_w = Deployments.delta_w
 
 
 def deployments(

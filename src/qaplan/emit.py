@@ -8,12 +8,12 @@ and json can be read back with the readers below.
 A row is a pair of tuples, its own cells and its shared cells, which
 together are its cells in column order. The rows of one cli run share
 their trailing cells: each such row hands over the very same shared
-tuple. Every renderer formats a shared tuple once and reuses the result
-whenever the same object comes back (csv its quoted text, json its
-`"key": value` fields, text its cells and widths), keeping the results
-of the last few distinct tuples (`_Once`). The test is identity, never
-equality: 0.0 and -0.0, or 1, 1.0 and True, are equal but format
-differently.
+tuple. Every row of a table splits at the same column. Every renderer
+formats a shared tuple once and reuses the result while the same object
+comes back on the next rows (csv its quoted text, json its
+`"key": value` fields, text its cells and widths). The test is
+identity, never equality: 0.0 and -0.0, or 1, 1.0 and True, are equal
+but format differently.
 
 A table's rows may be a one-pass stream, as the cli's are: every renderer
 reads them once, in order. Csv and json write each row into one text
@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 Cell = Union[str, int, float]
 
@@ -46,7 +47,8 @@ Row = Tuple[Sequence[Cell], Sequence[Cell]]  # (own cells, shared cells)
 
 @dataclass
 class Table:
-    """A named table whose rows are (cells, shared) pairs.
+    """A named table whose rows are (cells, shared) pairs, all split at
+    the same column.
 
     Rows given as a list of dicts keyed by column key are converted to
     pairs here, once: all cells their own, none shared.
@@ -116,29 +118,14 @@ def _json_nested(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-class _Once:
-    """`render(shared, *args)` once per distinct shared tuple, by identity.
-
-    The rows of a run hand over the same tuple again, in a row or, on a
-    per-node table, taking turns with the tuples of the run's other
-    nodes. The results of the last `KEEP` distinct tuples are kept, so
-    memory stays bounded over any number of rows.
-    """
-
-    KEEP = 64
-
-    def __init__(self, render: Callable[..., Any]) -> None:
-        self._render = render
-        self._kept: Dict[int, Tuple[Sequence[Cell], Any]] = {}
-
-    def __call__(self, shared: Sequence[Cell], *args: Any) -> Any:
-        # The kept tuple stays alive, so no other object can take its id.
-        kept = self._kept.get(id(shared))
-        if kept is None:
-            if len(self._kept) == self.KEEP:
-                self._kept.clear()
-            kept = self._kept[id(shared)] = (shared, self._render(shared, *args))
-        return kept[1]
+def _split(table: Table) -> Tuple[int, Iterator[Row]]:
+    """The column at which every row of `table` splits into own and shared
+    cells, taken from its first row, and its rows."""
+    rows = iter(table.rows)
+    first = next(rows, None)
+    if first is None:
+        return len(table.columns), rows
+    return len(first[0]), itertools.chain((first,), rows)
 
 
 class _Lines(list):
@@ -155,27 +142,23 @@ def render_csv(table: Table) -> str:
     writer = csv.writer(buf)
     writer.writerow([c.key for c in table.columns])
     specs = [c.spec for c in table.columns]
-    # A row with shared cells is written as two parts, each through the csv
-    # module, which quotes every field on its own terms, except that it
-    # writes a row of one empty field as "": within a longer row, such a
-    # part is written empty.
+    split, rows = _split(table)
+    if split == len(specs):  # no shared cells
+        writer.writerows(map(format_cell, cells, specs) for cells, _ in rows)
+        return buf.getvalue()
+    # A row is written as two parts, each through the csv module, which
+    # quotes every field on its own terms, except that it writes a row of
+    # one empty field as "": within a longer row, such a part is written
+    # empty.
     lines = _Lines()
     write_part = csv.writer(lines).writerow
-
-    def after(shared: Sequence[Cell], cells: Sequence[Cell]) -> str:
-        """The text of a row after its own cells."""
-        write_part(map(format_cell, shared, specs[len(cells):]))
-        text = lines.pop()
-        return "," + ("\r\n" if text == '""\r\n' else text) if cells else text
-
-    tails = _Once(after)
-    last = tail = None
-    for cells, shared in table.rows:
-        if not shared:
-            writer.writerow(map(format_cell, cells, specs))
-            continue
+    last = None
+    for cells, shared in rows:
         if shared is not last:
-            last, tail = shared, tails(shared, cells)
+            write_part(map(format_cell, shared, specs[split:]))
+            last, tail = shared, lines.pop()
+            if split:
+                tail = "," + ("\r\n" if tail == '""\r\n' else tail)
         write_part(map(format_cell, cells, specs))
         head = lines.pop()[:-2]
         buf.write(("" if head == '""' else head) + tail)
@@ -189,39 +172,36 @@ def render_json(table: Table) -> str:
     {"table", "columns", "rows", "notes"}, with each row the dict of its
     column keys and `_json_cell` values; the rows are written one by one.
     """
+    specs = [c.spec for c in table.columns]
+    split, rows = _split(table)
     # As in a dict, a repeated key keeps its first place and its last value.
+    # Fields placed among the own cells are written per row (a repeated key
+    # may take its value from the shared cells); the rest, once per shared
+    # tuple.
     first, last_at = {}, {}
     for i, c in enumerate(table.columns):
         first.setdefault(c.key, i)
         last_at[c.key] = i
-    fields = [("\n      " + _json_string(key) + ": ", first[key], last_at[key])
-              for key in first]
-    specs = [c.spec for c in table.columns]
+    own, rest = [], []
+    for key, at in first.items():
+        prefix = "\n      " + _json_string(key) + ": "
+        if at < split:
+            own.append((prefix, last_at[key]))
+        else:
+            rest.append((prefix, last_at[key] - split))
     buf = io.StringIO()
     buf.write('{\n  "table": ' + _json_string(table.name))
     buf.write(',\n  "columns": ' + _json_nested(
         [{"key": c.key, "title": c.title} for c in table.columns]))
     buf.write(',\n  "rows": [')
-    close = "\n    }" if fields else "}"  # json.dumps writes {} for an empty dict
+    close = "\n    }" if first else "}"  # json.dumps writes {} for an empty dict
     separator = "\n    "
-
-    def literals_and_tail(shared: Sequence[Cell]) -> Tuple[List[str], str]:
-        literals = [_json_literal(v, s) for v, s in zip(shared, specs[split:])]
-        tail = ",".join([prefix + literals[i] for prefix, i in rest])
-        return literals, "," + tail if own and rest else tail
-
-    split = last = None
-    for cells, shared in table.rows:
-        if len(cells) != split:
-            # Fields placed among the row's own cells are written per row (a
-            # repeated key may take its value from the shared cells); the
-            # rest, once per shared tuple.
-            split, last = len(cells), None
-            own = [(prefix, i) for prefix, at, i in fields if at < split]
-            rest = [(prefix, i - split) for prefix, at, i in fields if at >= split]
-            rendered = _Once(literals_and_tail)
+    last = None
+    for cells, shared in rows:
         if shared is not last:
-            last, (literals, tail) = shared, rendered(shared)
+            literals = [_json_literal(v, s) for v, s in zip(shared, specs[split:])]
+            tail = ",".join([prefix + literals[i] for prefix, i in rest])
+            last, tail = shared, "," + tail if own and rest else tail
         values = [_json_literal(v, s) for v, s in zip(cells, specs)] + literals
         buf.write(separator + "{" + ",".join([prefix + values[i] for prefix, i in own])
                   + tail + close)
@@ -235,36 +215,30 @@ def render_text(table: Table) -> str:
     """Fixed-width text rendering for terminals."""
     headers = [c.title for c in table.columns]
     specs = [c.spec for c in table.columns]
+    split, rows = _split(table)
     # Widths need every row first. The grid holds each row's own cells,
     # formatted, followed by its formatted shared cells: one tuple per
     # shared tuple, held by reference, whose widths are taken once.
     grid: List[Tuple] = []
-    split, last, shared_widths = len(headers), None, [len(h) for h in headers]
-
-    def formatted(shared: Sequence[Cell]) -> Tuple[str, ...]:
-        texts = tuple(map(format_cell, shared, specs[split:]))
-        shared_widths[split:] = map(max, shared_widths[split:], map(len, texts))
-        return texts
-
-    texts_of = _Once(formatted)
-    for cells, shared in table.rows:
+    widths = [len(h) for h in headers]
+    last = None
+    for cells, shared in rows:
         if shared is not last:
-            last, split = shared, len(cells)
-            texts = texts_of(shared)
+            last, texts = shared, tuple(map(format_cell, shared, specs[split:]))
+            widths[split:] = map(max, widths[split:], map(len, texts))
         grid.append((*map(format_cell, cells, specs), texts))
-    widths = [max(len(h), max((len(row[i]) for row in grid), default=0))
-              for i, h in enumerate(headers[:split])] + shared_widths[split:]
+    widths[:split] = [max(w, max((len(row[i]) for row in grid), default=0))
+                      for i, w in enumerate(widths[:split])]
     lines = [table.name]
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     lines.append("  ".join("-" * w for w in widths))
-    def padded(texts: Tuple[str, ...]) -> str:
-        tail = "  ".join([t.rjust(w) for t, w in zip(texts, widths[split:])])
-        return "  " + tail if split and texts else tail
-
-    tails, last = _Once(padded), None
+    last = None
     for row in grid:
         if row[-1] is not last:
-            last, tail = row[-1], tails(row[-1])
+            last = row[-1]
+            tail = "  ".join([t.rjust(w) for t, w in zip(last, widths[split:])])
+            if split and last:
+                tail = "  " + tail
         lines.append(("  ".join([cell.rjust(w) for cell, w in zip(row[:-1], widths)])
                       + tail).rstrip())
     del grid  # held in `lines` now; freed before the text is joined

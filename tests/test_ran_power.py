@@ -1,5 +1,8 @@
 """Site power roll-ups: radio chains, supply losses, fronthaul."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,3 +142,20 @@ def test_total_is_the_left_to_right_sum_of_the_components(parts):
     assert b.total_w == ((((parts[0] + parts[1]) + parts[2]) + parts[3]) + parts[4]) + parts[5]
     assert [b.bbu_w, b.ru_w, b.pa_w, b.power_system_w, b.fronthaul_w,
             b.refrigeration_w] == parts
+
+
+def test_breakdowns_are_immutable_values():
+    a, b = bs_power(0.0, 8), bs_power(0.0, 8)
+    assert a == b and hash(a) == hash(b)
+    assert a != bs_power(1.0, 8)
+    assert repr(a) == (
+        f"PowerBreakdown(bbu_w=0.0, ru_w={8 * RU_CHAIN_W!r}, pa_w={8 * PA_W!r}, "
+        f"power_system_w={a.power_system_w!r}, fronthaul_w=0.0, refrigeration_w=0.0, "
+        f"total_w={a.total_w!r})")
+    with pytest.raises(AttributeError):
+        a.bbu_w = 5.0
+    # Every way to build a breakdown sums its total again.
+    assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+    moved = a._replace(bbu_w=5.0, total_w=-1.0)
+    assert moved == PowerBreakdown(5.0, *a[1:6])
+    assert moved.total_w == a.total_w + 5.0
