@@ -7,9 +7,10 @@ the same config and flags produce byte-identical bytes. Exit codes:
 warnings (warnings go to stderr, before the problem line of a failure).
 
 Every subcommand is a list of columns over the rows of one staged
-evaluation (`_rows`), which groups consecutive points with an equal
-scenario into runs, as a sweep over samples produces them. A run
-computes its workload once, the sample-free part of its qubit ask
+evaluation, the row loop `_table`. A run is the consecutive points that
+share one scenario object: `_expand_points` hands the points of a sweep
+over samples one object, and the loop tests identity, never equality. A
+run computes its workload once, the sample-free part of its qubit ask
 (`qubit_rates`) once, its qubit budget once per sample count and, per
 cmos node, the deployments, cost report and offload advantage once, each
 on first use. What does not depend on the scenario is built once per
@@ -42,7 +43,7 @@ import dataclasses
 import itertools
 import sys
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -113,6 +114,9 @@ def _parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
             raise ConfigError(
                 f"unknown sweep axis {axis!r}; axes: {', '.join(SWEEP_AXES)}"
             )
+        if axis in sweep:
+            raise ConfigError(
+                f"--sweep {axis} given twice; list all its values in one flag")
         cast = int if axis in _INTEGER_AXES else float
         try:  # the text first; `_parse_sweep` refuses strings
             numbers = [cast(v) for v in values.split(",")]
@@ -197,7 +201,7 @@ class _Node:
 
 
 class _Run:
-    """Consecutive points with an equal scenario, and what they share.
+    """Consecutive points with one scenario object, and what they share.
 
     The workload is computed when the run starts; the sample-free part of
     the qubit ask (`qubit_rates`), one cell's qubit budget per sample
@@ -231,6 +235,10 @@ class _Row(NamedTuple):
     owner: Any
 
     @property
+    def load(self) -> BbuWorkload:
+        return self.run.load
+
+    @property
     def budget(self) -> QubitBudget:
         return self.run.budget(self.samples)
 
@@ -248,23 +256,8 @@ class _Stream:
         return self._count
 
 
-def _rows(cfg: RunConfig, points: Sequence[Point], per_node: bool = False
-          ) -> _Stream:
-    """One row per point, or with `per_node` per point and cmos node."""
-
-    def rows() -> Iterator[_Row]:
-        for scenario, points_of_run in itertools.groupby(points, key=itemgetter(1)):
-            run = _Run(cfg, scenario)
-            owners = run.nodes if per_node else (run,)
-            for name, _, samples in points_of_run:
-                for owner in owners:
-                    yield _Row(name, samples, run, owner)
-
-    return _Stream(rows(), len(points) * (len(cfg.cmos_profiles) if per_node else 1))
-
-
-# A column and how to read its cell: from a row's record, or for a shared
-# column from the record's owner.
+# A column and how to read its cell: from a row, or for a shared column
+# from the row's owner.
 Columns = List[Tuple[Column, Callable[[Any], Cell]]]
 
 
@@ -275,51 +268,56 @@ def _column(key: str, title: str, spec: str, path: str) -> Tuple[Column, Callabl
 
 def _table(
     name: str,
+    cfg: RunConfig,
+    points: Sequence[Point],
     columns: Columns,
     shared_columns: Columns,
-    records: _Stream,
     warnings,
     warn: Optional[Callable[[_Row], Optional[str]]] = None,
+    per_node: bool = False,
     notes: Sequence[str] = (),
 ) -> Table:
-    """The row loop every subcommand shares: one row per record, built and
-    its warning gathered as the renderer reads it.
+    """The row loop every subcommand shares: one row per point, or with
+    `per_node` per point and cmos node, each built and its warning
+    gathered as the renderer reads it.
 
-    A row is its own cells, read from the record, followed by its shared
-    cells, read from the record's owner. The shared tuple is built once
-    per owner, and every row of that owner gets the same tuple object.
+    A run starts where the point's scenario object changes. A row is its
+    own cells, read from the `_Row`, followed by its shared cells, read
+    from the row's owner. An owner's shared tuple is built on the owner's
+    first row in the run, and every row of that owner gets that tuple.
     """
     own = [get for _, get in columns]
     shared = [get for _, get in shared_columns]
 
     def rows() -> Iterator[Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]]:
-        run = None
-        for record in records:
-            if record.run is not run:  # the owners of a run end with it
-                run, suffixes = record.run, {}
-            cells = tuple([get(record) for get in own])
-            suffix = suffixes.get(record.owner)
-            if suffix is None:
-                suffix = suffixes[record.owner] = tuple(
-                    [get(record.owner) for get in shared])
-            message = warn(record) if warn else None
-            if message:
-                warnings.append(message)
-            yield cells, suffix
+        scenario = None
+        for point_name, point_scenario, samples in points:
+            first = point_scenario is not scenario  # the run's first point
+            if first:
+                scenario, run = point_scenario, _Run(cfg, point_scenario)
+                owners = run.nodes if per_node else [run]
+                suffixes = []  # the shared tuples, aligned with `owners`
+            for i, owner in enumerate(owners):
+                row = _Row(point_name, samples, run, owner)
+                cells = tuple([get(row) for get in own])
+                if first:
+                    suffixes.append(tuple([get(owner) for get in shared]))
+                message = warn(row) if warn else None
+                if message:
+                    warnings.append(message)
+                yield cells, suffixes[i]
 
+    count = len(points) * (len(cfg.cmos_profiles) if per_node else 1)
     return Table(name=name, columns=[c for c, _ in columns + shared_columns],
-                 rows=_Stream(rows(), len(records)), notes=list(notes))
+                 rows=_Stream(rows(), count), notes=list(notes))
 
 
 _NAME_COLUMN = _column("name", "Scenario", "", "name")
-
-
-def _scenario_columns(prefix: str) -> Columns:
-    """Bandwidth and antenna columns, read at `prefix` + "load.scenario"."""
-    return [
-        _column("bandwidth_mhz", "B/W (MHz)", "g", f"{prefix}load.scenario.bandwidth_mhz"),
-        _column("antennas", "Antennas", "d", f"{prefix}load.scenario.antennas"),
-    ]
+# Rows and both owners have a `load`, so own and shared columns read alike.
+_SCENARIO_COLUMNS = [
+    _column("bandwidth_mhz", "B/W (MHz)", "g", "load.scenario.bandwidth_mhz"),
+    _column("antennas", "Antennas", "d", "load.scenario.antennas"),
+]
 
 
 _SAMPLES_COLUMN = _column("samples", "Samples", "d", "samples")
@@ -327,17 +325,17 @@ _NODE_COLUMN = _column("node", "Node", "", "cmos.node")
 
 
 def cmd_targets(cfg: RunConfig, points, warnings) -> Table:
-    shared = _scenario_columns("") + [
+    shared = _SCENARIO_COLUMNS + [
         (Column(f"{task.value}_tops", task.label, ".3f"),
          lambda run, task=task: run.load.tops[task])
         for task in BbuTask
     ] + [_column("total_tops", "Total", ".3f", "load.total_tops")]
-    return _table("targets", [_NAME_COLUMN], shared, _rows(cfg, points), warnings,
+    return _table("targets", cfg, points, [_NAME_COLUMN], shared, warnings,
                   notes=["units: TOPS"])
 
 
 def cmd_power(cfg: RunConfig, points, warnings) -> Table:
-    shared = _scenario_columns("") + [_NODE_COLUMN] + [
+    shared = _SCENARIO_COLUMNS + [_NODE_COLUMN] + [
         _column(key, title, ".1f", f"sides.{path}")
         for key, title, path in (
             ("cmos_bbu_w", "CMOS BBU (W)", "cmos.bbu_w"),
@@ -352,13 +350,13 @@ def cmd_power(cfg: RunConfig, points, warnings) -> Table:
             ("delta_w", "Saving (W)", "delta_w"),
         )
     ]
-    return _table("power", [_NAME_COLUMN], shared, _rows(cfg, points, per_node=True),
-                  warnings)
+    return _table("power", cfg, points, [_NAME_COLUMN], shared, warnings,
+                  per_node=True)
 
 
 def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
     capacity = refrigerator_qubit_capacity()
-    columns = [_NAME_COLUMN] + _scenario_columns("run.") + [
+    columns = [_NAME_COLUMN] + _SCENARIO_COLUMNS + [
         _SAMPLES_COLUMN,
         (Column("runtime_us", "Runtime (us)", ".0f"),
          lambda r: qmi_runtime_us(cfg.qa_profile, r.samples)),
@@ -380,11 +378,11 @@ def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
                     f"refrigerator capacity {capacity}")
         return None
 
-    return _table("qubits", columns, [], _rows(cfg, points), warnings, warn)
+    return _table("qubits", cfg, points, columns, [], warnings, warn)
 
 
 def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
-    shared = _scenario_columns("") + [
+    shared = _SCENARIO_COLUMNS + [
         _NODE_COLUMN,
         _column("delta_w", "Saving (W)", ".1f", "report.delta_w"),
     ]
@@ -408,15 +406,15 @@ def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
         return None
 
     return _table(
-        "economics", [_NAME_COLUMN], shared, _rows(cfg, points, per_node=True),
-        warnings, warn,
+        "economics", cfg, points, [_NAME_COLUMN], shared, warnings, warn,
+        per_node=True,
         notes=["negative savings mean the annealer candidate draws more power; "
                "breakeven hardware budget equals the OpEx column at each horizon"],
     )
 
 
 def cmd_timeline(cfg: RunConfig, points, warnings) -> Table:
-    columns = [_NAME_COLUMN] + _scenario_columns("run.") + [
+    columns = [_NAME_COLUMN] + _SCENARIO_COLUMNS + [
         _SAMPLES_COLUMN,
         _column("required_qubits", "Required qubits", "d", "budget.total"),
         (Column("year_best", "Year (best case)", "d"),
@@ -430,7 +428,7 @@ def cmd_timeline(cfg: RunConfig, points, warnings) -> Table:
         for i, p in enumerate(cfg.cmos_profiles)
     ]
     return _table(
-        "timeline", columns, shared, _rows(cfg, points), warnings,
+        "timeline", cfg, points, columns, shared, warnings,
         notes=["years are first availability of the required device size under "
                "the best/worst historical growth trends"],
     )

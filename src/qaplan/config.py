@@ -126,9 +126,11 @@ def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
 
 
 def _check_unique(names: Sequence[str], what: str) -> None:
-    for i, name in enumerate(names):
-        if name in names[:i]:
+    seen = set()
+    for name in names:
+        if name in seen:
             raise ConfigError(f"duplicate {what}: {name}")
+        seen.add(name)
 
 
 # The keys of each `cmos[]` object: an explicit efficiency, or a projection
@@ -238,7 +240,8 @@ _INTEGER_AXES = ("antennas", "samples", "modulation_bits")
 
 
 def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
-    """Check each axis's values; `where` prefixes the axis in messages."""
+    """Check each axis's values, which must be distinct since each names
+    its rows; `where` prefixes the axis in messages."""
     _check_keys(obj, SWEEP_AXES, "sweep")
     sweep = {}
     for axis, values in obj.items():
@@ -249,6 +252,9 @@ def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
             sweep[axis] = [check(v, f"{where}{axis}") for v in values]
         except _BAD_VALUE as exc:
             raise ConfigError(f"{where}{axis}: {exc}") from exc
+        # By repr, which tells values apart as row names do: nan is not
+        # equal to itself.
+        _check_unique([repr(v) for v in sweep[axis]], f"{where}{axis} value")
     return sweep
 
 

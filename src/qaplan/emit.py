@@ -2,8 +2,10 @@
 
 Every report the tool produces flows through one Table shape. Cells are
 formatted through per-column format specs so that repeated runs emit
-byte-identical output, and csv/json carry the same numbers. Emitted csv
-and json can be read back with the readers below.
+byte-identical output, and csv/json carry the same numbers. Column keys
+are unique, as a `Table` checks, so a csv header names each column once
+and a json row has one field per column. Emitted csv and json can be
+read back with the readers below.
 
 A row is a pair of tuples, its own cells and its shared cells, which
 together are its cells in column order. The rows of one cli run share
@@ -48,7 +50,8 @@ Row = Tuple[Sequence[Cell], Sequence[Cell]]  # (own cells, shared cells)
 @dataclass
 class Table:
     """A named table whose rows are (cells, shared) pairs, all split at
-    the same column.
+    the same column. Column keys are unique: each is one csv header and
+    one json field.
 
     Rows given as a list of dicts keyed by column key are converted to
     pairs here, once: all cells their own, none shared.
@@ -60,14 +63,18 @@ class Table:
     notes: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        keys = [c.key for c in self.columns]
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise ValueError(f"repeated column key: {key!r}")
+            seen.add(key)
         if isinstance(self.rows, list):
-            keys = [c.key for c in self.columns]
             self.rows = [(tuple([row[k] for k in keys]), ()) if isinstance(row, Mapping)
                          else row for row in self.rows]
 
     def records(self) -> List[Dict[str, Cell]]:
-        """The rows as dicts keyed by column key; a repeated key keeps its
-        last cell."""
+        """The rows as dicts keyed by column key."""
         keys = [c.key for c in self.columns]
         return [dict(zip(keys, (*cells, *shared))) for cells, shared in self.rows]
 
@@ -174,36 +181,23 @@ def render_json(table: Table) -> str:
     """
     specs = [c.spec for c in table.columns]
     split, rows = _split(table)
-    # As in a dict, a repeated key keeps its first place and its last value.
-    # Fields placed among the own cells are written per row (a repeated key
-    # may take its value from the shared cells); the rest, once per shared
-    # tuple.
-    first, last_at = {}, {}
-    for i, c in enumerate(table.columns):
-        first.setdefault(c.key, i)
-        last_at[c.key] = i
-    own, rest = [], []
-    for key, at in first.items():
-        prefix = "\n      " + _json_string(key) + ": "
-        if at < split:
-            own.append((prefix, last_at[key]))
-        else:
-            rest.append((prefix, last_at[key] - split))
+    prefixes = ["\n      " + _json_string(c.key) + ": " for c in table.columns]
+    own, rest = prefixes[:split], prefixes[split:]
     buf = io.StringIO()
     buf.write('{\n  "table": ' + _json_string(table.name))
     buf.write(',\n  "columns": ' + _json_nested(
         [{"key": c.key, "title": c.title} for c in table.columns]))
     buf.write(',\n  "rows": [')
-    close = "\n    }" if first else "}"  # json.dumps writes {} for an empty dict
+    close = "\n    }" if prefixes else "}"  # json.dumps writes {} for an empty dict
     separator = "\n    "
     last = None
     for cells, shared in rows:
         if shared is not last:
-            literals = [_json_literal(v, s) for v, s in zip(shared, specs[split:])]
-            tail = ",".join([prefix + literals[i] for prefix, i in rest])
+            tail = ",".join([prefix + _json_literal(v, s)
+                             for prefix, v, s in zip(rest, shared, specs[split:])])
             last, tail = shared, "," + tail if own and rest else tail
-        values = [_json_literal(v, s) for v, s in zip(cells, specs)] + literals
-        buf.write(separator + "{" + ",".join([prefix + values[i] for prefix, i in own])
+        buf.write(separator + "{" + ",".join([prefix + _json_literal(v, s)
+                                             for prefix, v, s in zip(own, cells, specs)])
                   + tail + close)
         separator = ",\n    "
     buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows

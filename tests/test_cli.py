@@ -431,6 +431,25 @@ def test_duplicate_column_sources_are_config_errors(tmp_path, capsys, doc, messa
     assert err == f"qaplan: config error: {message}\n"
 
 
+@pytest.mark.parametrize("flags,doc,message", [
+    # Each would print two rows of one name.
+    (["--sweep", "samples=20,20"], {}, "duplicate --sweep samples value: 20"),
+    (["--sweep", "bandwidth_mhz=100,1e2"], {},
+     "duplicate --sweep bandwidth_mhz value: 100.0"),
+    ([], {"sweep": {"antennas": [8, 8.0]}}, "duplicate sweep.antennas value: 8"),
+    (["--sweep", "coding_rate=nan,0.5,nan"], {}, "duplicate --sweep coding_rate value: nan"),
+    # The later flag would replace the earlier one's values.
+    (["--sweep", "antennas=8", "--sweep", "antennas=16"], {},
+     "--sweep antennas given twice; list all its values in one flag"),
+])
+def test_repeated_sweep_values_and_axes_are_config_errors(tmp_path, capsys, flags, doc,
+                                                          message):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "qubits", "--config", str(path), *flags)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"qaplan: config error: {message}\n")
+
+
 @pytest.mark.parametrize("doc,message", [
     # a cmos entry takes the keys of one shape only
     ({"cmos": [{"node": "7nm", "vdd": 0.7, "leakage_fraction": 0.9}]},

@@ -1,8 +1,9 @@
 """The CLI contract under generated configs and sweep flags.
 
 Whatever the input, `cli.main` ends in exit code 0, 1, 2 or 3 with no
-traceback; every numeric cell it emits is finite; and its csv and json
-emissions of the same call carry the same cells.
+traceback; every numeric cell it emits is finite; no two rows share a
+name (and node, on per-node tables); and its csv and json emissions of
+the same call carry the same cells.
 """
 
 import contextlib
@@ -105,6 +106,7 @@ def _call(argv):
 @example("timeline", {"qa": {"programming_us": 1e300}}, ["bandwidth_mhz=1e300"])
 @example("qubits", {"samples": 10**400}, [])
 @example("economics", {}, ["samples=1" + "0" * 400])
+@example("qubits", {}, ["samples=20,20"])
 def test_cli_contract(command, doc, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -125,6 +127,8 @@ def test_cli_contract(command, doc, flags):
         for row in from_csv:
             for key, cell in row.items():
                 assert not isinstance(cell, float) or math.isfinite(cell), (key, cell)
+        names = [(row["name"], row.get("node")) for row in from_json]
+        assert len(set(names)) == len(names), names
         # csv carries no types: its reader parses every cell, strings too.
         assert from_csv == [
             {key: _parse_number(cell) if isinstance(cell, str) else cell

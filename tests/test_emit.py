@@ -73,6 +73,15 @@ def test_unknown_format_rejected():
         render(sample_table(), "yaml")
 
 
+@pytest.mark.parametrize("keys", [["k", "k"], ["a", "b", "a"], ["", ""]])
+def test_a_repeated_column_key_is_refused(keys):
+    # A key is one csv header and one json field, so it names one column.
+    with pytest.raises(ValueError, match=f"repeated column key: {keys[-1]!r}"):
+        Table("t", [Column(k, k.upper()) for k in keys], [])
+    with pytest.raises(ValueError, match="repeated column key"):
+        read_csv(",".join(keys) + "\r\n" + ",".join("1" * len(keys)) + "\r\n")
+
+
 def test_rendering_is_deterministic():
     t = sample_table()
     for fmt in ("csv", "json", "table"):
@@ -192,16 +201,14 @@ _STRINGS = st.text(max_size=6) | st.sampled_from(
 
 @st.composite
 def json_tables(draw):
-    # A small key alphabet, so that columns sometimes repeat a key.
+    # Keys needing json escapes, and unique, as a table's keys must be.
     keys = st.sampled_from(["k", "v", "ü", "n x"]) | st.text(max_size=3)
     specs = draw(st.lists(st.tuples(keys, st.text(max_size=6),
                                     st.sampled_from(["", ",", ".3f", "d", "g"])),
-                          max_size=6))
+                          max_size=6, unique_by=lambda spec: spec[0]))
     columns = [Column(key, title, spec) for key, title, spec in specs]
-    # A key's numbers must format under every spec it has: "d" takes ints only.
-    values = {key: (_INTS if any(c.spec == "d" for c in columns if c.key == key)
-                    else _NUMBERS) | _STRINGS
-              for key in dict.fromkeys(c.key for c in columns)}
+    # "d" takes ints only.
+    values = {c.key: (_INTS if c.spec == "d" else _NUMBERS) | _STRINGS for c in columns}
     rows = draw(st.lists(st.fixed_dictionaries(values), max_size=4))
     table = Table(draw(st.text(max_size=8)), columns, rows,
                   draw(st.lists(st.text(max_size=8), max_size=3)))

@@ -1,13 +1,15 @@
 """The CLI's shared evaluation against an unshared evaluation per point.
 
-The tables compute each quantity once per run of equal scenarios, per
-cmos node or per point. Every cell must still equal, bit for bit, what the
+The tables compute each quantity once per run (the consecutive points
+that share one scenario object), per cmos node or per point. Every cell must still equal, bit for bit, what the
 model functions give when called afresh for that row.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qaplan.cli import (_expand_points, cmd_economics, cmd_power, cmd_qubits,
+from qaplan import cli
+from qaplan.cli import (_COMMANDS, _expand_points, cmd_economics, cmd_power, cmd_qubits,
                         cmd_targets, cmd_timeline)
 from qaplan.config import parse_config
 from qaplan.economics import compare, cost_report, offload_advantage_w
@@ -123,3 +125,56 @@ def test_every_cell_matches_an_unshared_evaluation(doc, sweep):
     for rows in (targets, qubits, timeline, power, economics):
         assert next(rows, None) is None
     assert economics_warnings == expected_warnings
+
+
+def _evaluate(monkeypatch, command, doc, sweep):
+    """The rows of `command`, and how many runs (`workload` calls) built them."""
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return workload(scenario)
+
+    monkeypatch.setattr(cli, "workload", counted)
+    cfg = parse_config(doc)
+    rows = list(command(cfg, _expand_points(cfg, sweep, []), []).rows)
+    return rows, len(calls)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("sweep,points,runs", [
+    ({"samples": [1, 20, 50], "antennas": [8, 64]}, 6, 2),
+    # modulation_bits comes after samples in row order: every run is one point.
+    ({"samples": [1, 20], "modulation_bits": [2, 6]}, 4, 4),
+])
+def test_a_run_is_the_points_of_one_scenario_object(monkeypatch, command, sweep, points,
+                                                     runs):
+    rows, calls = _evaluate(monkeypatch, _COMMANDS[command], {}, sweep)
+    assert (len(rows), calls) == (points, runs)
+
+
+def test_equal_configured_scenarios_are_runs_of_their_own(monkeypatch):
+    # Two scenario objects, so two runs, although they are equal.
+    doc = {"scenarios": [{"name": "a", "bandwidth_mhz": 100},
+                         {"name": "b", "bandwidth_mhz": 100}]}
+    (a, b), calls = _evaluate(monkeypatch, cmd_targets, doc, {})
+    assert calls == 2
+    assert (a[0], b[0]) == (("a",), ("b",))
+    assert a[1] == b[1] and a[1] is not b[1]
+
+
+def test_rows_of_one_owner_in_a_run_hand_over_one_shared_tuple(monkeypatch):
+    doc = {"cmos": ["65nm", "14nm"]}
+    sweep = {"samples": [1, 20, 50], "antennas": [8, 64]}
+    rows, _ = _evaluate(monkeypatch, cmd_targets, doc, sweep)
+    shared = [s for _, s in rows]
+    assert shared[0] is shared[1] is shared[2]
+    assert shared[3] is shared[4] is shared[5]
+    assert shared[2] is not shared[3]
+    # Per node: rows take turns between the nodes' tuples within a run.
+    rows, _ = _evaluate(monkeypatch, cmd_power, doc, sweep)
+    shared = [s for _, s in rows]
+    assert len({id(s) for s in shared}) == 4  # 2 runs x 2 nodes
+    for run in (shared[:6], shared[6:]):
+        assert run[0] is run[2] is run[4] and run[1] is run[3] is run[5]
+        assert run[0] is not run[1]
