@@ -6,64 +6,47 @@ the same config and flags produce byte-identical bytes. Exit codes:
 0 success, 1 config problem, 2 model-domain error, 3 success with
 warnings (warnings go to stderr, before the problem line of a failure).
 
-Every subcommand is a list of columns over the rows of one staged
-evaluation, the row loop `_table`. A run is the consecutive points that
-share one scenario object: `_expand_points` hands the points of a sweep
-over samples one object, and the loop tests identity, never equality. A
-run computes its workload once, the sample-free part of its qubit ask
-(`qubit_rates`) once, its qubit budget once per sample count and, per
-cmos node, the deployments, cost report and offload advantage once, each
-on first use. What does not depend on the scenario is built once per
-call, not per row: the topology's fronthaul link once per topology
-(`CranTopology._link`). Nothing else outlives a run.
+Every subcommand is a list of columns over one row loop, `_table`, which
+evaluates the points in blocks (`_expand_points`): up to `BLOCK`
+consecutive scenarios as columns of their fields. Each model stage is
+one pass of a model column function over a block (`_Stages`), and the
+problem runtime runs once per sample count per call. A row is its own
+cells and its scenario's shared cells, one tuple per scenario and node,
+which the renderer formats once (`emit`).
 
-A subcommand has two lists of columns. A row's own columns (the name,
-samples, and whatever is read through the qubit budget) are read from
-the row; its shared columns, which end the row, are read from the row's
-owner: the `_Node` on per-node tables, the `_Run` otherwise, so a shared
-cell cannot read a per-point value. The shared cells are built into one
-tuple once per owner, and every row of that owner hands the renderer
-that same tuple, which the renderer formats once (`emit`).
-
-The table's rows are not held either: a subcommand returns a table whose
-rows are a one-pass stream (`_Stream`). Each row is built, and its
-warning written to stderr, when the renderer reads it, and is dropped
-once rendered, so memory stays flat in the number of points; `main`
-keeps only the count of warnings. The stream answers `len()` up front:
-the point count, times the cmos node count on per-node tables. The
-rendered text is held whole and written only once the call has
-succeeded, so a failing call prints nothing on stdout and creates no
+Neither points nor rows are held: each block is built, evaluated and its
+rows handed over, their warnings written to stderr, as the renderer reads
+them, so memory stays flat; both answer `len()` up front. A stage that
+raises runs again one scenario at a time, and the error comes out at the
+first row that reads the failed value, after the warnings of the rows
+before. The rendered text is held whole and written only once the call
+has succeeded, so a failing call prints nothing on stdout and creates no
 `--out` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
+import math
 import sys
-from functools import cached_property
-from operator import attrgetter
-from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from dataclasses import astuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cmos import CmosProfile
-from .config import (_INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep,
-                     load_config)
-from .economics import CostReport, Deployments, advantage_w, cost_report, deployments
-from .emit import Cell, Column, Table, render
-from .qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
-from .qubit_budget import QubitBudget, QubitRates, qubit_rates, rates_budget
+from .config import _INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
+from .economics import advantage_columns, cost_columns, deployment_columns, savings_w
+from .emit import Column, Row, Table, render
+from .qa_hardware import refrigerator_qubit_capacity
+from .qubit_budget import MODELED_LOAD_FRACTION, budget_columns, problem_runtime, rate_columns
 from .tables import PAPER_TABLES
 from .timeline import BEST_CASE, WORST_CASE, year_available
-from .workload import BbuTask, BbuWorkload, CellScenario, workload
+from .workload import SCENARIO_FIELDS, BbuTask, CellScenario, left_sums, task_tops
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DOMAIN = 2
 EXIT_WARNINGS = 3
-
-Point = Tuple[str, CellScenario, int]  # row name, scenario, samples
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,300 +118,406 @@ def _label(value: float) -> str:
     return text if float(text) == value else repr(value)
 
 
-def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings
-                   ) -> List[Point]:
-    """Evaluation points: (name, scenario, samples) per row.
-
-    With a sweep, the grid replaces the scenario list, anchored on the
-    first configured scenario. Grid points that fail validation are
-    skipped with a warning rather than aborting the run. Consecutive
-    points that differ only in samples share one scenario object.
-    """
-    if not sweep:
-        return [(name, s, cfg.samples) for name, s in cfg.scenarios]
-    base_name, base = cfg.scenarios[0]
-    # `dataclasses.replace(base, **changes)`, with base's fields read once.
-    base_fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
-    axes = [axis for axis in SWEEP_AXES if axis in sweep]
-    at = axes.index("samples") if "samples" in sweep else None
-    # (axis, value, name label) per swept value, each label formatted once.
-    grid = [[(a, v, f"{a}={v if a == 'samples' else _label(v)}") for v in sweep[a]]
-            for a in axes]
-    points = []
-    last = None
-    for combo in itertools.product(*grid):
-        key = combo if at is None else combo[:at] + combo[at + 1:]
-        if key != last:  # a new scenario; the samples label goes last in a name
-            last, invalid = key, None
-            labels = [label for _, _, label in key]
-            try:
-                scenario = CellScenario(**{**base_fields, **{a: v for a, v, _ in key}})
-            except (ValueError, OverflowError) as exc:
-                invalid = exc
-        if at is None:
-            samples, name = cfg.samples, f"{base_name}[{','.join(labels)}]"
-        else:
-            _, samples, label = combo[at]
-            name = f"{base_name}[{','.join(labels + [label])}]"
-        problem = invalid or (
-            samples < 1 and f"samples must be a positive integer, got {samples}")
-        if problem:
-            warnings.append(f"skipping sweep point {name}: {problem}")
-        else:
-            points.append((name, scenario, samples))
-    if not points:
-        raise ConfigError("sweep produced no valid points")
-    return points
+# Scenarios evaluated together: enough to spread each stage's per-call cost
+# thin, few enough that a block's columns and rows stay small.
+BLOCK = 128
 
 
-class _Node:
-    """One scenario's results against one cmos node, each computed on first use."""
+class _Block(NamedTuple):
+    """Consecutive scenarios, as one column per `SCENARIO_FIELDS` entry, and
+    their row-name prefixes. Rows run per group of `inner` scenarios, per
+    sample count, per scenario."""
 
-    def __init__(self, cfg: RunConfig, load: BbuWorkload, cmos: CmosProfile) -> None:
-        self.cfg, self.load, self.cmos = cfg, load, cmos
-
-    @cached_property
-    def sides(self) -> Deployments:
-        return deployments(self.load, self.cmos, self.cfg.qa_profile, self.cfg.topology)
-
-    @cached_property
-    def report(self) -> CostReport:
-        return cost_report(self.sides.delta_w, self.cfg.horizons_years, self.cfg.costs)
-
-    @cached_property
-    def advantage(self) -> float:
-        return advantage_w(self.load, self.cmos, self.cfg.qa_profile)
+    fields: Tuple[List[Any], ...]
+    prefixes: List[str]
+    inner: int
 
 
-class _Run:
-    """Consecutive points with one scenario object, and what they share.
+class _Lazy:
+    """Items produced each time they are read; `len` is known up front.
+    Points also carry the sample counts and the row-name ending of each."""
 
-    The workload is computed when the run starts; the sample-free part of
-    the qubit ask (`qubit_rates`), one cell's qubit budget per sample
-    count, and the `nodes` results, on first use.
-    """
-
-    def __init__(self, cfg: RunConfig, scenario: CellScenario) -> None:
-        self.qa = cfg.qa_profile
-        self.load = workload(scenario)
-        self.nodes = [_Node(cfg, self.load, cmos) for cmos in cfg.cmos_profiles]
-        self._budgets: Dict[int, QubitBudget] = {}
-
-    @cached_property
-    def rates(self) -> QubitRates:
-        return qubit_rates(self.load)
-
-    def budget(self, samples: int) -> QubitBudget:
-        budget = self._budgets.get(samples)
-        if budget is None:
-            budget = self._budgets[samples] = rates_budget(self.rates, self.qa, samples)
-        return budget
-
-
-class _Row(NamedTuple):
-    """One table row: a point of `run`, and the row's `owner`, which holds
-    its shared cells: on per-node tables a `_Node` of the run, else the run."""
-
-    name: str
-    samples: int
-    run: _Run
-    owner: Any
-
-    @property
-    def load(self) -> BbuWorkload:
-        return self.run.load
-
-    @property
-    def budget(self) -> QubitBudget:
-        return self.run.budget(self.samples)
-
-
-class _Stream:
-    """Items produced as they are read, in one pass; `len` is known up front."""
-
-    def __init__(self, items: Iterator, count: int) -> None:
-        self._items, self._count = items, count
+    def __init__(self, produce: Callable[[], Iterator], count: int,
+                 samples: Sequence[int] = (), labels: Sequence[str] = ()) -> None:
+        self._produce, self._count = produce, count
+        self.samples, self.labels = samples, labels
 
     def __iter__(self) -> Iterator:
-        return self._items
+        return self._produce()
 
     def __len__(self) -> int:
         return self._count
 
 
-# A column and how to read its cell: from a row, or for a shared column
-# from the row's owner.
-Columns = List[Tuple[Column, Callable[[Any], Cell]]]
+def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _Lazy:
+    """Evaluation points: the configured scenarios, or with a sweep the
+    grid anchored on the first configured scenario, which replaces them.
 
-
-def _column(key: str, title: str, spec: str, path: str) -> Tuple[Column, Callable]:
-    """A column whose cell is the attribute at dotted `path`."""
-    return Column(key, title, spec), attrgetter(path)
-
-
-def _table(
-    name: str,
-    cfg: RunConfig,
-    points: Sequence[Point],
-    columns: Columns,
-    shared_columns: Columns,
-    warnings,
-    warn: Optional[Callable[[_Row], Optional[str]]] = None,
-    per_node: bool = False,
-    notes: Sequence[str] = (),
-) -> Table:
-    """The row loop every subcommand shares: one row per point, or with
-    `per_node` per point and cmos node, each built and its warning
-    gathered as the renderer reads it.
-
-    A run starts where the point's scenario object changes. A row is its
-    own cells, read from the `_Row`, followed by its shared cells, read
-    from the row's owner. An owner's shared tuple is built on the owner's
-    first row in the run, and every row of that owner gets that tuple.
+    Each swept value is checked once. Grid points with a failing value are
+    skipped with a warning, written here, rather than aborting the run;
+    only they build a `CellScenario` for the reason. Axes vary in
+    `SWEEP_AXES` order, the last fastest, so the scenarios of the axes
+    after samples take turns within a sample count: a block holds whole
+    groups of them.
     """
-    own = [get for _, get in columns]
-    shared = [get for _, get in shared_columns]
+    if not sweep:
+        named = cfg.scenarios
 
-    def rows() -> Iterator[Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]]:
-        scenario = None
-        for point_name, point_scenario, samples in points:
-            first = point_scenario is not scenario  # the run's first point
-            if first:
-                scenario, run = point_scenario, _Run(cfg, point_scenario)
-                owners = run.nodes if per_node else [run]
-                suffixes = []  # the shared tuples, aligned with `owners`
-            for i, owner in enumerate(owners):
-                row = _Row(point_name, samples, run, owner)
-                cells = tuple([get(row) for get in own])
-                if first:
-                    suffixes.append(tuple([get(owner) for get in shared]))
-                message = warn(row) if warn else None
-                if message:
-                    warnings.append(message)
-                yield cells, suffixes[i]
+        def configured() -> Iterator[_Block]:
+            for at in range(0, len(named), BLOCK):
+                chunk = named[at:at + BLOCK]
+                fields = zip(*[astuple(scenario) for _, scenario in chunk])
+                yield _Block(tuple(map(list, fields)), [name for name, _ in chunk], 1)
+        return _Lazy(configured, len(named), [cfg.samples], [""])
+    base_name, base = cfg.scenarios[0]
+    base_fields = dict(zip(SCENARIO_FIELDS, astuple(base)))
+
+    def problem(values: Dict[str, Any], samples: Optional[int] = None) -> Any:
+        try:  # why a point is skipped, or None
+            CellScenario(**{**base_fields, **values})
+        except (ValueError, OverflowError) as exc:
+            return exc
+        if samples is not None and samples < 1:
+            return f"samples must be a positive integer, got {samples}"
+        return None
+
+    axes = [axis for axis in SWEEP_AXES if axis in sweep]
+    # (value, name label, valid) per swept value, each label formatted once.
+    grid = [[(v, f"{a}={v if a == 'samples' else _label(v)}",
+              not (problem({}, v) if a == "samples" else problem({a: v}))) for v in sweep[a]]
+            for a in axes]
+    if not all(ok for values in grid for _, _, ok in values):
+        for combo in itertools.product(*grid):
+            if not all(ok for _, _, ok in combo):
+                point = dict(zip(axes, combo))
+                samples = point.pop("samples", None)
+                labels = [label for _, label, _ in point.values()] + (
+                    [samples[1]] if samples else [])
+                why = problem({a: v for a, (v, _, _) in point.items()}, samples and samples[0])
+                warnings.append(f"skipping sweep point {base_name}[{','.join(labels)}]: {why}")
+    ok = {a: [(v, label) for v, label, good in values if good] for a, values in zip(axes, grid)}
+    count = math.prod(map(len, ok.values()))
+    if not count:
+        raise ConfigError("sweep produced no valid points")
+    scenario_axes = [a for a in axes if a != "samples"]
+    if "samples" in sweep:  # its label ends the name
+        comma = "," if scenario_axes else ""
+        samples, labels = [v for v, _ in ok["samples"]], [f"{comma}{l}]" for _, l in ok["samples"]]
+        inner = [a for a in scenario_axes if a in SWEEP_AXES[SWEEP_AXES.index("samples"):]]
+    else:
+        samples, labels, inner = [cfg.samples], ["]"], []
+    outer = [a for a in scenario_axes if a not in inner]
+    at = [SCENARIO_FIELDS.index(a) for a in outer + inner]
+    inner_combos = list(itertools.product(*[ok[a] for a in inner]))
+
+    def swept() -> Iterator[_Block]:
+        outer_combos = itertools.product(*[ok[a] for a in outer])
+        while True:
+            chunk = list(itertools.islice(outer_combos, max(1, BLOCK // len(inner_combos))))
+            if not chunk:
+                return
+            combos = [o + i for o in chunk for i in inner_combos]
+            fields = [[value] * len(combos) for value in base_fields.values()]
+            for j, field in enumerate(at):
+                fields[field] = [combo[j][0] for combo in combos]
+            prefixes = [f"{base_name}[{','.join([label for _, label in combo])}"
+                        for combo in combos]
+            yield _Block(tuple(fields), prefixes, len(inner_combos))
+
+    return _Lazy(swept, count, samples, labels)
+
+
+class _Failed:
+    """A value whose evaluation raised: the first row that reads it raises
+    the error again."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+
+_MODEL_ERRORS = (ValueError, ArithmeticError)
+_BW, _ANT, _MOD = map(SCENARIO_FIELDS.index, ("bandwidth_mhz", "antennas", "modulation_bits"))
+_FD_NL, _FEC = map(list(BbuTask).index, (BbuTask.FD_NL, BbuTask.FEC))
+
+
+class _Stages:
+    """The model stages of one call, run over one block at a time."""
+
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
+        self._runtimes: Dict[int, Any] = {}
+
+    def start(self, block: _Block) -> None:
+        self.dirty = False  # whether any value of the block may be a `_Failed`
+        self.antennas = block.fields[_ANT]
+        self._shape = self.antennas, block.fields[_MOD]
+        self.tops = self.each(task_tops, len(BbuTask), block.fields)
+        self.rates: Optional[Tuple[List[Any], ...]] = None
+
+    def each(self, function: Callable, width: int, columns: Sequence[List[Any]],
+             *constants: Any) -> Tuple[List[Any], ...]:
+        """`function(*columns, *constants)`, a model column function giving
+        `width` columns; where that raises, one entry at a time, and each
+        entry that raises, or reads a `_Failed`, is a `_Failed` in every
+        output column."""
+        if not self.dirty:
+            try:
+                return function(*columns, *constants)
+            except _MODEL_ERRORS:
+                self.dirty = True
+        entries: List[Any] = []
+        for args in zip(*columns):
+            entry = next((arg for arg in args if type(arg) is _Failed), None)
+            if entry is None:
+                try:
+                    entry = [out[0] for out in function(*[[arg] for arg in args], *constants)]
+                except _MODEL_ERRORS as exc:
+                    entry = _Failed(exc)
+            entries.append(entry)
+        return tuple([e if type(e) is _Failed else e[j] for e in entries] for j in range(width))
+
+    def runtime(self, samples: int) -> Any:  # once per sample count per call
+        if samples not in self._runtimes:
+            try:
+                self._runtimes[samples] = problem_runtime(self.cfg.qa_profile, samples)
+            except _MODEL_ERRORS as exc:
+                self._runtimes[samples] = _Failed(exc)
+        runtime = self._runtimes[samples]
+        self.dirty |= type(runtime) is _Failed
+        return runtime
+
+    def budget(self, samples: int) -> Tuple[List[Any], ...]:
+        """Each scenario's detection, decoding and total qubits."""
+        tops = self.tops
+        if self.rates is None:
+            self.rates = self.each(rate_columns, 2, (tops[_FD_NL], tops[_FEC], *self._shape))
+        runtime = self.runtime(samples)
+        if type(runtime) is _Failed:
+            return ([runtime] * len(self.antennas),) * 3
+        return self.each(budget_columns, 3, (tops[_FD_NL], self.rates[0], tops[_FEC],
+                                             self.rates[1]), runtime)
+
+    def deployments(self, cmos: CmosProfile) -> Tuple[List[Any], ...]:
+        """Both candidates' `PowerBreakdown` fields, then the saving."""
+        cfg = self.cfg
+
+        def stage(antennas, *tops):
+            cmos_w, qa_w = deployment_columns(tops, antennas, cmos, cfg.qa_profile, cfg.topology)
+            return (*cmos_w, *qa_w, savings_w(cmos_w[-1], qa_w[-1]))
+        return self.each(stage, 15, (self.antennas, *self.tops))
+
+    def costs(self, savings: List[Any]) -> Tuple[List[Any], ...]:
+        """Per horizon, the OpEx and the CO2 savings."""
+        cfg = self.cfg
+
+        def stage(delta):
+            opex, co2 = cost_columns(delta, cfg.horizons_years, cfg.costs)
+            return tuple(itertools.chain.from_iterable(zip(opex, co2)))
+        return self.each(stage, 2 * len(cfg.horizons_years), (savings,))
+
+    def advantage(self, cmos: CmosProfile) -> List[Any]:
+        qa = self.cfg.qa_profile
+        return self.each(lambda *tops: (advantage_columns(tops, cmos, qa),), 1, self.tops)[0]
+
+
+def _over(values: List[Any], scale: int, limit: int) -> List[Any]:
+    """Each value times `scale` where that exceeds `limit`, else None; a
+    `_Failed` stays."""
+    return [v if type(v) is _Failed else (r if (r := v * scale) > limit else None)
+            for v in values]
+
+
+def _check(first: Any, row: Row, over: Any) -> None:
+    """Raise the first `_Failed` a row reads: its scenario's workload, its
+    cells in column order, then what its warning reads."""
+    for value in (first, *row[0], *row[1], over):
+        if type(value) is _Failed:
+            raise value.error
+
+
+# What a subcommand evaluates per block: each row's own cells, per sample
+# count and scenario; the shared cells, per cmos node (one on tables not
+# per node) and scenario; and the value each row warns about, per sample
+# count and scenario (None: no warning), or None if the table never warns.
+Evaluation = Tuple[List[List[Tuple]], List[List[Tuple]], Optional[List[List[Any]]]]
+
+
+def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column],
+           evaluate: Callable[[_Stages, _Block], Evaluation], warnings,
+           warning: Optional[Callable[[str, int, Any], str]] = None, per_node: bool = False,
+           notes: Sequence[str] = ()) -> Table:
+    """The row loop every subcommand shares: one row per point, or with
+    `per_node` per point and cmos node, each handed over, and its warning
+    (`warning(row name, node index, value)`) written, as the renderer
+    reads it. A row is its own cells followed by its scenario's shared
+    cells, one tuple for all the rows of that scenario and node."""
+    stages = _Stages(cfg)
+
+    def rows() -> Iterator[Row]:
+        for block in points:
+            stages.start(block)
+            own, shared, over = evaluate(stages, block)
+            nodes = list(enumerate(shared))
+            first = stages.tops[0] if stages.dirty else None
+            for start in range(0, len(block.prefixes), block.inner):
+                for k in range(len(points.samples)):
+                    own_k, over_k = own[k], over[k] if over else None
+                    for i in range(start, start + block.inner):
+                        cells, value = own_k[i], over_k[i] if over_k else None
+                        for node, tails in nodes:
+                            row = cells, tails[i]
+                            if first is not None:
+                                _check(first[i], row, value)
+                            if value is not None:
+                                warnings.append(warning(cells[0], node, value))
+                            yield row
 
     count = len(points) * (len(cfg.cmos_profiles) if per_node else 1)
-    return Table(name=name, columns=[c for c, _ in columns + shared_columns],
-                 rows=_Stream(rows(), count), notes=list(notes))
+    return Table(name=name, columns=columns, rows=_Lazy(rows, count), notes=list(notes))
 
 
-_NAME_COLUMN = _column("name", "Scenario", "", "name")
-# Rows and both owners have a `load`, so own and shared columns read alike.
-_SCENARIO_COLUMNS = [
-    _column("bandwidth_mhz", "B/W (MHz)", "g", "load.scenario.bandwidth_mhz"),
-    _column("antennas", "Antennas", "d", "load.scenario.antennas"),
-]
+def _names(points: _Lazy, block: _Block) -> List[List[str]]:
+    """Each row name, per sample count and scenario."""
+    return [[prefix + label for prefix in block.prefixes] for label in points.labels]
 
 
-_SAMPLES_COLUMN = _column("samples", "Samples", "d", "samples")
-_NODE_COLUMN = _column("node", "Node", "", "cmos.node")
+def _per_node(cfg: RunConfig, block: _Block, cells: Callable[[CmosProfile], Sequence[List]]
+              ) -> List[List[Tuple]]:
+    """Per cmos node, each scenario's shared cells: its bandwidth, antennas
+    and node, then `cells(node)`."""
+    bandwidth, antennas = block.fields[_BW], block.fields[_ANT]
+    return [list(zip(bandwidth, antennas, itertools.repeat(cmos.node), *cells(cmos)))
+            for cmos in cfg.cmos_profiles]
 
 
-def cmd_targets(cfg: RunConfig, points, warnings) -> Table:
-    shared = _SCENARIO_COLUMNS + [
-        (Column(f"{task.value}_tops", task.label, ".3f"),
-         lambda run, task=task: run.load.tops[task])
-        for task in BbuTask
-    ] + [_column("total_tops", "Total", ".3f", "load.total_tops")]
-    return _table("targets", cfg, points, [_NAME_COLUMN], shared, warnings,
-                  notes=["units: TOPS"])
+_NAME_COLUMN = Column("name", "Scenario")
+_SCENARIO_COLUMNS = [Column("bandwidth_mhz", "B/W (MHz)", "g"),
+                     Column("antennas", "Antennas", "d")]
+_SAMPLES_COLUMN = Column("samples", "Samples", "d")
+_NODE_COLUMN = Column("node", "Node")
 
 
-def cmd_power(cfg: RunConfig, points, warnings) -> Table:
-    shared = _SCENARIO_COLUMNS + [_NODE_COLUMN] + [
-        _column(key, title, ".1f", f"sides.{path}")
-        for key, title, path in (
-            ("cmos_bbu_w", "CMOS BBU (W)", "cmos.bbu_w"),
-            ("cmos_ru_w", "RU (W)", "cmos.ru_w"),
-            ("cmos_pa_w", "PA (W)", "cmos.pa_w"),
-            ("cmos_ps_w", "Power sys (W)", "cmos.power_system_w"),
-            ("cmos_fronthaul_w", "Fronthaul (W)", "cmos.fronthaul_w"),
-            ("cmos_total_w", "CMOS total (W)", "cmos.total_w"),
-            ("qa_silicon_w", "QA-side silicon (W)", "qa.bbu_w"),
-            ("qa_refrigeration_w", "Refrigeration (W)", "qa.refrigeration_w"),
-            ("qa_total_w", "QA total (W)", "qa.total_w"),
-            ("delta_w", "Saving (W)", "delta_w"),
-        )
-    ]
-    return _table("power", cfg, points, [_NAME_COLUMN], shared, warnings,
-                  per_node=True)
+def cmd_targets(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+    columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS,
+               *[Column(f"{task.value}_tops", task.label, ".3f") for task in BbuTask],
+               Column("total_tops", "Total", ".3f")]
+
+    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
+        tops = stages.tops
+        (totals,) = stages.each(lambda *t: (left_sums(t, len(t[0])),), 1, tops)
+        shared = list(zip(block.fields[_BW], block.fields[_ANT], *tops, totals))
+        return [list(zip(names)) for names in _names(points, block)], [shared], None
+
+    return _table("targets", cfg, points, columns, evaluate, warnings, notes=["units: TOPS"])
 
 
-def cmd_qubits(cfg: RunConfig, points, warnings) -> Table:
+# The power table's columns after the node, each with its position in
+# `_Stages.deployments`.
+_POWER_COLUMNS = (
+    ("cmos_bbu_w", "CMOS BBU (W)", 0), ("cmos_ru_w", "RU (W)", 1),
+    ("cmos_pa_w", "PA (W)", 2), ("cmos_ps_w", "Power sys (W)", 3),
+    ("cmos_fronthaul_w", "Fronthaul (W)", 4), ("cmos_total_w", "CMOS total (W)", 6),
+    ("qa_silicon_w", "QA-side silicon (W)", 7), ("qa_refrigeration_w", "Refrigeration (W)", 12),
+    ("qa_total_w", "QA total (W)", 13), ("delta_w", "Saving (W)", 14),
+)
+
+
+def cmd_power(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+    columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
+               *[Column(key, title, ".1f") for key, title, _ in _POWER_COLUMNS]]
+
+    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
+        def cells(cmos: CmosProfile) -> List[List[Any]]:
+            sides = stages.deployments(cmos)
+            return [sides[at] for _, _, at in _POWER_COLUMNS]
+        return ([list(zip(names)) for names in _names(points, block)],
+                _per_node(cfg, block, cells), None)
+
+    return _table("power", cfg, points, columns, evaluate, warnings, per_node=True)
+
+
+def cmd_qubits(cfg: RunConfig, points: _Lazy, warnings) -> Table:
     capacity = refrigerator_qubit_capacity()
-    columns = [_NAME_COLUMN] + _SCENARIO_COLUMNS + [
-        _SAMPLES_COLUMN,
-        (Column("runtime_us", "Runtime (us)", ".0f"),
-         lambda r: qmi_runtime_us(cfg.qa_profile, r.samples)),
-        (Column("fdnl_qubits", "Detection qubits", "d"),
-         lambda r: r.budget.per_task[BbuTask.FD_NL]),
-        (Column("fec_qubits", "Decoding qubits", "d"),
-         lambda r: r.budget.per_task[BbuTask.FEC]),
-        _column("covered_fraction", "Covered fraction", ".4f",
-                "budget.covered_fraction"),
-        _column("total_qubits", "Total qubits", "d", "budget.total"),
-        (Column("capacity", "Refrigerator capacity", "d"), lambda r: capacity),
-        (Column("fits", "Fits"),
-         lambda r: "yes" if r.budget.total <= capacity else "no"),
-    ]
+    columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _SAMPLES_COLUMN, *[Column(*c) for c in (
+        ("runtime_us", "Runtime (us)", ".0f"), ("fdnl_qubits", "Detection qubits", "d"),
+        ("fec_qubits", "Decoding qubits", "d"), ("covered_fraction", "Covered fraction", ".4f"),
+        ("total_qubits", "Total qubits", "d"), ("capacity", "Refrigerator capacity", "d"),
+        ("fits", "Fits"))]]
+    repeat = itertools.repeat
 
-    def warn(r: _Row) -> Optional[str]:
-        if r.budget.total > capacity:
-            return (f"{r.name}: requirement {r.budget.total} exceeds "
-                    f"refrigerator capacity {capacity}")
-        return None
+    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
+        own, over = [], []
+        for samples, names in zip(points.samples, _names(points, block)):
+            fdnl, fec, total = stages.budget(samples)
+            over.append(_over(total, 1, capacity))
+            own.append(list(zip(
+                names, block.fields[_BW], block.fields[_ANT], repeat(samples),
+                repeat(stages.runtime(samples)), fdnl, fec, repeat(MODELED_LOAD_FRACTION),
+                total, repeat(capacity), ["yes" if v is None else "no" for v in over[-1]])))
+        return own, [[()] * len(block.prefixes)], over
 
-    return _table("qubits", cfg, points, columns, [], warnings, warn)
+    def warning(name: str, node: int, total: int) -> str:
+        return f"{name}: requirement {total} exceeds refrigerator capacity {capacity}"
+
+    return _table("qubits", cfg, points, columns, evaluate, warnings, warning)
 
 
-def cmd_economics(cfg: RunConfig, points, warnings) -> Table:
-    shared = _SCENARIO_COLUMNS + [
-        _NODE_COLUMN,
-        _column("delta_w", "Saving (W)", ".1f", "report.delta_w"),
-    ]
-    for i, years in enumerate(cfg.horizons_years):
+def cmd_economics(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+    columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
+               Column("delta_w", "Saving (W)", ".1f")]
+    for years in cfg.horizons_years:
         label = format(years, "g")
-        shared += [
-            (Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"),
-             lambda node, i=i: node.report.opex_savings_usd[i]),
-            (Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f"),
-             lambda node, i=i: node.report.co2_savings_kt[i]),
-        ]
-
+        columns += [Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"),
+                    Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f")]
     capacity = refrigerator_qubit_capacity()
-    n_bs = cfg.topology.n_bs
 
-    def warn(r: _Row) -> Optional[str]:
-        required = r.budget.total * n_bs  # deployment_budget(...).total
-        if required > capacity:
-            return (f"{r.name} ({r.owner.cmos.node}): qubit requirement "
-                    f"{required} exceeds refrigerator capacity {capacity}")
-        return None
+    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
+        def cells(cmos: CmosProfile) -> List[List[Any]]:
+            savings = stages.deployments(cmos)[14]
+            return [savings, *stages.costs(savings)]
+        # The deployment's qubit ask: each cell's total times its n_bs cells.
+        over = [_over(stages.budget(samples)[2], cfg.topology.n_bs, capacity)
+                for samples in points.samples]
+        return ([list(zip(names)) for names in _names(points, block)],
+                _per_node(cfg, block, cells), over)
+
+    def warning(name: str, node: int, required: int) -> str:
+        return (f"{name} ({cfg.cmos_profiles[node].node}): qubit requirement "
+                f"{required} exceeds refrigerator capacity {capacity}")
 
     return _table(
-        "economics", cfg, points, [_NAME_COLUMN], shared, warnings, warn,
-        per_node=True,
+        "economics", cfg, points, columns, evaluate, warnings, warning, per_node=True,
         notes=["negative savings mean the annealer candidate draws more power; "
                "breakeven hardware budget equals the OpEx column at each horizon"],
     )
 
 
-def cmd_timeline(cfg: RunConfig, points, warnings) -> Table:
-    columns = [_NAME_COLUMN] + _SCENARIO_COLUMNS + [
-        _SAMPLES_COLUMN,
-        _column("required_qubits", "Required qubits", "d", "budget.total"),
-        (Column("year_best", "Year (best case)", "d"),
-         lambda r: year_available(BEST_CASE, r.budget.total)),
-        (Column("year_worst", "Year (worst case)", "d"),
-         lambda r: year_available(WORST_CASE, r.budget.total)),
-    ]
-    shared = [
-        (Column(f"advantage_{p.node}_w", f"Advantage vs {p.node} (W)", ".1f"),
-         lambda run, i=i: run.nodes[i].advantage)
-        for i, p in enumerate(cfg.cmos_profiles)
-    ]
+def cmd_timeline(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+    columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _SAMPLES_COLUMN,
+               Column("required_qubits", "Required qubits", "d"),
+               Column("year_best", "Year (best case)", "d"),
+               Column("year_worst", "Year (worst case)", "d"),
+               *[Column(f"advantage_{p.node}_w", f"Advantage vs {p.node} (W)", ".1f")
+                 for p in cfg.cmos_profiles]]
+
+    def years(totals: Sequence[int]) -> Tuple[List[int], List[int]]:
+        return ([year_available(BEST_CASE, t) for t in totals],
+                [year_available(WORST_CASE, t) for t in totals])
+
+    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
+        own = []
+        for samples, names in zip(points.samples, _names(points, block)):
+            total = stages.budget(samples)[2]
+            own.append(list(zip(names, block.fields[_BW], block.fields[_ANT],
+                                itertools.repeat(samples), total,
+                                *stages.each(years, 2, (total,)))))
+        shared = list(zip(*[stages.advantage(cmos) for cmos in cfg.cmos_profiles]))
+        return own, [shared], None
+
     return _table(
-        "timeline", cfg, points, columns, shared, warnings,
+        "timeline", cfg, points, columns, evaluate, warnings,
         notes=["years are first availability of the required device size under "
                "the best/worst historical growth trends"],
     )

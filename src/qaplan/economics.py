@@ -6,23 +6,15 @@ annealer side keeps platform control and transport processing on silicon;
 in centralized deployments the per-site FFT stage stays on site silicon in
 both candidates.
 
-A comparison splits into two steps: the deployments, which depend on the
-scenario alone, and the qubit budget, which also depends on the sample
-count and is scaled to the deployment's cells. A sweep over samples can
-share the first step. Within it, the task lists of pool, sites and
-candidates are module constants, a topology's fronthaul link is built
-once per topology, and each task's silicon watts once per workload and
-node, shared by both candidates, which sum them in task order from 0, as
-`left_sum` does. The results (`Deployments`, `ComparisonResult`,
-`CostReport`) are named tuples, built with no per-call dict.
-
-A centralized radio site (radios, amplifiers, site silicon, its supply
-overhead and fronthaul) is the same for both candidates, so it is built
-once and handed to both; they differ only in pool silicon and
-refrigeration. Each site total is the site count times one site's value.
-Up to three sites this equals, bit for bit, the left-to-right sum over a
-list of sites the model once walked: `0 + x` and `x + x` are exact, and
-`2x + x` is one rounding of `3x`, as is `3 * x`.
+The deployments depend on the scenario alone, and the qubit budget also
+on the sample count. Each model step is a column function over workloads
+(`deployment_columns`, `cost_columns`, `advantage_columns`); `deployments`,
+`cost_report` and `advantage_w` are the same for one workload. Each
+task's silicon watts are taken once per workload and node, shared by
+both candidates, which sum them in task order from 0 (`left_sums`). A
+centralized radio site is the same for both candidates; they differ only
+in pool silicon and refrigeration, and each site total is the site count
+times one site's value.
 """
 
 from __future__ import annotations
@@ -30,21 +22,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, NamedTuple, Sequence, Tuple, Union
+from itertools import chain, filterfalse
+from operator import sub
+from typing import ClassVar, List, NamedTuple, Sequence, Tuple, Union
 
-from .cmos import CmosProfile, cmos_power
+from .cmos import CmosProfile, cmos_power_column
 from .qa_hardware import QaProfile
 from .qubit_budget import QubitBudget, total_budget
 from .ran_power import (
-    PA_W,
-    RU_CHAIN_W,
+    Breakdowns,
     FronthaulLink,
     PowerBreakdown,
-    RrhSite,
-    bs_power,
-    cran_power,
+    _breakdown,
+    bs_power_columns,
+    cran_power_columns,
+    radio_columns,
 )
-from .workload import BbuTask, BbuWorkload, CellScenario, left_sum, workload
+from .workload import BbuTask, BbuWorkload, CellScenario, left_sums, workload
 
 # Tasks that stay on silicon (control and transport) and those an annealer
 # can take over, each in task order, which fixes the order watts are summed
@@ -103,12 +97,9 @@ class CranTopology:
 Topology = Union[BsTopology, CranTopology]
 
 
-def _sum_at(watts: Sequence[float], at: Sequence[int]) -> float:
-    """`left_sum` of the watts at positions `at`, in that order."""
-    total = 0
-    for i in at:
-        total += watts[i]
-    return total
+def _sums_at(watts: Sequence[List[float]], at: Sequence[int]) -> List[float]:
+    """`left_sum` of the watts columns at positions `at`, in that order."""
+    return left_sums([watts[i] for i in at], len(watts[0]))
 
 
 # Positions in `_ALL_TASKS` of each task list the candidates sum.
@@ -116,6 +107,12 @@ _ALL_AT = tuple(range(len(_ALL_TASKS)))
 _RESIDENT_AT = tuple(map(_ALL_TASKS.index, SILICON_RESIDENT_TASKS))
 _SITE_AT = tuple(map(_ALL_TASKS.index, _SITE_TASKS))
 _CRAN_CMOS_AT = tuple(map(_ALL_TASKS.index, _CRAN_CMOS))
+_OFFLOADABLE_AT = tuple(map(_ALL_TASKS.index, OFFLOADABLE_TASKS))
+
+
+def savings_w(cmos_total_w: Sequence[float], qa_total_w: Sequence[float]) -> List[float]:
+    """Power saved by the annealer candidate (negative = it loses)."""
+    return list(map(sub, cmos_total_w, qa_total_w))
 
 
 class Deployments(NamedTuple):
@@ -126,8 +123,8 @@ class Deployments(NamedTuple):
 
     @property
     def delta_w(self) -> float:
-        """Power saved by the annealer candidate (negative = it loses)."""
-        return self.cmos.total_w - self.qa.total_w
+        """`savings_w` of the two candidates."""
+        return savings_w([self.cmos.total_w], [self.qa.total_w])[0]
 
 
 class ComparisonResult(NamedTuple):
@@ -140,38 +137,39 @@ class ComparisonResult(NamedTuple):
     delta_w = Deployments.delta_w
 
 
-def deployments(
-    load: BbuWorkload,
-    cmos_profile: CmosProfile,
-    qa_profile: QaProfile,
-    topology: Topology = BsTopology(),
-) -> Deployments:
-    """Power both candidates for one workload; the sample count does not enter."""
-    tops = load.tops
+def deployment_columns(tops: Sequence[Sequence[float]], antennas: Sequence[int],
+                       cmos_profile: CmosProfile, qa_profile: QaProfile,
+                       topology: Topology = BsTopology()) -> Tuple[Breakdowns, Breakdowns]:
+    """The all-silicon and the annealer candidates' breakdowns for each
+    workload, given as one TOPS column per task in task order."""
     # Every task's silicon watts, in task order, shared by both candidates.
-    watts = [cmos_power(tops[t], cmos_profile) for t in _ALL_TASKS]
-    antennas, fridge_w = load.scenario.antennas, qa_profile.refrigeration_w
+    watts = [cmos_power_column(column, cmos_profile) for column in tops]
+    fridge_w = qa_profile.refrigeration_w
     if isinstance(topology, BsTopology):
-        sides = Deployments(
-            bs_power(_sum_at(watts, _ALL_AT), antennas),
-            bs_power(_sum_at(watts, _RESIDENT_AT), antennas, refrigeration_w=fridge_w),
-        )
+        cmos = bs_power_columns(_sums_at(watts, _ALL_AT), antennas)
+        qa = bs_power_columns(_sums_at(watts, _RESIDENT_AT), antennas, refrigeration_w=fridge_w)
     elif isinstance(topology, CranTopology):  # one radio site, shared by both
         n = topology.n_bs
-        site = RrhSite(antennas * RU_CHAIN_W, antennas * PA_W, _sum_at(watts, _SITE_AT),
-                       topology._link)
-        sides = Deployments(
-            cran_power(_sum_at(watts, _CRAN_CMOS_AT) * n, site, n),
-            cran_power(_sum_at(watts, _RESIDENT_AT) * n, site, n,
-                       refrigeration_w=fridge_w),
-        )
+        site = (*radio_columns(antennas), _sums_at(watts, _SITE_AT), topology._link, n)
+        cmos = cran_power_columns([w * n for w in _sums_at(watts, _CRAN_CMOS_AT)], *site)
+        qa = cran_power_columns([w * n for w in _sums_at(watts, _RESIDENT_AT)], *site,
+                                refrigeration_w=fridge_w)
     else:
         raise ValueError(f"unknown topology {topology!r}")
     # Every component is non-negative, so finite totals mean finite parts.
-    for side in (sides.cmos, sides.qa):
-        if not math.isfinite(side.total_w):
-            raise ValueError(f"deployment power overflows: {side.total_w} W")
-    return sides
+    total = next(filterfalse(math.isfinite, chain.from_iterable(zip(cmos[-1], qa[-1]))), None)
+    if total is not None:
+        raise ValueError(f"deployment power overflows: {total} W")
+    return cmos, qa
+
+
+def deployments(load: BbuWorkload, cmos_profile: CmosProfile, qa_profile: QaProfile,
+                topology: Topology = BsTopology()) -> Deployments:
+    """`deployment_columns` of one workload."""
+    cmos, qa = deployment_columns([[load.tops[t]] for t in _ALL_TASKS],
+                                  [load.scenario.antennas], cmos_profile, qa_profile,
+                                  topology)
+    return Deployments(_breakdown(cmos), _breakdown(qa))
 
 
 def deployment_budget(per_bs: QubitBudget, topology: Topology) -> QubitBudget:
@@ -190,11 +188,7 @@ def compare(
     samples: int,
     topology: Topology = BsTopology(),
 ) -> ComparisonResult:
-    """Power both candidates for one scenario and size the annealer.
-
-    The CLI evaluates these steps apart and shares them across rows; the
-    reference power table calls this whole.
-    """
+    """Power both candidates for one scenario and size the annealer."""
     load = workload(scenario)
     sides = deployments(load, cmos_profile, qa_profile, topology)
     budget = deployment_budget(total_budget(load, qa_profile, samples), topology)
@@ -225,25 +219,33 @@ class CostReport(NamedTuple):
     co2_savings_kt: Tuple[float, ...]
 
 
-def cost_report(
-    delta_w: float,
-    horizons_years: Sequence[float] = (1, 2, 5, 10),
-    assumptions: CostAssumptions = DEFAULT_COSTS,
-) -> CostReport:
-    """Price a power saving in electricity dollars and avoided CO2."""
-    kwh_per_year = delta_w / 1000.0 * assumptions.hours_per_year
+def cost_columns(delta_w: Sequence[float], horizons_years: Sequence[float] = (1, 2, 5, 10),
+                 assumptions: CostAssumptions = DEFAULT_COSTS
+                 ) -> Tuple[List[List[float]], List[List[float]]]:
+    """Price each power saving in electricity dollars and avoided CO2: per
+    horizon, a column of OpEx savings and one of CO2 savings."""
+    hours = assumptions.hours_per_year
     price, co2_lb = assumptions.electricity_price_per_kwh, assumptions.co2_lb_per_kwh
+    kwh_per_year = [delta / 1000.0 * hours for delta in delta_w]
     opex, co2 = [], []
     for years in horizons_years:
         if years < 0:
             raise ValueError("horizons must be non-negative")
-        kwh = kwh_per_year * years
-        opex.append(kwh * price)
-        co2.append(kwh * co2_lb / LB_PER_METRIC_KILOTON)
-    for value in opex + co2:
-        if not math.isfinite(value):
-            raise ValueError(f"savings of {delta_w:g} W overflow over the horizons")
-    return CostReport(delta_w, tuple(opex), tuple(co2))
+        kwh = [value * years for value in kwh_per_year]
+        opex.append([value * price for value in kwh])
+        co2.append([value * co2_lb / LB_PER_METRIC_KILOTON for value in kwh])
+    if next(filterfalse(math.isfinite, chain.from_iterable(opex + co2)), None) is not None:
+        delta = next(d for d, *values in zip(delta_w, *opex, *co2)
+                     if not all(map(math.isfinite, values)))
+        raise ValueError(f"savings of {delta:g} W overflow over the horizons")
+    return opex, co2
+
+
+def cost_report(delta_w: float, horizons_years: Sequence[float] = (1, 2, 5, 10),
+                assumptions: CostAssumptions = DEFAULT_COSTS) -> CostReport:
+    """`cost_columns` of one power saving."""
+    opex, co2 = cost_columns([delta_w], horizons_years, assumptions)
+    return CostReport(delta_w, tuple(c[0] for c in opex), tuple(c[0] for c in co2))
 
 
 def offload_advantage_w(
@@ -256,20 +258,21 @@ def offload_advantage_w(
     Compares only what moves: the offloadable tasks' silicon draw against
     the flat refrigeration cost. Supply losses and silicon-resident tasks
     are identical on both sides and cancel.
-
-    The CLI calls `advantage_w` on the workload it already has. This entry
-    stays because the benchmark's traced run (`perfbench/spans.py`) wraps
-    it by name and fails without it.
     """
     return advantage_w(workload(scenario), cmos_profile, qa_profile)
 
 
-def advantage_w(load: BbuWorkload, cmos_profile: CmosProfile,
-                qa_profile: QaProfile) -> float:
-    """`offload_advantage_w` for a workload already computed."""
-    movable = left_sum(map(load.tops.__getitem__, OFFLOADABLE_TASKS))
-    silicon_w = cmos_power(movable, cmos_profile)
-    if not math.isfinite(silicon_w):
-        raise ValueError(f"offloadable silicon power overflows: {silicon_w} W")
-    return silicon_w - qa_profile.refrigeration_w
+def advantage_columns(tops: Sequence[Sequence[float]], cmos_profile: CmosProfile,
+                      qa_profile: QaProfile) -> List[float]:
+    """`offload_advantage_w` for each workload, given as one TOPS column per
+    task in task order."""
+    silicon_w = cmos_power_column(_sums_at(tops, _OFFLOADABLE_AT), cmos_profile)
+    value = next(filterfalse(math.isfinite, silicon_w), None)
+    if value is not None:
+        raise ValueError(f"offloadable silicon power overflows: {value} W")
+    return [w - qa_profile.refrigeration_w for w in silicon_w]
 
+
+def advantage_w(load: BbuWorkload, cmos_profile: CmosProfile, qa_profile: QaProfile) -> float:
+    """`advantage_columns` of one workload."""
+    return advantage_columns([[load.tops[t]] for t in _ALL_TASKS], cmos_profile, qa_profile)[0]

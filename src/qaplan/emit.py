@@ -8,20 +8,15 @@ and a json row has one field per column. Emitted csv and json can be
 read back with the readers below.
 
 A row is a pair of tuples, its own cells and its shared cells, which
-together are its cells in column order. The rows of one cli run share
-their trailing cells: each such row hands over the very same shared
-tuple. Every row of a table splits at the same column. Every renderer
-formats a shared tuple once and reuses the result while the same object
-comes back on the next rows (csv its quoted text, json its
-`"key": value` fields, text its cells and widths). The test is
-identity, never equality: 0.0 and -0.0, or 1, 1.0 and True, are equal
-but format differently.
-
-A table's rows may be a one-pass stream, as the cli's are: every renderer
-reads them once, in order. Csv and json write each row into one text
-buffer as it is read; text keeps only the formatted cell grid, which its
-width pass needs. Json is written by hand but byte for byte as
-`json.dumps(doc, indent=2)` would write the whole document.
+together are its cells in column order; every row of a table splits at
+the same column. The cli's rows of one scenario hand over the very same
+shared tuple, and every renderer formats a shared tuple once while the
+same object comes back (identity, never equality: 0.0 and -0.0, or 1,
+1.0 and True, are equal but format differently). Renderers read the rows
+once, in order, so they may be a stream. Csv and json write each row into
+one buffer as it is read, json byte for byte as `json.dumps(doc,
+indent=2)` writes the whole document; text keeps the formatted grid its
+width pass needs.
 """
 
 from __future__ import annotations
@@ -31,8 +26,9 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 Cell = Union[str, int, float]
 
@@ -135,40 +131,108 @@ def _split(table: Table) -> Tuple[int, Iterator[Row]]:
     return len(first[0]), itertools.chain((first,), rows)
 
 
+def _reusing(format_one: Callable[[Cell, Any], str], args: Sequence[Any]
+             ) -> Callable[[Sequence[Cell]], List[str]]:
+    """A function giving each of a row's own cells as `format_one(cell,
+    args[column])`, the text reused while the same object comes back in
+    its column: a table's constant cells are formatted once."""
+    values: List[Any] = [_reusing] * len(args)  # no cell is this function
+    texts: List[str] = [""] * len(args)
+
+    def own(cells: Sequence[Cell]) -> List[str]:
+        for i, value in enumerate(cells):
+            if value is not values[i]:
+                values[i], texts[i] = value, format_one(value, args[i])
+        return texts[:]
+
+    return own
+
+
 class _Lines(list):
     """A file for a csv writer that keeps each written line."""
 
     write = list.append
 
 
+# What the csv module quotes a field for, besides the delimiter, and a
+# separator no formatted cell of a table holds, or `_csv_fields` sees it.
+_QUOTED = re.compile('["\r\n]')
+_SEP = "\x1f"
+
+
+def _takes_strings(spec: str) -> bool:
+    """Whether `format(text, spec)` works for a string, which `format_cell`
+    writes as it is: the spec names no number type, sign or grouping."""
+    try:
+        format("", spec)
+    except ValueError:
+        return False
+    return True
+
+
+def _csv_fields(specs: Sequence[str]) -> Callable[[Sequence[Cell]], str]:
+    """A function writing cells under `specs` as the csv module writes them
+    within a longer row, without the line end.
+
+    One format string writes them all, and a field holding the delimiter
+    gets the quotes the csv module gives it. The csv module writes them
+    where that text cannot be trusted: for every row if a spec holds a
+    brace or would format a string (`format_cell` writes strings as they
+    are), else for a row whose cells fail to format or hold a quote, CR,
+    LF or the separator.
+    """
+    lines = _Lines()
+    write_row = csv.writer(lines).writerow
+
+    def by_module(cells: Sequence[Cell]) -> str:
+        write_row(map(format_cell, cells, specs))
+        text = lines.pop()[:-2]
+        return "" if text == '""' else text  # a lone empty field, within a row
+
+    if any("{" in spec or "}" in spec or spec and _takes_strings(spec) for spec in specs):
+        return by_module
+    template = _SEP.join(f"{{{i}:{spec}}}" for i, spec in enumerate(specs))
+    separators = len(specs) - 1
+
+    def fields(cells: Sequence[Cell]) -> str:
+        try:
+            text = template.format(*cells)
+        except (ValueError, TypeError):  # a string under a number spec, or a bad cell
+            return by_module(cells)
+        if text.count(_SEP) != separators or _QUOTED.search(text):
+            return by_module(cells)
+        if "," not in text:
+            return text.replace(_SEP, ",")
+        if not separators:
+            return f'"{text}"'
+        return ",".join([f'"{f}"' if "," in f else f for f in text.split(_SEP)])
+
+    return fields
+
+
 def render_csv(table: Table) -> str:
-    """Csv emission; notes become leading '#' comment lines."""
+    """Csv emission; notes become leading '#' comment lines.
+
+    The bytes are those of `csv.writer` writing each row whole, the cells
+    formatted by `format_cell`. A row is written as two parts: its own
+    cells, and its shared cells, written once per shared tuple.
+    """
     buf = io.StringIO()
     for note in table.notes:
         buf.write(f"# {note}\r\n")
-    writer = csv.writer(buf)
-    writer.writerow([c.key for c in table.columns])
+    csv.writer(buf).writerow([c.key for c in table.columns])
     specs = [c.spec for c in table.columns]
     split, rows = _split(table)
-    if split == len(specs):  # no shared cells
-        writer.writerows(map(format_cell, cells, specs) for cells, _ in rows)
-        return buf.getvalue()
-    # A row is written as two parts, each through the csv module, which
-    # quotes every field on its own terms, except that it writes a row of
-    # one empty field as "": within a longer row, such a part is written
-    # empty.
-    lines = _Lines()
-    write_part = csv.writer(lines).writerow
+    head, tail = _csv_fields(specs[:split]), _csv_fields(specs[split:])
+    joint = "," if 0 < split < len(specs) else ""
+    lone = len(specs) == 1  # a row of one empty field is written ""
+    write = buf.write
     last = None
     for cells, shared in rows:
         if shared is not last:
-            write_part(map(format_cell, shared, specs[split:]))
-            last, tail = shared, lines.pop()
-            if split:
-                tail = "," + ("\r\n" if tail == '""\r\n' else tail)
-        write_part(map(format_cell, cells, specs))
-        head = lines.pop()[:-2]
-        buf.write(("" if head == '""' else head) + tail)
+            last, end = shared, joint + tail(shared) + "\r\n"
+        line = head(cells) + end
+        write('""\r\n' if lone and line == "\r\n" else line)
     return buf.getvalue()
 
 
@@ -190,15 +254,14 @@ def render_json(table: Table) -> str:
     buf.write(',\n  "rows": [')
     close = "\n    }" if prefixes else "}"  # json.dumps writes {} for an empty dict
     separator = "\n    "
+    fields = _reusing(lambda v, at: at[0] + _json_literal(v, at[1]), list(zip(own, specs)))
     last = None
     for cells, shared in rows:
         if shared is not last:
             tail = ",".join([prefix + _json_literal(v, s)
                              for prefix, v, s in zip(rest, shared, specs[split:])])
             last, tail = shared, "," + tail if own and rest else tail
-        buf.write(separator + "{" + ",".join([prefix + _json_literal(v, s)
-                                             for prefix, v, s in zip(own, cells, specs)])
-                  + tail + close)
+        buf.write(separator + "{" + ",".join(fields(cells)) + tail + close)
         separator = ",\n    "
     buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows
     buf.write(',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
@@ -215,12 +278,13 @@ def render_text(table: Table) -> str:
     # shared tuple, held by reference, whose widths are taken once.
     grid: List[Tuple] = []
     widths = [len(h) for h in headers]
+    own = _reusing(format_cell, specs[:split])
     last = None
     for cells, shared in rows:
         if shared is not last:
             last, texts = shared, tuple(map(format_cell, shared, specs[split:]))
             widths[split:] = map(max, widths[split:], map(len, texts))
-        grid.append((*map(format_cell, cells, specs), texts))
+        grid.append((*own(cells), texts))
     widths[:split] = [max(w, max((len(row[i]) for row in grid), default=0))
                       for i, w in enumerate(widths[:split])]
     lines = [table.name]

@@ -13,22 +13,20 @@ baseband load is covered by provisioning qubits proportionately
 graph 1 (`LDPC_ROWS`, `LDPC_COLS`, `LDPC_ROW_WEIGHT`); its embedding
 takes `FEC_QUBITS_PER_PROBLEM` qubits, derived once at import.
 
-A budget is computed in two steps. `qubit_rates` takes the workload
-alone: each modeled task's problems/s x qubits-per-problem, which the
-sample count does not change. `rates_budget` adds the sample count: the
-problem runtime, the multiply by it and the rounding up. The product is
-evaluated in the same order as in `task_qubits`, so the split moves no
-bit. `total_budget` is the two steps in one call; the cli keeps the
-first step per run of equal scenarios and takes the second per sample
-count. Neither builds a `TaskProblemModel`: that describes one task's
-problems for `task_qubits`.
+A budget takes two steps, each a column function over cells:
+`rate_columns`, each modeled task's problems/s x qubits-per-problem,
+which the sample count does not change, and `budget_columns`, the
+multiply by the problem runtime (`problem_runtime`, one per sample count)
+and the rounding up, in the order `task_qubits` multiplies. `qubit_rates`
+and `rates_budget` are the steps for one cell; `total_budget` is both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Tuple
+from itertools import repeat
+from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .qa_hardware import QaProfile, qmi_runtime_us
 from .workload import BbuTask, BbuWorkload
@@ -57,16 +55,23 @@ class TaskProblemModel:
             raise ValueError(f"runtime must be positive, got {self.runtime_us}")
 
 
-def _fdnl_problem_shape(users: int, modulation_bits: int) -> Tuple[float, int]:
-    """Operations and qubits of one detection problem, users x users MIMO.
+def _fdnl_problem_shapes(users: Sequence[int], modulation_bits: Sequence[int]
+                         ) -> Tuple[List[float], List[int]]:
+    """Operations and qubits of one detection problem per cell, users x
+    users MIMO. Sphere decoding needs about 80M operations for the 64x64
+    system and scales quadratically with size; the annealer embedding uses
+    one qubit per transmitted bit (bits/symbol x users)."""
+    for count in users:
+        if count < 1:
+            raise ValueError(f"users must be at least 1, got {count}")
+    return ([80e6 * (count / 64.0) ** 2 for count in users],
+            [bits * count for bits, count in zip(modulation_bits, users)])
 
-    Sphere decoding needs about 80M operations for the 64x64 system and
-    scales quadratically with size; the annealer embedding uses one qubit
-    per transmitted bit (bits/symbol x users).
-    """
-    if users < 1:
-        raise ValueError(f"users must be at least 1, got {users}")
-    return 80e6 * (users / 64.0) ** 2, modulation_bits * users
+
+def _fdnl_problem_shape(users: int, modulation_bits: int) -> Tuple[float, int]:
+    """`_fdnl_problem_shapes` of one cell."""
+    (ops,), (qubits,) = _fdnl_problem_shapes([users], [modulation_bits])
+    return ops, qubits
 
 
 def ldpc_aux_depth(row_weight: float) -> int:
@@ -97,25 +102,30 @@ FEC_QUBITS_PER_PROBLEM = LDPC_COLS + LDPC_ROWS * ldpc_aux_depth(LDPC_ROW_WEIGHT)
 FEC_OPS_PER_PROBLEM = 150e6
 
 
-def _qubit_rate(tops: float, ops_per_problem: float, qubits_per_problem: int) -> float:
-    """Problems/s x qubits per problem: qubits held per second of problem runtime."""
-    if tops < 0:
-        raise ValueError(f"tops must be non-negative, got {tops}")
-    return tops * 1e12 / ops_per_problem * qubits_per_problem
+def _qubit_rates(tops: Sequence[float], ops_per_problem: Iterable[float],
+                 qubits_per_problem: Iterable[int]) -> List[float]:
+    """Problems/s x qubits per problem of each load: qubits held per second
+    of problem runtime."""
+    negative = [value for value in tops if value < 0]
+    if negative:
+        raise ValueError(f"tops must be non-negative, got {negative[0]}")
+    return [value * 1e12 / ops * qubits
+            for value, ops, qubits in zip(tops, ops_per_problem, qubits_per_problem)]
 
 
-def _qubits(tops: float, rate: float, runtime_us: float) -> int:
-    """Qubits to hold `rate` over problems of `runtime_us` each."""
-    qubits = rate * runtime_us * 1e-6
-    if not math.isfinite(qubits):
-        raise ValueError(f"qubit requirement at {tops:g} TOPS is not finite")
-    return math.ceil(qubits)
+def _qubit_counts(tops: Sequence[float], rates: Sequence[float], runtime_us: float) -> List[int]:
+    """Qubits to hold each rate over problems of `runtime_us` each."""
+    qubits = [rate * runtime_us * 1e-6 for rate in rates]
+    if not all(map(math.isfinite, qubits)):
+        value = next(v for v, count in zip(tops, qubits) if not math.isfinite(count))
+        raise ValueError(f"qubit requirement at {value:g} TOPS is not finite")
+    return list(map(math.ceil, qubits))
 
 
 def task_qubits(tops: float, model: TaskProblemModel) -> int:
     """Qubits to sustain `tops` on problems shaped like `model`."""
-    rate = _qubit_rate(tops, model.ops_per_problem, model.qubits_per_problem)
-    return _qubits(tops, rate, model.runtime_us)
+    rates = _qubit_rates([tops], [model.ops_per_problem], [model.qubits_per_problem])
+    return _qubit_counts([tops], rates, model.runtime_us)[0]
 
 
 class QubitBudget(NamedTuple):
@@ -137,31 +147,52 @@ class QubitRates(NamedTuple):
     fec_rate: float
 
 
-def qubit_rates(load: BbuWorkload) -> QubitRates:
-    """The per-workload step of `total_budget`.
+def rate_columns(fdnl_tops: Sequence[float], fec_tops: Sequence[float],
+                 antennas: Sequence[int], modulation_bits: Sequence[int]
+                 ) -> Tuple[List[float], List[float]]:
+    """Each cell's detection and decoding qubits per second of problem
+    runtime; detection problems serve one user per antenna."""
+    ops, qubits = _fdnl_problem_shapes(antennas, modulation_bits)
+    return (_qubit_rates(fdnl_tops, ops, qubits),
+            _qubit_rates(fec_tops, repeat(FEC_OPS_PER_PROBLEM),
+                         repeat(FEC_QUBITS_PER_PROBLEM)))
 
-    Detection problems serve one user per antenna.
-    """
+
+def qubit_rates(load: BbuWorkload) -> QubitRates:
+    """`rate_columns` of one workload."""
     scenario = load.scenario
     fdnl_tops, fec_tops = load.tops[BbuTask.FD_NL], load.tops[BbuTask.FEC]
-    return QubitRates(
-        fdnl_tops, _qubit_rate(fdnl_tops, *_fdnl_problem_shape(
-            scenario.antennas, scenario.modulation_bits)),
-        fec_tops, _qubit_rate(fec_tops, FEC_OPS_PER_PROBLEM, FEC_QUBITS_PER_PROBLEM),
-    )
+    (fdnl,), (fec,) = rate_columns([fdnl_tops], [fec_tops], [scenario.antennas],
+                                   [scenario.modulation_bits])
+    return QubitRates(fdnl_tops, fdnl, fec_tops, fec)
 
 
-def rates_budget(rates: QubitRates, profile: QaProfile, samples: int) -> QubitBudget:
-    """The per-sample step of `total_budget`: every problem runs `samples`
-    samples, and the two modeled tasks are taken to carry
-    `MODELED_LOAD_FRACTION` of the load."""
+def problem_runtime(profile: QaProfile, samples: int) -> float:
+    """The per-sample-count step of the qubit ask: the wall time of one
+    problem of `samples` samples, which must be positive."""
     runtime = qmi_runtime_us(profile, samples)
     if runtime <= 0:
         raise ValueError(f"runtime must be positive, got {runtime}")
-    fdnl = _qubits(rates.fdnl_tops, rates.fdnl_rate, runtime)
-    fec = _qubits(rates.fec_tops, rates.fec_rate, runtime)
-    return QubitBudget({BbuTask.FD_NL: fdnl, BbuTask.FEC: fec},
-                       math.ceil((fdnl + fec) / MODELED_LOAD_FRACTION))
+    return runtime
+
+
+def budget_columns(fdnl_tops: Sequence[float], fdnl_rates: Sequence[float],
+                   fec_tops: Sequence[float], fec_rates: Sequence[float],
+                   runtime_us: float) -> Tuple[List[int], List[int], List[int]]:
+    """Each cell's detection, decoding and total qubits, its rates held over
+    problems of `runtime_us`; the two modeled tasks are taken to carry
+    `MODELED_LOAD_FRACTION` of the load."""
+    fdnl = _qubit_counts(fdnl_tops, fdnl_rates, runtime_us)
+    fec = _qubit_counts(fec_tops, fec_rates, runtime_us)
+    return fdnl, fec, [math.ceil((a + b) / MODELED_LOAD_FRACTION) for a, b in zip(fdnl, fec)]
+
+
+def rates_budget(rates: QubitRates, profile: QaProfile, samples: int) -> QubitBudget:
+    """`budget_columns` of one cell, every problem running `samples` samples."""
+    (fdnl,), (fec,), (total,) = budget_columns(
+        [rates.fdnl_tops], [rates.fdnl_rate], [rates.fec_tops], [rates.fec_rate],
+        problem_runtime(profile, samples))
+    return QubitBudget({BbuTask.FD_NL: fdnl, BbuTask.FEC: fec}, total)
 
 
 def total_budget(load: BbuWorkload, profile: QaProfile, samples: int) -> QubitBudget:

@@ -5,19 +5,18 @@ through a chain of supply losses: AC/DC conversion, mains supply, and DC/DC
 conversion. Flat loads that bypass the supply chain (e.g. a cryogenic
 refrigerator with its own plant) are added after the loss denominator.
 A centralized deployment is priced from one pool, one radio site
-(`RrhSite`, which always has its fronthaul link) and a count of such
-sites; pool and sites share the default loss chain. The per-antenna radio
-and amplifier draws (`RU_CHAIN_W`, `PA_W`), the reference fronthaul link
-(`FRONTHAUL_REF_W`, `FRONTHAUL_REF_BPS`) and the loss chain
-(`DEFAULT_LOSSES`) are module constants. A `PowerBreakdown` is a named
-tuple that sums its grid total once, when it is built, in field order.
+(`RrhSite`) and a count of such sites; pool and sites share the default
+loss chain. A `PowerBreakdown` is a named tuple that sums its grid total
+once, when it is built, in field order. The power models are column
+functions over sites (`bs_power_columns`, `cran_power_columns`), and
+`bs_power` and `cran_power` are the same for one site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
@@ -95,7 +94,13 @@ class RrhSite(NamedTuple):
 
     @property
     def component_w(self) -> float:
-        return self.ru_w + self.pa_w + self.bbu_w
+        return _component_sums([self.ru_w], [self.pa_w], [self.bbu_w])[0]
+
+
+def _component_sums(ru_w: Sequence[float], pa_w: Sequence[float],
+                    bbu_w: Sequence[float]) -> List[float]:
+    """Each site's pre-loss component watts."""
+    return [ru + pa + bbu for ru, pa, bbu in zip(ru_w, pa_w, bbu_w)]
 
 
 class _Components(NamedTuple):
@@ -122,9 +127,8 @@ class PowerBreakdown(_Components):
 
     def __new__(cls, bbu_w: float, ru_w: float, pa_w: float, power_system_w: float,
                 fronthaul_w: float = 0.0, refrigeration_w: float = 0.0) -> "PowerBreakdown":
-        return tuple.__new__(cls, (
-            bbu_w, ru_w, pa_w, power_system_w, fronthaul_w, refrigeration_w,
-            bbu_w + ru_w + pa_w + power_system_w + fronthaul_w + refrigeration_w))
+        parts = (bbu_w, ru_w, pa_w, power_system_w, fronthaul_w, refrigeration_w)
+        return tuple.__new__(cls, (*parts, _grid_totals(*([part] for part in parts))[0]))
 
     def __getnewargs__(self) -> tuple:
         return self[:6]
@@ -134,52 +138,77 @@ class PowerBreakdown(_Components):
         return cls(*tuple(values)[:6])
 
 
-def bs_power(
-    bbu_w: float,
-    antennas: int,
-    losses: PowerSystemLosses = DEFAULT_LOSSES,
-    refrigeration_w: float = 0.0,
-) -> PowerBreakdown:
-    """Grid power of one base station.
-
-    `bbu_w` is the baseband silicon draw; one transceiver chain and one PA
-    per antenna. Anything in `refrigeration_w` is added after the supply
-    losses.
-    """
-    if bbu_w < 0:
-        raise ValueError(f"bbu_w must be non-negative, got {bbu_w}")
-    if antennas < 0:
-        raise ValueError(f"antennas must be non-negative, got {antennas}")
-    ru = antennas * RU_CHAIN_W
-    pa = antennas * PA_W
-    components = bbu_w + ru + pa
-    overhead = components * (losses.supply_factor - 1.0)
-    return PowerBreakdown(bbu_w, ru, pa, overhead, 0.0, refrigeration_w)
+# The fields of a `PowerBreakdown` as columns, one entry per site or
+# deployment, `total_w` last: what the column functions below return.
+Breakdowns = Tuple[List[float], ...]
 
 
-def cran_power(
-    bbu_w: float,
-    site: RrhSite,
-    n_sites: int,
-    refrigeration_w: float = 0.0,
-) -> PowerBreakdown:
-    """Grid power of a centralized deployment: one pool, `n_sites` radio sites.
+def _grid_totals(*components: Sequence[float]) -> List[float]:
+    """Each breakdown's grid draw: its six components summed in field order."""
+    return [bbu + ru + pa + ps + fh + fridge for bbu, ru, pa, ps, fh, fridge in zip(*components)]
 
-    The pooled baseband (`bbu_w`) and every remote site pass through the
-    default supply-loss chain; fronthaul links draw load-proportional power
-    outside the loss chain, as does `refrigeration_w`. The sites are
-    identical: each site total is `n_sites` times one site's value.
-    """
-    if bbu_w < 0:
-        raise ValueError(f"bbu_w must be non-negative, got {bbu_w}")
+
+def _check_non_negative(values: Sequence[float], name: str) -> None:
+    negative = [value for value in values if value < 0]
+    if negative:
+        raise ValueError(f"{name} must be non-negative, got {negative[0]}")
+
+
+def radio_columns(antennas: Sequence[int]) -> Tuple[List[float], List[float]]:
+    """Radio-unit and amplifier watts of each antenna count."""
+    return [n * RU_CHAIN_W for n in antennas], [n * PA_W for n in antennas]
+
+
+def bs_power_columns(bbu_w: Sequence[float], antennas: Sequence[int],
+                     losses: PowerSystemLosses = DEFAULT_LOSSES,
+                     refrigeration_w: float = 0.0) -> Breakdowns:
+    """Grid power of base stations, one per baseband silicon draw and
+    antenna count: one transceiver chain and one PA per antenna. Anything
+    in `refrigeration_w` is added after the supply losses."""
+    _check_non_negative(bbu_w, "bbu_w")
+    _check_non_negative(antennas, "antennas")
+    ru, pa = radio_columns(antennas)
+    factor = losses.supply_factor - 1.0
+    overhead = [(bbu + r + p) * factor for bbu, r, p in zip(bbu_w, ru, pa)]
+    fronthaul, fridge = [0.0] * len(ru), [refrigeration_w] * len(ru)
+    return (bbu_w, ru, pa, overhead, fronthaul, fridge,
+            _grid_totals(bbu_w, ru, pa, overhead, fronthaul, fridge))
+
+
+def _breakdown(columns: Breakdowns) -> PowerBreakdown:
+    """The one breakdown of single-entry columns."""
+    return PowerBreakdown(*[column[0] for column in columns[:6]])
+
+
+def bs_power(bbu_w: float, antennas: int, losses: PowerSystemLosses = DEFAULT_LOSSES,
+             refrigeration_w: float = 0.0) -> PowerBreakdown:
+    """`bs_power_columns` of one base station."""
+    return _breakdown(bs_power_columns([bbu_w], [antennas], losses, refrigeration_w))
+
+
+def cran_power_columns(bbu_w: Sequence[float], site_ru_w: Sequence[float],
+                       site_pa_w: Sequence[float], site_bbu_w: Sequence[float],
+                       fronthaul: FronthaulLink, n_sites: int,
+                       refrigeration_w: float = 0.0) -> Breakdowns:
+    """Grid power of centralized deployments: per entry a pool drawing
+    `bbu_w` and `n_sites` like sites, each with the radios, amplifiers and
+    silicon given and linked by `fronthaul`. Pool and sites pass through
+    the default loss chain; links and `refrigeration_w` bypass it."""
+    _check_non_negative(bbu_w, "bbu_w")
     if n_sites < 0:
         raise ValueError(f"n_sites must be non-negative, got {n_sites}")
-    site_overhead = site.component_w * _CRAN_OVERHEAD
-    return PowerBreakdown(
-        bbu_w + n_sites * site.bbu_w,
-        n_sites * site.ru_w,
-        n_sites * site.pa_w,
-        bbu_w * _CRAN_OVERHEAD + n_sites * site_overhead,
-        n_sites * fronthaul_power(site.fronthaul),
-        refrigeration_w,
-    )
+    site_overhead = [c * _CRAN_OVERHEAD for c in _component_sums(site_ru_w, site_pa_w, site_bbu_w)]
+    bbu = [pool + n_sites * site for pool, site in zip(bbu_w, site_bbu_w)]
+    ru = [n_sites * site for site in site_ru_w]
+    pa = [n_sites * site for site in site_pa_w]
+    overhead = [pool * _CRAN_OVERHEAD + n_sites * site for pool, site in zip(bbu_w, site_overhead)]
+    links = [n_sites * fronthaul_power(fronthaul)] * len(bbu)
+    fridge = [refrigeration_w] * len(bbu)
+    return bbu, ru, pa, overhead, links, fridge, _grid_totals(bbu, ru, pa, overhead, links, fridge)
+
+
+def cran_power(bbu_w: float, site: RrhSite, n_sites: int,
+               refrigeration_w: float = 0.0) -> PowerBreakdown:
+    """`cran_power_columns` of one pool and `n_sites` sites like `site`."""
+    return _breakdown(cran_power_columns([bbu_w], [site.ru_w], [site.pa_w], [site.bbu_w],
+                                         site.fronthaul, n_sites, refrigeration_w))

@@ -9,11 +9,10 @@ cycles. Each baseband task has its own scaling exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
-from functools import reduce
-from operator import add
-from typing import Dict, Iterable, Mapping
+from operator import add, mul
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
 class BbuTask(Enum):
@@ -50,11 +49,20 @@ _TASK_LABELS = {
 }
 
 
+def left_sums(columns: Iterable[Sequence[float]], count: int) -> List[float]:
+    """Per entry of `count`, its values across `columns` summed as Python
+    3.10 and 3.11 `sum()` sums them: from 0, left to right, rounding each
+    addition. From 3.12 `sum()` of floats is compensated and can end a bit
+    apart, so the report path sums with this instead."""
+    sums: List[float] = [0] * count
+    for column in columns:
+        sums = list(map(add, sums, column))
+    return sums
+
+
 def left_sum(values: Iterable[float]) -> float:
-    """`sum()` as Python 3.10 and 3.11 compute it: left to right, rounding
-    each addition. From 3.12 `sum()` of floats is compensated and can end
-    a bit apart, so the report path sums with this instead."""
-    return reduce(add, values, 0)
+    """`left_sums` of one entry."""
+    return left_sums([[value] for value in values], 1)[0]
 
 
 # Modulation orders with a defined bits-per-symbol count.
@@ -193,39 +201,65 @@ def _scaled(reference_tops: float, powers, ratios) -> float:
 
 
 def scale_task(task: BbuTask, scenario: CellScenario) -> float:
-    """Compute demand of one task at `scenario`, in TOPS.
-
-    Scales the reference demand by the product of per-axis ratios, each
-    raised to the task's exponent for that axis. The reference that
-    `workload` equals bit for bit and the acceptance checks compare with.
-    """
+    """Compute demand of one task at `scenario`, in TOPS: the reference
+    demand times each axis ratio to the task's exponent for that axis.
+    `task_tops` equals it bit for bit; the acceptance checks compare."""
     return _scaled(REFERENCE_TOPS[task], astuple(SCALING[task]), _axis_ratios(scenario))
 
 
-# (task, reference TOPS, (axis, exponent) per nonzero exponent) in task
-# order, so `workload` looks nothing up per task. Dropping the zero
+# (reference TOPS, (axis, exponent) per nonzero exponent) in task
+# order, so `task_tops` looks nothing up per task. Dropping the zero
 # exponents keeps every bit of `scale_task`: `ratio ** 0` is exactly 1.0
 # for any float, and a product times 1.0 is unchanged.
 _TASK_FACTORS = tuple(
-    (task, REFERENCE_TOPS[task],
+    (REFERENCE_TOPS[task],
      tuple((axis, power) for axis, power in enumerate(astuple(SCALING[task])) if power))
     for task in BbuTask
 )
+_TASKS = tuple(BbuTask)
+# The fields of `CellScenario`, in order: `task_tops` takes one column of each.
+SCENARIO_FIELDS = tuple(f.name for f in fields(CellScenario))
+
+
+def _power(ratio: float, power: int) -> float:
+    try:
+        return ratio ** power
+    except OverflowError:  # a float power past range raises rather than giving inf
+        return math.inf
+
+
+def _powers(ratios: List[float], power: int) -> List[float]:
+    try:
+        return [ratio ** power for ratio in ratios]
+    except OverflowError:
+        return [_power(ratio, power) for ratio in ratios]
+
+
+def task_tops(*scenario_columns: Sequence[float]) -> Tuple[List[float], ...]:
+    """Per task, in task order, the TOPS of each scenario given as one
+    column per `SCENARIO_FIELDS` entry; each equals `scale_task`.
+
+    Raises for the first scenario whose total is past float range.
+    """
+    ratios = [[value / ref for value in column]
+              for column, ref in zip(scenario_columns, astuple(REFERENCE_SCENARIO))]
+    powered: Dict[Tuple[int, int], List[float]] = {}
+    tops = []
+    for result, factors in _TASK_FACTORS:
+        column = [result] * len(ratios[0])
+        for factor in factors:  # the order of `_scaled`
+            if factor not in powered:
+                powered[factor] = _powers(ratios[factor[0]], factor[1])
+            column = list(map(mul, column, powered[factor]))
+        tops.append(column)
+    # Non-negative TOPS sum to inf at worst; a power past range (inf) times
+    # an underflowed product (0.0) gives nan.
+    if not all(map(math.isfinite, left_sums(tops, len(ratios[0])))):
+        raise ValueError(f"compute targets overflow: {math.inf} TOPS")
+    return tuple(tops)
 
 
 def workload(scenario: CellScenario) -> BbuWorkload:
-    """Per-task compute targets for a scenario, each equal to `scale_task`."""
-    ratios = _axis_ratios(scenario)
-    tops: Dict[BbuTask, float] = {}
-    try:
-        for task, result, factors in _TASK_FACTORS:
-            for axis, power in factors:  # the order of `_scaled`
-                result *= ratios[axis] ** power
-            tops[task] = result
-    except OverflowError:  # a float power past range raises rather than giving inf
-        total = math.inf
-    else:
-        total = left_sum(tops.values())
-    if not math.isfinite(total):
-        raise ValueError(f"compute targets overflow: {total} TOPS")
-    return BbuWorkload(scenario=scenario, tops=tops)
+    """Per-task compute targets for a scenario: `task_tops` of one scenario."""
+    tops = task_tops(*([value] for value in astuple(scenario)))
+    return BbuWorkload(scenario=scenario, tops=dict(zip(_TASKS, [t[0] for t in tops])))

@@ -10,7 +10,7 @@ import pytest
 
 import qaplan
 from qaplan.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
-                        cmd_timeline, main)
+                        _expand_points, cmd_timeline, main)
 from qaplan.config import ENV_CONFIG_PATH, default_config
 from qaplan.emit import read_csv, read_json
 from qaplan.tables import PAPER_TABLES
@@ -182,8 +182,7 @@ def test_sweep_with_only_bad_samples_is_config_error(capsys, samples):
 
 def test_timeline_row_at_reference_point():
     cfg = default_config()  # 400 MHz, 64 antennas, 20 samples, 14nm
-    points = [(name, scenario, cfg.samples) for name, scenario in cfg.scenarios]
-    (row,) = cmd_timeline(cfg, points, []).records()
+    (row,) = cmd_timeline(cfg, _expand_points(cfg, {}, []), []).records()
     assert (row["name"], row["samples"]) == ("5g-400mhz-64ant", 20)
     assert row["required_qubits"] == 3_320_055
     assert row["year_best"] == 2040
@@ -398,6 +397,39 @@ def test_sample_count_past_float_range_is_a_model_error(tmp_path, capsys, entry,
     code, out, err = run(capsys, command, "--config", str(path), *flags)
     assert (code, out, err) == (
         EXIT_DOMAIN, "", "qaplan: model error: sample count past float range: 401 digits\n")
+
+
+_WARN_1000 = ("qaplan: warning: 5g-400mhz-64ant[bandwidth_mhz=1000,antennas=100,samples=50]"
+              "{node}: {what} 24412162 exceeds refrigerator capacity 13975088\n")
+_NOT_FINITE = "qaplan: model error: qubit requirement at 1.5e+301 TOPS is not finite\n"
+_PAST_RANGE = "qaplan: model error: sample count past float range: 401 digits\n"
+
+
+@pytest.mark.parametrize("command,warned", [
+    ("economics", _WARN_1000.format(node=" (14nm)", what="qubit requirement")),
+    ("qubits", _WARN_1000.format(node="", what="requirement")),
+    ("timeline", ""),  # the timeline never warns
+])
+@pytest.mark.parametrize("sweep,error", [
+    # The first bandwidth warns at 50 samples; the second fails at its
+    # first row, after the warnings of the rows before it.
+    (["bandwidth_mhz=1000,1e300", "antennas=100", "samples=1,50"], _NOT_FINITE),
+    # The second sample count fails after the first one warned.
+    (["bandwidth_mhz=1000", "antennas=100", f"samples=50,{_FLOAT_RANGE_PAST}"], _PAST_RANGE),
+])
+def test_a_mid_grid_model_error_follows_the_warnings_of_earlier_rows(
+        capsys, command, warned, sweep, error):
+    flags = [arg for axis in sweep for arg in ("--sweep", axis)]
+    assert run(capsys, command, "--format", "csv", *flags) == (EXIT_DOMAIN, "", warned + error)
+
+
+@pytest.mark.parametrize("command", ["qubits", "economics", "timeline"])
+def test_a_failing_workload_comes_before_a_failing_sample_count(capsys, command):
+    # The row reads its scenario's workload first, then its cells: the
+    # runtime cell of the first sample count would fail too.
+    got = run(capsys, command, "--format", "csv", "--sweep", "bandwidth_mhz=1e308",
+              "--sweep", f"samples={_FLOAT_RANGE_PAST},1")
+    assert got == (EXIT_DOMAIN, "", _OVERFLOW + "\n")
 
 
 def test_wrong_typed_qa_override_names_its_field(tmp_path, capsys):

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qaplan.cli import _COMMANDS, _expand_points
 from qaplan.config import parse_config
@@ -281,6 +281,47 @@ def test_csv_row_parts_quote_as_the_whole_row(rows):
     n = len(rows[0][0]) + len(rows[0][1])
     table = Table("t", [Column(f"c{i}", f"C{i}") for i in range(n)], rows)
     assert render_csv(table) == _reference_csv(table)
+
+
+# Specs that format numbers only, that format strings too (alignment,
+# precision, "s"), that fill with a delimiter or quote, and "," itself.
+_CSV_SPECS = ["", ",", ".3f", "d", "g", "s", ">5", ".2", "_", '",>7', ",<6", "+.1e", "%"]
+_CSV_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\x1f{}0')), max_size=5)
+_CSV_CELLS = (_CSV_TEXT | st.booleans() | _INTS | st.floats()
+              | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), ""]))
+
+
+@st.composite
+def csv_tables(draw):
+    specs = draw(st.lists(st.sampled_from(["", ","]) | st.sampled_from(_CSV_SPECS), max_size=5))
+    columns = [Column(f"c{i}", f"C{i}", spec) for i, spec in enumerate(specs)]
+    split = draw(st.integers(min_value=0, max_value=len(columns)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        cells = tuple(draw(_CSV_CELLS) for _ in columns)
+        shared = rows[-1][1] if rows and draw(st.booleans()) else cells[split:]
+        rows.append((cells[:split], shared))
+    return Table("t", columns, rows, draw(st.lists(_CSV_TEXT, max_size=2)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_tables())
+# A lone field holding the delimiter, as a string or a "," grouped number;
+# a lone empty field; fields holding a quote, an LF and the separator.
+@example(Table("t", [Column("a", "A"), Column("b", "B", ",")], [(("x,y",), (1234,))]))
+@example(Table("t", [Column("a", "A")], [(("",), ())]))
+@example(Table("t", [Column("a", "A"), Column("b", "B")], [(('q"', "l\nm"), ("\x1f",))]))
+def test_csv_fast_path_writes_what_the_csv_module_writes(table):
+    # `render_csv` formats each part with one format string and quotes a
+    # field by hand; the reference writes every row whole through the csv
+    # module, each cell through `format_cell`.
+    try:
+        want = _reference_csv(table)
+    except (ValueError, TypeError):  # a cell its spec cannot format
+        with pytest.raises((ValueError, TypeError)):
+            render_csv(table)
+    else:
+        assert render_csv(table) == want
 
 
 _AXES = {"bandwidth_mhz": [20.0, 100.0, 400.0], "antennas": [8, 64],

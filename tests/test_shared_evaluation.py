@@ -1,22 +1,27 @@
-"""The CLI's shared evaluation against an unshared evaluation per point.
+"""The CLI's block evaluation against an unshared evaluation per point.
 
-The tables compute each quantity once per run (the consecutive points
-that share one scenario object), per cmos node or per point. Every cell must still equal, bit for bit, what the
-model functions give when called afresh for that row.
+The tables evaluate blocks of scenarios, each stage as one pass over a
+block: per scenario, per scenario and sample count, or per scenario and
+cmos node, and the problem runtime once per sample count. Every cell must
+still equal, bit for bit, what the model functions give when called
+afresh for that row.
 """
+
+import dataclasses
+import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qaplan import cli
+from qaplan import cli, qubit_budget
 from qaplan.cli import (_COMMANDS, _expand_points, cmd_economics, cmd_power, cmd_qubits,
                         cmd_targets, cmd_timeline)
-from qaplan.config import parse_config
+from qaplan.config import SWEEP_AXES, _parse_sweep, parse_config
 from qaplan.economics import compare, cost_report, offload_advantage_w
 from qaplan.qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
 from qaplan.qubit_budget import total_budget
 from qaplan.timeline import BEST_CASE, WORST_CASE, year_available
-from qaplan.workload import BbuTask, workload
+from qaplan.workload import BbuTask, CellScenario, task_tops, workload
 
 # Small value sets, drawn with repeats, so runs of equal scenarios and
 # equal neighbouring values both occur.
@@ -49,6 +54,36 @@ sweeps = st.dictionaries(
 }))
 
 
+def _rows_of(points):
+    """(name, scenario, samples) per point, in row order: per block, per
+    group of `inner` scenarios, per sample count, per scenario."""
+    for block in points:
+        scenarios = [CellScenario(*fields) for fields in zip(*block.fields)]
+        for start in range(0, len(scenarios), block.inner):
+            for samples, label in zip(points.samples, points.labels):
+                for i in range(start, start + block.inner):
+                    yield block.prefixes[i] + label, scenarios[i], samples
+
+
+def _reference_points(cfg, sweep):
+    """The grid walked one point at a time: every axis in `SWEEP_AXES`
+    order, the last fastest, and the samples label last in a name."""
+    if not sweep:
+        return [(name, scenario, cfg.samples) for name, scenario in cfg.scenarios]
+    base_name, base = cfg.scenarios[0]
+    axes = [axis for axis in SWEEP_AXES if axis in sweep]
+    points = []
+    for combo in itertools.product(*[sweep[axis] for axis in axes]):
+        values = dict(zip(axes, combo))
+        samples = values.pop("samples", cfg.samples)
+        labels = [f"{axis}={cli._label(value)}" for axis, value in values.items()]
+        if "samples" in sweep:
+            labels.append(f"samples={samples}")
+        points.append((f"{base_name}[{','.join(labels)}]",
+                       dataclasses.replace(base, **values), samples))
+    return points
+
+
 @settings(max_examples=60, deadline=None)
 @given(configs, sweeps)
 @example(
@@ -60,6 +95,8 @@ sweeps = st.dictionaries(
 def test_every_cell_matches_an_unshared_evaluation(doc, sweep):
     cfg = parse_config(doc)
     points = _expand_points(cfg, sweep, [])
+    assert list(_rows_of(points)) == _reference_points(cfg, sweep)
+    assert len(points) == len(_reference_points(cfg, sweep))
     qa, topology = cfg.qa_profile, cfg.topology
     capacity = refrigerator_qubit_capacity()
 
@@ -71,7 +108,7 @@ def test_every_cell_matches_an_unshared_evaluation(doc, sweep):
     economics = iter(cmd_economics(cfg, points, economics_warnings).records())
     expected_warnings = []
 
-    for name, scenario, samples in points:
+    for name, scenario, samples in _rows_of(points):
         load = workload(scenario)
         row = next(targets)
         assert [row[f"{t.value}_tops"] for t in BbuTask] == [load.tops[t] for t in BbuTask]
@@ -128,53 +165,72 @@ def test_every_cell_matches_an_unshared_evaluation(doc, sweep):
 
 
 def _evaluate(monkeypatch, command, doc, sweep):
-    """The rows of `command`, and how many runs (`workload` calls) built them."""
-    calls = []
+    """The rows of `command`, the scenarios that reached the column workload,
+    and the runtime evaluations, counted."""
+    scenarios, runtimes = [], []
 
-    def counted(scenario):
-        calls.append(scenario)
-        return workload(scenario)
+    def counted_tops(*columns):
+        scenarios.extend(zip(*columns))
+        return task_tops(*columns)
 
-    monkeypatch.setattr(cli, "workload", counted)
+    def counted_runtime(profile, samples):
+        runtimes.append(samples)
+        return qmi_runtime_us(profile, samples)
+
+    monkeypatch.setattr(cli, "task_tops", counted_tops)
+    monkeypatch.setattr(qubit_budget, "qmi_runtime_us", counted_runtime)
     cfg = parse_config(doc)
     rows = list(command(cfg, _expand_points(cfg, sweep, []), []).rows)
-    return rows, len(calls)
+    return rows, scenarios, runtimes
+
+
+_READS_RUNTIME = ("economics", "qubits", "timeline")
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
-@pytest.mark.parametrize("sweep,points,runs", [
+@pytest.mark.parametrize("sweep,points,scenarios", [
     ({"samples": [1, 20, 50], "antennas": [8, 64]}, 6, 2),
-    # modulation_bits comes after samples in row order: every run is one point.
-    ({"samples": [1, 20], "modulation_bits": [2, 6]}, 4, 4),
+    # modulation_bits comes after samples in row order: a scenario's rows
+    # are apart, and it is still evaluated once.
+    ({"samples": [1, 20], "modulation_bits": [2, 6]}, 4, 2),
 ])
-def test_a_run_is_the_points_of_one_scenario_object(monkeypatch, command, sweep, points,
-                                                     runs):
-    rows, calls = _evaluate(monkeypatch, _COMMANDS[command], {}, sweep)
-    assert (len(rows), calls) == (points, runs)
+def test_each_scenario_reaches_the_column_workload_once(monkeypatch, command, sweep, points,
+                                                        scenarios):
+    rows, seen, runtimes = _evaluate(monkeypatch, _COMMANDS[command], {"cmos": ["14nm"]},
+                                     sweep)
+    assert (len(rows), len(seen), len(set(seen))) == (points, scenarios, scenarios)
+    assert sorted(runtimes) == (sweep["samples"] if command in _READS_RUNTIME else [])
+    # The rows of one scenario hand over one shared tuple.
+    assert len({id(shared) for _, shared in rows}) == (
+        1 if command == "qubits" else scenarios)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_the_runtime_runs_once_per_sample_count_per_call(monkeypatch, command):
+    # The benchmark's 30k-point grid: 10,000 scenarios over many blocks.
+    sweep = _parse_sweep({"bandwidth_mhz": list(range(10, 1001, 10)),
+                          "antennas": list(range(1, 101)), "samples": [1, 20, 50]})
+    rows, seen, runtimes = _evaluate(monkeypatch, _COMMANDS[command], {}, sweep)
+    assert (len(rows), len(seen)) == (30_000, 10_000)
+    assert runtimes == ([1, 20, 50] if command in _READS_RUNTIME else [])
 
 
 def test_equal_configured_scenarios_are_runs_of_their_own(monkeypatch):
-    # Two scenario objects, so two runs, although they are equal.
+    # Two configured scenarios, each evaluated on its own, although they are equal.
     doc = {"scenarios": [{"name": "a", "bandwidth_mhz": 100},
                          {"name": "b", "bandwidth_mhz": 100}]}
-    (a, b), calls = _evaluate(monkeypatch, cmd_targets, doc, {})
-    assert calls == 2
+    (a, b), seen, _ = _evaluate(monkeypatch, cmd_targets, doc, {})
+    assert len(seen) == 2
     assert (a[0], b[0]) == (("a",), ("b",))
     assert a[1] == b[1] and a[1] is not b[1]
 
 
-def test_rows_of_one_owner_in_a_run_hand_over_one_shared_tuple(monkeypatch):
-    doc = {"cmos": ["65nm", "14nm"]}
+def test_per_node_rows_take_turns_between_the_nodes_shared_tuples(monkeypatch):
     sweep = {"samples": [1, 20, 50], "antennas": [8, 64]}
-    rows, _ = _evaluate(monkeypatch, cmd_targets, doc, sweep)
+    rows, _, _ = _evaluate(monkeypatch, cmd_power, {"cmos": ["65nm", "14nm"]}, sweep)
     shared = [s for _, s in rows]
-    assert shared[0] is shared[1] is shared[2]
-    assert shared[3] is shared[4] is shared[5]
-    assert shared[2] is not shared[3]
-    # Per node: rows take turns between the nodes' tuples within a run.
-    rows, _ = _evaluate(monkeypatch, cmd_power, doc, sweep)
-    shared = [s for _, s in rows]
-    assert len({id(s) for s in shared}) == 4  # 2 runs x 2 nodes
-    for run in (shared[:6], shared[6:]):
-        assert run[0] is run[2] is run[4] and run[1] is run[3] is run[5]
-        assert run[0] is not run[1]
+    assert len({id(s) for s in shared}) == 4  # 2 scenarios x 2 nodes
+    for scenario in (shared[:6], shared[6:]):
+        assert scenario[0] is scenario[2] is scenario[4]
+        assert scenario[1] is scenario[3] is scenario[5]
+        assert scenario[0] is not scenario[1]

@@ -1,4 +1,4 @@
-"""Rows stream from the evaluation into the renderer: memory stays flat."""
+"""Points and rows stream from the expansion into the renderer: memory stays flat."""
 
 import contextlib
 import os
@@ -17,14 +17,16 @@ def _grid(bandwidth_step: int) -> dict:
                          "antennas": list(range(1, 101)), "samples": [1, 20, 50]})
 
 
-def _traced_peak(cfg, points) -> int:
-    """Traced peak bytes while the economics rows are read one at a time,
-    each capacity warning written out as it is gathered, as `main` does."""
+def _traced_peak(cfg, sweep) -> int:
+    """Traced peak bytes from the expansion of `sweep` on, while the
+    economics rows are read one at a time, each capacity warning written
+    out as it is gathered, as `main` does."""
     warnings = _Warnings()
     with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
+            points = _expand_points(cfg, sweep, warnings)
             rows = cmd_economics(cfg, points, warnings).rows
             count = 0
             for _ in rows:
@@ -38,10 +40,12 @@ def _traced_peak(cfg, points) -> int:
 
 
 def test_reading_the_rows_keeps_memory_flat():
+    # Neither the points nor their names are held: a block of scenarios
+    # at a time is.
     cfg = default_config()
-    small = _expand_points(cfg, _grid(100), [])
-    large = _expand_points(cfg, _grid(10), [])
-    assert (len(small), len(large)) == (3_000, 30_000)
+    small, large = _grid(100), _grid(10)
+    assert (len(_expand_points(cfg, small, [])), len(_expand_points(cfg, large, []))) == (
+        3_000, 30_000)
     small_peak, large_peak = _traced_peak(cfg, small), _traced_peak(cfg, large)
     assert large_peak < 1 << 20, large_peak
     assert large_peak < 2 * small_peak, (small_peak, large_peak)
