@@ -30,7 +30,6 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import astuple
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cmos import CmosProfile
@@ -39,7 +38,6 @@ from .economics import advantage_columns, cost_columns, deployment_columns, savi
 from .emit import Column, Row, Table, render
 from .qa_hardware import refrigerator_qubit_capacity
 from .qubit_budget import MODELED_LOAD_FRACTION, budget_columns, problem_runtime, rate_columns
-from .tables import PAPER_TABLES
 from .timeline import BEST_CASE, WORST_CASE, year_available
 from .workload import SCENARIO_FIELDS, BbuTask, CellScenario, left_sums, task_tops
 
@@ -47,6 +45,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DOMAIN = 2
 EXIT_WARNINGS = 3
+
+# The names of `tables.PAPER_TABLES`, which is imported only when one is asked for.
+PAPER_TABLE_NAMES = ("costsavings", "energy", "powerbenefit", "qubits-time", "readout", "targets")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +66,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sweep", action="append", default=[], metavar="AXIS=V1,V2,...",
                         help="sweep an axis over values; repeatable; overrides "
                              f"config sweep; axes: {', '.join(SWEEP_AXES)}")
-    parser.add_argument("--paper-table", choices=sorted(PAPER_TABLES),
+    parser.add_argument("--paper-table", choices=PAPER_TABLE_NAMES,
                         help="emit a reference report instead of evaluating "
                              "the configured scenarios")
 
@@ -166,11 +167,11 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _
         def configured() -> Iterator[_Block]:
             for at in range(0, len(named), BLOCK):
                 chunk = named[at:at + BLOCK]
-                fields = zip(*[astuple(scenario) for _, scenario in chunk])
+                fields = zip(*[scenario for _, scenario in chunk])
                 yield _Block(tuple(map(list, fields)), [name for name, _ in chunk], 1)
         return _Lazy(configured, len(named), [cfg.samples], [""])
     base_name, base = cfg.scenarios[0]
-    base_fields = dict(zip(SCENARIO_FIELDS, astuple(base)))
+    base_fields = base._asdict()
 
     def problem(values: Dict[str, Any], samples: Optional[int] = None) -> Any:
         try:  # why a point is skipped, or None
@@ -375,7 +376,7 @@ def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column],
                             yield row
 
     count = len(points) * (len(cfg.cmos_profiles) if per_node else 1)
-    return Table(name=name, columns=columns, rows=_Lazy(rows, count), notes=list(notes))
+    return Table(name=name, columns=columns, rows=_Lazy(rows, count), notes=notes)
 
 
 def _names(points: _Lazy, block: _Block) -> List[List[str]]:
@@ -559,6 +560,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     warnings = _Warnings()
     try:
         if args.paper_table:
+            from .tables import PAPER_TABLES
+
             table = PAPER_TABLES[args.paper_table]()
         else:
             cfg = load_config(args.config)

@@ -10,19 +10,23 @@ significant figures (`round_sig`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
+
+from .record import Checked
 
 
-@dataclass(frozen=True)
-class CmosProfile:
-    """One process node's compute-efficiency operating point."""
-
+class _CmosProfile(NamedTuple):
     node: str
     efficiency_tops_per_w: float  # dynamic efficiency, TOPS/W
     leakage_fraction: float = 0.30  # static power as fraction of dynamic
 
-    def __post_init__(self) -> None:
+
+class CmosProfile(Checked, _CmosProfile):
+    """One process node's compute-efficiency operating point."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("efficiency_tops_per_w", "leakage_fraction"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -9,12 +9,10 @@ fail loudly rather than silently falling back to defaults.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cmos import BUILTIN_CMOS, CmosProfile, scaled_profile
 from .economics import MAX_N_BS, BsTopology, CostAssumptions, CranTopology, Topology
@@ -34,8 +32,7 @@ class ConfigError(Exception):
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     scenarios: Tuple[Tuple[str, CellScenario], ...]
     cmos_profiles: Tuple[CmosProfile, ...]
     qa_profile: QaProfile
@@ -43,7 +40,7 @@ class RunConfig:
     topology: Topology
     costs: CostAssumptions
     horizons_years: Tuple[float, ...]
-    sweep: Dict[str, List[float]] = field(default_factory=dict)
+    sweep: Dict[str, List[float]] = {}  # shared by every config without one; never written
 
 
 def default_config() -> RunConfig:
@@ -184,8 +181,7 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
 
 def _parse_qa(obj: dict) -> QaProfile:
     # The profile's name is not a setting: `profile` picks it.
-    _check_keys(obj, ("profile",) + tuple(
-        f.name for f in dataclasses.fields(QaProfile) if f.name != "name"), "qa")
+    _check_keys(obj, ("profile",) + tuple(f for f in QaProfile._fields if f != "name"), "qa")
     base = BUILTIN_QA["projected"]
     if "profile" in obj:
         try:
@@ -199,7 +195,7 @@ def _parse_qa(obj: dict) -> QaProfile:
     for key, value in overrides.items():
         _number(value, f"qa.{key}")
     try:
-        return dataclasses.replace(base, **overrides)
+        return base._replace(**overrides)
     except _BAD_VALUE as exc:
         raise ConfigError(f"qa: {exc}") from exc
 
@@ -225,8 +221,7 @@ def _parse_topology(obj: dict) -> Topology:
 
 
 def _parse_costs(obj: dict) -> CostAssumptions:
-    allowed = tuple(f.name for f in dataclasses.fields(CostAssumptions))
-    _check_keys(obj, allowed, "costs")
+    _check_keys(obj, CostAssumptions._fields, "costs")
     try:
         return CostAssumptions(
             **{k: _real(v, f"costs.{k}") for k, v in obj.items()})
@@ -318,6 +313,8 @@ def load_config(path: Optional[str]) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: bad json, bytes that are not utf-8, or an integer past
+    # the interpreter's digit limit; RecursionError: nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid json: {exc}") from exc
     return parse_config(doc)

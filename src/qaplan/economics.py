@@ -20,11 +20,10 @@ times one site's value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, filterfalse
 from operator import sub
-from typing import ClassVar, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .cmos import CmosProfile, cmos_power_column
 from .qa_hardware import QaProfile
@@ -38,6 +37,7 @@ from .ran_power import (
     cran_power_columns,
     radio_columns,
 )
+from .record import Checked
 from .workload import BbuTask, BbuWorkload, CellScenario, left_sums, workload
 
 # Tasks that stay on silicon (control and transport) and those an annealer
@@ -61,21 +61,26 @@ LB_PER_METRIC_KILOTON = 2_204_622.6
 MAX_N_BS = 10_000
 
 
-@dataclass(frozen=True)
-class BsTopology:
+class BsTopology(NamedTuple):
     """Standalone base station: baseband, radios, and PAs in one cabinet."""
 
-    n_bs: ClassVar[int] = 1
+    n_bs = 1  # a class constant, not a field
+
+    def __bool__(self) -> bool:  # true, as every topology with fields is
+        return True
 
 
-@dataclass(frozen=True)
-class CranTopology:
-    """Centralized pool serving n identical radio sites over fronthaul."""
-
+class _CranTopology(NamedTuple):
     n_bs: int = 3
     fronthaul_capacity_bps: float = 100e9
 
-    def __post_init__(self) -> None:
+
+class CranTopology(Checked, _CranTopology):
+    """Centralized pool serving n identical radio sites over fronthaul."""
+
+    # No `__slots__ = ()`: `_link` is cached in the instance dict.
+
+    def _check(self) -> None:
         if not math.isfinite(self.fronthaul_capacity_bps):
             raise ValueError(
                 f"fronthaul capacity must be finite, got {self.fronthaul_capacity_bps}"
@@ -195,13 +200,19 @@ def compare(
     return ComparisonResult(sides.cmos, sides.qa, budget)
 
 
-@dataclass(frozen=True)
-class CostAssumptions:
+class _CostAssumptions(NamedTuple):
     electricity_price_per_kwh: float = 0.143  # USD
     co2_lb_per_kwh: float = 0.92
     hours_per_year: float = HOURS_PER_YEAR
 
-    def __post_init__(self) -> None:
+
+class CostAssumptions(Checked, _CostAssumptions):
+    """Prices and conversion factors that turn a power saving into money
+    and avoided CO2."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("electricity_price_per_kwh", "co2_lb_per_kwh", "hours_per_year"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:

@@ -27,14 +27,13 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence,
+                    Tuple, Union)
 
 Cell = Union[str, int, float]
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     key: str  # machine name, csv header and json field
     title: str  # display name for text rendering
     spec: str = ""  # format() spec for numeric cells, e.g. ".3f" or ","
@@ -43,7 +42,6 @@ class Column:
 Row = Tuple[Sequence[Cell], Sequence[Cell]]  # (own cells, shared cells)
 
 
-@dataclass
 class Table:
     """A named table whose rows are (cells, shared) pairs, all split at
     the same column. Column keys are unique: each is one csv header and
@@ -53,21 +51,19 @@ class Table:
     pairs here, once: all cells their own, none shared.
     """
 
-    name: str
-    columns: List[Column]
-    rows: Iterable[Row]  # read once, in order
-    notes: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        keys = [c.key for c in self.columns]
+    def __init__(self, name: str, columns: List[Column], rows: Iterable[Row],
+                 notes: Iterable[str] = ()) -> None:
+        keys = [c.key for c in columns]
         seen = set()
         for key in keys:
             if key in seen:
                 raise ValueError(f"repeated column key: {key!r}")
             seen.add(key)
-        if isinstance(self.rows, list):
-            self.rows = [(tuple([row[k] for k in keys]), ()) if isinstance(row, Mapping)
-                         else row for row in self.rows]
+        if isinstance(rows, list):
+            rows = [(tuple([row[k] for k in keys]), ()) if isinstance(row, Mapping)
+                    else row for row in rows]
+        self.name, self.columns, self.notes = name, columns, list(notes)
+        self.rows: Iterable[Row] = rows  # read once, in order
 
     def records(self) -> List[Dict[str, Cell]]:
         """The rows as dicts keyed by column key."""

@@ -13,8 +13,9 @@ refrigeration unit. Device physics and packaging are module constants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
+
+from .record import Checked
 
 # Magnetic flux quantum h/2e, webers.
 PHI0 = 2.067833848e-15
@@ -39,10 +40,7 @@ DIE_EDGE_MM = 0.335  # square die holding one unit cell
 QUBITS_PER_DIE = 8
 
 
-@dataclass(frozen=True)
-class QaProfile:
-    """Operating parameters of one annealer generation."""
-
+class _QaProfile(NamedTuple):
     name: str
     programming_us: float = 42.0  # per problem, incl. thermalization + reset
     anneal_us: float = 1.0  # per sample
@@ -50,7 +48,13 @@ class QaProfile:
     readout_delay_us: float = 1.0  # per sample, qubit reset interval
     refrigeration_w: float = 25e3  # flat draw of the refrigeration unit
 
-    def __post_init__(self) -> None:
+
+class QaProfile(Checked, _QaProfile):
+    """Operating parameters of one annealer generation."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("programming_us", "anneal_us", "readout_us",
                      "readout_delay_us", "refrigeration_w"):
             value = getattr(self, name)

@@ -24,11 +24,11 @@ and `rates_budget` are the steps for one cell; `total_budget` is both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .qa_hardware import QaProfile, qmi_runtime_us
+from .record import Checked
 from .workload import BbuTask, BbuWorkload
 
 # Share of total baseband compute carried by the two modeled tasks at the
@@ -36,15 +36,18 @@ from .workload import BbuTask, BbuWorkload
 MODELED_LOAD_FRACTION = 0.75
 
 
-@dataclass(frozen=True)
-class TaskProblemModel:
-    """How one task decomposes into annealer problem instances."""
-
+class _TaskProblemModel(NamedTuple):
     ops_per_problem: float  # silicon operations one instance replaces
     qubits_per_problem: int
     runtime_us: float  # wall time per instance
 
-    def __post_init__(self) -> None:
+
+class TaskProblemModel(Checked, _TaskProblemModel):
+    """How one task decomposes into annealer problem instances."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.ops_per_problem <= 0:
             raise ValueError(f"ops_per_problem must be positive, got {self.ops_per_problem}")
         if self.qubits_per_problem < 1:

@@ -14,9 +14,10 @@ functions over sites (`bs_power_columns`, `cran_power_columns`), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Sequence, Tuple
+
+from .record import Checked
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
@@ -25,15 +26,18 @@ FRONTHAUL_REF_W = 37.0
 FRONTHAUL_REF_BPS = 500e6
 
 
-@dataclass(frozen=True)
-class PowerSystemLosses:
-    """Fractional losses of the site power system."""
-
+class _PowerSystemLosses(NamedTuple):
     sigma_ac: float = 0.09  # air conditioning / cooling
     sigma_ms: float = 0.07  # mains supply
     sigma_dc: float = 0.06  # DC-DC conversion
 
-    def __post_init__(self) -> None:
+
+class PowerSystemLosses(Checked, _PowerSystemLosses):
+    """Fractional losses of the site power system."""
+
+    # No `__slots__ = ()`: `supply_factor` is cached in the instance dict.
+
+    def _check(self) -> None:
         for name in ("sigma_ac", "sigma_ms", "sigma_dc"):
             value = getattr(self, name)
             if not 0 <= value < 1:
@@ -52,15 +56,18 @@ DEFAULT_LOSSES = PowerSystemLosses()
 _CRAN_OVERHEAD = DEFAULT_LOSSES.supply_factor - 1.0
 
 
-@dataclass(frozen=True)
-class FronthaulLink:
-    """One fronthaul link with load-proportional power draw."""
-
+class _FronthaulLink(NamedTuple):
     capacity_bps: float
     load_bps: float
     p_max_w: float  # draw at full load
 
-    def __post_init__(self) -> None:
+
+class FronthaulLink(Checked, _FronthaulLink):
+    """One fronthaul link with load-proportional power draw."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.capacity_bps <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity_bps}")
         if not 0 <= self.load_bps <= self.capacity_bps:

@@ -7,8 +7,9 @@ finds the first year a trend supplies a required qubit count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+from .record import Checked
 
 # Shipped (and announced) device sizes by year.
 HISTORICAL_QUBITS: Mapping[int, int] = {
@@ -24,16 +25,19 @@ HISTORICAL_QUBITS: Mapping[int, int] = {
 PERIOD_YEARS = 3.0
 
 
-@dataclass(frozen=True)
-class GrowthTrend:
-    """Geometric device-size growth anchored at one shipped device."""
-
+class _GrowthTrend(NamedTuple):
     name: str
     anchor_year: int
     anchor_qubits: int
     growth_factor: float  # size multiplier per period
 
-    def __post_init__(self) -> None:
+
+class GrowthTrend(Checked, _GrowthTrend):
+    """Geometric device-size growth anchored at one shipped device."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.anchor_qubits < 1:
             raise ValueError(f"anchor_qubits must be positive, got {self.anchor_qubits}")
         if self.growth_factor <= 1.0:

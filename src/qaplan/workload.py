@@ -9,10 +9,11 @@ cycles. Each baseband task has its own scaling exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from operator import add, mul
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+
+from .record import Checked
 
 
 class BbuTask(Enum):
@@ -69,8 +70,16 @@ def left_sum(values: Iterable[float]) -> float:
 VALID_MODULATION_BITS = (1, 2, 4, 6, 8)
 
 
-@dataclass(frozen=True)
-class CellScenario:
+class _CellScenario(NamedTuple):
+    bandwidth_mhz: float
+    modulation_bits: int = 6
+    coding_rate: float = 1.0
+    antennas: int = 1
+    duty_time: float = 1.0
+    duty_freq: float = 1.0
+
+
+class CellScenario(Checked, _CellScenario):
     """One cell operating point.
 
     Attributes
@@ -83,14 +92,9 @@ class CellScenario:
     duty_freq : fraction of spectrum in use, in (0, 1]
     """
 
-    bandwidth_mhz: float
-    modulation_bits: int = 6
-    coding_rate: float = 1.0
-    antennas: int = 1
-    duty_time: float = 1.0
-    duty_freq: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("bandwidth_mhz", "coding_rate", "antennas", "duty_time", "duty_freq"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -112,10 +116,7 @@ class CellScenario:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class ScalingExponents:
-    """Per-axis scaling exponents for one task's compute demand."""
-
+class _ScalingExponents(NamedTuple):
     bandwidth: int
     modulation: int
     coding_rate: int
@@ -123,7 +124,13 @@ class ScalingExponents:
     duty_time: int
     duty_freq: int
 
-    def __post_init__(self) -> None:
+
+class ScalingExponents(Checked, _ScalingExponents):
+    """Per-axis scaling exponents for one task's compute demand."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("bandwidth", "modulation", "coding_rate", "antennas",
                      "duty_time", "duty_freq"):
             if getattr(self, name) < 0:
@@ -168,8 +175,7 @@ SCALING: Mapping[BbuTask, ScalingExponents] = {
 }
 
 
-@dataclass(frozen=True)
-class BbuWorkload:
+class BbuWorkload(NamedTuple):
     """Per-task compute targets for one scenario, in TOPS."""
 
     scenario: CellScenario
@@ -204,7 +210,7 @@ def scale_task(task: BbuTask, scenario: CellScenario) -> float:
     """Compute demand of one task at `scenario`, in TOPS: the reference
     demand times each axis ratio to the task's exponent for that axis.
     `task_tops` equals it bit for bit; the acceptance checks compare."""
-    return _scaled(REFERENCE_TOPS[task], astuple(SCALING[task]), _axis_ratios(scenario))
+    return _scaled(REFERENCE_TOPS[task], SCALING[task], _axis_ratios(scenario))
 
 
 # (reference TOPS, (axis, exponent) per nonzero exponent) in task
@@ -213,12 +219,12 @@ def scale_task(task: BbuTask, scenario: CellScenario) -> float:
 # for any float, and a product times 1.0 is unchanged.
 _TASK_FACTORS = tuple(
     (REFERENCE_TOPS[task],
-     tuple((axis, power) for axis, power in enumerate(astuple(SCALING[task])) if power))
+     tuple((axis, power) for axis, power in enumerate(SCALING[task]) if power))
     for task in BbuTask
 )
 _TASKS = tuple(BbuTask)
 # The fields of `CellScenario`, in order: `task_tops` takes one column of each.
-SCENARIO_FIELDS = tuple(f.name for f in fields(CellScenario))
+SCENARIO_FIELDS = CellScenario._fields
 
 
 def _power(ratio: float, power: int) -> float:
@@ -242,7 +248,7 @@ def task_tops(*scenario_columns: Sequence[float]) -> Tuple[List[float], ...]:
     Raises for the first scenario whose total is past float range.
     """
     ratios = [[value / ref for value in column]
-              for column, ref in zip(scenario_columns, astuple(REFERENCE_SCENARIO))]
+              for column, ref in zip(scenario_columns, REFERENCE_SCENARIO)]
     powered: Dict[Tuple[int, int], List[float]] = {}
     tops = []
     for result, factors in _TASK_FACTORS:
@@ -261,5 +267,5 @@ def task_tops(*scenario_columns: Sequence[float]) -> Tuple[List[float], ...]:
 
 def workload(scenario: CellScenario) -> BbuWorkload:
     """Per-task compute targets for a scenario: `task_tops` of one scenario."""
-    tops = task_tops(*([value] for value in astuple(scenario)))
+    tops = task_tops(*([value] for value in scenario))
     return BbuWorkload(scenario=scenario, tops=dict(zip(_TASKS, [t[0] for t in tops])))

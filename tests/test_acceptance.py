@@ -9,7 +9,6 @@ tolerance. Criterion 11 runs the model invariants on a fixed-seed RNG,
 1000 cases per suite.
 """
 
-import dataclasses
 import math
 import random
 
@@ -340,8 +339,8 @@ def _suite_scaling(rng, cases):
         want *= (s.duty_freq / ref.duty_freq) ** e.duty_freq
         if not math.isclose(scale_task(task, s), want, rel_tol=1e-9):
             failures.append(f"scaling separability, case {i}")
-        wider = dataclasses.replace(
-            s, bandwidth_mhz=s.bandwidth_mhz * rng.uniform(1.0, 4.0))
+        wider = s._replace(
+            bandwidth_mhz=s.bandwidth_mhz * rng.uniform(1.0, 4.0))
         if workload(wider).total_tops < workload(s).total_tops * (1 - 1e-12):
             failures.append(f"bandwidth monotonicity, case {i}")
         if len(failures) > 5:

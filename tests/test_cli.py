@@ -524,6 +524,27 @@ def test_invalid_json_config_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("via", ["--config", ENV_CONFIG_PATH])
+@pytest.mark.parametrize("data, reason", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    (b'{"samples": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "long-int", "deep-nesting"])
+def test_unparsable_config_bytes_are_one_config_error_line(tmp_path, monkeypatch, capsys,
+                                                           data, reason, via):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    argv = ["targets"]
+    if via == ENV_CONFIG_PATH:
+        monkeypatch.setenv(ENV_CONFIG_PATH, str(path))
+    else:
+        argv += ["--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"qaplan: config error: config {path} is not valid json: {reason}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps({"scenarois": []}), encoding="utf-8")

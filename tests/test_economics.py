@@ -250,6 +250,8 @@ def test_cost_report_is_bit_identical_to_its_reference(delta_w, horizons, assump
     modulation_bits=st.sampled_from(VALID_MODULATION_BITS),
     coding_rate=st.floats(min_value=0.01, max_value=1.0),
     antennas=st.integers(min_value=1, max_value=512),
+    duty_time=st.just(1.0),
+    duty_freq=st.just(1.0),
 ), st.sampled_from(sorted(BUILTIN_CMOS)))
 def test_standalone_sides_are_bit_identical_to_a_sum_per_candidate(scenario, node):
     # Each candidate's silicon summed left to right from 0, in task order.

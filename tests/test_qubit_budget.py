@@ -175,7 +175,8 @@ workloads = st.builds(
 ).map(workload)
 times = st.sampled_from([0.0, 1.0, 87.5, 1000.0, 1e300])
 profiles = st.builds(QaProfile, name=st.just("drawn"), programming_us=times,
-                     anneal_us=times, readout_us=times, readout_delay_us=times)
+                     anneal_us=times, readout_us=times, readout_delay_us=times,
+                     refrigeration_w=st.just(25e3))
 sample_counts = st.one_of(st.integers(min_value=0, max_value=10**4),
                           st.sampled_from([10**300, 10**308, 10**400]))
 

@@ -6,6 +6,7 @@ import glob
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -56,3 +57,14 @@ def test_package_imports_the_standard_library_only():
             for module in modules:
                 top = module.partition(".")[0]
                 assert top == "qaplan" or top in sys.stdlib_module_names, (path, module)
+
+
+def test_the_cli_loads_neither_dataclasses_nor_the_paper_tables():
+    # One call imports what it runs: records are named tuples, and the
+    # paper tables load only for --paper-table.
+    src = os.path.join(ROOT, "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qaplan.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'qaplan.tables'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"

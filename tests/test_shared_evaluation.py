@@ -7,7 +7,6 @@ still equal, bit for bit, what the model functions give when called
 afresh for that row.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -80,7 +79,7 @@ def _reference_points(cfg, sweep):
         if "samples" in sweep:
             labels.append(f"samples={samples}")
         points.append((f"{base_name}[{','.join(labels)}]",
-                       dataclasses.replace(base, **values), samples))
+                       base._replace(**values), samples))
     return points
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qaplan.cli import PAPER_TABLE_NAMES
 from qaplan.tables import (
     PAPER_TABLES,
     costsavings_table,
@@ -17,6 +18,8 @@ def test_registry_is_complete():
     assert set(PAPER_TABLES) == {
         "targets", "energy", "readout", "qubits-time", "powerbenefit", "costsavings",
     }
+    # The cli offers them by name without importing this module.
+    assert PAPER_TABLE_NAMES == tuple(sorted(PAPER_TABLES))
 
 
 def test_targets_shape_and_cells():

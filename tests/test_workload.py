@@ -129,10 +129,7 @@ def test_workload_rejects_overflowing_targets():
 
 @given(scenarios, st.floats(min_value=1.0, max_value=8.0))
 def test_demand_never_drops_when_bandwidth_grows(scenario, factor):
-    import dataclasses
-    wider = dataclasses.replace(
-        scenario, bandwidth_mhz=scenario.bandwidth_mhz * factor
-    )
+    wider = scenario._replace(bandwidth_mhz=scenario.bandwidth_mhz * factor)
     base = workload(scenario)
     grown = workload(wider)
     for task in BbuTask:
@@ -142,7 +139,6 @@ def test_demand_never_drops_when_bandwidth_grows(scenario, factor):
 
 @given(scenarios, st.integers(min_value=2, max_value=8))
 def test_detection_demand_grows_quadratically_in_antennas(scenario, factor):
-    import dataclasses
-    more = dataclasses.replace(scenario, antennas=scenario.antennas * factor)
+    more = scenario._replace(antennas=scenario.antennas * factor)
     ratio = scale_task(BbuTask.FD_NL, more) / scale_task(BbuTask.FD_NL, scenario)
     assert math.isclose(ratio, factor**2, rel_tol=1e-9)
