@@ -16,12 +16,13 @@ which the renderer formats once (`emit`).
 
 Neither points nor rows are held: each block is built, evaluated and its
 rows handed over, their warnings written to stderr, as the renderer reads
-them, so memory stays flat; both answer `len()` up front. A stage that
-raises runs again one scenario at a time, and the error comes out at the
-first row that reads the failed value, after the warnings of the rows
-before. The rendered text is held whole and written only once the call
-has succeeded, so a failing call prints nothing on stdout and creates no
-`--out` file.
+them, so memory stays flat; both answer `len()` up front. A block whose
+evaluation raises is evaluated again one row at a time, each row a block
+of its own that reads its values in the order its cells do, so the error
+comes out at the first row that reads a failing value, after the warnings
+of the rows before. The rendered text is held whole and written only once
+the call has succeeded, so a failing call prints nothing on stdout and
+creates no `--out` file.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import argparse
 import itertools
 import math
 import sys
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .cmos import CmosProfile
 from .config import _INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
@@ -126,22 +128,30 @@ BLOCK = 128
 
 class _Block(NamedTuple):
     """Consecutive scenarios, as one column per `SCENARIO_FIELDS` entry, and
-    their row-name prefixes. Rows run per group of `inner` scenarios, per
-    sample count, per scenario."""
+    their row-name prefixes; the sample counts they run at, and the row-name
+    ending of each. Rows run per group of `inner` scenarios, per sample
+    count, per scenario."""
 
     fields: Tuple[List[Any], ...]
     prefixes: List[str]
     inner: int
+    samples: Sequence[int]
+    labels: Sequence[str]
+
+    def order(self) -> Iterator[Tuple[int, int]]:
+        """The sample count's and the scenario's index of each row, in row
+        order."""
+        for start in range(0, len(self.prefixes), self.inner):
+            for k in range(len(self.samples)):
+                for i in range(start, start + self.inner):
+                    yield k, i
 
 
 class _Lazy:
-    """Items produced each time they are read; `len` is known up front.
-    Points also carry the sample counts and the row-name ending of each."""
+    """Items produced each time they are read; `len` is known up front."""
 
-    def __init__(self, produce: Callable[[], Iterator], count: int,
-                 samples: Sequence[int] = (), labels: Sequence[str] = ()) -> None:
+    def __init__(self, produce: Callable[[], Iterator], count: int) -> None:
         self._produce, self._count = produce, count
-        self.samples, self.labels = samples, labels
 
     def __iter__(self) -> Iterator:
         return self._produce()
@@ -168,8 +178,9 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _
             for at in range(0, len(named), BLOCK):
                 chunk = named[at:at + BLOCK]
                 fields = zip(*[scenario for _, scenario in chunk])
-                yield _Block(tuple(map(list, fields)), [name for name, _ in chunk], 1)
-        return _Lazy(configured, len(named), [cfg.samples], [""])
+                yield _Block(tuple(map(list, fields)), [name for name, _ in chunk], 1,
+                             [cfg.samples], [""])
+        return _Lazy(configured, len(named))
     base_name, base = cfg.scenarios[0]
     base_fields = base._asdict()
 
@@ -223,19 +234,9 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _
                 fields[field] = [combo[j][0] for combo in combos]
             prefixes = [f"{base_name}[{','.join([label for _, label in combo])}"
                         for combo in combos]
-            yield _Block(tuple(fields), prefixes, len(inner_combos))
+            yield _Block(tuple(fields), prefixes, len(inner_combos), samples, labels)
 
-    return _Lazy(swept, count, samples, labels)
-
-
-class _Failed:
-    """A value whose evaluation raised: the first row that reads it raises
-    the error again."""
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: Exception) -> None:
-        self.error = error
+    return _Lazy(swept, count)
 
 
 _MODEL_ERRORS = (ValueError, ArithmeticError)
@@ -244,153 +245,126 @@ _FD_NL, _FEC = map(list(BbuTask).index, (BbuTask.FD_NL, BbuTask.FEC))
 
 
 class _Stages:
-    """The model stages of one call, run over one block at a time."""
+    """The model stages of one call, run over one block and its cmos nodes
+    at a time."""
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
-        self._runtimes: Dict[int, Any] = {}
+        self._runtimes: Dict[int, float] = {}
 
-    def start(self, block: _Block) -> None:
-        self.dirty = False  # whether any value of the block may be a `_Failed`
+    def start(self, block: _Block, nodes: Sequence[CmosProfile]) -> None:
+        self.nodes = nodes
         self.antennas = block.fields[_ANT]
         self._shape = self.antennas, block.fields[_MOD]
-        self.tops = self.each(task_tops, len(BbuTask), block.fields)
-        self.rates: Optional[Tuple[List[Any], ...]] = None
+        self.tops = task_tops(*block.fields)
+        self.rates: Optional[Tuple[List[float], List[float]]] = None
 
-    def each(self, function: Callable, width: int, columns: Sequence[List[Any]],
-             *constants: Any) -> Tuple[List[Any], ...]:
-        """`function(*columns, *constants)`, a model column function giving
-        `width` columns; where that raises, one entry at a time, and each
-        entry that raises, or reads a `_Failed`, is a `_Failed` in every
-        output column."""
-        if not self.dirty:
-            try:
-                return function(*columns, *constants)
-            except _MODEL_ERRORS:
-                self.dirty = True
-        entries: List[Any] = []
-        for args in zip(*columns):
-            entry = next((arg for arg in args if type(arg) is _Failed), None)
-            if entry is None:
-                try:
-                    entry = [out[0] for out in function(*[[arg] for arg in args], *constants)]
-                except _MODEL_ERRORS as exc:
-                    entry = _Failed(exc)
-            entries.append(entry)
-        return tuple([e if type(e) is _Failed else e[j] for e in entries] for j in range(width))
-
-    def runtime(self, samples: int) -> Any:  # once per sample count per call
+    def runtime(self, samples: int) -> float:  # once per sample count per call
         if samples not in self._runtimes:
-            try:
-                self._runtimes[samples] = problem_runtime(self.cfg.qa_profile, samples)
-            except _MODEL_ERRORS as exc:
-                self._runtimes[samples] = _Failed(exc)
-        runtime = self._runtimes[samples]
-        self.dirty |= type(runtime) is _Failed
-        return runtime
+            self._runtimes[samples] = problem_runtime(self.cfg.qa_profile, samples)
+        return self._runtimes[samples]
 
-    def budget(self, samples: int) -> Tuple[List[Any], ...]:
+    def budget(self, samples: int) -> Tuple[List[int], ...]:
         """Each scenario's detection, decoding and total qubits."""
+        runtime = self.runtime(samples)  # read before the qubits, as a row does
         tops = self.tops
         if self.rates is None:
-            self.rates = self.each(rate_columns, 2, (tops[_FD_NL], tops[_FEC], *self._shape))
-        runtime = self.runtime(samples)
-        if type(runtime) is _Failed:
-            return ([runtime] * len(self.antennas),) * 3
-        return self.each(budget_columns, 3, (tops[_FD_NL], self.rates[0], tops[_FEC],
-                                             self.rates[1]), runtime)
+            self.rates = rate_columns(tops[_FD_NL], tops[_FEC], *self._shape)
+        return budget_columns(tops[_FD_NL], self.rates[0], tops[_FEC], self.rates[1], runtime)
 
-    def deployments(self, cmos: CmosProfile) -> Tuple[List[Any], ...]:
+    def deployments(self, cmos: CmosProfile) -> Tuple[List[float], ...]:
         """Both candidates' `PowerBreakdown` fields, then the saving."""
         cfg = self.cfg
+        cmos_w, qa_w = deployment_columns(self.tops, self.antennas, cmos, cfg.qa_profile,
+                                          cfg.topology)
+        return (*cmos_w, *qa_w, savings_w(cmos_w[-1], qa_w[-1]))
 
-        def stage(antennas, *tops):
-            cmos_w, qa_w = deployment_columns(tops, antennas, cmos, cfg.qa_profile, cfg.topology)
-            return (*cmos_w, *qa_w, savings_w(cmos_w[-1], qa_w[-1]))
-        return self.each(stage, 15, (self.antennas, *self.tops))
-
-    def costs(self, savings: List[Any]) -> Tuple[List[Any], ...]:
+    def costs(self, savings: List[float]) -> Tuple[List[float], ...]:
         """Per horizon, the OpEx and the CO2 savings."""
-        cfg = self.cfg
+        opex, co2 = cost_columns(savings, self.cfg.horizons_years, self.cfg.costs)
+        return tuple(itertools.chain.from_iterable(zip(opex, co2)))
 
-        def stage(delta):
-            opex, co2 = cost_columns(delta, cfg.horizons_years, cfg.costs)
-            return tuple(itertools.chain.from_iterable(zip(opex, co2)))
-        return self.each(stage, 2 * len(cfg.horizons_years), (savings,))
-
-    def advantage(self, cmos: CmosProfile) -> List[Any]:
-        qa = self.cfg.qa_profile
-        return self.each(lambda *tops: (advantage_columns(tops, cmos, qa),), 1, self.tops)[0]
+    def advantage(self, cmos: CmosProfile) -> List[float]:
+        return advantage_columns(self.tops, cmos, self.cfg.qa_profile)
 
 
-def _over(values: List[Any], scale: int, limit: int) -> List[Any]:
-    """Each value times `scale` where that exceeds `limit`, else None; a
-    `_Failed` stays."""
-    return [v if type(v) is _Failed else (r if (r := v * scale) > limit else None)
-            for v in values]
+def _over(values: List[int], scale: int, limit: int) -> List[Optional[int]]:
+    """Each value times `scale` where that exceeds `limit`, else None."""
+    return [r if (r := v * scale) > limit else None for v in values]
 
 
-def _check(first: Any, row: Row, over: Any) -> None:
-    """Raise the first `_Failed` a row reads: its scenario's workload, its
-    cells in column order, then what its warning reads."""
-    for value in (first, *row[0], *row[1], over):
-        if type(value) is _Failed:
-            raise value.error
+def _rows_apart(block: _Block, node_groups: Sequence[Sequence[CmosProfile]]
+                ) -> Iterator[Tuple[_Block, Sequence[CmosProfile]]]:
+    """Each row of a block, in row order, as a block of its own: one
+    scenario at one sample count, with each group of cmos nodes in turn."""
+    for k, i in block.order():
+        one = _Block(tuple([field[i]] for field in block.fields), [block.prefixes[i]], 1,
+                     [block.samples[k]], [block.labels[k]])
+        for nodes in node_groups:
+            yield one, nodes
 
 
 # What a subcommand evaluates per block: each row's own cells, per sample
 # count and scenario; the shared cells, per cmos node (one on tables not
 # per node) and scenario; and the value each row warns about, per sample
 # count and scenario (None: no warning), or None if the table never warns.
+# It calls the stages in the order a row reads their values: the workload,
+# the own cells, the shared cells, then the warned value.
 Evaluation = Tuple[List[List[Tuple]], List[List[Tuple]], Optional[List[List[Any]]]]
 
 
 def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column],
            evaluate: Callable[[_Stages, _Block], Evaluation], warnings,
-           warning: Optional[Callable[[str, int, Any], str]] = None, per_node: bool = False,
-           notes: Sequence[str] = ()) -> Table:
+           warning: Optional[Callable[[str, CmosProfile, Any], str]] = None,
+           per_node: bool = False, notes: Sequence[str] = ()) -> Table:
     """The row loop every subcommand shares: one row per point, or with
     `per_node` per point and cmos node, each handed over, and its warning
-    (`warning(row name, node index, value)`) written, as the renderer
-    reads it. A row is its own cells followed by its scenario's shared
-    cells, one tuple for all the rows of that scenario and node."""
+    (`warning(row name, node, value)`) written, as the renderer reads it.
+    A row is its own cells followed by its scenario's shared cells, one
+    tuple for all the rows of that scenario and node. A block that raises
+    a model error is evaluated again one row at a time, so the first row
+    that fails ends the call after the rows before it."""
     stages = _Stages(cfg)
+    every_node = cfg.cmos_profiles
+    # The nodes of one row: on tables not per node, all of them.
+    node_groups = [[node] for node in every_node] if per_node else [every_node]
+
+    def evaluated(block: _Block, nodes: Sequence[CmosProfile]
+                  ) -> Tuple[_Block, Sequence[CmosProfile], Evaluation]:
+        stages.start(block, nodes)
+        return block, nodes, evaluate(stages, block)
 
     def rows() -> Iterator[Row]:
         for block in points:
-            stages.start(block)
-            own, shared, over = evaluate(stages, block)
-            nodes = list(enumerate(shared))
-            first = stages.tops[0] if stages.dirty else None
-            for start in range(0, len(block.prefixes), block.inner):
-                for k in range(len(points.samples)):
-                    own_k, over_k = own[k], over[k] if over else None
-                    for i in range(start, start + block.inner):
-                        cells, value = own_k[i], over_k[i] if over_k else None
-                        for node, tails in nodes:
-                            row = cells, tails[i]
-                            if first is not None:
-                                _check(first[i], row, value)
-                            if value is not None:
-                                warnings.append(warning(cells[0], node, value))
-                            yield row
+            try:
+                parts: Iterable = [evaluated(block, every_node)]
+            except _MODEL_ERRORS:
+                parts = itertools.starmap(evaluated, _rows_apart(block, node_groups))
+            for block, nodes, (own, shared, over) in parts:
+                tails_of = list(zip(nodes, shared))
+                for k, i in block.order():
+                    cells, value = own[k][i], over[k][i] if over else None
+                    for node, tails in tails_of:
+                        if value is not None:
+                            warnings.append(warning(cells[0], node, value))
+                        yield cells, tails[i]
 
-    count = len(points) * (len(cfg.cmos_profiles) if per_node else 1)
+    count = len(points) * (len(every_node) if per_node else 1)
     return Table(name=name, columns=columns, rows=_Lazy(rows, count), notes=notes)
 
 
-def _names(points: _Lazy, block: _Block) -> List[List[str]]:
+def _names(block: _Block) -> List[List[str]]:
     """Each row name, per sample count and scenario."""
-    return [[prefix + label for prefix in block.prefixes] for label in points.labels]
+    return [[prefix + label for prefix in block.prefixes] for label in block.labels]
 
 
-def _per_node(cfg: RunConfig, block: _Block, cells: Callable[[CmosProfile], Sequence[List]]
-              ) -> List[List[Tuple]]:
-    """Per cmos node, each scenario's shared cells: its bandwidth, antennas
-    and node, then `cells(node)`."""
+def _per_node(stages: _Stages, block: _Block,
+              cells: Callable[[CmosProfile], Sequence[List]]) -> List[List[Tuple]]:
+    """Per cmos node of the stages, each scenario's shared cells: its
+    bandwidth, antennas and node, then `cells(node)`."""
     bandwidth, antennas = block.fields[_BW], block.fields[_ANT]
     return [list(zip(bandwidth, antennas, itertools.repeat(cmos.node), *cells(cmos)))
-            for cmos in cfg.cmos_profiles]
+            for cmos in stages.nodes]
 
 
 _NAME_COLUMN = Column("name", "Scenario")
@@ -407,9 +381,9 @@ def cmd_targets(cfg: RunConfig, points: _Lazy, warnings) -> Table:
 
     def evaluate(stages: _Stages, block: _Block) -> Evaluation:
         tops = stages.tops
-        (totals,) = stages.each(lambda *t: (left_sums(t, len(t[0])),), 1, tops)
-        shared = list(zip(block.fields[_BW], block.fields[_ANT], *tops, totals))
-        return [list(zip(names)) for names in _names(points, block)], [shared], None
+        shared = list(zip(block.fields[_BW], block.fields[_ANT], *tops,
+                          left_sums(tops, len(tops[0]))))
+        return [list(zip(names)) for names in _names(block)], [shared], None
 
     return _table("targets", cfg, points, columns, evaluate, warnings, notes=["units: TOPS"])
 
@@ -433,8 +407,8 @@ def cmd_power(cfg: RunConfig, points: _Lazy, warnings) -> Table:
         def cells(cmos: CmosProfile) -> List[List[Any]]:
             sides = stages.deployments(cmos)
             return [sides[at] for _, _, at in _POWER_COLUMNS]
-        return ([list(zip(names)) for names in _names(points, block)],
-                _per_node(cfg, block, cells), None)
+        return ([list(zip(names)) for names in _names(block)],
+                _per_node(stages, block, cells), None)
 
     return _table("power", cfg, points, columns, evaluate, warnings, per_node=True)
 
@@ -450,7 +424,7 @@ def cmd_qubits(cfg: RunConfig, points: _Lazy, warnings) -> Table:
 
     def evaluate(stages: _Stages, block: _Block) -> Evaluation:
         own, over = [], []
-        for samples, names in zip(points.samples, _names(points, block)):
+        for samples, names in zip(block.samples, _names(block)):
             fdnl, fec, total = stages.budget(samples)
             over.append(_over(total, 1, capacity))
             own.append(list(zip(
@@ -459,7 +433,7 @@ def cmd_qubits(cfg: RunConfig, points: _Lazy, warnings) -> Table:
                 total, repeat(capacity), ["yes" if v is None else "no" for v in over[-1]])))
         return own, [[()] * len(block.prefixes)], over
 
-    def warning(name: str, node: int, total: int) -> str:
+    def warning(name: str, node: CmosProfile, total: int) -> str:
         return f"{name}: requirement {total} exceeds refrigerator capacity {capacity}"
 
     return _table("qubits", cfg, points, columns, evaluate, warnings, warning)
@@ -478,14 +452,14 @@ def cmd_economics(cfg: RunConfig, points: _Lazy, warnings) -> Table:
         def cells(cmos: CmosProfile) -> List[List[Any]]:
             savings = stages.deployments(cmos)[14]
             return [savings, *stages.costs(savings)]
+        shared = _per_node(stages, block, cells)
         # The deployment's qubit ask: each cell's total times its n_bs cells.
         over = [_over(stages.budget(samples)[2], cfg.topology.n_bs, capacity)
-                for samples in points.samples]
-        return ([list(zip(names)) for names in _names(points, block)],
-                _per_node(cfg, block, cells), over)
+                for samples in block.samples]
+        return [list(zip(names)) for names in _names(block)], shared, over
 
-    def warning(name: str, node: int, required: int) -> str:
-        return (f"{name} ({cfg.cmos_profiles[node].node}): qubit requirement "
+    def warning(name: str, node: CmosProfile, required: int) -> str:
+        return (f"{name} ({node.node}): qubit requirement "
                 f"{required} exceeds refrigerator capacity {capacity}")
 
     return _table(
@@ -509,12 +483,11 @@ def cmd_timeline(cfg: RunConfig, points: _Lazy, warnings) -> Table:
 
     def evaluate(stages: _Stages, block: _Block) -> Evaluation:
         own = []
-        for samples, names in zip(points.samples, _names(points, block)):
+        for samples, names in zip(block.samples, _names(block)):
             total = stages.budget(samples)[2]
             own.append(list(zip(names, block.fields[_BW], block.fields[_ANT],
-                                itertools.repeat(samples), total,
-                                *stages.each(years, 2, (total,)))))
-        shared = list(zip(*[stages.advantage(cmos) for cmos in cfg.cmos_profiles]))
+                                itertools.repeat(samples), total, *years(total))))
+        shared = list(zip(*[stages.advantage(cmos) for cmos in stages.nodes]))
         return own, [shared], None
 
     return _table(

@@ -9,7 +9,7 @@ both candidates.
 The deployments depend on the scenario alone, and the qubit budget also
 on the sample count. Each model step is a column function over workloads
 (`deployment_columns`, `cost_columns`, `advantage_columns`); `deployments`,
-`cost_report` and `advantage_w` are the same for one workload. Each
+`cost_report` and `offload_advantage_w` are the same for one cell. Each
 task's silicon watts are taken once per workload and node, shared by
 both candidates, which sum them in task order from 0 (`left_sums`). A
 centralized radio site is the same for both candidates; they differ only
@@ -177,15 +177,6 @@ def deployments(load: BbuWorkload, cmos_profile: CmosProfile, qa_profile: QaProf
     return Deployments(_breakdown(cmos), _breakdown(qa))
 
 
-def deployment_budget(per_bs: QubitBudget, topology: Topology) -> QubitBudget:
-    """One cell's qubit budget scaled to the deployment's n_bs cells."""
-    n_bs = topology.n_bs
-    return QubitBudget(
-        per_task={t: n * n_bs for t, n in per_bs.per_task.items()},
-        total=per_bs.total * n_bs,
-    )
-
-
 def compare(
     scenario: CellScenario,
     cmos_profile: CmosProfile,
@@ -193,10 +184,12 @@ def compare(
     samples: int,
     topology: Topology = BsTopology(),
 ) -> ComparisonResult:
-    """Power both candidates for one scenario and size the annealer."""
+    """Power both candidates for one scenario and size the annealer: one
+    cell's qubit budget scaled to the deployment's n_bs cells."""
     load = workload(scenario)
     sides = deployments(load, cmos_profile, qa_profile, topology)
-    budget = deployment_budget(total_budget(load, qa_profile, samples), topology)
+    per_bs, n_bs = total_budget(load, qa_profile, samples), topology.n_bs
+    budget = QubitBudget({t: n * n_bs for t, n in per_bs.per_task.items()}, per_bs.total * n_bs)
     return ComparisonResult(sides.cmos, sides.qa, budget)
 
 
@@ -270,7 +263,8 @@ def offload_advantage_w(
     the flat refrigeration cost. Supply losses and silicon-resident tasks
     are identical on both sides and cancel.
     """
-    return advantage_w(workload(scenario), cmos_profile, qa_profile)
+    load = workload(scenario)
+    return advantage_columns([[load.tops[t]] for t in _ALL_TASKS], cmos_profile, qa_profile)[0]
 
 
 def advantage_columns(tops: Sequence[Sequence[float]], cmos_profile: CmosProfile,
@@ -283,7 +277,3 @@ def advantage_columns(tops: Sequence[Sequence[float]], cmos_profile: CmosProfile
         raise ValueError(f"offloadable silicon power overflows: {value} W")
     return [w - qa_profile.refrigeration_w for w in silicon_w]
 
-
-def advantage_w(load: BbuWorkload, cmos_profile: CmosProfile, qa_profile: QaProfile) -> float:
-    """`advantage_columns` of one workload."""
-    return advantage_columns([[load.tops[t]] for t in _ALL_TASKS], cmos_profile, qa_profile)[0]

@@ -17,8 +17,8 @@ A budget takes two steps, each a column function over cells:
 `rate_columns`, each modeled task's problems/s x qubits-per-problem,
 which the sample count does not change, and `budget_columns`, the
 multiply by the problem runtime (`problem_runtime`, one per sample count)
-and the rounding up, in the order `task_qubits` multiplies. `qubit_rates`
-and `rates_budget` are the steps for one cell; `total_budget` is both.
+and the rounding up, in the order `task_qubits` multiplies.
+`total_budget` takes both steps for one cell.
 """
 
 from __future__ import annotations
@@ -140,16 +140,6 @@ class QubitBudget(NamedTuple):
     covered_fraction = MODELED_LOAD_FRACTION
 
 
-class QubitRates(NamedTuple):
-    """What a cell's qubit ask holds whatever the sample count: each modeled
-    task's TOPS and its qubits per second of problem runtime."""
-
-    fdnl_tops: float
-    fdnl_rate: float
-    fec_tops: float
-    fec_rate: float
-
-
 def rate_columns(fdnl_tops: Sequence[float], fec_tops: Sequence[float],
                  antennas: Sequence[int], modulation_bits: Sequence[int]
                  ) -> Tuple[List[float], List[float]]:
@@ -159,15 +149,6 @@ def rate_columns(fdnl_tops: Sequence[float], fec_tops: Sequence[float],
     return (_qubit_rates(fdnl_tops, ops, qubits),
             _qubit_rates(fec_tops, repeat(FEC_OPS_PER_PROBLEM),
                          repeat(FEC_QUBITS_PER_PROBLEM)))
-
-
-def qubit_rates(load: BbuWorkload) -> QubitRates:
-    """`rate_columns` of one workload."""
-    scenario = load.scenario
-    fdnl_tops, fec_tops = load.tops[BbuTask.FD_NL], load.tops[BbuTask.FEC]
-    (fdnl,), (fec,) = rate_columns([fdnl_tops], [fec_tops], [scenario.antennas],
-                                   [scenario.modulation_bits])
-    return QubitRates(fdnl_tops, fdnl, fec_tops, fec)
 
 
 def problem_runtime(profile: QaProfile, samples: int) -> float:
@@ -190,14 +171,14 @@ def budget_columns(fdnl_tops: Sequence[float], fdnl_rates: Sequence[float],
     return fdnl, fec, [math.ceil((a + b) / MODELED_LOAD_FRACTION) for a, b in zip(fdnl, fec)]
 
 
-def rates_budget(rates: QubitRates, profile: QaProfile, samples: int) -> QubitBudget:
-    """`budget_columns` of one cell, every problem running `samples` samples."""
-    (fdnl,), (fec,), (total,) = budget_columns(
-        [rates.fdnl_tops], [rates.fdnl_rate], [rates.fec_tops], [rates.fec_rate],
-        problem_runtime(profile, samples))
-    return QubitBudget({BbuTask.FD_NL: fdnl, BbuTask.FEC: fec}, total)
-
-
 def total_budget(load: BbuWorkload, profile: QaProfile, samples: int) -> QubitBudget:
-    """Qubit budget for a cell, extrapolated over the unmodeled tasks."""
-    return rates_budget(qubit_rates(load), profile, samples)
+    """Qubit budget for a cell, extrapolated over the unmodeled tasks, every
+    problem running `samples` samples: `rate_columns`, then
+    `budget_columns`, of one cell."""
+    fdnl_tops, fec_tops = [load.tops[BbuTask.FD_NL]], [load.tops[BbuTask.FEC]]
+    scenario = load.scenario
+    fdnl_rates, fec_rates = rate_columns(fdnl_tops, fec_tops, [scenario.antennas],
+                                         [scenario.modulation_bits])
+    (fdnl,), (fec,), (total,) = budget_columns(fdnl_tops, fdnl_rates, fec_tops, fec_rates,
+                                               problem_runtime(profile, samples))
+    return QubitBudget({BbuTask.FD_NL: fdnl, BbuTask.FEC: fec}, total)

@@ -432,6 +432,27 @@ def test_a_failing_workload_comes_before_a_failing_sample_count(capsys, command)
     assert got == (EXIT_DOMAIN, "", _OVERFLOW + "\n")
 
 
+@pytest.mark.parametrize("doc,bandwidths,error", [
+    # The second node's row fails after the first node's row of the same
+    # scenario warned.
+    ({"cmos": ["14nm", {"node": "tiny", "efficiency_tops_per_w": 1e-305}]}, "1000",
+     "qaplan: model error: deployment power overflows: inf W\n"),
+    # The second scenario fails in two stages; its costs cell comes before
+    # its qubit ask, which would fail too.
+    ({"cmos": ["14nm"], "horizons_years": [1, 1e300]}, "1000,1e300",
+     "qaplan: model error: savings of 4.17138e+302 W overflow over the horizons\n"),
+])
+def test_a_per_node_row_fails_at_the_first_value_it_reads(tmp_path, capsys, doc, bandwidths,
+                                                          error):
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got = run(capsys, "economics", "--config", str(path), "--format", "csv",
+              "--sweep", f"bandwidth_mhz={bandwidths}", "--sweep", "antennas=100",
+              "--sweep", "samples=50")
+    warned = _WARN_1000.format(node=" (14nm)", what="qubit requirement")
+    assert got == (EXIT_DOMAIN, "", warned + error)
+
+
 def test_wrong_typed_qa_override_names_its_field(tmp_path, capsys):
     path = tmp_path / "qa.json"
     path.write_text(json.dumps({"qa": {"refrigeration_w": "5"}}), encoding="utf-8")

@@ -2,8 +2,9 @@
 
 Whatever the input, `cli.main` ends in exit code 0, 1, 2 or 3 with no
 traceback; every numeric cell it emits is finite; no two rows share a
-name (and node, on per-node tables); and its csv and json emissions of
-the same call carry the same cells.
+name (and node, on per-node tables); its csv and json emissions of the
+same call carry the same cells; and how many scenarios it evaluates at
+once does not show in its output, also when it fails part-way.
 """
 
 import contextlib
@@ -12,9 +13,11 @@ import json
 import math
 import os
 import tempfile
+import unittest.mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from qaplan import cli
 from qaplan.cli import main
 from qaplan.emit import _parse_number, read_csv, read_json
 
@@ -140,3 +143,46 @@ def test_cli_contract(command, doc, flags):
         assert csv_err.splitlines()[-1].startswith(("qaplan: config error: ",
                                                      "qaplan: model error: ",
                                                      "qaplan: cannot write output: "))
+
+
+# Configs and sweeps that pass the config checks, with values that make a
+# model stage fail part-way through a grid: a node whose power overflows,
+# a horizon whose savings overflow, a slow annealer, huge bandwidths and
+# sample counts past float range.
+failing_configs = _optional(
+    cmos=st.lists(st.sampled_from(["65nm", "14nm", {"node": "tiny",
+                                                    "efficiency_tops_per_w": 1e-305}]),
+                  min_size=1, max_size=3, unique_by=str),
+    topology=st.sampled_from([{"kind": "bs"}, {"kind": "cran", "n_bs": 3}]),
+    horizons_years=st.sampled_from([[1], [1, 1e300]]),
+    qa=st.sampled_from([{"profile": "projected"}, {"programming_us": 1e300}]),
+)
+failing_values = {
+    "bandwidth_mhz": ["20", "400", "1000", "1e300", "1e308"],
+    "antennas": ["8", "100"],
+    "samples": ["1", "50", "1" + "0" * 400],
+    "modulation_bits": ["2", "6"],
+}
+failing_sweeps = st.dictionaries(
+    st.sampled_from(sorted(failing_values)), st.none(), min_size=1,
+).flatmap(lambda axes: st.tuples(*[
+    st.lists(st.sampled_from(failing_values[axis]), min_size=1, max_size=3, unique=True)
+    .map(lambda values, axis=axis: f"{axis}={','.join(values)}") for axis in axes]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(COMMANDS), failing_configs, failing_sweeps,
+       st.sampled_from(["csv", "json", "table"]))
+@example("economics", {"cmos": ["14nm", {"node": "tiny", "efficiency_tops_per_w": 1e-305}]},
+         ("bandwidth_mhz=20,1000", "antennas=100", "samples=1,50"), "csv")
+def test_block_boundaries_do_not_show_in_the_output(command, doc, flags, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = [command, "--config", path, "--format", fmt]
+        for flag in flags:
+            argv += ["--sweep", flag]
+        blocked = _call(argv)
+        with unittest.mock.patch.object(cli, "BLOCK", 1):
+            assert _call(argv) == blocked

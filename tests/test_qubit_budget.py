@@ -16,8 +16,6 @@ from qaplan.qubit_budget import (
     TaskProblemModel,
     _fdnl_problem_shape,
     ldpc_aux_depth,
-    qubit_rates,
-    rates_budget,
     task_qubits,
     total_budget,
 )
@@ -187,16 +185,13 @@ sample_counts = st.one_of(st.integers(min_value=0, max_value=10**4),
 @example(workload(SCENARIO_400), QaProfile("idle", 0.0, 0.0, 0.0, 0.0), 20)  # no runtime
 @example(workload(SCENARIO_400), QaProfile("slow", 1e300, 1e300), 10**300)  # inf qubits
 def test_split_budget_is_bit_identical_to_the_unsplit_one(load, profile, samples):
-    # The sample-free step (`qubit_rates`) keeps the left part of each
+    # The sample-free step (`rate_columns`) keeps the left part of each
     # task's product, so every field and every message must be unchanged.
     want = _outcome(lambda: _reference_budget(load, profile, samples))
     got = _outcome(lambda: total_budget(load, profile, samples))
     if isinstance(got, QubitBudget):
         got = dict(got.per_task), got.total
     assert got == want
-    rates = qubit_rates(load)
-    assert _outcome(lambda: rates_budget(rates, profile, samples)) == _outcome(
-        lambda: total_budget(load, profile, samples))
 
 
 def test_sample_counts_past_float_range_are_domain_errors():

@@ -59,7 +59,7 @@ def _rows_of(points):
     for block in points:
         scenarios = [CellScenario(*fields) for fields in zip(*block.fields)]
         for start in range(0, len(scenarios), block.inner):
-            for samples, label in zip(points.samples, points.labels):
+            for samples, label in zip(block.samples, block.labels):
                 for i in range(start, start + block.inner):
                     yield block.prefixes[i] + label, scenarios[i], samples
 
