@@ -73,7 +73,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                              "the configured scenarios")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser. Every subcommand is listed, but only
+    `command` takes the flags, or with None every subcommand: a call
+    parses one subcommand, so building the others' flags is wasted."""
     parser = _Parser(
         prog="qaplan",
         description="Feasibility planner for annealer-offloaded baseband processing",
@@ -86,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("economics", "operating savings of the annealer candidate"),
         ("timeline", "when the required device sizes become available"),
     ):
-        _add_common_flags(sub.add_parser(name, help=help_text))
+        subparser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_common_flags(subparser)
     return parser
 
 
@@ -527,8 +532,11 @@ class _Warnings:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The subcommand is the first argument that is no option, since the
+    # top level's only option, --help, takes no value.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     # Warnings come first on stderr, also on failure: they may say why it failed.
     warnings = _Warnings()
     try:

@@ -15,8 +15,15 @@ same object comes back (identity, never equality: 0.0 and -0.0, or 1,
 1.0 and True, are equal but format differently). Renderers read the rows
 once, in order, so they may be a stream. Csv and json write each row into
 one buffer as it is read, json byte for byte as `json.dumps(doc,
-indent=2)` writes the whole document; text keeps the formatted grid its
-width pass needs.
+indent=2)` writes the whole document; text keeps the formatted texts its
+width pass needs and takes each column's width once, at the end.
+
+Csv and text format each part of a row, its own cells or a shared tuple,
+with one format string (`_template`). They fall back to `format_cell` per
+cell (csv to the csv module) where that string's text cannot be trusted:
+for every row if a spec holds a brace or would format a string, else for
+a part whose cells fail to format or whose text holds the separator (csv
+also where it holds a quote, CR or LF).
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ import itertools
 import json
 import math
 import re
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence,
-                    Tuple, Union)
+from operator import itemgetter
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 Cell = Union[str, int, float]
 
@@ -166,16 +174,27 @@ def _takes_strings(spec: str) -> bool:
     return True
 
 
+def _template(specs: Sequence[str]) -> Optional[str]:
+    """One format string writing cells under `specs`, joined by `_SEP`, as
+    `format_cell` writes them; None where no such string can be trusted:
+    where a spec holds a brace or would format a string (`format_cell`
+    writes strings as they are). A text it writes is still not to be
+    trusted where a cell fails to format (a string under a number spec)
+    or its text holds the separator."""
+    if any("{" in spec or "}" in spec or spec and _takes_strings(spec) for spec in specs):
+        return None
+    return _SEP.join(f"{{{i}:{spec}}}" for i, spec in enumerate(specs))
+
+
 def _csv_fields(specs: Sequence[str]) -> Callable[[Sequence[Cell]], str]:
     """A function writing cells under `specs` as the csv module writes them
     within a longer row, without the line end.
 
-    One format string writes them all, and a field holding the delimiter
-    gets the quotes the csv module gives it. The csv module writes them
-    where that text cannot be trusted: for every row if a spec holds a
-    brace or would format a string (`format_cell` writes strings as they
-    are), else for a row whose cells fail to format or hold a quote, CR,
-    LF or the separator.
+    One format string (`_template`) writes them all, and a field holding
+    the delimiter gets the quotes the csv module gives it. The csv module
+    writes them where that text cannot be trusted: for every row if there
+    is no template, else for a row whose cells fail to format or hold a
+    quote, CR, LF or the separator.
     """
     lines = _Lines()
     write_row = csv.writer(lines).writerow
@@ -185,9 +204,9 @@ def _csv_fields(specs: Sequence[str]) -> Callable[[Sequence[Cell]], str]:
         text = lines.pop()[:-2]
         return "" if text == '""' else text  # a lone empty field, within a row
 
-    if any("{" in spec or "}" in spec or spec and _takes_strings(spec) for spec in specs):
+    template = _template(specs)
+    if template is None:
         return by_module
-    template = _SEP.join(f"{{{i}:{spec}}}" for i, spec in enumerate(specs))
     separators = len(specs) - 1
 
     def fields(cells: Sequence[Cell]) -> str:
@@ -204,6 +223,32 @@ def _csv_fields(specs: Sequence[str]) -> Callable[[Sequence[Cell]], str]:
         return ",".join([f'"{f}"' if "," in f else f for f in text.split(_SEP)])
 
     return fields
+
+
+def _text_cells(specs: Sequence[str]) -> Callable[[Sequence[Cell]], Tuple[str, ...]]:
+    """A function giving the texts `format_cell` gives cells under `specs`,
+    written by one format string (`_template`); cell by cell for every row
+    if there is no template, else for a row whose cells fail to format or
+    hold the separator."""
+
+    def by_cell(cells: Sequence[Cell]) -> Tuple[str, ...]:
+        return tuple(map(format_cell, cells, specs))
+
+    template = _template(specs)
+    if template is None:
+        return by_cell
+    count = len(specs)
+
+    def texts(cells: Sequence[Cell]) -> Tuple[str, ...]:
+        try:
+            text = template.format(*cells)
+        except (ValueError, TypeError):  # a string under a number spec, or a bad cell
+            return by_cell(cells)
+        parts = text.split(_SEP)
+        # A tuple: a list from `split` keeps room for a dozen entries.
+        return tuple(parts) if len(parts) == count else by_cell(cells)
+
+    return texts
 
 
 def render_csv(table: Table) -> str:
@@ -225,9 +270,10 @@ def render_csv(table: Table) -> str:
     write = buf.write
     last = None
     for cells, shared in rows:
+        line = head(cells)  # before the shared cells, so a failing row fails as written
         if shared is not last:
             last, end = shared, joint + tail(shared) + "\r\n"
-        line = head(cells) + end
+        line += end
         write('""\r\n' if lone and line == "\r\n" else line)
     return buf.getvalue()
 
@@ -269,33 +315,39 @@ def render_text(table: Table) -> str:
     headers = [c.title for c in table.columns]
     specs = [c.spec for c in table.columns]
     split, rows = _split(table)
-    # Widths need every row first. The grid holds each row's own cells,
-    # formatted, followed by its formatted shared cells: one tuple per
-    # shared tuple, held by reference, whose widths are taken once.
-    grid: List[Tuple] = []
-    widths = [len(h) for h in headers]
-    own = _reusing(format_cell, specs[:split])
+    # Widths need every row first. One flat list holds, row after row, a
+    # row's own texts and then its shared texts: a tuple formatted once per
+    # shared tuple and held by reference. `distinct` holds each such tuple
+    # once, for the widths. No container per row is kept.
+    format_own, format_shared = _text_cells(specs[:split]), _text_cells(specs[split:])
+    stride = split + 1
+    held: List[Any] = []
+    distinct: List[Tuple[str, ...]] = []
     last = None
     for cells, shared in rows:
+        held += format_own(cells)
         if shared is not last:
-            last, texts = shared, tuple(map(format_cell, shared, specs[split:]))
-            widths[split:] = map(max, widths[split:], map(len, texts))
-        grid.append((*own(cells), texts))
-    widths[:split] = [max(w, max((len(row[i]) for row in grid), default=0))
-                      for i, w in enumerate(widths[:split])]
+            last, texts = shared, format_shared(shared)
+            distinct.append(texts)
+        held.append(texts)
+    heads = [max(map(len, itertools.chain((title,), itertools.islice(held, i, None, stride))))
+             for i, title in enumerate(headers[:split])]
+    rest = [max(map(len, itertools.chain((title,), map(itemgetter(i), distinct))))
+            for i, title in enumerate(headers[split:])]
+    widths = heads + rest
     lines = [table.name]
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     lines.append("  ".join("-" * w for w in widths))
+    joint = "  " if heads and rest else ""
+    rjust = str.rjust
     last = None
-    for row in grid:
+    for row in zip(*[iter(held)] * stride):  # `stride` entries at a time
         if row[-1] is not last:
             last = row[-1]
-            tail = "  ".join([t.rjust(w) for t, w in zip(last, widths[split:])])
-            if split and last:
-                tail = "  " + tail
-        lines.append(("  ".join([cell.rjust(w) for cell, w in zip(row[:-1], widths)])
-                      + tail).rstrip())
-    del grid  # held in `lines` now; freed before the text is joined
+            tail = joint + "  ".join(map(rjust, last, rest))
+        # `map` ends with `heads`, before the row's shared texts.
+        lines.append(("  ".join(map(rjust, row, heads)) + tail).rstrip())
+    del held, distinct  # held in `lines` now; freed before the text is joined
     for note in table.notes:
         lines.append(f"note: {note}")
     lines.append("")  # the final newline, without a copy of the whole text

@@ -10,10 +10,11 @@ import pytest
 
 import qaplan
 from qaplan.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
-                        _expand_points, cmd_timeline, main)
+                        _expand_points, build_parser, cmd_timeline, main)
 from qaplan.config import ENV_CONFIG_PATH, default_config
 from qaplan.emit import read_csv, read_json
 from qaplan.tables import PAPER_TABLES
+from test_cli_golden import CRAN_CONFIG
 
 
 @pytest.fixture(autouse=True)
@@ -602,6 +603,104 @@ def test_usage_errors_exit_one(capsys):
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         capsys.readouterr()
+
+
+_CHOICES = "'targets', 'power', 'qubits', 'economics', 'timeline'"
+# Exit code, stdout and stderr of help and usage errors, recorded with
+# Python 3.11's argparse while every call built every subcommand's flags.
+USAGE = {
+    ("--help",): (EXIT_OK, """\
+usage: qaplan [-h] {targets,power,qubits,economics,timeline} ...
+
+Feasibility planner for annealer-offloaded baseband processing
+
+positional arguments:
+  {targets,power,qubits,economics,timeline}
+    targets             per-task compute targets (TOPS) per scenario
+    power               deployment power for silicon and annealer candidates
+    qubits              annealer qubit requirement per scenario
+    economics           operating savings of the annealer candidate
+    timeline            when the required device sizes become available
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("power", "--help"): (EXIT_OK, """\
+usage: qaplan power [-h] [--config PATH] [--format {csv,json,table}]
+                    [--out PATH] [--sweep AXIS=V1,V2,...]
+                    [--paper-table {costsavings,energy,powerbenefit,qubits-time,readout,targets}]
+
+options:
+  -h, --help            show this help message and exit
+  --config PATH         json config file (default: $QAPLAN_CONFIG or built-
+                        ins)
+  --format {csv,json,table}
+                        output format (default: table)
+  --out PATH            write output to a file instead of stdout
+  --sweep AXIS=V1,V2,...
+                        sweep an axis over values; repeatable; overrides
+                        config sweep; axes: bandwidth_mhz, antennas, samples,
+                        modulation_bits, coding_rate, duty_time, duty_freq
+  --paper-table {costsavings,energy,powerbenefit,qubits-time,readout,targets}
+                        emit a reference report instead of evaluating the
+                        configured scenarios
+""", ""),
+    (): (EXIT_CONFIG, "", "qaplan: error: the following arguments are required: command\n"),
+    ("frobnicate",): (EXIT_CONFIG, "", "qaplan: error: argument command: invalid choice: "
+                      f"'frobnicate' (choose from {_CHOICES})\n"),
+    ("targets", "--format", "xml"): (
+        EXIT_CONFIG, "", "qaplan targets: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'csv', 'json', 'table')\n"),
+    ("power", "extra"): (EXIT_CONFIG, "", "qaplan: error: unrecognized arguments: extra\n"),
+    ("power", "--sweep"): (
+        EXIT_CONFIG, "", "qaplan power: error: argument --sweep: expected one argument\n"),
+}
+
+
+def _exits(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE), ids=" ".join)
+def test_help_and_usage_errors_are_those_of_the_whole_parser(monkeypatch, capsys, argv):
+    # A call builds only its own subcommand's flags; what argparse prints
+    # is what the whole tree, every subcommand with its flags, prints.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    got = _exits(capsys, main, argv)
+    assert got == _exits(capsys, build_parser().parse_args, argv)
+    if sys.version_info[:2] == (3, 11):  # other versions word some messages apart
+        assert got == USAGE[argv]
+
+
+_OVER = ("5g-400mhz-64ant[bandwidth_mhz=1000,antennas={ant},modulation_bits={bits}]{node}: "
+         "{what} {total} exceeds refrigerator capacity 13975088\n")
+
+
+@pytest.mark.parametrize("command,warnings", [
+    # Not per node: one warning per row over capacity, whatever the nodes.
+    ("qubits", [_OVER.format(ant=128, bits=bits, node="", what="requirement", total=total)
+                for bits, total in ((6, 16600270), (8, 22133694))]),
+    # Per node: every row is one node's, and the deployment's ask (three
+    # cells) is over capacity on each.
+    ("economics", [_OVER.format(ant=ant, bits=bits, node=f" ({node})",
+                                what="qubit requirement", total=total)
+                   for ant, bits, total in ((64, 6, 24900408), (64, 8, 33200544),
+                                            (128, 6, 49800810), (128, 8, 66401082))
+                   for node in ("65nm", "14nm", "1.5nm")]),
+])
+def test_a_row_warns_once_per_node_only_on_a_table_per_node(tmp_path, capsys, command,
+                                                            warnings):
+    path = tmp_path / "cran.json"
+    path.write_text(json.dumps(CRAN_CONFIG), encoding="utf-8")
+    code, out, err = run(capsys, command, "--format", "csv", "--config", str(path),
+                         "--sweep", "bandwidth_mhz=1000", "--sweep", "antennas=64,128",
+                         "--sweep", "modulation_bits=6,8")
+    assert (code, err) == (EXIT_WARNINGS, "".join("qaplan: warning: " + w for w in warnings))
+    # The warnings name the rows that do not fit: on economics, every row.
+    named = [w.split(": ")[0].split(" (")[0] for w in warnings]
+    assert named == [r["name"] for r in read_csv(out).records() if r.get("fits", "no") == "no"]
 
 
 def test_env_var_points_at_config(tmp_path, monkeypatch, capsys):

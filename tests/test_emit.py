@@ -284,8 +284,9 @@ def test_csv_row_parts_quote_as_the_whole_row(rows):
 
 
 # Specs that format numbers only, that format strings too (alignment,
-# precision, "s"), that fill with a delimiter or quote, and "," itself.
-_CSV_SPECS = ["", ",", ".3f", "d", "g", "s", ">5", ".2", "_", '",>7', ",<6", "+.1e", "%"]
+# precision, "s"), that fill with a delimiter or quote, "," itself, and a
+# brace, which in a format string would take the spec from another cell.
+_CSV_SPECS = ["", ",", ".3f", "d", "g", "s", ">5", ".2", "_", '",>7', ",<6", "+.1e", "%", "{1}"]
 _CSV_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\x1f{}0')), max_size=5)
 _CSV_CELLS = (_CSV_TEXT | st.booleans() | _INTS | st.floats()
               | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), ""]))
@@ -313,15 +314,19 @@ def csv_tables(draw):
 @example(Table("t", [Column("a", "A"), Column("b", "B")], [(('q"', "l\nm"), ("\x1f",))]))
 def test_csv_fast_path_writes_what_the_csv_module_writes(table):
     # `render_csv` formats each part with one format string and quotes a
-    # field by hand; the reference writes every row whole through the csv
-    # module, each cell through `format_cell`.
+    # field by hand, and `render_text` formats each part with one format
+    # string; the references format every cell through `format_cell` and
+    # write every row whole, csv through the csv module.
     try:
         want = _reference_csv(table)
-    except (ValueError, TypeError):  # a cell its spec cannot format
-        with pytest.raises((ValueError, TypeError)):
-            render_csv(table)
+    except (ValueError, TypeError) as exc:  # a cell its spec cannot format
+        for renderer in (render_csv, render_text):
+            with pytest.raises(type(exc)) as raised:
+                renderer(table)
+            assert str(raised.value) == str(exc)
     else:
         assert render_csv(table) == want
+        assert render_text(table) == _reference_text(table)
 
 
 _AXES = {"bandwidth_mhz": [20.0, 100.0, 400.0], "antennas": [8, 64],
