@@ -6,23 +6,27 @@ the same config and flags produce byte-identical bytes. Exit codes:
 0 success, 1 config problem, 2 model-domain error, 3 success with
 warnings (warnings go to stderr, before the problem line of a failure).
 
-Every subcommand is a list of columns over one row loop, `_table`, which
-evaluates the points in blocks (`_expand_points`): up to `BLOCK`
-consecutive scenarios as columns of their fields. Each model stage is
-one pass of a model column function over a block (`_Stages`), and the
-problem runtime runs once per sample count per call. A row is its own
-cells and its scenario's shared cells, one tuple per scenario and node,
-which the renderer formats once (`emit`).
+Every subcommand is a list of columns over one row loop, `_table`: its
+own cells and its shared cells, as columns over a block of consecutive
+scenarios (`_expand_points`, up to `BLOCK` of them as columns of their
+fields). Each model stage is one pass of a model column function over a
+block (`_Stages`), and the problem runtime runs once per sample count per
+call. A row is its own cells and its scenario's shared cells, one tuple
+per scenario and node, which the renderer formats once (`emit`). Only
+`_table` calls the stages in the order a row reads their values. The
+capacity verdict is taken once per sample count and block, at the qubit
+scale the table gives `_table` (`_Stages.budget`); the `qubits` fits
+cells and the warnings of `qubits` and `economics` all read it.
 
 Neither points nor rows are held: each block is built, evaluated and its
 rows handed over, their warnings written to stderr, as the renderer reads
 them, so memory stays flat; both answer `len()` up front. A block whose
 evaluation raises is evaluated again one row at a time, each row a block
-of its own that reads its values in the order its cells do, so the error
-comes out at the first row that reads a failing value, after the warnings
-of the rows before. The rendered text is held whole and written only once
-the call has succeeded, so a failing call prints nothing on stdout and
-creates no `--out` file.
+of its own that reads its values in row order, so the error comes out at
+the first row that reads a failing value, after the warnings of the rows
+before. The rendered text is held whole and written only once the call
+has succeeded, so a failing call prints nothing on stdout and creates no
+`--out` file.
 """
 
 from __future__ import annotations
@@ -250,32 +254,43 @@ _FD_NL, _FEC = map(list(BbuTask).index, (BbuTask.FD_NL, BbuTask.FEC))
 
 
 class _Stages:
-    """The model stages of one call, run over one block and its cmos nodes
-    at a time."""
+    """The model stages of one call, run over one block at a time. The
+    qubit budget and its capacity verdict are taken once per sample count
+    and block, by whichever cell or warning reads them first."""
 
-    def __init__(self, cfg: RunConfig) -> None:
-        self.cfg = cfg
+    def __init__(self, cfg: RunConfig, scale: int) -> None:
+        self.cfg, self.scale = cfg, scale
+        self.capacity = refrigerator_qubit_capacity()
         self._runtimes: Dict[int, float] = {}
 
-    def start(self, block: _Block, nodes: Sequence[CmosProfile]) -> None:
-        self.nodes = nodes
-        self.antennas = block.fields[_ANT]
-        self._shape = self.antennas, block.fields[_MOD]
+    def start(self, block: _Block) -> None:
+        self.bandwidth, self.antennas = block.fields[_BW], block.fields[_ANT]
+        self._modulation = block.fields[_MOD]
         self.tops = task_tops(*block.fields)
-        self.rates: Optional[Tuple[List[float], List[float]]] = None
+        self._rates: Optional[Tuple[List[float], List[float]]] = None
+        self._budgets: Dict[int, Tuple[List, ...]] = {}
 
     def runtime(self, samples: int) -> float:  # once per sample count per call
         if samples not in self._runtimes:
             self._runtimes[samples] = problem_runtime(self.cfg.qa_profile, samples)
         return self._runtimes[samples]
 
-    def budget(self, samples: int) -> Tuple[List[int], ...]:
-        """Each scenario's detection, decoding and total qubits."""
-        runtime = self.runtime(samples)  # read before the qubits, as a row does
-        tops = self.tops
-        if self.rates is None:
-            self.rates = rate_columns(tops[_FD_NL], tops[_FEC], *self._shape)
-        return budget_columns(tops[_FD_NL], self.rates[0], tops[_FEC], self.rates[1], runtime)
+    def budget(self, samples: int) -> Tuple[List, ...]:
+        """Each scenario's detection, decoding and total qubits, and its
+        capacity verdict: the total times `scale` where that exceeds the
+        refrigerator capacity, else None."""
+        if samples not in self._budgets:
+            runtime = self.runtime(samples)  # read before the qubits, as a row does
+            tops = self.tops
+            if self._rates is None:
+                self._rates = rate_columns(tops[_FD_NL], tops[_FEC], self.antennas,
+                                           self._modulation)
+            fdnl, fec, total = budget_columns(tops[_FD_NL], self._rates[0], tops[_FEC],
+                                              self._rates[1], runtime)
+            scale, capacity = self.scale, self.capacity
+            over = [r if (r := t * scale) > capacity else None for t in total]
+            self._budgets[samples] = fdnl, fec, total, over
+        return self._budgets[samples]
 
     def deployments(self, cmos: CmosProfile) -> Tuple[List[float], ...]:
         """Both candidates' `PowerBreakdown` fields, then the saving."""
@@ -283,19 +298,6 @@ class _Stages:
         cmos_w, qa_w = deployment_columns(self.tops, self.antennas, cmos, cfg.qa_profile,
                                           cfg.topology)
         return (*cmos_w, *qa_w, savings_w(cmos_w[-1], qa_w[-1]))
-
-    def costs(self, savings: List[float]) -> Tuple[List[float], ...]:
-        """Per horizon, the OpEx and the CO2 savings."""
-        opex, co2 = cost_columns(savings, self.cfg.horizons_years, self.cfg.costs)
-        return tuple(itertools.chain.from_iterable(zip(opex, co2)))
-
-    def advantage(self, cmos: CmosProfile) -> List[float]:
-        return advantage_columns(self.tops, cmos, self.cfg.qa_profile)
-
-
-def _over(values: List[int], scale: int, limit: int) -> List[Optional[int]]:
-    """Each value times `scale` where that exceeds `limit`, else None."""
-    return [r if (r := v * scale) > limit else None for v in values]
 
 
 def _rows_apart(block: _Block, node_groups: Sequence[Sequence[CmosProfile]]
@@ -309,35 +311,49 @@ def _rows_apart(block: _Block, node_groups: Sequence[Sequence[CmosProfile]]
             yield one, nodes
 
 
-# What a subcommand evaluates per block: each row's own cells, per sample
-# count and scenario; the shared cells, per cmos node (one on tables not
-# per node) and scenario; and the value each row warns about, per sample
-# count and scenario (None: no warning), or None if the table never warns.
-# It calls the stages in the order a row reads their values: the workload,
-# the own cells, the shared cells, then the warned value.
-Evaluation = Tuple[List[List[Tuple]], List[List[Tuple]], Optional[List[List[Any]]]]
+Columns = Sequence[Iterable]  # cells, as columns over a block's scenarios
 
 
-def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column],
-           evaluate: Callable[[_Stages, _Block], Evaluation], warnings,
-           warning: Optional[Callable[[str, CmosProfile, Any], str]] = None,
-           per_node: bool = False, notes: Sequence[str] = ()) -> Table:
-    """The row loop every subcommand shares: one row per point, or with
-    `per_node` per point and cmos node, each handed over, and its warning
-    (`warning(row name, node, value)`) written, as the renderer reads it.
-    A row is its own cells followed by its scenario's shared cells, one
-    tuple for all the rows of that scenario and node. A block that raises
-    a model error is evaluated again one row at a time, so the first row
-    that fails ends the call after the rows before it."""
-    stages = _Stages(cfg)
+def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column], warnings,
+           own: Optional[Callable[[_Stages, int], Columns]] = None,
+           shared: Optional[Callable[..., Columns]] = None, per_node: bool = False,
+           scale: int = 1, warning: Optional[str] = None, notes: Sequence[str] = ()) -> Table:
+    """The row loop every subcommand shares. A subcommand gives only its
+    columns: `own(stages, samples)`, the cells after each row's name, and
+    `shared(stages)`, or with `per_node` `shared(stages, node)`, the cells
+    the rows of one scenario (and node) share; on tables per node these
+    follow the scenario's bandwidth and antennas and the node's name. On a
+    table that warns, each row whose qubit total times `scale` exceeds the
+    refrigerator capacity (the verdict of `_Stages.budget`) writes
+    `warning`, formatted with the row's `name`, `node`, `value` and the
+    `capacity`.
+
+    Rows, one per point or per point and cmos node, are handed over, and
+    their warnings written, as the renderer reads them. The stages run in
+    the one order a row reads their values: the workload, the own cells,
+    the shared cells, then the warned value. A block that raises a model
+    error is evaluated again one row at a time, so the first row that
+    fails ends the call after the rows before it."""
+    stages = _Stages(cfg, scale)
     every_node = cfg.cmos_profiles
     # The nodes of one row: on tables not per node, all of them.
     node_groups = [[node] for node in every_node] if per_node else [every_node]
+    repeat = itertools.repeat
 
-    def evaluated(block: _Block, nodes: Sequence[CmosProfile]
-                  ) -> Tuple[_Block, Sequence[CmosProfile], Evaluation]:
-        stages.start(block, nodes)
-        return block, nodes, evaluate(stages, block)
+    def evaluated(block: _Block, nodes: Sequence[CmosProfile]) -> Tuple:
+        stages.start(block)
+        owns = [own(stages, samples) if own else () for samples in block.samples]
+        if per_node:
+            tails = [list(zip(stages.bandwidth, stages.antennas, repeat(node.node),
+                              *shared(stages, node))) for node in nodes]
+        else:
+            tails = [list(zip(*shared(stages))) if shared else [()] * len(block.prefixes)]
+        over = [stages.budget(samples)[3] for samples in block.samples] if warning else None
+        # Names read no stage. Joined last, where pymalloc places them, they
+        # keep a 30k-point csv call's peak RSS about 0.7 MiB lower.
+        cells = [list(zip([prefix + label for prefix in block.prefixes], *columns))
+                 for label, columns in zip(block.labels, owns)]
+        return block, list(zip(nodes, tails)), cells, over
 
     def rows() -> Iterator[Row]:
         for block in points:
@@ -345,31 +361,17 @@ def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column],
                 parts: Iterable = [evaluated(block, every_node)]
             except _MODEL_ERRORS:
                 parts = itertools.starmap(evaluated, _rows_apart(block, node_groups))
-            for block, nodes, (own, shared, over) in parts:
-                tails_of = list(zip(nodes, shared))
+            for block, tails_of, cells, over in parts:
                 for k, i in block.order():
-                    cells, value = own[k][i], over[k][i] if over else None
+                    row, value = cells[k][i], over[k][i] if over else None
                     for node, tails in tails_of:
                         if value is not None:
-                            warnings.append(warning(cells[0], node, value))
-                        yield cells, tails[i]
+                            warnings.append(warning.format(name=row[0], node=node.node,
+                                                           value=value, capacity=stages.capacity))
+                        yield row, tails[i]
 
     count = len(points) * (len(every_node) if per_node else 1)
     return Table(name=name, columns=columns, rows=_Lazy(rows, count), notes=notes)
-
-
-def _names(block: _Block) -> List[List[str]]:
-    """Each row name, per sample count and scenario."""
-    return [[prefix + label for prefix in block.prefixes] for label in block.labels]
-
-
-def _per_node(stages: _Stages, block: _Block,
-              cells: Callable[[CmosProfile], Sequence[List]]) -> List[List[Tuple]]:
-    """Per cmos node of the stages, each scenario's shared cells: its
-    bandwidth, antennas and node, then `cells(node)`."""
-    bandwidth, antennas = block.fields[_BW], block.fields[_ANT]
-    return [list(zip(bandwidth, antennas, itertools.repeat(cmos.node), *cells(cmos)))
-            for cmos in stages.nodes]
 
 
 _NAME_COLUMN = Column("name", "Scenario")
@@ -384,13 +386,11 @@ def cmd_targets(cfg: RunConfig, points: _Lazy, warnings) -> Table:
                *[Column(f"{task.value}_tops", task.label, ".3f") for task in BbuTask],
                Column("total_tops", "Total", ".3f")]
 
-    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
+    def shared(stages: _Stages) -> Columns:
         tops = stages.tops
-        shared = list(zip(block.fields[_BW], block.fields[_ANT], *tops,
-                          left_sums(tops, len(tops[0]))))
-        return [list(zip(names)) for names in _names(block)], [shared], None
+        return stages.bandwidth, stages.antennas, *tops, left_sums(tops, len(tops[0]))
 
-    return _table("targets", cfg, points, columns, evaluate, warnings, notes=["units: TOPS"])
+    return _table("targets", cfg, points, columns, warnings, shared=shared, notes=["units: TOPS"])
 
 
 # The power table's columns after the node, each with its position in
@@ -408,18 +408,14 @@ def cmd_power(cfg: RunConfig, points: _Lazy, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
                *[Column(key, title, ".1f") for key, title, _ in _POWER_COLUMNS]]
 
-    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
-        def cells(cmos: CmosProfile) -> List[List[Any]]:
-            sides = stages.deployments(cmos)
-            return [sides[at] for _, _, at in _POWER_COLUMNS]
-        return ([list(zip(names)) for names in _names(block)],
-                _per_node(stages, block, cells), None)
+    def shared(stages: _Stages, cmos: CmosProfile) -> Columns:
+        sides = stages.deployments(cmos)
+        return [sides[at] for _, _, at in _POWER_COLUMNS]
 
-    return _table("power", cfg, points, columns, evaluate, warnings, per_node=True)
+    return _table("power", cfg, points, columns, warnings, shared=shared, per_node=True)
 
 
 def cmd_qubits(cfg: RunConfig, points: _Lazy, warnings) -> Table:
-    capacity = refrigerator_qubit_capacity()
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _SAMPLES_COLUMN, *[Column(*c) for c in (
         ("runtime_us", "Runtime (us)", ".0f"), ("fdnl_qubits", "Detection qubits", "d"),
         ("fec_qubits", "Decoding qubits", "d"), ("covered_fraction", "Covered fraction", ".4f"),
@@ -427,21 +423,14 @@ def cmd_qubits(cfg: RunConfig, points: _Lazy, warnings) -> Table:
         ("fits", "Fits"))]]
     repeat = itertools.repeat
 
-    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
-        own, over = [], []
-        for samples, names in zip(block.samples, _names(block)):
-            fdnl, fec, total = stages.budget(samples)
-            over.append(_over(total, 1, capacity))
-            own.append(list(zip(
-                names, block.fields[_BW], block.fields[_ANT], repeat(samples),
+    def own(stages: _Stages, samples: int) -> Columns:
+        fdnl, fec, total, over = stages.budget(samples)
+        return (stages.bandwidth, stages.antennas, repeat(samples),
                 repeat(stages.runtime(samples)), fdnl, fec, repeat(MODELED_LOAD_FRACTION),
-                total, repeat(capacity), ["yes" if v is None else "no" for v in over[-1]])))
-        return own, [[()] * len(block.prefixes)], over
+                total, repeat(stages.capacity), ["yes" if v is None else "no" for v in over])
 
-    def warning(name: str, node: CmosProfile, total: int) -> str:
-        return f"{name}: requirement {total} exceeds refrigerator capacity {capacity}"
-
-    return _table("qubits", cfg, points, columns, evaluate, warnings, warning)
+    return _table("qubits", cfg, points, columns, warnings, own=own, scale=1,
+                  warning="{name}: requirement {value} exceeds refrigerator capacity {capacity}")
 
 
 def cmd_economics(cfg: RunConfig, points: _Lazy, warnings) -> Table:
@@ -451,24 +440,18 @@ def cmd_economics(cfg: RunConfig, points: _Lazy, warnings) -> Table:
         label = format(years, "g")
         columns += [Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"),
                     Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f")]
-    capacity = refrigerator_qubit_capacity()
 
-    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
-        def cells(cmos: CmosProfile) -> List[List[Any]]:
-            savings = stages.deployments(cmos)[14]
-            return [savings, *stages.costs(savings)]
-        shared = _per_node(stages, block, cells)
-        # The deployment's qubit ask: each cell's total times its n_bs cells.
-        over = [_over(stages.budget(samples)[2], cfg.topology.n_bs, capacity)
-                for samples in block.samples]
-        return [list(zip(names)) for names in _names(block)], shared, over
+    def shared(stages: _Stages, cmos: CmosProfile) -> Columns:
+        savings = stages.deployments(cmos)[14]
+        opex, co2 = cost_columns(savings, cfg.horizons_years, cfg.costs)
+        return [savings, *itertools.chain.from_iterable(zip(opex, co2))]
 
-    def warning(name: str, node: CmosProfile, required: int) -> str:
-        return (f"{name} ({node.node}): qubit requirement "
-                f"{required} exceeds refrigerator capacity {capacity}")
-
+    # The deployment's qubit ask: each cell's total times its n_bs cells.
     return _table(
-        "economics", cfg, points, columns, evaluate, warnings, warning, per_node=True,
+        "economics", cfg, points, columns, warnings, shared=shared, per_node=True,
+        scale=cfg.topology.n_bs,
+        warning="{name} ({node}): qubit requirement {value} exceeds refrigerator capacity "
+                "{capacity}",
         notes=["negative savings mean the annealer candidate draws more power; "
                "breakeven hardware budget equals the OpEx column at each horizon"],
     )
@@ -482,21 +465,18 @@ def cmd_timeline(cfg: RunConfig, points: _Lazy, warnings) -> Table:
                *[Column(f"advantage_{p.node}_w", f"Advantage vs {p.node} (W)", ".1f")
                  for p in cfg.cmos_profiles]]
 
-    def years(totals: Sequence[int]) -> Tuple[List[int], List[int]]:
-        return ([year_available(BEST_CASE, t) for t in totals],
-                [year_available(WORST_CASE, t) for t in totals])
+    def own(stages: _Stages, samples: int) -> Columns:
+        total = stages.budget(samples)[2]
+        return (stages.bandwidth, stages.antennas, itertools.repeat(samples), total,
+                [year_available(BEST_CASE, t) for t in total],
+                [year_available(WORST_CASE, t) for t in total])
 
-    def evaluate(stages: _Stages, block: _Block) -> Evaluation:
-        own = []
-        for samples, names in zip(block.samples, _names(block)):
-            total = stages.budget(samples)[2]
-            own.append(list(zip(names, block.fields[_BW], block.fields[_ANT],
-                                itertools.repeat(samples), total, *years(total))))
-        shared = list(zip(*[stages.advantage(cmos) for cmos in stages.nodes]))
-        return own, [shared], None
+    def shared(stages: _Stages) -> Columns:
+        return [advantage_columns(stages.tops, cmos, cfg.qa_profile)
+                for cmos in cfg.cmos_profiles]
 
     return _table(
-        "timeline", cfg, points, columns, evaluate, warnings,
+        "timeline", cfg, points, columns, warnings, own=own, shared=shared,
         notes=["years are first availability of the required device size under "
                "the best/worst historical growth trends"],
     )

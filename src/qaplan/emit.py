@@ -28,7 +28,7 @@ also where it holds a quote, CR or LF).
 
 from __future__ import annotations
 
-import csv
+# `csv` is imported where it is read or written, so text and json calls skip it.
 import io
 import itertools
 import json
@@ -196,6 +196,8 @@ def _csv_fields(specs: Sequence[str]) -> Callable[[Sequence[Cell]], str]:
     is no template, else for a row whose cells fail to format or hold a
     quote, CR, LF or the separator.
     """
+    import csv
+
     lines = _Lines()
     write_row = csv.writer(lines).writerow
 
@@ -258,6 +260,8 @@ def render_csv(table: Table) -> str:
     formatted by `format_cell`. A row is written as two parts: its own
     cells, and its shared cells, written once per shared tuple.
     """
+    import csv
+
     buf = io.StringIO()
     for note in table.notes:
         buf.write(f"# {note}\r\n")
@@ -371,6 +375,8 @@ def render(table: Table, fmt: str) -> str:
 
 def read_csv(text: str) -> Table:
     """Parse a csv emission back into a Table (numbers typed, specs lost)."""
+    import csv
+
     notes = []
     data_lines = []
     for line in text.splitlines():

@@ -454,6 +454,18 @@ def test_a_per_node_row_fails_at_the_first_value_it_reads(tmp_path, capsys, doc,
     assert got == (EXIT_DOMAIN, "", warned + error)
 
 
+def test_timeline_reads_its_own_cells_before_its_shared_cells(tmp_path, capsys):
+    # Both fail: the required qubits (own) at a sample count past float
+    # range, the tiny node's advantage (shared) in its silicon power.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"cmos": ["14nm", {"node": "tiny",
+                                                  "efficiency_tops_per_w": 1e-305}]}),
+                    encoding="utf-8")
+    got = run(capsys, "timeline", "--config", str(path), "--format", "csv",
+              "--sweep", f"samples={_FLOAT_RANGE_PAST}")
+    assert got == (EXIT_DOMAIN, "", _PAST_RANGE)
+
+
 def test_wrong_typed_qa_override_names_its_field(tmp_path, capsys):
     path = tmp_path / "qa.json"
     path.write_text(json.dumps({"qa": {"refrigeration_w": "5"}}), encoding="utf-8")

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import unittest.mock
 
@@ -163,11 +164,17 @@ failing_values = {
     "samples": ["1", "50", "1" + "0" * 400],
     "modulation_bits": ["2", "6"],
 }
-failing_sweeps = st.dictionaries(
-    st.sampled_from(sorted(failing_values)), st.none(), min_size=1,
-).flatmap(lambda axes: st.tuples(*[
-    st.lists(st.sampled_from(failing_values[axis]), min_size=1, max_size=3, unique=True)
-    .map(lambda values, axis=axis: f"{axis}={','.join(values)}") for axis in axes]))
+
+
+def _sweeps(values):
+    """--sweep flags over some of `values`' axes, each with 1 to 3 of its values."""
+    return st.dictionaries(st.sampled_from(sorted(values)), st.none(), min_size=1).flatmap(
+        lambda axes: st.tuples(*[
+            st.lists(st.sampled_from(values[axis]), min_size=1, max_size=3, unique=True)
+            .map(lambda chosen, axis=axis: f"{axis}={','.join(chosen)}") for axis in axes]))
+
+
+failing_sweeps = _sweeps(failing_values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,3 +193,65 @@ def test_block_boundaries_do_not_show_in_the_output(command, doc, flags, fmt):
         blocked = _call(argv)
         with unittest.mock.patch.object(cli, "BLOCK", 1):
             assert _call(argv) == blocked
+
+
+# Sound configs and sweeps whose grids hold rows on both sides of the
+# refrigerator's capacity, in one cell and in a deployment of n_bs cells.
+verdict_configs = st.fixed_dictionaries({
+    "topology": st.one_of(st.just({"kind": "bs"}),
+                          st.integers(1, 4).map(lambda n: {"kind": "cran", "n_bs": n})),
+    "cmos": st.lists(st.sampled_from(["65nm", "14nm", "1.5nm"]), min_size=1, max_size=3,
+                     unique=True),
+    "qa": st.sampled_from([{"profile": "projected"}, {"profile": "current"}]),
+})
+verdict_values = {
+    "bandwidth_mhz": ["20", "100", "400", "1000"],
+    "antennas": ["8", "64", "100", "128"],
+    "samples": ["1", "20", "50"],
+    "modulation_bits": ["2", "6", "8"],
+}
+verdict_sweeps = _sweeps(verdict_values)
+_QUBITS_WARNING = re.compile(
+    r"qaplan: warning: (.*): requirement (\d+) exceeds refrigerator capacity (\d+)")
+_ECONOMICS_WARNING = re.compile(
+    r"qaplan: warning: (.*) \((.*)\): qubit requirement (\d+) exceeds refrigerator "
+    r"capacity (\d+)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(verdict_configs, verdict_sweeps)
+@example({"topology": {"kind": "cran", "n_bs": 3}, "cmos": ["65nm", "14nm"],
+          "qa": {"profile": "projected"}},
+         ("bandwidth_mhz=400,1000", "antennas=64,128", "samples=1,50"))
+def test_qubits_and_economics_warn_on_the_one_capacity_verdict(doc, flags):
+    # Today's semantics: `qubits` checks one cell's total, `economics` the
+    # total times the deployment's n_bs cells.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["--config", path, "--format", "csv"]
+        for flag in flags:
+            argv += ["--sweep", flag]
+        qubits_code, qubits_text, qubits_err = _call(["qubits", *argv])
+        economics_code, _, economics_err = _call(["economics", *argv])
+
+    rows = read_csv(qubits_text).records()
+    capacity = rows[0]["capacity"]
+    assert [row["fits"] for row in rows] == [
+        "no" if row["total_qubits"] > capacity else "yes" for row in rows]
+    warned = [_QUBITS_WARNING.fullmatch(line).groups() for line in qubits_err.splitlines()]
+    assert sorted(name for name, _, _ in warned) == sorted(
+        row["name"] for row in rows if row["fits"] == "no")
+    assert all(int(total) > capacity for _, total, _ in warned)
+    assert all(int(limit) == capacity for _, _, limit in warned)
+    assert qubits_code == (3 if warned else 0)
+
+    n_bs = doc["topology"].get("n_bs", 1)
+    expected = sorted((row["name"], node, row["total_qubits"] * n_bs)
+                      for row in rows if row["total_qubits"] * n_bs > capacity
+                      for node in doc["cmos"])
+    got = [_ECONOMICS_WARNING.fullmatch(line).groups() for line in economics_err.splitlines()]
+    assert sorted((name, node, int(value)) for name, node, value, _ in got) == expected
+    assert all(int(limit) == capacity for *_, limit in got)
+    assert economics_code == (3 if expected else 0)

@@ -60,11 +60,11 @@ def test_package_imports_the_standard_library_only():
 
 
 def test_the_cli_loads_neither_dataclasses_nor_the_paper_tables():
-    # One call imports what it runs: records are named tuples, and the
-    # paper tables load only for --paper-table.
+    # One call imports what it runs: records are named tuples, the paper
+    # tables load only for --paper-table, and csv only for csv.
     src = os.path.join(ROOT, "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import qaplan.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'qaplan.tables'} & set(sys.modules)))")
+            "print(sorted({'csv', 'dataclasses', 'inspect', 'qaplan.tables'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout == "[]\n"
