@@ -26,15 +26,7 @@ from .qa_hardware import (
     refrigerator_qubit_capacity,
 )
 from .qubit_budget import QubitBudget, task_qubits, total_budget
-from .ran_power import (
-    FronthaulLink,
-    PowerBreakdown,
-    PowerSystemLosses,
-    RrhSite,
-    bs_power,
-    cran_power,
-    fronthaul_power,
-)
+from .ran_power import PowerBreakdown, PowerSystemLosses, bs_power, cran_power
 from .timeline import (
     BEST_CASE,
     HISTORICAL_QUBITS,

@@ -99,6 +99,14 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _count(text: str) -> float:
+    """`text` as an int, else as a float: an int past float range stays exact."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
     sweep: Dict[str, List[float]] = {}
     for flag in flags:
@@ -112,8 +120,10 @@ def _parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
         if axis in sweep:
             raise ConfigError(
                 f"--sweep {axis} given twice; list all its values in one flag")
-        cast = int if axis in _INTEGER_AXES else float
-        try:  # the text first; `_parse_sweep` refuses strings
+        # The text first; `_parse_sweep` refuses strings, and reads a whole
+        # float such as 8.0 on a count axis as the config does.
+        cast = _count if axis in _INTEGER_AXES else float
+        try:
             numbers = [cast(v) for v in values.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--sweep {axis}: {exc}") from exc
@@ -293,7 +303,7 @@ class _Stages:
         return self._budgets[samples]
 
     def deployments(self, cmos: CmosProfile) -> Tuple[List[float], ...]:
-        """Both candidates' `PowerBreakdown` fields, then the saving."""
+        """Both candidates' `PowerBreakdown` columns and totals, then the saving."""
         cfg = self.cfg
         cmos_w, qa_w = deployment_columns(self.tops, self.antennas, cmos, cfg.qa_profile,
                                           cfg.topology)

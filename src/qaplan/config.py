@@ -286,6 +286,8 @@ def parse_config(doc: dict) -> RunConfig:
         for years in horizons:
             if not math.isfinite(years):
                 raise ValueError(f"horizons must be finite, got {years}")
+            if years < 0:
+                raise ValueError(f"horizons must be non-negative, got {years}")
     except _BAD_VALUE as exc:
         raise ConfigError(f"horizons_years: {exc}") from exc
     # Economics column keys name each horizon by its :g label.

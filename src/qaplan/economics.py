@@ -8,19 +8,18 @@ both candidates.
 
 The deployments depend on the scenario alone, and the qubit budget also
 on the sample count. Each model step is a column function over workloads
-(`deployment_columns`, `cost_columns`, `advantage_columns`); `deployments`,
+(`deployment_columns`, `cost_columns`, `advantage_columns`); `compare`,
 `cost_report` and `offload_advantage_w` are the same for one cell. Each
 task's silicon watts are taken once per workload and node, shared by
 both candidates, which sum them in task order from 0 (`left_sums`). A
-centralized radio site is the same for both candidates; they differ only
-in pool silicon and refrigeration, and each site total is the site count
-times one site's value.
+centralized radio site, with its fronthaul link at full load, is the same
+for both candidates; they differ only in pool silicon and refrigeration,
+and each site total is the site count times one site's value.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import chain, filterfalse
 from operator import sub
 from typing import List, NamedTuple, Sequence, Tuple, Union
@@ -30,15 +29,14 @@ from .qa_hardware import QaProfile
 from .qubit_budget import QubitBudget, total_budget
 from .ran_power import (
     Breakdowns,
-    FronthaulLink,
     PowerBreakdown,
     _breakdown,
     bs_power_columns,
     cran_power_columns,
-    radio_columns,
+    fronthaul_w,
 )
 from .record import Checked
-from .workload import BbuTask, BbuWorkload, CellScenario, left_sums, workload
+from .workload import BbuTask, CellScenario, left_sums, workload
 
 # Tasks that stay on silicon (control and transport) and those an annealer
 # can take over, each in task order, which fixes the order watts are summed
@@ -78,25 +76,21 @@ class _CranTopology(NamedTuple):
 class CranTopology(Checked, _CranTopology):
     """Centralized pool serving n identical radio sites over fronthaul."""
 
-    # No `__slots__ = ()`: `_link` is cached in the instance dict.
+    __slots__ = ()
 
     def _check(self) -> None:
         if not math.isfinite(self.fronthaul_capacity_bps):
             raise ValueError(
                 f"fronthaul capacity must be finite, got {self.fronthaul_capacity_bps}"
             )
+        if self.fronthaul_capacity_bps <= 0:
+            raise ValueError(
+                f"fronthaul capacity must be positive, got {self.fronthaul_capacity_bps}"
+            )
         if self.n_bs < 1:
             raise ValueError(f"n_bs must be at least 1, got {self.n_bs}")
         if self.n_bs > MAX_N_BS:
             raise ValueError(f"n_bs must be at most {MAX_N_BS}, got {self.n_bs}")
-
-    @cached_property
-    def _link(self) -> FronthaulLink:
-        """One site's fronthaul link, provisioned at full rate."""
-        return FronthaulLink.scaled_from_reference(
-            capacity_bps=self.fronthaul_capacity_bps,
-            load_bps=self.fronthaul_capacity_bps,
-        )
 
 
 Topology = Union[BsTopology, CranTopology]
@@ -120,18 +114,6 @@ def savings_w(cmos_total_w: Sequence[float], qa_total_w: Sequence[float]) -> Lis
     return list(map(sub, cmos_total_w, qa_total_w))
 
 
-class Deployments(NamedTuple):
-    """Grid power of both deployment candidates for one scenario."""
-
-    cmos: PowerBreakdown
-    qa: PowerBreakdown
-
-    @property
-    def delta_w(self) -> float:
-        """`savings_w` of the two candidates."""
-        return savings_w([self.cmos.total_w], [self.qa.total_w])[0]
-
-
 class ComparisonResult(NamedTuple):
     """Both deployment candidates for one scenario, plus the qubit ask."""
 
@@ -139,7 +121,10 @@ class ComparisonResult(NamedTuple):
     qa: PowerBreakdown
     budget: QubitBudget  # whole-deployment qubit requirement
 
-    delta_w = Deployments.delta_w
+    @property
+    def delta_w(self) -> float:
+        """`savings_w` of the two candidates."""
+        return savings_w([self.cmos.total_w], [self.qa.total_w])[0]
 
 
 def deployment_columns(tops: Sequence[Sequence[float]], antennas: Sequence[int],
@@ -154,8 +139,8 @@ def deployment_columns(tops: Sequence[Sequence[float]], antennas: Sequence[int],
         cmos = bs_power_columns(_sums_at(watts, _ALL_AT), antennas)
         qa = bs_power_columns(_sums_at(watts, _RESIDENT_AT), antennas, refrigeration_w=fridge_w)
     elif isinstance(topology, CranTopology):  # one radio site, shared by both
-        n = topology.n_bs
-        site = (*radio_columns(antennas), _sums_at(watts, _SITE_AT), topology._link, n)
+        n, link_w = topology.n_bs, fronthaul_w(topology.fronthaul_capacity_bps)
+        site = (antennas, _sums_at(watts, _SITE_AT), link_w, n)
         cmos = cran_power_columns([w * n for w in _sums_at(watts, _CRAN_CMOS_AT)], *site)
         qa = cran_power_columns([w * n for w in _sums_at(watts, _RESIDENT_AT)], *site,
                                 refrigeration_w=fridge_w)
@@ -168,15 +153,6 @@ def deployment_columns(tops: Sequence[Sequence[float]], antennas: Sequence[int],
     return cmos, qa
 
 
-def deployments(load: BbuWorkload, cmos_profile: CmosProfile, qa_profile: QaProfile,
-                topology: Topology = BsTopology()) -> Deployments:
-    """`deployment_columns` of one workload."""
-    cmos, qa = deployment_columns([[load.tops[t]] for t in _ALL_TASKS],
-                                  [load.scenario.antennas], cmos_profile, qa_profile,
-                                  topology)
-    return Deployments(_breakdown(cmos), _breakdown(qa))
-
-
 def compare(
     scenario: CellScenario,
     cmos_profile: CmosProfile,
@@ -187,10 +163,11 @@ def compare(
     """Power both candidates for one scenario and size the annealer: one
     cell's qubit budget scaled to the deployment's n_bs cells."""
     load = workload(scenario)
-    sides = deployments(load, cmos_profile, qa_profile, topology)
+    cmos, qa = deployment_columns([[load.tops[t]] for t in _ALL_TASKS],
+                                  [load.scenario.antennas], cmos_profile, qa_profile, topology)
     per_bs, n_bs = total_budget(load, qa_profile, samples), topology.n_bs
     budget = QubitBudget({t: n * n_bs for t, n in per_bs.per_task.items()}, per_bs.total * n_bs)
-    return ComparisonResult(sides.cmos, sides.qa, budget)
+    return ComparisonResult(_breakdown(cmos), _breakdown(qa), budget)
 
 
 class _CostAssumptions(NamedTuple):

@@ -303,11 +303,12 @@ def render_json(table: Table) -> str:
     fields = _reusing(lambda v, at: at[0] + _json_literal(v, at[1]), list(zip(own, specs)))
     last = None
     for cells, shared in rows:
+        head = ",".join(fields(cells))  # own cells first, as csv and text format them
         if shared is not last:
             tail = ",".join([prefix + _json_literal(v, s)
                              for prefix, v, s in zip(rest, shared, specs[split:])])
             last, tail = shared, "," + tail if own and rest else tail
-        buf.write(separator + "{" + ",".join(fields(cells)) + tail + close)
+        buf.write(separator + "{" + head + tail + close)
         separator = ",\n    "
     buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows
     buf.write(',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")

@@ -71,12 +71,6 @@ def _fdnl_problem_shapes(users: Sequence[int], modulation_bits: Sequence[int]
             [bits * count for bits, count in zip(modulation_bits, users)])
 
 
-def _fdnl_problem_shape(users: int, modulation_bits: int) -> Tuple[float, int]:
-    """`_fdnl_problem_shapes` of one cell."""
-    (ops,), (qubits,) = _fdnl_problem_shapes([users], [modulation_bits])
-    return ops, qubits
-
-
 def ldpc_aux_depth(row_weight: float) -> int:
     """Depth of the auxiliary chain embedding a parity constraint.
 

@@ -4,12 +4,13 @@ Component powers (baseband silicon, radio units, power amplifiers) pass
 through a chain of supply losses: AC/DC conversion, mains supply, and DC/DC
 conversion. Flat loads that bypass the supply chain (e.g. a cryogenic
 refrigerator with its own plant) are added after the loss denominator.
-A centralized deployment is priced from one pool, one radio site
-(`RrhSite`) and a count of such sites; pool and sites share the default
-loss chain. A `PowerBreakdown` is a named tuple that sums its grid total
-once, when it is built, in field order. The power models are column
-functions over sites (`bs_power_columns`, `cran_power_columns`), and
-`bs_power` and `cran_power` are the same for one site.
+A centralized deployment is priced from one pool, a count of like radio
+sites, each given by its antenna count and silicon, and the watts of one
+site's fronthaul link at full load (`fronthaul_w`); pool and sites share
+the default loss chain. A `PowerBreakdown` is a named tuple of the
+components whose grid total sums them in field order. The power models
+are column functions over sites (`bs_power_columns`, `cran_power_columns`),
+and `bs_power` and `cran_power` are the same for one site.
 """
 
 from __future__ import annotations
@@ -56,97 +57,39 @@ DEFAULT_LOSSES = PowerSystemLosses()
 _CRAN_OVERHEAD = DEFAULT_LOSSES.supply_factor - 1.0
 
 
-class _FronthaulLink(NamedTuple):
-    capacity_bps: float
-    load_bps: float
-    p_max_w: float  # draw at full load
+def fronthaul_w(capacity_bps: float) -> float:
+    """Watts one fronthaul link draws, provisioned and loaded at its full
+    rate. Its full-load draw scales linearly from the reference link, so a
+    100 Gb/s link draws 7.4 kW."""
+    p_max = FRONTHAUL_REF_W * capacity_bps / FRONTHAUL_REF_BPS
+    # The load-proportional draw `p_max * load / capacity` at full load,
+    # kept as written: it can differ from `p_max` in the last bit.
+    return p_max * capacity_bps / capacity_bps
 
 
-class FronthaulLink(Checked, _FronthaulLink):
-    """One fronthaul link with load-proportional power draw."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.capacity_bps <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity_bps}")
-        if not 0 <= self.load_bps <= self.capacity_bps:
-            raise ValueError(
-                f"load must be in [0, capacity], got {self.load_bps} "
-                f"vs {self.capacity_bps}"
-            )
-        if self.p_max_w < 0:
-            raise ValueError(f"p_max must be non-negative, got {self.p_max_w}")
-
-    @classmethod
-    def scaled_from_reference(cls, capacity_bps: float, load_bps: float) -> "FronthaulLink":
-        """Link whose full-load draw scales linearly from the reference link,
-        so a 100 Gb/s link peaks at 7.4 kW."""
-        p_max = FRONTHAUL_REF_W * capacity_bps / FRONTHAUL_REF_BPS
-        return cls(capacity_bps=capacity_bps, load_bps=load_bps, p_max_w=p_max)
-
-
-def fronthaul_power(link: FronthaulLink) -> float:
-    """Watts drawn by a fronthaul link at its current load."""
-    return link.p_max_w * link.load_bps / link.capacity_bps
-
-
-class RrhSite(NamedTuple):
-    """One remote radio site: radios, amplifiers, local low-L1 silicon."""
-
-    ru_w: float
-    pa_w: float
-    bbu_w: float  # local baseband silicon (e.g. FFT stage)
-    fronthaul: FronthaulLink
-
-    @property
-    def component_w(self) -> float:
-        return _component_sums([self.ru_w], [self.pa_w], [self.bbu_w])[0]
-
-
-def _component_sums(ru_w: Sequence[float], pa_w: Sequence[float],
-                    bbu_w: Sequence[float]) -> List[float]:
-    """Each site's pre-loss component watts."""
-    return [ru + pa + bbu for ru, pa, bbu in zip(ru_w, pa_w, bbu_w)]
-
-
-class _Components(NamedTuple):
-    bbu_w: float
-    ru_w: float
-    pa_w: float
-    power_system_w: float
-    fronthaul_w: float
-    refrigeration_w: float
-    total_w: float
-
-
-class PowerBreakdown(_Components):
+class PowerBreakdown(NamedTuple):
     """Grid power of a site or deployment, split by component.
 
     All component fields are pre-loss watts; `power_system_w` is the
     supply-chain overhead on top of them; `refrigeration_w` bypasses the
-    supply chain. `total_w`, the grid draw, is their sum in field order,
-    taken when the breakdown is built; it is never passed in, so a copy
-    or `_replace` sums it again.
+    supply chain.
     """
 
-    __slots__ = ()
+    bbu_w: float
+    ru_w: float
+    pa_w: float
+    power_system_w: float
+    fronthaul_w: float = 0.0
+    refrigeration_w: float = 0.0
 
-    def __new__(cls, bbu_w: float, ru_w: float, pa_w: float, power_system_w: float,
-                fronthaul_w: float = 0.0, refrigeration_w: float = 0.0) -> "PowerBreakdown":
-        parts = (bbu_w, ru_w, pa_w, power_system_w, fronthaul_w, refrigeration_w)
-        return tuple.__new__(cls, (*parts, _grid_totals(*([part] for part in parts))[0]))
-
-    def __getnewargs__(self) -> tuple:
-        return self[:6]
-
-    @classmethod
-    def _make(cls, values) -> "PowerBreakdown":
-        return cls(*tuple(values)[:6])
+    @property
+    def total_w(self) -> float:
+        """The grid draw: the components summed in field order."""
+        return _grid_totals(*([part] for part in self))[0]
 
 
 # The fields of a `PowerBreakdown` as columns, one entry per site or
-# deployment, `total_w` last: what the column functions below return.
+# deployment, then their `total_w`: what the column functions below return.
 Breakdowns = Tuple[List[float], ...]
 
 
@@ -193,29 +136,30 @@ def bs_power(bbu_w: float, antennas: int, losses: PowerSystemLosses = DEFAULT_LO
     return _breakdown(bs_power_columns([bbu_w], [antennas], losses, refrigeration_w))
 
 
-def cran_power_columns(bbu_w: Sequence[float], site_ru_w: Sequence[float],
-                       site_pa_w: Sequence[float], site_bbu_w: Sequence[float],
-                       fronthaul: FronthaulLink, n_sites: int,
+def cran_power_columns(bbu_w: Sequence[float], antennas: Sequence[int],
+                       site_bbu_w: Sequence[float], link_w: float, n_sites: int,
                        refrigeration_w: float = 0.0) -> Breakdowns:
     """Grid power of centralized deployments: per entry a pool drawing
-    `bbu_w` and `n_sites` like sites, each with the radios, amplifiers and
-    silicon given and linked by `fronthaul`. Pool and sites pass through
-    the default loss chain; links and `refrigeration_w` bypass it."""
+    `bbu_w` and `n_sites` like radio sites, each with one transceiver chain
+    and one PA per antenna, `site_bbu_w` of silicon and a fronthaul link
+    drawing `link_w`. Pool and sites pass through the default loss chain;
+    links and `refrigeration_w` bypass it."""
     _check_non_negative(bbu_w, "bbu_w")
     if n_sites < 0:
         raise ValueError(f"n_sites must be non-negative, got {n_sites}")
-    site_overhead = [c * _CRAN_OVERHEAD for c in _component_sums(site_ru_w, site_pa_w, site_bbu_w)]
+    site_ru, site_pa = radio_columns(antennas)
+    site_overhead = [(r + p + b) * _CRAN_OVERHEAD for r, p, b in zip(site_ru, site_pa, site_bbu_w)]
     bbu = [pool + n_sites * site for pool, site in zip(bbu_w, site_bbu_w)]
-    ru = [n_sites * site for site in site_ru_w]
-    pa = [n_sites * site for site in site_pa_w]
+    ru = [n_sites * site for site in site_ru]
+    pa = [n_sites * site for site in site_pa]
     overhead = [pool * _CRAN_OVERHEAD + n_sites * site for pool, site in zip(bbu_w, site_overhead)]
-    links = [n_sites * fronthaul_power(fronthaul)] * len(bbu)
+    links = [n_sites * link_w] * len(bbu)
     fridge = [refrigeration_w] * len(bbu)
     return bbu, ru, pa, overhead, links, fridge, _grid_totals(bbu, ru, pa, overhead, links, fridge)
 
 
-def cran_power(bbu_w: float, site: RrhSite, n_sites: int,
+def cran_power(bbu_w: float, antennas: int, site_bbu_w: float, link_w: float, n_sites: int,
                refrigeration_w: float = 0.0) -> PowerBreakdown:
-    """`cran_power_columns` of one pool and `n_sites` sites like `site`."""
-    return _breakdown(cran_power_columns([bbu_w], [site.ru_w], [site.pa_w], [site.bbu_w],
-                                         site.fronthaul, n_sites, refrigeration_w))
+    """`cran_power_columns` of one pool and its `n_sites` sites."""
+    return _breakdown(cran_power_columns([bbu_w], [antennas], [site_bbu_w], link_w, n_sites,
+                                         refrigeration_w))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qaplan
-from qaplan.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
+from qaplan.cli import (_COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
                         _expand_points, build_parser, cmd_timeline, main)
 from qaplan.config import ENV_CONFIG_PATH, default_config
 from qaplan.emit import read_csv, read_json
@@ -250,6 +250,7 @@ def test_non_finite_sweep_values_end_in_one_line_each(capsys, command, sweep, co
     # (1.1 / 1e200) ** 2 underflows to an efficiency of zero
     ({"cmos": [{"node": "x", "vdd": 1e200}]},
      "cmos[0]: efficiency must be positive, got 0.0"),
+    ({"horizons_years": [1, -1]}, "horizons_years: horizons must be non-negative, got -1.0"),
 ])
 def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, message):
     path = tmp_path / "nonfinite.json"
@@ -594,12 +595,39 @@ def test_wrong_schema_version_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
-def test_domain_error_exit_code(tmp_path, capsys):
-    path = tmp_path / "bad_horizon.json"
-    path.write_text(json.dumps({"horizons_years": [-1]}), encoding="utf-8")
-    code, _, err = run(capsys, "economics", "--config", str(path))
+def test_domain_error_exit_code(capsys):
+    code, out, err = run(capsys, "economics", "--sweep", "bandwidth_mhz=1e308")
     assert code == EXIT_DOMAIN
-    assert "model error" in err
+    assert out == ""
+    assert err == _OVERFLOW + "\n"
+
+
+@pytest.mark.parametrize("gbps", [0, -5])
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_fronthaul_capacity_that_is_not_positive_is_a_config_error(tmp_path, capsys,
+                                                                     command, gbps):
+    path = tmp_path / "fronthaul.json"
+    path.write_text(json.dumps({"topology": {"kind": "cran", "fronthaul_gbps": gbps}}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == ("qaplan: config error: topology: fronthaul capacity must be positive, "
+                   f"got {gbps * 1e9}\n")
+
+
+@pytest.mark.parametrize("axis,value", [("antennas", 8), ("samples", 20),
+                                        ("modulation_bits", 4)])
+def test_a_sweep_flag_reads_whole_floats_on_count_axes_as_the_config_does(
+        tmp_path, capsys, axis, value):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"sweep": {axis: [float(value)]}}), encoding="utf-8")
+    want = run(capsys, "targets", "--format", "csv", "--config", str(path))
+    assert want[0] == EXIT_OK and f"[{axis}={value}]" in want[1]
+    assert run(capsys, "targets", "--format", "csv", "--sweep", f"{axis}={value}.0") == want
+    assert run(capsys, "targets", "--format", "csv", "--sweep", f"{axis}={value}") == want
+    code, out, err = run(capsys, "targets", "--sweep", f"{axis}=2.5")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"qaplan: config error: --sweep {axis} must be a positive integer, got 2.5\n"
 
 
 def test_unwritable_output_is_config_error(tmp_path, capsys):

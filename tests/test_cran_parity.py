@@ -2,8 +2,9 @@
 
 `cran_power` prices one radio site times a count. The reference below is
 the model that walked a list of `n_bs` equal sites with one sum per
-component, kept here as it ran on Python 3.10 and 3.11: `sum()` there adds
-left to right, as `_sum` does (3.12 compensates float sums). Up to three
+component, each site holding its radios, its silicon and a fronthaul link
+at full load. It is kept here as it ran on Python 3.10 and 3.11: `sum()`
+there adds left to right, as `_sum` does (3.12 compensates float sums). Up to three
 sites a repeated sum of a value equals the count times it, so every field
 must match bit for bit; beyond that the two may part in the last bit.
 """
@@ -11,17 +12,18 @@ must match bit for bit; beyond that the two may part in the last bit.
 import functools
 import math
 import operator
+from collections import namedtuple
 
 from hypothesis import given, settings, strategies as st
 
 from qaplan.cmos import BUILTIN_CMOS, cmos_power
-from qaplan.economics import MAX_N_BS, CranTopology, deployments
+from qaplan.economics import MAX_N_BS, CranTopology, compare
 from qaplan.qa_hardware import QA_PROJECTED
-from qaplan.ran_power import (DEFAULT_LOSSES, PA_W, RU_CHAIN_W, FronthaulLink,
-                               PowerBreakdown, RrhSite, fronthaul_power)
+from qaplan.ran_power import DEFAULT_LOSSES, PA_W, RU_CHAIN_W, PowerBreakdown
 from qaplan.workload import VALID_MODULATION_BITS, BbuTask, CellScenario, workload
 
 SITE = [BbuTask.FFT]  # low-L1 stage at every radio site
+Site = namedtuple("Site", "ru_w pa_w bbu_w fronthaul_w")
 
 
 def _sum(values):
@@ -33,9 +35,9 @@ def _reference_cran_power(bbu_w, losses, sites, refrigeration_w=0.0):
     ru = _sum(s.ru_w for s in sites)
     pa = _sum(s.pa_w for s in sites)
     site_bbu = _sum(s.bbu_w for s in sites)
-    site_overhead = _sum(s.component_w * (DEFAULT_LOSSES.supply_factor - 1.0)
+    site_overhead = _sum((s.ru_w + s.pa_w + s.bbu_w) * (DEFAULT_LOSSES.supply_factor - 1.0)
                          for s in sites)
-    fh = _sum(fronthaul_power(s.fronthaul) for s in sites if s.fronthaul is not None)
+    fh = _sum(s.fronthaul_w for s in sites)
     return PowerBreakdown(
         bbu_w=bbu_w + site_bbu,
         ru_w=ru,
@@ -49,12 +51,13 @@ def _reference_cran_power(bbu_w, losses, sites, refrigeration_w=0.0):
 def _reference_cran_breakdown(load, watts, pool_tasks, topology, refrigeration_w=0.0):
     site_tasks_w = {t: watts[t] for t in SITE}
     pool_tasks_w = {t: watts[t] for t in pool_tasks}
-    site = RrhSite(
+    capacity = load_bps = topology.fronthaul_capacity_bps
+    p_max = 37.0 * capacity / 500e6  # the 500 Mb/s reference link draws 37 W
+    site = Site(
         ru_w=load.scenario.antennas * RU_CHAIN_W,
         pa_w=load.scenario.antennas * PA_W,
         bbu_w=_sum(site_tasks_w.values()),
-        fronthaul=FronthaulLink.scaled_from_reference(
-            topology.fronthaul_capacity_bps, topology.fronthaul_capacity_bps),
+        fronthaul_w=p_max * load_bps / capacity,
     )
     n = topology.n_bs
     return _reference_cran_power(
@@ -76,7 +79,7 @@ def _reference_sides(load, profile, topology):
 
 
 def _fields(breakdown):
-    return tuple(breakdown)  # the six components and total_w
+    return (*breakdown, breakdown.total_w)  # the six components and the total
 
 
 fractions = st.sampled_from([1.0, 0.5, 0.25, 0.8])
@@ -97,7 +100,7 @@ nodes = st.sampled_from(sorted(BUILTIN_CMOS))
 def test_up_to_three_sites_every_field_is_bit_identical(scenario, node, n_bs):
     load = workload(scenario)
     topology = CranTopology(n_bs=n_bs)
-    got = deployments(load, BUILTIN_CMOS[node], QA_PROJECTED, topology)
+    got = compare(scenario, BUILTIN_CMOS[node], QA_PROJECTED, 20, topology)
     want_cmos, want_qa = _reference_sides(load, BUILTIN_CMOS[node], topology)
     assert _fields(got.cmos) == _fields(want_cmos)
     assert _fields(got.qa) == _fields(want_qa)
@@ -109,7 +112,7 @@ def test_up_to_three_sites_every_field_is_bit_identical(scenario, node, n_bs):
 def test_up_to_the_cap_every_field_agrees_closely(scenario, node, n_bs):
     load = workload(scenario)
     topology = CranTopology(n_bs=n_bs)
-    got = deployments(load, BUILTIN_CMOS[node], QA_PROJECTED, topology)
+    got = compare(scenario, BUILTIN_CMOS[node], QA_PROJECTED, 20, topology)
     for side, want in zip((got.cmos, got.qa),
                           _reference_sides(load, BUILTIN_CMOS[node], topology)):
         for a, b in zip(_fields(side), _fields(want)):

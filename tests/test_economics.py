@@ -17,7 +17,6 @@ from qaplan.economics import (
     CranTopology,
     compare,
     cost_report,
-    deployments,
     offload_advantage_w,
 )
 from qaplan.qa_hardware import QA_PROJECTED, refrigerator_qubit_capacity
@@ -55,14 +54,11 @@ def test_comparisons_are_immutable_values():
     assert a == compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=20)
     assert a != compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=50)
     assert repr(a) == f"ComparisonResult(cmos={a.cmos!r}, qa={a.qa!r}, budget={a.budget!r})"
-    sides = deployments(workload(SCENARIO_400_64), CMOS_14NM, QA_PROJECTED)
-    assert sides == deployments(workload(SCENARIO_400_64), CMOS_14NM, QA_PROJECTED)
-    assert (sides.cmos, sides.qa, sides.delta_w) == (a.cmos, a.qa, a.delta_w)
-    assert repr(sides) == f"Deployments(cmos={a.cmos!r}, qa={a.qa!r})"
+    assert a.delta_w == a.cmos.total_w - a.qa.total_w
     with pytest.raises(AttributeError):
         a.budget = None
     with pytest.raises(AttributeError):
-        sides.cmos = a.qa
+        a.cmos = a.qa
 
 
 def _watts(load, tasks, profile=CMOS_14NM):
@@ -103,11 +99,10 @@ def test_centralized_comparison_totals():
 def test_site_tasks_split_the_watts_of_both_candidates():
     topology = CranTopology(n_bs=2)
     load = workload(SCENARIO_400_64)
-    sides = deployments(load, CMOS_14NM, QA_PROJECTED, topology)
+    sides = compare(SCENARIO_400_64, CMOS_14NM, QA_PROJECTED, samples=20, topology=topology)
     site_w = _watts(load, SITE)
     for side, pool in ((sides.cmos, POOL), (sides.qa, RESIDENT)):
         assert side.bbu_w == _watts(load, pool) * 2 + 2 * site_w
-    assert topology._link is topology._link  # built once per topology
 
 
 def test_site_count_is_bounded():
@@ -118,9 +113,8 @@ def test_site_count_is_bounded():
 
 def test_overflowing_results_are_model_errors():
     tiny = CmosProfile(node="x", efficiency_tops_per_w=1e-306)
-    load = workload(SCENARIO_400_64)
     with pytest.raises(ValueError, match="deployment power overflows"):
-        deployments(load, tiny, QA_PROJECTED)
+        compare(SCENARIO_400_64, tiny, QA_PROJECTED, samples=20)
     with pytest.raises(ValueError, match="offloadable silicon power overflows"):
         offload_advantage_w(SCENARIO_400_64, tiny, QA_PROJECTED)
     with pytest.raises(ValueError, match="overflow over the horizons"):
@@ -257,11 +251,11 @@ def test_standalone_sides_are_bit_identical_to_a_sum_per_candidate(scenario, nod
     # Each candidate's silicon summed left to right from 0, in task order.
     load = workload(scenario)
     watts = {t: cmos_power(load.tops[t], BUILTIN_CMOS[node]) for t in BbuTask}
-    sides = deployments(load, BUILTIN_CMOS[node], QA_PROJECTED)
+    sides = compare(scenario, BUILTIN_CMOS[node], QA_PROJECTED, samples=20)
     want_cmos = bs_power(_left_sum(watts[t] for t in BbuTask), scenario.antennas)
     want_qa = bs_power(_left_sum(watts[t] for t in RESIDENT), scenario.antennas,
                        refrigeration_w=QA_PROJECTED.refrigeration_w)
     for got, want in ((sides.cmos, want_cmos), (sides.qa, want_qa)):
-        assert tuple(got) == tuple(want)  # the six components and total_w
+        assert (*got, got.total_w) == (*want, want.total_w)
     assert sides.delta_w == want_cmos.total_w - want_qa.total_w
     assert math.isfinite(sides.delta_w)

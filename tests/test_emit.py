@@ -312,21 +312,31 @@ def csv_tables(draw):
 @example(Table("t", [Column("a", "A"), Column("b", "B", ",")], [(("x,y",), (1234,))]))
 @example(Table("t", [Column("a", "A")], [(("",), ())]))
 @example(Table("t", [Column("a", "A"), Column("b", "B")], [(('q"', "l\nm"), ("\x1f",))]))
+# A row whose own cell and shared cell both fail: the own cell's error.
+@example(Table("t", [Column("a", "A", "d"), Column("b", "B", "d")], [((1.5,), (2.5j,))]))
 def test_csv_fast_path_writes_what_the_csv_module_writes(table):
     # `render_csv` formats each part with one format string and quotes a
     # field by hand, and `render_text` formats each part with one format
     # string; the references format every cell through `format_cell` and
-    # write every row whole, csv through the csv module.
+    # write every row whole, csv through the csv module. A cell its spec
+    # cannot format fails the json rendering as it fails `_reference_json`.
     try:
         want = _reference_csv(table)
     except (ValueError, TypeError) as exc:  # a cell its spec cannot format
-        for renderer in (render_csv, render_text):
-            with pytest.raises(type(exc)) as raised:
+        for renderer, reference in ((render_csv, exc), (render_text, exc),
+                                    (render_json, _json_failure(table))):
+            with pytest.raises(type(reference)) as raised:
                 renderer(table)
-            assert str(raised.value) == str(exc)
+            assert str(raised.value) == str(reference)
     else:
         assert render_csv(table) == want
         assert render_text(table) == _reference_text(table)
+
+
+def _json_failure(table):
+    with pytest.raises((ValueError, TypeError)) as raised:
+        _reference_json(table)
+    return raised.value
 
 
 _AXES = {"bandwidth_mhz": [20.0, 100.0, 400.0], "antennas": [8, 64],

@@ -14,7 +14,7 @@ from qaplan.qubit_budget import (
     MODELED_LOAD_FRACTION,
     QubitBudget,
     TaskProblemModel,
-    _fdnl_problem_shape,
+    _fdnl_problem_shapes,
     ldpc_aux_depth,
     task_qubits,
     total_budget,
@@ -34,12 +34,12 @@ BUDGET_ROWS = [
 
 
 def test_detection_problem_shape():
-    assert _fdnl_problem_shape(users=64, modulation_bits=6) == (80e6, 384)  # 6 bits x 64 users
+    assert _fdnl_problem_shapes([64], [6]) == ([80e6], [384])  # 6 bits x 64 users
     assert qmi_runtime_us(QA_PROJECTED, 20) == 102.0
 
 
 def test_detection_ops_scale_with_system_area():
-    ops, qubits = _fdnl_problem_shape(users=32, modulation_bits=6)
+    (ops,), (qubits,) = _fdnl_problem_shapes([32], [6])
     assert ops == pytest.approx(20e6)
     assert qubits == 192
 

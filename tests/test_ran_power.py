@@ -10,16 +10,14 @@ from qaplan.ran_power import (
     DEFAULT_LOSSES,
     PA_W,
     RU_CHAIN_W,
-    FronthaulLink,
     PowerBreakdown,
     PowerSystemLosses,
-    RrhSite,
     bs_power,
     cran_power,
-    fronthaul_power,
+    fronthaul_w,
 )
 
-LINK = FronthaulLink.scaled_from_reference(100e9, load_bps=100e9)  # 7.4 kW
+LINK = fronthaul_w(100e9)  # 7.4 kW
 
 
 def test_default_loss_chain():
@@ -58,25 +56,14 @@ def test_refrigeration_not_multiplied_by_supply_losses():
 
 
 def test_fronthaul_reference_point():
-    link = FronthaulLink.scaled_from_reference(100e9, load_bps=100e9)
-    assert link.p_max_w == pytest.approx(7400.0)
-    assert fronthaul_power(link) == pytest.approx(7400.0)
-
-
-def test_fronthaul_power_tracks_load():
-    link = FronthaulLink(capacity_bps=500e6, load_bps=250e6, p_max_w=37.0)
-    assert fronthaul_power(link) == pytest.approx(18.5)
-
-
-def test_fronthaul_overload_rejected():
-    with pytest.raises(ValueError):
-        FronthaulLink(500e6, 600e6, 37.0)
+    assert fronthaul_w(500e6) == 37.0
+    assert fronthaul_w(100e9) == pytest.approx(7400.0)
 
 
 def test_cran_sums_remote_sites():
-    site = RrhSite(ru_w=3 * RU_CHAIN_W, pa_w=3 * PA_W, bbu_w=0.0, fronthaul=LINK)
-    pool = cran_power(bbu_w=1000.0, site=site, n_sites=2)
-    solo = cran_power(bbu_w=1000.0, site=site, n_sites=0)
+    site = dict(antennas=3, site_bbu_w=0.0, link_w=LINK)
+    pool = cran_power(bbu_w=1000.0, **site, n_sites=2)
+    solo = cran_power(bbu_w=1000.0, **site, n_sites=0)
     assert pool.fronthaul_w == pytest.approx(2 * 7400.0)
     assert pool.ru_w == pytest.approx(2 * 3 * RU_CHAIN_W)
     assert pool.pa_w == pytest.approx(2 * 3 * PA_W)
@@ -86,12 +73,11 @@ def test_cran_sums_remote_sites():
 
 def test_negative_site_count_rejected():
     with pytest.raises(ValueError, match="n_sites must be non-negative"):
-        cran_power(bbu_w=100.0, site=RrhSite(10.8, 0.0, 0.0, LINK), n_sites=-1)
+        cran_power(bbu_w=100.0, antennas=1, site_bbu_w=0.0, link_w=LINK, n_sites=-1)
 
 
 def test_remote_silicon_shows_up_in_bbu_total():
-    site = RrhSite(ru_w=0.0, pa_w=0.0, bbu_w=50.0, fronthaul=LINK)
-    pool = cran_power(bbu_w=100.0, site=site, n_sites=1)
+    pool = cran_power(bbu_w=100.0, antennas=0, site_bbu_w=50.0, link_w=LINK, n_sites=1)
     assert pool.bbu_w == pytest.approx(150.0)
 
 
@@ -119,10 +105,10 @@ def test_supply_overhead_identity(bbu_w, antennas, sig):
 
 @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
 def test_pool_power_additive_in_load(a, b):
-    site = RrhSite(ru_w=RU_CHAIN_W, pa_w=PA_W, bbu_w=1.0, fronthaul=LINK)
-    lone = (cran_power(bbu_w=a, site=site, n_sites=0).total_w
-            + cran_power(bbu_w=b, site=site, n_sites=0).total_w)
-    joint = cran_power(bbu_w=a + b, site=site, n_sites=0).total_w
+    site = dict(antennas=1, site_bbu_w=1.0, link_w=LINK)
+    lone = (cran_power(bbu_w=a, **site, n_sites=0).total_w
+            + cran_power(bbu_w=b, **site, n_sites=0).total_w)
+    joint = cran_power(bbu_w=a + b, **site, n_sites=0).total_w
     assert joint == pytest.approx(lone, rel=1e-9, abs=1e-6)
 
 
@@ -150,12 +136,13 @@ def test_breakdowns_are_immutable_values():
     assert a != bs_power(1.0, 8)
     assert repr(a) == (
         f"PowerBreakdown(bbu_w=0.0, ru_w={8 * RU_CHAIN_W!r}, pa_w={8 * PA_W!r}, "
-        f"power_system_w={a.power_system_w!r}, fronthaul_w=0.0, refrigeration_w=0.0, "
-        f"total_w={a.total_w!r})")
+        f"power_system_w={a.power_system_w!r}, fronthaul_w=0.0, refrigeration_w=0.0)")
     with pytest.raises(AttributeError):
         a.bbu_w = 5.0
-    # Every way to build a breakdown sums its total again.
+    # The total is summed from the components, never stored or passed in.
     assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
-    moved = a._replace(bbu_w=5.0, total_w=-1.0)
-    assert moved == PowerBreakdown(5.0, *a[1:6])
+    with pytest.raises(ValueError, match="unexpected field names"):
+        a._replace(total_w=-1.0)
+    moved = a._replace(bbu_w=5.0)
+    assert moved == PowerBreakdown(5.0, *a[1:])
     assert moved.total_w == a.total_w + 5.0

@@ -13,7 +13,7 @@ from qaplan.economics import BsTopology, CostAssumptions, CranTopology
 from qaplan.emit import Column, Table
 from qaplan.qa_hardware import QaProfile
 from qaplan.qubit_budget import TaskProblemModel
-from qaplan.ran_power import FronthaulLink, PowerSystemLosses
+from qaplan.ran_power import PowerSystemLosses
 from qaplan.timeline import GrowthTrend
 from qaplan.workload import BbuWorkload, CellScenario, ScalingExponents, workload
 
@@ -31,7 +31,6 @@ SIGNATURES = {
     TaskProblemModel: [("ops_per_problem", _), ("qubits_per_problem", _), ("runtime_us", _)],
     GrowthTrend: [("name", _), ("anchor_year", _), ("anchor_qubits", _), ("growth_factor", _)],
     PowerSystemLosses: [("sigma_ac", 0.09), ("sigma_ms", 0.07), ("sigma_dc", 0.06)],
-    FronthaulLink: [("capacity_bps", _), ("load_bps", _), ("p_max_w", _)],
     BsTopology: [],
     CranTopology: [("n_bs", 3), ("fronthaul_capacity_bps", 100e9)],
     CostAssumptions: [("electricity_price_per_kwh", 0.143), ("co2_lb_per_kwh", 0.92),
@@ -86,8 +85,6 @@ RECORDS = [
     (lambda: GrowthTrend("g", 2020, 5436, 2.5),
      "GrowthTrend(name='g', anchor_year=2020, anchor_qubits=5436, growth_factor=2.5)"),
     (lambda: PowerSystemLosses(), "PowerSystemLosses(sigma_ac=0.09, sigma_ms=0.07, sigma_dc=0.06)"),
-    (lambda: FronthaulLink(1e9, 5e8, 74.0),
-     "FronthaulLink(capacity_bps=1000000000.0, load_bps=500000000.0, p_max_w=74.0)"),
     (lambda: BsTopology(), "BsTopology()"),
     (lambda: CranTopology(), "CranTopology(n_bs=3, fronthaul_capacity_bps=100000000000.0)"),
     (lambda: CostAssumptions(),
@@ -131,8 +128,6 @@ INVALID = [
     (GrowthTrend("g", 2020, 5436, 2.5), "growth_factor", 1.0,
      "growth factor must exceed 1, got 1.0"),
     (PowerSystemLosses(), "sigma_dc", 1.0, "sigma_dc must be in [0, 1), got 1.0"),
-    (FronthaulLink(1e9, 5e8, 74.0), "load_bps", 2e9,
-     "load must be in [0, capacity], got 2000000000.0 vs 1000000000.0"),
     (CranTopology(), "n_bs", 0, "n_bs must be at least 1, got 0"),
     (CostAssumptions(), "co2_lb_per_kwh", math.nan,
      "co2_lb_per_kwh must be finite and non-negative, got nan"),
@@ -142,6 +137,16 @@ INVALID = [
 @pytest.mark.parametrize("record, field, value, message", INVALID,
                          ids=[type(case[0]).__name__ for case in INVALID])
 def test_every_way_of_building_a_record_checks_it(record, field, value, message):
+    _every_build_refuses(record, field, value, message)
+
+
+@pytest.mark.parametrize("capacity", [0.0, -5e9])
+def test_a_topology_refuses_a_fronthaul_capacity_that_is_not_positive(capacity):
+    _every_build_refuses(CranTopology(), "fronthaul_capacity_bps", capacity,
+                         f"fronthaul capacity must be positive, got {capacity}")
+
+
+def _every_build_refuses(record, field, value, message):
     cls, values = type(record), {**record._asdict(), field: value}
     builds = [lambda: cls(**values), lambda: cls(*values.values()),
               lambda: cls._make(values.values()), lambda: record._replace(**{field: value})]
@@ -151,9 +156,9 @@ def test_every_way_of_building_a_record_checks_it(record, field, value, message)
         assert str(caught.value) == message
 
 
-def test_derived_link_and_supply_factor_are_cached_per_record():
-    losses, topology = PowerSystemLosses(), CranTopology()
+def test_supply_factor_is_cached_per_record():
+    losses = PowerSystemLosses()
     assert losses.supply_factor is losses.supply_factor
-    assert topology._link is topology._link
     # The cache is per record; equal records still compare as values.
-    assert CranTopology()._link == topology._link and CranTopology() == topology
+    assert PowerSystemLosses().supply_factor == losses.supply_factor
+    assert PowerSystemLosses() == losses

@@ -8,9 +8,9 @@ import tracemalloc
 
 from qaplan.cli import EXIT_OK, main
 from qaplan.cmos import CMOS_14NM
-from qaplan.economics import MAX_N_BS, CranTopology, deployments
+from qaplan.economics import MAX_N_BS, CranTopology, deployment_columns
 from qaplan.qa_hardware import QA_PROJECTED
-from qaplan.workload import CellScenario, workload
+from qaplan.workload import BbuTask, CellScenario, workload
 
 # 50 bandwidths x 4 antenna counts x 3 nodes = 600 power rows per call.
 GRID = ["--sweep", "bandwidth_mhz=" + ",".join(str(b) for b in range(20, 1001, 20)),
@@ -45,12 +45,13 @@ def test_ten_thousand_sites_cost_under_twice_three_per_row(tmp_path):
 
 def _deployments_peak(n_bs: int) -> int:
     load = workload(CellScenario(400, 6, 0.5, 64))
-    topology = CranTopology(n_bs=n_bs)
-    deployments(load, CMOS_14NM, QA_PROJECTED, topology)  # build the layout first
+    args = ([[load.tops[t]] for t in BbuTask], [64], CMOS_14NM, QA_PROJECTED,
+            CranTopology(n_bs=n_bs))
+    deployment_columns(*args)  # warm up first
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        deployments(load, CMOS_14NM, QA_PROJECTED, topology)
+        deployment_columns(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
