@@ -11,22 +11,23 @@ own cells and its shared cells, as columns over a block of consecutive
 scenarios (`_expand_points`, up to `BLOCK` of them as columns of their
 fields). Each model stage is one pass of a model column function over a
 block (`_Stages`), and the problem runtime runs once per sample count per
-call. A row is its own cells and its scenario's shared cells, one tuple
-per scenario and node, which the renderer formats once (`emit`). Only
+call. A block goes to the renderer as columns (`emit.Block`): the own
+columns of each sample count, names first, the shared columns of each
+scenario and node, and the index lists that put them in row order. Only
 `_table` calls the stages in the order a row reads their values. The
 capacity verdict is taken once per sample count and block, at the qubit
 scale the table gives `_table` (`_Stages.budget`); the `qubits` fits
 cells and the warnings of `qubits` and `economics` all read it.
 
-Neither points nor rows are held: each block is built, evaluated and its
-rows handed over, their warnings written to stderr, as the renderer reads
-them, so memory stays flat; both answer `len()` up front. A block whose
-evaluation raises is evaluated again one row at a time, each row a block
-of its own that reads its values in row order, so the error comes out at
-the first row that reads a failing value, after the warnings of the rows
-before. The rendered text is held whole and written only once the call
-has succeeded, so a failing call prints nothing on stdout and creates no
-`--out` file.
+Neither points nor rows are held: each block is built, evaluated, its
+warnings written to stderr in one write, and handed over as the renderer
+reads it, so memory stays flat; both answer `len()` up front. A block
+whose evaluation raises is evaluated again one row at a time, so the
+error comes out at the first row that reads a failing value, after the
+warnings of the rows before. A block's warnings precede the formatting of
+its cells, none of which fails. The rendered text is held whole and
+written only once the call has succeeded, so a failing call prints
+nothing on stdout and creates no `--out` file.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, O
 from .cmos import CmosProfile
 from .config import _INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
 from .economics import advantage_columns, cost_columns, deployment_columns, savings_w
-from .emit import Column, Row, Table, render
+from .emit import Block, Column, Lazy, Rows, Table, render
 from .qa_hardware import refrigerator_qubit_capacity
 from .qubit_budget import MODELED_LOAD_FRACTION, budget_columns, problem_runtime, rate_columns
 from .timeline import BEST_CASE, WORST_CASE, year_available
@@ -166,20 +167,7 @@ class _Block(NamedTuple):
                     yield k, i
 
 
-class _Lazy:
-    """Items produced each time they are read; `len` is known up front."""
-
-    def __init__(self, produce: Callable[[], Iterator], count: int) -> None:
-        self._produce, self._count = produce, count
-
-    def __iter__(self) -> Iterator:
-        return self._produce()
-
-    def __len__(self) -> int:
-        return self._count
-
-
-def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _Lazy:
+def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> Lazy:
     """Evaluation points: the configured scenarios, or with a sweep the
     grid anchored on the first configured scenario, which replaces them.
 
@@ -199,7 +187,7 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _
                 fields = zip(*[scenario for _, scenario in chunk])
                 yield _Block(tuple(map(list, fields)), [name for name, _ in chunk], 1,
                              [cfg.samples], [""])
-        return _Lazy(configured, len(named))
+        return Lazy(configured, len(named))
     base_name, base = cfg.scenarios[0]
     base_fields = base._asdict()
 
@@ -225,7 +213,7 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _
                 labels = [label for _, label, _ in point.values()] + (
                     [samples[1]] if samples else [])
                 why = problem({a: v for a, (v, _, _) in point.items()}, samples and samples[0])
-                warnings.append(f"skipping sweep point {base_name}[{','.join(labels)}]: {why}")
+                warnings.extend([f"skipping sweep point {base_name}[{','.join(labels)}]: {why}"])
     ok = {a: [(v, label) for v, label, good in values if good] for a, values in zip(axes, grid)}
     count = math.prod(map(len, ok.values()))
     if not count:
@@ -255,7 +243,7 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> _
                         for combo in combos]
             yield _Block(tuple(fields), prefixes, len(inner_combos), samples, labels)
 
-    return _Lazy(swept, count)
+    return Lazy(swept, count)
 
 
 _MODEL_ERRORS = (ValueError, ArithmeticError)
@@ -324,7 +312,7 @@ def _rows_apart(block: _Block, node_groups: Sequence[Sequence[CmosProfile]]
 Columns = Sequence[Iterable]  # cells, as columns over a block's scenarios
 
 
-def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column], warnings,
+def _table(name: str, cfg: RunConfig, points: Lazy, columns: List[Column], warnings,
            own: Optional[Callable[[_Stages, int], Columns]] = None,
            shared: Optional[Callable[..., Columns]] = None, per_node: bool = False,
            scale: int = 1, warning: Optional[str] = None, notes: Sequence[str] = ()) -> Table:
@@ -338,50 +326,51 @@ def _table(name: str, cfg: RunConfig, points: _Lazy, columns: List[Column], warn
     `warning`, formatted with the row's `name`, `node`, `value` and the
     `capacity`.
 
-    Rows, one per point or per point and cmos node, are handed over, and
-    their warnings written, as the renderer reads them. The stages run in
-    the one order a row reads their values: the workload, the own cells,
-    the shared cells, then the warned value. A block that raises a model
-    error is evaluated again one row at a time, so the first row that
-    fails ends the call after the rows before it."""
+    Each block goes to the renderer as one `Block` once its warnings are
+    written. The stages run in the one order a row reads their values: the
+    workload, the own cells, the shared cells, then the warned value. A
+    block that raises a model error is evaluated again one row at a time,
+    so the first row that fails ends the call after the rows before it."""
     stages = _Stages(cfg, scale)
-    every_node = cfg.cmos_profiles
-    # The nodes of one row: on tables not per node, all of them.
-    node_groups = [[node] for node in every_node] if per_node else [every_node]
+    # The nodes of a row's cells: on tables not per node, one shared entry
+    # serves all nodes, and a row warns for the first.
+    row_nodes = cfg.cmos_profiles if per_node else cfg.cmos_profiles[:1]
+    node_groups = [[node] for node in row_nodes] if per_node else [row_nodes]
     repeat = itertools.repeat
+    shapes: Dict[Tuple[int, ...], Tuple[List[Tuple[int, int]], List[int], List[int]]] = {}
 
-    def evaluated(block: _Block, nodes: Sequence[CmosProfile]) -> Tuple:
+    def evaluated(block: _Block, nodes: Sequence[CmosProfile]) -> Block:
         stages.start(block)
         owns = [own(stages, samples) if own else () for samples in block.samples]
-        if per_node:
-            tails = [list(zip(stages.bandwidth, stages.antennas, repeat(node.node),
-                              *shared(stages, node))) for node in nodes]
-        else:
-            tails = [list(zip(*shared(stages))) if shared else [()] * len(block.prefixes)]
+        tails = [[stages.bandwidth, stages.antennas, repeat(node.node), *shared(stages, node)]
+                 for node in nodes] if per_node else [list(shared(stages)) if shared else []]
         over = [stages.budget(samples)[3] for samples in block.samples] if warning else None
         # Names read no stage. Joined last, where pymalloc places them, they
         # keep a 30k-point csv call's peak RSS about 0.7 MiB lower.
-        cells = [list(zip([prefix + label for prefix in block.prefixes], *columns))
-                 for label, columns in zip(block.labels, owns)]
-        return block, list(zip(nodes, tails)), cells, over
+        names = [[prefix + label for prefix in block.prefixes] for label in block.labels]
+        n, count = len(block.prefixes), len(nodes)
+        shape = (n, block.inner, len(block.samples), count)
+        if shape not in shapes:  # each row's scenario, own entry and shared entry
+            order = list(block.order())
+            shapes[shape] = (order, [k * n + i for k, i in order for _ in range(count)],
+                             [g * n + i for _, i in order for g in range(count)])
+        order, own_at, shared_at = shapes[shape]
+        if over and any(verdicts.count(None) < n for verdicts in over):
+            warnings.extend([warning.format(name=names[k][i], node=node.node, value=over[k][i],
+                                            capacity=stages.capacity)
+                             for k, i in order if over[k][i] is not None for node in nodes])
+        return Block([[part_names, *part] for part_names, part in zip(names, owns)], tails,
+                     own_at, shared_at)
 
-    def rows() -> Iterator[Row]:
+    def blocks() -> Iterator[Block]:
         for block in points:
             try:
-                parts: Iterable = [evaluated(block, every_node)]
+                done: Iterable[Block] = [evaluated(block, row_nodes)]
             except _MODEL_ERRORS:
-                parts = itertools.starmap(evaluated, _rows_apart(block, node_groups))
-            for block, tails_of, cells, over in parts:
-                for k, i in block.order():
-                    row, value = cells[k][i], over[k][i] if over else None
-                    for node, tails in tails_of:
-                        if value is not None:
-                            warnings.append(warning.format(name=row[0], node=node.node,
-                                                           value=value, capacity=stages.capacity))
-                        yield row, tails[i]
+                done = itertools.starmap(evaluated, _rows_apart(block, node_groups))
+            yield from done
 
-    count = len(points) * (len(every_node) if per_node else 1)
-    return Table(name=name, columns=columns, rows=_Lazy(rows, count), notes=notes)
+    return Table(name, columns, Rows(blocks, len(points) * len(row_nodes)), notes)
 
 
 _NAME_COLUMN = Column("name", "Scenario")
@@ -391,7 +380,7 @@ _SAMPLES_COLUMN = Column("samples", "Samples", "d")
 _NODE_COLUMN = Column("node", "Node")
 
 
-def cmd_targets(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+def cmd_targets(cfg: RunConfig, points: Lazy, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS,
                *[Column(f"{task.value}_tops", task.label, ".3f") for task in BbuTask],
                Column("total_tops", "Total", ".3f")]
@@ -414,7 +403,7 @@ _POWER_COLUMNS = (
 )
 
 
-def cmd_power(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+def cmd_power(cfg: RunConfig, points: Lazy, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
                *[Column(key, title, ".1f") for key, title, _ in _POWER_COLUMNS]]
 
@@ -425,7 +414,7 @@ def cmd_power(cfg: RunConfig, points: _Lazy, warnings) -> Table:
     return _table("power", cfg, points, columns, warnings, shared=shared, per_node=True)
 
 
-def cmd_qubits(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+def cmd_qubits(cfg: RunConfig, points: Lazy, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _SAMPLES_COLUMN, *[Column(*c) for c in (
         ("runtime_us", "Runtime (us)", ".0f"), ("fdnl_qubits", "Detection qubits", "d"),
         ("fec_qubits", "Decoding qubits", "d"), ("covered_fraction", "Covered fraction", ".4f"),
@@ -443,7 +432,7 @@ def cmd_qubits(cfg: RunConfig, points: _Lazy, warnings) -> Table:
                   warning="{name}: requirement {value} exceeds refrigerator capacity {capacity}")
 
 
-def cmd_economics(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+def cmd_economics(cfg: RunConfig, points: Lazy, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
                Column("delta_w", "Saving (W)", ".1f")]
     for years in cfg.horizons_years:
@@ -467,7 +456,7 @@ def cmd_economics(cfg: RunConfig, points: _Lazy, warnings) -> Table:
     )
 
 
-def cmd_timeline(cfg: RunConfig, points: _Lazy, warnings) -> Table:
+def cmd_timeline(cfg: RunConfig, points: Lazy, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _SAMPLES_COLUMN,
                Column("required_qubits", "Required qubits", "d"),
                Column("year_best", "Year (best case)", "d"),
@@ -511,14 +500,15 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 class _Warnings:
     """Warnings written to stderr as they are gathered; only their count is
-    kept. The row loop takes each one through `append`, as a list has."""
+    kept. They come through `extend`, as a list takes them: those of one
+    block in one write."""
 
     def __init__(self) -> None:
         self.count = 0
 
-    def append(self, warning: str) -> None:
-        self.count += 1
-        print(f"qaplan: warning: {warning}", file=sys.stderr)
+    def extend(self, warnings: List[str]) -> None:
+        self.count += len(warnings)
+        sys.stderr.write("".join([f"qaplan: warning: {warning}\n" for warning in warnings]))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

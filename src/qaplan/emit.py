@@ -7,36 +7,32 @@ are unique, as a `Table` checks, so a csv header names each column once
 and a json row has one field per column. Emitted csv and json can be
 read back with the readers below.
 
-A row is a pair of tuples, its own cells and its shared cells, which
-together are its cells in column order; every row of a table splits at
-the same column. The cli's rows of one scenario hand over the very same
-shared tuple, and every renderer formats a shared tuple once while the
-same object comes back (identity, never equality: 0.0 and -0.0, or 1,
-1.0 and True, are equal but format differently). Renderers read the rows
-once, in order, so they may be a stream. Csv and json write each row into
-one buffer as it is read, json byte for byte as `json.dumps(doc,
-indent=2)` writes the whole document; text keeps the formatted texts its
-width pass needs and takes each column's width once, at the end.
+A table's rows come in blocks of columns (`Block`). A row is an own entry
+and then a shared entry, which the rows of one cli scenario (and node)
+share; every row of a table splits at the same column. Renderers read
+the blocks once, in order, so they may be a stream.
 
-Csv and text format each part of a row, its own cells or a shared tuple,
-with one format string (`_template`). They fall back to `format_cell` per
-cell (csv to the csv module) where that string's text cannot be trusted:
-for every row if a spec holds a brace or would format a string, else for
-a part whose cells fail to format or whose text holds the separator (csv
-also where it holds a quote, CR or LF).
+Each column of a block is formatted with one `map` of `format`, a repeated
+cell once, and the block's lines are built with `map` and `join` over its
+index lists: no Python code runs per row. A column whose spec would format
+a string, which `format_cell` writes as it is, goes through `format_cell`.
+A block with a column that fails to format is formatted again row by row,
+own cells first, so the first failing cell raises and a string under a
+number spec is written as it is. Csv quotes a column's cells where its
+text holds a delimiter, quote, CR or LF, as the csv module does; text
+holds every block's texts until each column's width is known.
 """
 
 from __future__ import annotations
 
-# `csv` is imported where it is read or written, so text and json calls skip it.
+# `csv` is imported where csv is read back; no rendering loads it.
 import io
-import itertools
 import json
 import math
 import re
-from operator import itemgetter
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from itertools import repeat
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence,
+                    Tuple, Union)
 
 Cell = Union[str, int, float]
 
@@ -50,28 +46,100 @@ class Column(NamedTuple):
 Row = Tuple[Sequence[Cell], Sequence[Cell]]  # (own cells, shared cells)
 
 
+class Block:
+    """Rows as columns. `own` and `shared` are lists of parts: a part is
+    columns of one length, the first a sequence, the others sequences or
+    unbounded `itertools.repeat`s, one cell for the whole part. The entries
+    of each side are the rows of its parts, part after part. `own_at` and
+    `shared_at` give, in row order, each row's own entry, whose cells come
+    first, and its shared entry. Every entry is some row's."""
+
+    __slots__ = ("own", "shared", "own_at", "shared_at")
+
+    def __init__(self, own: Sequence, shared: Sequence, own_at: Sequence[int],
+                 shared_at: Sequence[int]) -> None:
+        self.own, self.shared, self.own_at, self.shared_at = own, shared, own_at, shared_at
+
+    def rows(self) -> Iterator[Row]:
+        """Each row's (own cells, shared cells), a shared entry one tuple."""
+        own, shared = _entries(self.own), _entries(self.shared)
+        for a, b in zip(self.own_at, self.shared_at):
+            yield own[a] if own else (), shared[b] if shared else ()
+
+
+def _entries(parts: Sequence[Sequence]) -> List[Tuple[Cell, ...]]:
+    """The cells of each entry of `parts`; none where they have no columns."""
+    return [cells for part in parts for cells in zip(*part)]
+
+
+class Lazy:
+    """Items produced each time they are read; `len` is known up front."""
+
+    def __init__(self, produce: Callable[[], Iterator], count: int) -> None:
+        self.produce, self._count = produce, count
+
+    def __iter__(self) -> Iterator:
+        return self.produce()
+
+    def __len__(self) -> int:
+        return self._count
+
+
+class Rows(Lazy):
+    """A table's rows, produced as blocks each time they are read; `len`
+    is the row count."""
+
+    def __iter__(self) -> Iterator[Row]:
+        for block in self.produce():
+            yield from block.rows()
+
+    def __eq__(self, other: object) -> bool:
+        """Rows are equal where the lists of their rows are."""
+        return isinstance(other, Rows) and list(self) == list(other)
+
+
 class Table:
-    """A named table whose rows are (cells, shared) pairs, all split at
+    """A named table whose rows split into own and shared cells, all at
     the same column. Column keys are unique: each is one csv header and
     one json field.
 
-    Rows given as a list of dicts keyed by column key are converted to
-    pairs here, once: all cells their own, none shared.
+    `rows` are `Rows`, or a list of dicts keyed by column key (all cells
+    their own) or of (own, shared) pairs, made one block here, once: an own
+    entry per row, and a shared entry wherever a row's shared tuple is not
+    the previous row's (identity, never equality: 0.0 and -0.0, or 1, 1.0
+    and True, are equal but format differently).
     """
 
-    def __init__(self, name: str, columns: List[Column], rows: Iterable[Row],
+    def __init__(self, name: str, columns: List[Column], rows: Union[Rows, Iterable],
                  notes: Iterable[str] = ()) -> None:
-        keys = [c.key for c in columns]
         seen = set()
-        for key in keys:
-            if key in seen:
-                raise ValueError(f"repeated column key: {key!r}")
-            seen.add(key)
-        if isinstance(rows, list):
-            rows = [(tuple([row[k] for k in keys]), ()) if isinstance(row, Mapping)
-                    else row for row in rows]
+        for column in columns:
+            if column.key in seen:
+                raise ValueError(f"repeated column key: {column.key!r}")
+            seen.add(column.key)
         self.name, self.columns, self.notes = name, columns, list(notes)
-        self.rows: Iterable[Row] = rows  # read once, in order
+        self.rows = rows
+
+    @property
+    def rows(self) -> Rows:
+        """The rows, a sized view over the blocks, read once per pass."""
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: Union[Rows, Iterable]) -> None:
+        if not isinstance(rows, Rows):
+            pairs = [(tuple([row[c.key] for c in self.columns]), ()) if isinstance(row, Mapping)
+                     else row for row in rows]
+            shared: List[Sequence[Cell]] = []
+            shared_at: List[int] = []
+            for _, cells in pairs:
+                if not shared or cells is not shared[-1]:
+                    shared.append(cells)
+                shared_at.append(len(shared) - 1)
+            blocks = [Block([list(zip(*[cells for cells, _ in pairs]))], [list(zip(*shared))],
+                            range(len(pairs)), shared_at)] if pairs else []
+            rows = Rows(blocks.__iter__, len(pairs))
+        self._rows = rows
 
     def records(self) -> List[Dict[str, Cell]]:
         """The rows as dicts keyed by column key."""
@@ -125,45 +193,6 @@ def _json_nested(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _split(table: Table) -> Tuple[int, Iterator[Row]]:
-    """The column at which every row of `table` splits into own and shared
-    cells, taken from its first row, and its rows."""
-    rows = iter(table.rows)
-    first = next(rows, None)
-    if first is None:
-        return len(table.columns), rows
-    return len(first[0]), itertools.chain((first,), rows)
-
-
-def _reusing(format_one: Callable[[Cell, Any], str], args: Sequence[Any]
-             ) -> Callable[[Sequence[Cell]], List[str]]:
-    """A function giving each of a row's own cells as `format_one(cell,
-    args[column])`, the text reused while the same object comes back in
-    its column: a table's constant cells are formatted once."""
-    values: List[Any] = [_reusing] * len(args)  # no cell is this function
-    texts: List[str] = [""] * len(args)
-
-    def own(cells: Sequence[Cell]) -> List[str]:
-        for i, value in enumerate(cells):
-            if value is not values[i]:
-                values[i], texts[i] = value, format_one(value, args[i])
-        return texts[:]
-
-    return own
-
-
-class _Lines(list):
-    """A file for a csv writer that keeps each written line."""
-
-    write = list.append
-
-
-# What the csv module quotes a field for, besides the delimiter, and a
-# separator no formatted cell of a table holds, or `_csv_fields` sees it.
-_QUOTED = re.compile('["\r\n]')
-_SEP = "\x1f"
-
-
 def _takes_strings(spec: str) -> bool:
     """Whether `format(text, spec)` works for a string, which `format_cell`
     writes as it is: the spec names no number type, sign or grouping."""
@@ -174,111 +203,103 @@ def _takes_strings(spec: str) -> bool:
     return True
 
 
-def _template(specs: Sequence[str]) -> Optional[str]:
-    """One format string writing cells under `specs`, joined by `_SEP`, as
-    `format_cell` writes them; None where no such string can be trusted:
-    where a spec holds a brace or would format a string (`format_cell`
-    writes strings as they are). A text it writes is still not to be
-    trusted where a cell fails to format (a string under a number spec)
-    or its text holds the separator."""
-    if any("{" in spec or "}" in spec or spec and _takes_strings(spec) for spec in specs):
-        return None
-    return _SEP.join(f"{{{i}:{spec}}}" for i, spec in enumerate(specs))
-
-
-def _csv_fields(specs: Sequence[str]) -> Callable[[Sequence[Cell]], str]:
-    """A function writing cells under `specs` as the csv module writes them
-    within a longer row, without the line end.
-
-    One format string (`_template`) writes them all, and a field holding
-    the delimiter gets the quotes the csv module gives it. The csv module
-    writes them where that text cannot be trusted: for every row if there
-    is no template, else for a row whose cells fail to format or hold a
-    quote, CR, LF or the separator.
-    """
-    import csv
-
-    lines = _Lines()
-    write_row = csv.writer(lines).writerow
-
-    def by_module(cells: Sequence[Cell]) -> str:
-        write_row(map(format_cell, cells, specs))
-        text = lines.pop()[:-2]
-        return "" if text == '""' else text  # a lone empty field, within a row
-
-    template = _template(specs)
-    if template is None:
-        return by_module
-    separators = len(specs) - 1
-
-    def fields(cells: Sequence[Cell]) -> str:
-        try:
-            text = template.format(*cells)
-        except (ValueError, TypeError):  # a string under a number spec, or a bad cell
-            return by_module(cells)
-        if text.count(_SEP) != separators or _QUOTED.search(text):
-            return by_module(cells)
-        if "," not in text:
-            return text.replace(_SEP, ",")
-        if not separators:
-            return f'"{text}"'
-        return ",".join([f'"{f}"' if "," in f else f for f in text.split(_SEP)])
-
-    return fields
-
-
-def _text_cells(specs: Sequence[str]) -> Callable[[Sequence[Cell]], Tuple[str, ...]]:
-    """A function giving the texts `format_cell` gives cells under `specs`,
-    written by one format string (`_template`); cell by cell for every row
-    if there is no template, else for a row whose cells fail to format or
-    hold the separator."""
-
-    def by_cell(cells: Sequence[Cell]) -> Tuple[str, ...]:
-        return tuple(map(format_cell, cells, specs))
-
-    template = _template(specs)
-    if template is None:
-        return by_cell
-    count = len(specs)
-
-    def texts(cells: Sequence[Cell]) -> Tuple[str, ...]:
-        try:
-            text = template.format(*cells)
-        except (ValueError, TypeError):  # a string under a number spec, or a bad cell
-            return by_cell(cells)
-        parts = text.split(_SEP)
-        # A tuple: a list from `split` keeps room for a dozen entries.
-        return tuple(parts) if len(parts) == count else by_cell(cells)
-
+def _side(parts: Sequence[Sequence], columns: range, column: Callable) -> List[List[str]]:
+    """The texts `column(c, cells)` gives each column of `parts`, numbered
+    by `columns`, over their entries: a part's `itertools.repeat` is
+    formatted once, its one text standing for each entry. Cells past the
+    table's columns are dropped."""
+    texts = []
+    for at, c in zip(range(len(parts[0]) if parts else 0), columns):
+        out: List[str] = []
+        for part in parts:
+            if type(part[at]) is repeat:
+                out += column(c, (next(part[at]),)) * len(part[0])
+            else:
+                out += column(c, part[at])
+        texts.append(out)
     return texts
+
+
+def _cell_texts(specs: Sequence[str]) -> Tuple[Callable, Callable]:
+    """`column(c, cells)` and `cell(c, value)` for `_formatted`, giving the
+    texts of `format_cell`, with one `format` pass over a column whose spec
+    formats no string."""
+    forms = [format_cell if spec and _takes_strings(spec) else format for spec in specs]
+
+    def column(c: int, cells: Sequence[Cell]) -> List[str]:
+        return list(map(forms[c], cells, repeat(specs[c])))
+
+    return column, lambda c, value: format_cell(value, specs[c])
+
+
+def _formatted(table: Table, column: Callable, cell: Callable
+               ) -> Iterator[Tuple[Block, List, List]]:
+    """Each block of `table`, with the texts of its own and of its shared
+    columns over their entries: `column(c, cells)` gives those of column
+    `c`, and where that fails, `cell(c, value)` gives each cell's."""
+    count = len(table.columns)
+
+    def one_by_one(c: int, cells: Sequence[Cell]) -> List[str]:
+        return [cell(c, value) for value in cells]
+
+    for block in table.rows.produce():
+        split = min(len(block.own[0]) if block.own else 0, count)
+        own_columns, shared_columns = range(split), range(split, count)
+        try:
+            own = _side(block.own, own_columns, column)
+            shared = _side(block.shared, shared_columns, column)
+        except (ValueError, TypeError, ArithmeticError):
+            # Row by row, own cells first: the first failing cell raises.
+            for own_cells, shared_cells in block.rows():
+                list(map(cell, own_columns, own_cells))
+                list(map(cell, shared_columns, shared_cells))
+            own = _side(block.own, own_columns, one_by_one)
+            shared = _side(block.shared, shared_columns, one_by_one)
+        yield block, own, shared
+
+
+def _lines(block: Block, own: Sequence, shared: Sequence, sep: str) -> Iterable[str]:
+    """Each row's text, in row order: the texts of its own entry's columns
+    and then of its shared entry's (`own`, `shared`: one per column, over
+    the entries), joined by `sep`."""
+    sides = [map(list(map(sep.join, zip(*columns))).__getitem__, at)
+             for columns, at in ((own, block.own_at), (shared, block.shared_at)) if columns]
+    return map(sep.join, zip(*sides)) if sides else repeat("", len(block.own_at))
+
+
+# What the csv module quotes a field for.
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_quoted(texts: List[str], lone: bool) -> List[str]:
+    """One column's texts as the csv module writes them as fields: quoted
+    where they hold a delimiter, quote, CR or LF, and with `lone`, where
+    each is its row's only field, also where empty."""
+    joined = "".join(texts)
+    if _QUOTED.search(joined) is None and not (lone and "" in texts):
+        return texts
+    if '"' not in joined and all(map(str.__contains__, texts, repeat(","))):
+        return list(map('"{}"'.format, texts))  # a sweep's row names all hold commas
+    return ['"' + text.replace('"', '""') + '"' if _QUOTED.search(text) or lone and not text
+            else text for text in texts]
 
 
 def render_csv(table: Table) -> str:
     """Csv emission; notes become leading '#' comment lines.
 
     The bytes are those of `csv.writer` writing each row whole, the cells
-    formatted by `format_cell`. A row is written as two parts: its own
-    cells, and its shared cells, written once per shared tuple.
+    formatted by `format_cell`.
     """
-    import csv
-
+    specs = [c.spec for c in table.columns]
+    lone = len(specs) == 1  # a row of one empty field is written ""
     buf = io.StringIO()
     for note in table.notes:
         buf.write(f"# {note}\r\n")
-    csv.writer(buf).writerow([c.key for c in table.columns])
-    specs = [c.spec for c in table.columns]
-    split, rows = _split(table)
-    head, tail = _csv_fields(specs[:split]), _csv_fields(specs[split:])
-    joint = "," if 0 < split < len(specs) else ""
-    lone = len(specs) == 1  # a row of one empty field is written ""
-    write = buf.write
-    last = None
-    for cells, shared in rows:
-        line = head(cells)  # before the shared cells, so a failing row fails as written
-        if shared is not last:
-            last, end = shared, joint + tail(shared) + "\r\n"
-        line += end
-        write('""\r\n' if lone and line == "\r\n" else line)
+    buf.write(",".join(_csv_quoted([c.key for c in table.columns], lone)) + "\r\n")
+    for block, own, shared in _formatted(table, *_cell_texts(specs)):
+        rows = _lines(block, list(map(_csv_quoted, own, repeat(lone))),
+                      list(map(_csv_quoted, shared, repeat(lone))), ",")
+        buf.write("\r\n".join(rows) + "\r\n")
     return buf.getvalue()
 
 
@@ -287,28 +308,31 @@ def render_json(table: Table) -> str:
 
     The bytes are `json.dumps(doc, indent=2) + "\\n"` of the document
     {"table", "columns", "rows", "notes"}, with each row the dict of its
-    column keys and `_json_cell` values; the rows are written one by one.
+    column keys and `_json_cell` values.
     """
     specs = [c.spec for c in table.columns]
-    split, rows = _split(table)
     prefixes = ["\n      " + _json_string(c.key) + ": " for c in table.columns]
-    own, rest = prefixes[:split], prefixes[split:]
+
+    def column(c: int, cells: Sequence[Cell]) -> List[str]:
+        try:
+            texts = list(map(_json_string, cells))  # strings, in one pass
+        except TypeError:  # a cell that is no string
+            texts = list(map(_json_literal, cells, repeat(specs[c])))
+        return list(map(prefixes[c].__add__, texts))
+
+    def cell(c: int, value: Cell) -> str:
+        return prefixes[c] + _json_literal(value, specs[c])
+
     buf = io.StringIO()
     buf.write('{\n  "table": ' + _json_string(table.name))
     buf.write(',\n  "columns": ' + _json_nested(
         [{"key": c.key, "title": c.title} for c in table.columns]))
     buf.write(',\n  "rows": [')
-    close = "\n    }" if prefixes else "}"  # json.dumps writes {} for an empty dict
+    # Each row between braces; json.dumps writes {} for an empty dict.
+    wrap = ("{{{}\n    }}" if prefixes else "{{{}}}").format
     separator = "\n    "
-    fields = _reusing(lambda v, at: at[0] + _json_literal(v, at[1]), list(zip(own, specs)))
-    last = None
-    for cells, shared in rows:
-        head = ",".join(fields(cells))  # own cells first, as csv and text format them
-        if shared is not last:
-            tail = ",".join([prefix + _json_literal(v, s)
-                             for prefix, v, s in zip(rest, shared, specs[split:])])
-            last, tail = shared, "," + tail if own and rest else tail
-        buf.write(separator + "{" + head + tail + close)
+    for block, own, shared in _formatted(table, column, cell):
+        buf.write(separator + ",\n    ".join(map(wrap, _lines(block, own, shared, ","))))
         separator = ",\n    "
     buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows
     buf.write(',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
@@ -318,41 +342,21 @@ def render_json(table: Table) -> str:
 def render_text(table: Table) -> str:
     """Fixed-width text rendering for terminals."""
     headers = [c.title for c in table.columns]
-    specs = [c.spec for c in table.columns]
-    split, rows = _split(table)
-    # Widths need every row first. One flat list holds, row after row, a
-    # row's own texts and then its shared texts: a tuple formatted once per
-    # shared tuple and held by reference. `distinct` holds each such tuple
-    # once, for the widths. No container per row is kept.
-    format_own, format_shared = _text_cells(specs[:split]), _text_cells(specs[split:])
-    stride = split + 1
-    held: List[Any] = []
-    distinct: List[Tuple[str, ...]] = []
-    last = None
-    for cells, shared in rows:
-        held += format_own(cells)
-        if shared is not last:
-            last, texts = shared, format_shared(shared)
-            distinct.append(texts)
-        held.append(texts)
-    heads = [max(map(len, itertools.chain((title,), itertools.islice(held, i, None, stride))))
-             for i, title in enumerate(headers[:split])]
-    rest = [max(map(len, itertools.chain((title,), map(itemgetter(i), distinct))))
-            for i, title in enumerate(headers[split:])]
-    widths = heads + rest
+    # Widths need every block first: each block's texts are held, a text
+    # standing for a repeated cell held once, until every width is known.
+    widths = list(map(len, headers))
+    held = list(_formatted(table, *_cell_texts([c.spec for c in table.columns])))
+    for _, own, shared in held:
+        widths = list(map(max, widths, [max(map(len, texts)) for texts in own + shared]))
     lines = [table.name]
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     lines.append("  ".join("-" * w for w in widths))
-    joint = "  " if heads and rest else ""
-    rjust = str.rjust
-    last = None
-    for row in zip(*[iter(held)] * stride):  # `stride` entries at a time
-        if row[-1] is not last:
-            last = row[-1]
-            tail = joint + "  ".join(map(rjust, last, rest))
-        # `map` ends with `heads`, before the row's shared texts.
-        lines.append(("  ".join(map(rjust, row, heads)) + tail).rstrip())
-    del held, distinct  # held in `lines` now; freed before the text is joined
+    held.reverse()
+    while held:  # each block's texts freed once its lines are built
+        block, own, shared = held.pop()
+        # Each column's texts as `map(str.rjust, texts, repeat(width))`.
+        padded = list(map(map, repeat(str.rjust), own + shared, map(repeat, widths)))
+        lines += map(str.rstrip, _lines(block, padded[:len(own)], padded[len(own):], "  "))
     for note in table.notes:
         lines.append(f"note: {note}")
     lines.append("")  # the final newline, without a copy of the whole text

@@ -15,6 +15,7 @@ and `bs_power` and `cran_power` are the same for one site.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -63,8 +64,10 @@ def fronthaul_w(capacity_bps: float) -> float:
     100 Gb/s link draws 7.4 kW."""
     p_max = FRONTHAUL_REF_W * capacity_bps / FRONTHAUL_REF_BPS
     # The load-proportional draw `p_max * load / capacity` at full load,
-    # kept as written: it can differ from `p_max` in the last bit.
-    return p_max * capacity_bps / capacity_bps
+    # kept as written: it can differ from `p_max` in the last bit. Past
+    # about 4.9e157 b/s, `p_max * capacity` leaves float range: `p_max`.
+    draw = p_max * capacity_bps / capacity_bps
+    return draw if math.isfinite(draw) else p_max
 
 
 class PowerBreakdown(NamedTuple):
@@ -145,6 +148,7 @@ def cran_power_columns(bbu_w: Sequence[float], antennas: Sequence[int],
     drawing `link_w`. Pool and sites pass through the default loss chain;
     links and `refrigeration_w` bypass it."""
     _check_non_negative(bbu_w, "bbu_w")
+    _check_non_negative(antennas, "antennas")
     if n_sites < 0:
         raise ValueError(f"n_sites must be non-negative, got {n_sites}")
     site_ru, site_pa = radio_columns(antennas)

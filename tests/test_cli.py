@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, sweeps, config handling, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -613,6 +614,19 @@ def test_a_fronthaul_capacity_that_is_not_positive_is_a_config_error(tmp_path, c
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == ("qaplan: config error: topology: fronthaul capacity must be positive, "
                    f"got {gbps * 1e9}\n")
+
+
+@pytest.mark.parametrize("command", ["power", "economics"])
+def test_a_fronthaul_capacity_of_1e150_gbps_prices_at_its_full_load_draw(
+        tmp_path, capsys, command):
+    # 1e150 Gb/s: the link's load-proportional draw once overflowed to inf W.
+    path = tmp_path / "fronthaul.json"
+    path.write_text(json.dumps({"topology": {"kind": "cran", "fronthaul_gbps": 1e150}}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, command, "--format", "csv", "--config", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    (row,) = read_csv(out).records()
+    assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
 
 
 @pytest.mark.parametrize("axis,value", [("antennas", 8), ("samples", 20),

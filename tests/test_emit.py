@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from qaplan.cli import _COMMANDS, _expand_points
 from qaplan.config import parse_config
 from qaplan.emit import (
+    Block,
     Column,
+    Rows,
     Table,
     _json_cell,
     _parse_number,
@@ -315,9 +318,9 @@ def csv_tables(draw):
 # A row whose own cell and shared cell both fail: the own cell's error.
 @example(Table("t", [Column("a", "A", "d"), Column("b", "B", "d")], [((1.5,), (2.5j,))]))
 def test_csv_fast_path_writes_what_the_csv_module_writes(table):
-    # `render_csv` formats each part with one format string and quotes a
-    # field by hand, and `render_text` formats each part with one format
-    # string; the references format every cell through `format_cell` and
+    # `render_csv` formats each column in one pass and quotes its fields by
+    # hand, and `render_text` formats each column in one pass; the
+    # references format every cell through `format_cell` and
     # write every row whole, csv through the csv module. A cell its spec
     # cannot format fails the json rendering as it fails `_reference_json`.
     try:
@@ -337,6 +340,97 @@ def _json_failure(table):
     with pytest.raises((ValueError, TypeError)) as raised:
         _reference_json(table)
     return raised.value
+
+
+def _parts(draw, entries, width):
+    """`entries`, each `width` cells, as columns over parts cut at random
+    places; past a part's first column, a column whose cells are one
+    object may be an `itertools.repeat` of it."""
+    if not width:
+        return [[]]
+    cuts = sorted(draw(st.sets(st.integers(1, len(entries) - 1)))) if len(entries) > 1 else []
+    parts = []
+    for start, end in zip([0, *cuts], [*cuts, len(entries)]):
+        part = [list(column) for column in zip(*entries[start:end])]
+        parts.append([itertools.repeat(cells[0]) if at and draw(st.booleans())
+                      and all(cell is cells[0] for cell in cells) else cells
+                      for at, cells in enumerate(part)])
+    return parts
+
+
+def _shuffled(draw, entries):
+    """`entries` in a random order, and where each one went."""
+    order = draw(st.permutations(range(len(entries))))
+    return [entries[i] for i in order], {i: at for at, i in enumerate(order)}
+
+
+@st.composite
+def cut_tables(draw):
+    # A random table, as one flat block and cut into random blocks: one-row
+    # blocks, entries in any order over several parts, repeated cells as
+    # `itertools.repeat`, and shared entries that rows far apart reuse.
+    specs = draw(st.lists(st.sampled_from(_CSV_SPECS), max_size=5))
+    columns = [Column(f"c{i}", f"C{i}", spec) for i, spec in enumerate(specs)]
+    split = draw(st.integers(min_value=0, max_value=len(columns)))
+    count = draw(st.integers(min_value=1, max_value=8))
+    # Own columns of few objects, as the cli's cells of one sample count.
+    few = [draw(st.lists(_CSV_CELLS, min_size=1, max_size=2)) if draw(st.booleans()) else None
+           for _ in range(split)]
+    pool = [tuple(draw(_CSV_CELLS) for _ in columns[split:])
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    rows = [(tuple(draw(st.sampled_from(few[c]) if few[c] else _CSV_CELLS) for c in range(split)),
+             draw(st.sampled_from(pool))) for _ in range(count)]
+    cuts = sorted(draw(st.sets(st.integers(1, count - 1)))) if count > 1 else []
+    blocks = []
+    for start, end in zip([0, *cuts], [*cuts, count]):
+        chunk = rows[start:end]
+        own, own_at = _shuffled(draw, [cells for cells, _ in chunk])
+        distinct = list({id(shared): shared for _, shared in chunk}.values())
+        shared, where = _shuffled(draw, distinct)
+        at = {id(entry): where[i] for i, entry in enumerate(distinct)}
+        blocks.append(Block(_parts(draw, own, split), _parts(draw, shared, len(columns) - split),
+                            [own_at[i] for i in range(len(chunk))],
+                            [at[id(shared)] for _, shared in chunk]))
+    notes = draw(st.lists(_CSV_TEXT, max_size=2))
+    return (Table("t", columns, Rows(blocks.__iter__, count), notes),
+            Table("t", columns, rows, notes))
+
+
+def _cut(columns, blocks, notes=()):
+    """A table of `blocks`, and the same rows given as a list."""
+    rows = Rows(blocks.__iter__, sum(len(block.own_at) for block in blocks))
+    return Table("t", columns, rows, notes), Table("t", columns, list(rows), notes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_tables(), st.sampled_from(sorted(_REFERENCES)))
+# A repeated cell stands for each entry of its own part, not the first's.
+@example(_cut([Column("a", "A"), Column("b", "B", "d")],
+              [Block([[["p"], [1]], [["q", "r"], itertools.repeat(2)]], [[]], [0, 1, 2],
+                     [0, 0, 0])]), "table")
+# A column whose every cell holds a comma, and one a quote.
+@example(_cut([Column("a", "A"), Column("b", "B")],
+              [Block([[["a,b", 'c,"d']]], [[[1, 2]]], [0, 1], [0, 1])]), "csv")
+# The first failing row fails at its own cell, then its shared cell.
+@example(_cut([Column("a", "A", "d"), Column("b", "B", "d")],
+              [Block([[["x"]]], [[["y"]]], [0], [0]), Block([[[1.5]]], [[[2.5j]]], [0], [0])]),
+         "csv")
+def test_blocks_render_as_their_flat_rows(tables, fmt):
+    # Cells that csv quotes, strings under number specs, specs that format
+    # strings, and cells their spec cannot format: any cut of a table into
+    # blocks renders the bytes of its rows as one block, or fails with the
+    # same error.
+    cut, flat = tables
+    assert list(cut.rows) == list(flat.rows)
+    try:
+        want = _REFERENCES[fmt](flat)
+    except (ValueError, TypeError) as exc:  # the first cell, in row order, that fails
+        for table in (cut, flat):
+            with pytest.raises(type(exc)) as raised:
+                render(table, fmt)
+            assert str(raised.value) == str(exc)
+    else:
+        assert render(cut, fmt) == render(flat, fmt) == want
 
 
 _AXES = {"bandwidth_mhz": [20.0, 100.0, 400.0], "antennas": [8, 64],

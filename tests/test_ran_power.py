@@ -1,13 +1,16 @@
 """Site power roll-ups: radio chains, supply losses, fronthaul."""
 
 import copy
+import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qaplan.ran_power import (
     DEFAULT_LOSSES,
+    FRONTHAUL_REF_BPS,
+    FRONTHAUL_REF_W,
     PA_W,
     RU_CHAIN_W,
     PowerBreakdown,
@@ -60,6 +63,17 @@ def test_fronthaul_reference_point():
     assert fronthaul_w(100e9) == pytest.approx(7400.0)
 
 
+@given(st.floats(min_value=1e-3, max_value=1e300))
+@example(1e159)  # past about 4.9e157 b/s, `p_max * capacity` overflows
+def test_a_fronthaul_link_draws_what_the_load_proportional_formula_gives(capacity_bps):
+    # `p_max * load / capacity` at full load, bit for bit, wherever its
+    # product stays in float range; its full-load draw past that.
+    p_max = FRONTHAUL_REF_W * capacity_bps / FRONTHAUL_REF_BPS
+    old = p_max * capacity_bps / capacity_bps
+    assert fronthaul_w(capacity_bps) == (old if math.isfinite(old) else p_max)
+    assert math.isfinite(fronthaul_w(capacity_bps))
+
+
 def test_cran_sums_remote_sites():
     site = dict(antennas=3, site_bbu_w=0.0, link_w=LINK)
     pool = cran_power(bbu_w=1000.0, **site, n_sites=2)
@@ -74,6 +88,12 @@ def test_cran_sums_remote_sites():
 def test_negative_site_count_rejected():
     with pytest.raises(ValueError, match="n_sites must be non-negative"):
         cran_power(bbu_w=100.0, antennas=1, site_bbu_w=0.0, link_w=LINK, n_sites=-1)
+
+
+def test_negative_antenna_count_rejected():
+    # As `bs_power` refuses it; the cli refuses antennas below 1 before.
+    with pytest.raises(ValueError, match="^antennas must be non-negative, got -4$"):
+        cran_power(0.0, -4, 0.0, 0.0, 1)
 
 
 def test_remote_silicon_shows_up_in_bbu_total():
