@@ -28,16 +28,21 @@ warnings of the rows before. A block's warnings precede the formatting of
 its cells, none of which fails. The rendered text is held whole and
 written only once the call has succeeded, so a failing call prints
 nothing on stdout and creates no `--out` file.
+
+A plain command line, a subcommand and then whole `--flag value` pairs, is
+read by `_plain_args` into what argparse would return; argparse is
+imported only for any other form, so it alone writes help and usage
+errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
 import sys
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+import types
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .cmos import CmosProfile
 from .config import _INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
@@ -48,6 +53,9 @@ from .qubit_budget import MODELED_LOAD_FRACTION, budget_columns, problem_runtime
 from .timeline import BEST_CASE, WORST_CASE, year_available
 from .workload import SCENARIO_FIELDS, BbuTask, CellScenario, left_sums, task_tops
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DOMAIN = 2
@@ -55,25 +63,22 @@ EXIT_WARNINGS = 3
 
 # The names of `tables.PAPER_TABLES`, which is imported only when one is asked for.
 PAPER_TABLE_NAMES = ("costsavings", "energy", "powerbenefit", "qubits-time", "readout", "targets")
-
-
-class _Parser(argparse.ArgumentParser):
-    # Usage mistakes are config problems; keep them on exit code 1.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+# Every subcommand's flags, each with its choices, or None where any value goes.
+_FLAGS = {"--config": None, "--format": ("csv", "json", "table"), "--out": None,
+          "--sweep": None, "--paper-table": PAPER_TABLE_NAMES}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="json config file (default: $QAPLAN_CONFIG or built-ins)")
-    parser.add_argument("--format", choices=("csv", "json", "table"),
+    parser.add_argument("--format", choices=_FLAGS["--format"],
                         default="table", help="output format (default: table)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
     parser.add_argument("--sweep", action="append", default=[], metavar="AXIS=V1,V2,...",
                         help="sweep an axis over values; repeatable; overrides "
                              f"config sweep; axes: {', '.join(SWEEP_AXES)}")
-    parser.add_argument("--paper-table", choices=PAPER_TABLE_NAMES,
+    parser.add_argument("--paper-table", choices=_FLAGS["--paper-table"],
                         help="emit a reference report instead of evaluating "
                              "the configured scenarios")
 
@@ -82,6 +87,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The command-line parser. Every subcommand is listed, but only
     `command` takes the flags, or with None every subcommand: a call
     parses one subcommand, so building the others' flags is wasted."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # Usage mistakes are config problems; keep them on exit code 1.
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="qaplan",
         description="Feasibility planner for annealer-offloaded baseband processing",
@@ -98,6 +110,27 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         if command in (None, name):
             _add_common_flags(subparser)
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[types.SimpleNamespace]:
+    """What `build_parser().parse_args(argv)` returns, where `argv` is a
+    subcommand and then `FLAG VALUE` pairs: each flag whole, each value not
+    empty, no option (no leading "-") and one of the flag's choices. Any
+    other command line gives None, for argparse to parse, or to answer with
+    its help or usage error."""
+    if len(argv) % 2 != 1 or argv[0] not in _COMMANDS:
+        return None
+    args = {"command": argv[0], "config": None, "format": "table", "out": None, "sweep": [],
+            "paper_table": None}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in _FLAGS or not value or value[0] == "-" or value not in (
+                _FLAGS[flag] or (value,)):
+            return None
+        if flag == "--sweep":
+            args["sweep"].append(value)
+        else:  # the last value wins
+            args[flag[2:].replace("-", "_")] = value
+    return types.SimpleNamespace(**args)
 
 
 def _count(text: str) -> float:
@@ -206,14 +239,24 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> L
               not (problem({}, v) if a == "samples" else problem({a: v}))) for v in sweep[a]]
             for a in axes]
     if not all(ok for values in grid for _, _, ok in values):
-        for combo in itertools.product(*grid):
-            if not all(ok for _, _, ok in combo):
-                point = dict(zip(axes, combo))
-                samples = point.pop("samples", None)
-                labels = [label for _, label, _ in point.values()] + (
-                    [samples[1]] if samples else [])
-                why = problem({a: v for a, (v, _, _) in point.items()}, samples and samples[0])
-                warnings.extend([f"skipping sweep point {base_name}[{','.join(labels)}]: {why}"])
+        # Each check reads one field, so a point's reason is that of its
+        # failing values alone, worded once per combination of them. The
+        # combination is keyed by the values' places on their axes: nan is
+        # not equal to itself, and 0.0 and -0.0 are equal but print apart.
+        reasons: Dict[Tuple[int, ...], Any] = {}
+        name_order = sorted(range(len(axes)), key=lambda j: axes[j] == "samples")  # samples last
+        skipped = []
+        for combo in itertools.product(*map(enumerate, grid)):
+            failing = tuple([-1 if ok else at for at, (_, _, ok) in combo])
+            if failing.count(-1) == len(axes):
+                continue
+            if failing not in reasons:
+                bad = {a: v for a, (_, (v, _, ok)) in zip(axes, combo) if not ok}
+                samples = bad.pop("samples", None)
+                reasons[failing] = problem(bad, samples)
+            labels = ",".join([combo[j][1][1] for j in name_order])
+            skipped.append(f"skipping sweep point {base_name}[{labels}]: {reasons[failing]}")
+        warnings.extend(skipped)
     ok = {a: [(v, label) for v, label, good in values if good] for a, values in zip(axes, grid)}
     count = math.prod(map(len, ok.values()))
     if not count:
@@ -513,10 +556,12 @@ class _Warnings:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The subcommand is the first argument that is no option, since the
-    # top level's only option, --help, takes no value.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        # The subcommand is the first argument that is no option, since the
+        # top level's only option, --help, takes no value.
+        command = next((arg for arg in argv if not arg.startswith("-")), None)
+        args = build_parser(command).parse_args(argv)
     # Warnings come first on stderr, also on failure: they may say why it failed.
     warnings = _Warnings()
     try:

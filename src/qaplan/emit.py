@@ -29,7 +29,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import re
 from itertools import repeat
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence,
                     Tuple, Union)
@@ -267,8 +266,10 @@ def _lines(block: Block, own: Sequence, shared: Sequence, sep: str) -> Iterable[
     return map(sep.join, zip(*sides)) if sides else repeat("", len(block.own_at))
 
 
-# What the csv module quotes a field for.
-_QUOTED = re.compile('[,"\r\n]')
+def _quoted(text: str) -> bool:
+    """Whether the csv module quotes a field of `text`: where it holds a
+    delimiter, quote, CR or LF."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def _csv_quoted(texts: List[str], lone: bool) -> List[str]:
@@ -276,11 +277,11 @@ def _csv_quoted(texts: List[str], lone: bool) -> List[str]:
     where they hold a delimiter, quote, CR or LF, and with `lone`, where
     each is its row's only field, also where empty."""
     joined = "".join(texts)
-    if _QUOTED.search(joined) is None and not (lone and "" in texts):
+    if not _quoted(joined) and not (lone and "" in texts):
         return texts
     if '"' not in joined and all(map(str.__contains__, texts, repeat(","))):
-        return list(map('"{}"'.format, texts))  # a sweep's row names all hold commas
-    return ['"' + text.replace('"', '""') + '"' if _QUOTED.search(text) or lone and not text
+        return ['"' + text + '"' for text in texts]  # a sweep's row names all hold commas
+    return ['"' + text.replace('"', '""') + '"' if _quoted(text) or lone and not text
             else text for text in texts]
 
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, sweeps, config handling, exit codes."""
 
+import itertools
 import json
 import math
 import os
@@ -8,13 +9,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qaplan
+import qaplan.cli
 from qaplan.cli import (_COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
-                        _expand_points, build_parser, cmd_timeline, main)
-from qaplan.config import ENV_CONFIG_PATH, default_config
+                        _expand_points, _plain_args, build_parser, cmd_timeline, main)
+from qaplan.config import ENV_CONFIG_PATH, SWEEP_AXES, default_config
 from qaplan.emit import read_csv, read_json
 from qaplan.tables import PAPER_TABLES
+from qaplan.workload import CellScenario
 from test_cli_golden import CRAN_CONFIG
 
 
@@ -191,6 +195,61 @@ def test_timeline_row_at_reference_point():
     assert row["year_worst"] > row["year_best"]
     assert row["advantage_14nm_w"] == pytest.approx(3584.0 / 0.076 * 1.3 - 25e3,
                                                     rel=1e-9)
+
+
+def _skip_lines_per_point(cfg, sweep):
+    """The skip warnings as wording each skipped point on its own gives
+    them: one `CellScenario` of all the point's values, then its samples."""
+    base_name, base = cfg.scenarios[0]
+    axes = [a for a in SWEEP_AXES if a in sweep]
+    lines = []
+    for combo in itertools.product(*[sweep[a] for a in axes]):
+        point = dict(zip(axes, combo))
+        samples = point.pop("samples", cfg.samples)
+        try:
+            CellScenario(**{**base._asdict(), **point})
+            why = f"samples must be a positive integer, got {samples}" if samples < 1 else None
+        except ValueError as exc:
+            why = exc
+        if why is not None:
+            labels = [f"{a}={qaplan.cli._label(v)}" for a, v in point.items()]
+            labels += [f"samples={samples}"] if "samples" in sweep else []
+            lines.append(f"qaplan: warning: skipping sweep point {base_name}[{','.join(labels)}]: "
+                         f"{why}\n")
+    return lines
+
+
+def test_skip_reasons_are_worded_once_per_combination_of_failing_values(monkeypatch, capsys):
+    # -0.0 and 0.0 are equal but print apart, nan is not equal to itself,
+    # and a failing value on a second axis and a failing sample count mix
+    # with them; every modulation is valid, so it only multiplies points.
+    flags = {"bandwidth_mhz": "-0.0,0.0,nan,20", "antennas": "0,4", "samples": "0,1",
+             "modulation_bits": "2,4,6"}
+    sweep = {a: [(int if a != "bandwidth_mhz" else float)(v) for v in values.split(",")]
+             for a, values in flags.items()}
+    want = _skip_lines_per_point(default_config(), sweep)
+    assert len(want) == 45
+    assert want[0] == ("qaplan: warning: skipping sweep point 5g-400mhz-64ant[bandwidth_mhz=-0,"
+                       "antennas=0,modulation_bits=2,samples=0]: bandwidth must be positive, "
+                       "got -0.0\n")
+    built = []
+
+    def counted(**fields):
+        built.append(fields)
+        return CellScenario(**fields)
+
+    monkeypatch.setattr(qaplan.cli, "CellScenario", counted)
+    argv = ["economics", "--format", "csv"]
+    for axis, values in flags.items():
+        argv += ["--sweep", f"{axis}={values}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_WARNINGS, "".join(want))
+    assert len(read_csv(out).records()) == 3 * len(default_config().cmos_profiles)
+    # One check per swept value, then one per failing combination: 3
+    # failing bandwidths or none, times 2 states of antennas and of samples,
+    # less the combination where nothing fails.
+    checks = sum(len(values) for values in sweep.values())
+    assert len(built) <= checks + 4 * 2 * 2 - 1
 
 
 _SKIP_NAN = ("qaplan: warning: skipping sweep point 5g-400mhz-64ant[bandwidth_mhz={}]: "
@@ -726,6 +785,88 @@ def test_help_and_usage_errors_are_those_of_the_whole_parser(monkeypatch, capsys
     assert got == _exits(capsys, build_parser().parse_args, argv)
     if sys.version_info[:2] == (3, 11):  # other versions word some messages apart
         assert got == USAGE[argv]
+
+
+_PLAIN_WORDS = [*_COMMANDS, "--config", "--format", "--out", "--sweep", "--paper-table",
+                "--conf", "--form", "--o", "--swee", "--paper", "-h", "--help", "--", "-", "",
+                "--format=csv", "--sweep=antennas=8", "csv", "json", "table", "xml", "energy",
+                "readout", "cfg.json", "antennas=8,16", "samples=1", "-5", "out.csv"]
+
+
+@st.composite
+def _command_lines(draw):
+    """Mostly a subcommand and flag-value pairs, some of them plain; the
+    rest any words."""
+    words = st.sampled_from(_PLAIN_WORDS)
+    values = words | st.sampled_from(["csv", "json", "table", "energy", "cfg.json", "samples=1"])
+    head = draw(st.lists(words, max_size=2) | st.sampled_from([[c] for c in _COMMANDS]))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(list(qaplan.cli._FLAGS)), values),
+                          max_size=4))
+    tail = draw(st.just([]) | st.lists(words, max_size=1))
+    return head + [w for pair in pairs for w in pair] + tail
+
+
+def _workload_argv(command, fmt, config, axes):
+    argv = [command, "--format", fmt, "--out", "/x/o.out"] + (
+        ["--config", config] if config else [])
+    return argv + [f for a, values in axes for f in ("--sweep", f"{a}={values}")]
+
+
+_WORKLOAD_ARGVS = [
+    _workload_argv("economics", "csv", "", [("bandwidth_mhz", "10,20,1000"),
+                                           ("antennas", "1,2,100"), ("samples", "1,20,50")]),
+    *[_workload_argv(command, "table", "/x/perfbench/cran3.json",
+                     [("bandwidth_mhz", "20,40"), ("antennas", "8,16"), ("modulation_bits", "2,4")])
+      for command in _COMMANDS],
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+@example(["targets", "--format", "csv", "--out", "p.csv"])
+@example(["power", "--sweep", "antennas=8", "--sweep", "samples=1", "--out", "a", "--out", "b"])
+@example(["qubits", "--paper-table", "readout", "--format", "json", "--format", "csv"])
+def test_a_plain_command_line_parses_as_argparse_parses_it(argv):
+    args = _plain_args(argv)
+    if args is not None:  # else argparse parses it, or words its usage error
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", _WORKLOAD_ARGVS, ids=lambda argv: argv[0])
+def test_every_benchmark_call_is_a_plain_command_line(argv):
+    assert vars(_plain_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_an_abbreviated_flag_falls_back_to_argparse(capsys):
+    assert _plain_args(["targets", "--form", "csv"]) is None
+    got = run(capsys, "targets", "--form", "csv")
+    assert got[0] == EXIT_OK
+    assert got == run(capsys, "targets", "--format", "csv")
+
+
+def test_an_equals_form_with_a_bad_choice_falls_back_to_argparse(capsys):
+    argv = ["power", "--format=xml"]
+    assert _plain_args(argv) is None
+    got = _exits(capsys, main, argv)
+    assert got == _exits(capsys, build_parser().parse_args, argv)
+    assert got[:2] == (EXIT_CONFIG, "")
+    assert got[2].startswith("qaplan power: error: argument --format: invalid choice: 'xml'")
+
+
+def test_a_plain_call_loads_no_argparse(tmp_path):
+    # -S keeps site hooks from loading modules the check is about.
+    script = ("import sys, qaplan.cli as c\n"
+              "loaded = lambda: [m for m in ('argparse', 'gettext', 'locale')\n"
+              "                  if m in sys.modules]\n"
+              "c.main(['targets', '--format', 'csv', '--out', sys.argv[1]])\n"
+              "print(loaded())\n"
+              "c.main(['targets', '--form', 'csv', '--out', sys.argv[1]])\n"
+              "print('argparse' in loaded())\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qaplan.__file__)))
+    env.pop(ENV_CONFIG_PATH, None)
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(tmp_path / "p.csv")],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue\n", "")
 
 
 _OVER = ("5g-400mhz-64ant[bandwidth_mhz=1000,antennas={ant},modulation_bits={bits}]{node}: "
