@@ -9,7 +9,7 @@ warnings (warnings go to stderr, before the problem line of a failure).
 Every subcommand is a list of columns over one row loop, `_table`: its
 own cells and its shared cells, as columns over a block of consecutive
 scenarios (`_expand_points`, up to `BLOCK` of them as columns of their
-fields). Each model stage is one pass of a model column function over a
+fields). Each model stage is one call of a model column function over a
 block (`_Stages`), and the problem runtime runs once per sample count per
 call. A block goes to the renderer as columns (`emit.Block`): the own
 columns of each sample count, names first, the shared columns of each
@@ -46,11 +46,11 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
 
 from .cmos import CmosProfile
 from .config import _INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
-from .economics import advantage_columns, cost_columns, deployment_columns, savings_w
+from .economics import advantage_columns, cost_columns, deployment_columns
 from .emit import Block, Column, Lazy, Rows, Table, render
 from .qa_hardware import refrigerator_qubit_capacity
 from .qubit_budget import MODELED_LOAD_FRACTION, budget_columns, problem_runtime, rate_columns
-from .timeline import BEST_CASE, WORST_CASE, year_available
+from .timeline import BEST_CASE, WORST_CASE, YearTable
 from .workload import SCENARIO_FIELDS, BbuTask, CellScenario, left_sums, task_tops
 
 if TYPE_CHECKING:
@@ -200,6 +200,29 @@ class _Block(NamedTuple):
                     yield k, i
 
 
+def _skipped_points(grid: Sequence[Sequence[Tuple[Any, str, bool]]]
+                    ) -> Iterator[Tuple[Tuple[int, Tuple[Any, str, bool]], ...]]:
+    """The grid points that hold a failing value, in grid order (the last
+    axis fastest), each as its `(place, (value, label, valid))` on each
+    axis of `grid`. Past a prefix of valid values, the walk enters only
+    the axes where a failing value is still to come."""
+    # Whether an axis from each one on holds a failing value.
+    fails_on = [any(not ok for _, _, ok in values) for values in grid] + [False]
+    for j in range(len(grid) - 1, -1, -1):
+        fails_on[j] = fails_on[j] or fails_on[j + 1]
+
+    def walk(j: int, prefix: Tuple) -> Iterator[Tuple]:
+        # `prefix` holds valid values only: a failing one must follow.
+        for item in enumerate(grid[j]):
+            if not item[1][2]:  # every point after this value fails
+                for rest in itertools.product(*map(enumerate, grid[j + 1:])):
+                    yield (*prefix, item, *rest)
+            elif fails_on[j + 1]:
+                yield from walk(j + 1, (*prefix, item))
+
+    return walk(0, ())
+
+
 def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> Lazy:
     """Evaluation points: the configured scenarios, or with a sweep the
     grid anchored on the first configured scenario, which replaces them.
@@ -246,10 +269,8 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> L
         reasons: Dict[Tuple[int, ...], Any] = {}
         name_order = sorted(range(len(axes)), key=lambda j: axes[j] == "samples")  # samples last
         skipped = []
-        for combo in itertools.product(*map(enumerate, grid)):
+        for combo in _skipped_points(grid):
             failing = tuple([-1 if ok else at for at, (_, _, ok) in combo])
-            if failing.count(-1) == len(axes):
-                continue
             if failing not in reasons:
                 bad = {a: v for a, (_, (v, _, ok)) in zip(axes, combo) if not ok}
                 samples = bad.pop("samples", None)
@@ -270,21 +291,28 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> L
         samples, labels, inner = [cfg.samples], ["]"], []
     outer = [a for a in scenario_axes if a not in inner]
     at = [SCENARIO_FIELDS.index(a) for a in outer + inner]
-    inner_combos = list(itertools.product(*[ok[a] for a in inner]))
+
+    def axes_product(names: List[str]) -> Iterator[Tuple[Tuple, Tuple[str, ...]]]:
+        """Each combination of the valid values of `names`, and their labels."""
+        return zip(itertools.product(*[[v for v, _ in ok[a]] for a in names]),
+                   itertools.product(*[[label for _, label in ok[a]] for a in names]))
+
+    inner_values, inner_labels = zip(*axes_product(inner))
+    tails = [("," if outer and inner else "") + ",".join(names) for names in inner_labels]
 
     def swept() -> Iterator[_Block]:
-        outer_combos = itertools.product(*[ok[a] for a in outer])
+        outer_combos = axes_product(outer)
         while True:
-            chunk = list(itertools.islice(outer_combos, max(1, BLOCK // len(inner_combos))))
+            chunk = list(itertools.islice(outer_combos, max(1, BLOCK // len(tails))))
             if not chunk:
                 return
-            combos = [o + i for o in chunk for i in inner_combos]
+            combos = [o + i for o, _ in chunk for i in inner_values]
             fields = [[value] * len(combos) for value in base_fields.values()]
-            for j, field in enumerate(at):
-                fields[field] = [combo[j][0] for combo in combos]
-            prefixes = [f"{base_name}[{','.join([label for _, label in combo])}"
-                        for combo in combos]
-            yield _Block(tuple(fields), prefixes, len(inner_combos), samples, labels)
+            for field, column in zip(at, zip(*combos)):
+                fields[field] = list(column)
+            heads = [f"{base_name}[{','.join(names)}" for _, names in chunk]
+            prefixes = [head + tail for head in heads for tail in tails]
+            yield _Block(tuple(fields), prefixes, len(tails), samples, labels)
 
     return Lazy(swept, count)
 
@@ -328,17 +356,19 @@ class _Stages:
                                            self._modulation)
             fdnl, fec, total = budget_columns(tops[_FD_NL], self._rates[0], tops[_FEC],
                                               self._rates[1], runtime)
-            scale, capacity = self.scale, self.capacity
-            over = [r if (r := t * scale) > capacity else None for t in total]
+            # Counts are whole: `t * scale > capacity` where `t > capacity // scale`.
+            limit, scale = self.capacity // self.scale, self.scale
+            over = ([t * scale if t > limit else None for t in total] if max(total) > limit
+                    else [None] * len(total))
             self._budgets[samples] = fdnl, fec, total, over
         return self._budgets[samples]
 
     def deployments(self, cmos: CmosProfile) -> Tuple[List[float], ...]:
         """Both candidates' `PowerBreakdown` columns and totals, then the saving."""
         cfg = self.cfg
-        cmos_w, qa_w = deployment_columns(self.tops, self.antennas, cmos, cfg.qa_profile,
-                                          cfg.topology)
-        return (*cmos_w, *qa_w, savings_w(cmos_w[-1], qa_w[-1]))
+        cmos_w, qa_w, savings = deployment_columns(self.tops, self.antennas, cmos,
+                                                   cfg.qa_profile, cfg.topology)
+        return (*cmos_w, *qa_w, savings)
 
 
 def _rows_apart(block: _Block, node_groups: Sequence[Sequence[CmosProfile]]
@@ -507,11 +537,12 @@ def cmd_timeline(cfg: RunConfig, points: Lazy, warnings) -> Table:
                *[Column(f"advantage_{p.node}_w", f"Advantage vs {p.node} (W)", ".1f")
                  for p in cfg.cmos_profiles]]
 
+    best, worst = YearTable(BEST_CASE), YearTable(WORST_CASE)
+
     def own(stages: _Stages, samples: int) -> Columns:
         total = stages.budget(samples)[2]
         return (stages.bandwidth, stages.antennas, itertools.repeat(samples), total,
-                [year_available(BEST_CASE, t) for t in total],
-                [year_available(WORST_CASE, t) for t in total])
+                best.years(total), worst.years(total))
 
     def shared(stages: _Stages) -> Columns:
         return [advantage_columns(stages.tops, cmos, cfg.qa_profile)

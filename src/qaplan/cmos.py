@@ -10,7 +10,7 @@ significant figures (`round_sig`).
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .record import Checked
 
@@ -97,15 +97,8 @@ BUILTIN_CMOS = {
 }
 
 
-def cmos_power_column(tops: Sequence[float], profile: CmosProfile) -> List[float]:
-    """Watts to sustain each of `tops` on the given node, leakage included."""
-    negative = [value for value in tops if value < 0]
-    if negative:
-        raise ValueError(f"tops must be non-negative, got {negative[0]}")
-    efficiency, static = profile.efficiency_tops_per_w, 1.0 + profile.leakage_fraction
-    return [value / efficiency * static for value in tops]
-
-
 def cmos_power(tops: float, profile: CmosProfile) -> float:
-    """`cmos_power_column` of one compute demand."""
-    return cmos_power_column([tops], profile)[0]
+    """Watts to sustain `tops` on the given node, leakage included."""
+    if tops < 0:
+        raise ValueError(f"tops must be non-negative, got {tops}")
+    return tops / profile.efficiency_tops_per_w * (1.0 + profile.leakage_fraction)

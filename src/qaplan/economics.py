@@ -9,47 +9,47 @@ both candidates.
 The deployments depend on the scenario alone, and the qubit budget also
 on the sample count. Each model step is a column function over workloads
 (`deployment_columns`, `cost_columns`, `advantage_columns`); `compare`,
-`cost_report` and `offload_advantage_w` are the same for one cell. Each
-task's silicon watts are taken once per workload and node, shared by
-both candidates, which sum them in task order from 0 (`left_sums`). A
-centralized radio site, with its fronthaul link at full load, is the same
-for both candidates; they differ only in pool silicon and refrigeration,
-and each site total is the site count times one site's value.
+`cost_report` and `offload_advantage_w` are the same for one cell.
+`deployment_columns` prices a block of workloads in one loop, one entry
+per iteration: each task's silicon watts (`cmos_power`), taken once and
+shared by both candidates, which sum them in task order from 0
+(`workload.left_sum`), then each candidate's `bs_power` or `cran_power`,
+in their float order, and the saving. A centralized radio site, with its
+fronthaul link at full load, is the same for both candidates; they differ
+only in pool silicon and refrigeration, and each site total is the site
+count times one site's value.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, filterfalse
-from operator import sub
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
-from .cmos import CmosProfile, cmos_power_column
+from .cmos import CmosProfile
 from .qa_hardware import QaProfile
 from .qubit_budget import QubitBudget, total_budget
 from .ran_power import (
-    Breakdowns,
+    _CRAN_OVERHEAD,
+    PA_W,
+    RU_CHAIN_W,
     PowerBreakdown,
-    _breakdown,
-    bs_power_columns,
-    cran_power_columns,
+    _check_non_negative,
     fronthaul_w,
 )
 from .record import Checked
-from .workload import BbuTask, CellScenario, left_sums, workload
+from .workload import BbuTask, CellScenario, workload
 
 # Tasks that stay on silicon (control and transport) and those an annealer
 # can take over, each in task order, which fixes the order watts are summed
 # in. A standalone station runs `_ALL_TASKS` on all-silicon baseband and
-# `SILICON_RESIDENT_TASKS` beside the annealer.
+# `SILICON_RESIDENT_TASKS` beside the annealer. A centralized deployment
+# pins low-L1 processing (FFT) at every radio site in both candidates; the
+# all-silicon pool runs the other tasks and the annealer's pool
+# `SILICON_RESIDENT_TASKS`, as a standalone station does.
 SILICON_RESIDENT_TASKS = (BbuTask.CPRI, BbuTask.PCP)
 OFFLOADABLE_TASKS = tuple(t for t in BbuTask if t not in SILICON_RESIDENT_TASKS)
 _ALL_TASKS = tuple(BbuTask)
-# Low-L1 processing pinned at every centralized radio site in both
-# candidates, and what the all-silicon pool keeps. The annealer's pool keeps
-# `SILICON_RESIDENT_TASKS`, as a standalone station does.
-_SITE_TASKS = (BbuTask.FFT,)
-_CRAN_CMOS = tuple(t for t in _ALL_TASKS if t not in _SITE_TASKS)
 
 HOURS_PER_YEAR = 8760.0
 LB_PER_METRIC_KILOTON = 2_204_622.6
@@ -96,24 +96,6 @@ class CranTopology(Checked, _CranTopology):
 Topology = Union[BsTopology, CranTopology]
 
 
-def _sums_at(watts: Sequence[List[float]], at: Sequence[int]) -> List[float]:
-    """`left_sum` of the watts columns at positions `at`, in that order."""
-    return left_sums([watts[i] for i in at], len(watts[0]))
-
-
-# Positions in `_ALL_TASKS` of each task list the candidates sum.
-_ALL_AT = tuple(range(len(_ALL_TASKS)))
-_RESIDENT_AT = tuple(map(_ALL_TASKS.index, SILICON_RESIDENT_TASKS))
-_SITE_AT = tuple(map(_ALL_TASKS.index, _SITE_TASKS))
-_CRAN_CMOS_AT = tuple(map(_ALL_TASKS.index, _CRAN_CMOS))
-_OFFLOADABLE_AT = tuple(map(_ALL_TASKS.index, OFFLOADABLE_TASKS))
-
-
-def savings_w(cmos_total_w: Sequence[float], qa_total_w: Sequence[float]) -> List[float]:
-    """Power saved by the annealer candidate (negative = it loses)."""
-    return list(map(sub, cmos_total_w, qa_total_w))
-
-
 class ComparisonResult(NamedTuple):
     """Both deployment candidates for one scenario, plus the qubit ask."""
 
@@ -123,34 +105,96 @@ class ComparisonResult(NamedTuple):
 
     @property
     def delta_w(self) -> float:
-        """`savings_w` of the two candidates."""
-        return savings_w([self.cmos.total_w], [self.qa.total_w])[0]
+        """Power saved by the annealer candidate (negative = it loses)."""
+        return self.cmos.total_w - self.qa.total_w
+
+
+# The fields of a `PowerBreakdown` as columns, one entry per deployment,
+# then their `total_w`: one candidate's part of `deployment_columns`.
+Breakdowns = Tuple[List[float], ...]
 
 
 def deployment_columns(tops: Sequence[Sequence[float]], antennas: Sequence[int],
                        cmos_profile: CmosProfile, qa_profile: QaProfile,
-                       topology: Topology = BsTopology()) -> Tuple[Breakdowns, Breakdowns]:
+                       topology: Topology = BsTopology()
+                       ) -> Tuple[Breakdowns, Breakdowns, List[float]]:
     """The all-silicon and the annealer candidates' breakdowns for each
-    workload, given as one TOPS column per task in task order."""
-    # Every task's silicon watts, in task order, shared by both candidates.
-    watts = [cmos_power_column(column, cmos_profile) for column in tops]
-    fridge_w = qa_profile.refrigeration_w
-    if isinstance(topology, BsTopology):
-        cmos = bs_power_columns(_sums_at(watts, _ALL_AT), antennas)
-        qa = bs_power_columns(_sums_at(watts, _RESIDENT_AT), antennas, refrigeration_w=fridge_w)
-    elif isinstance(topology, CranTopology):  # one radio site, shared by both
-        n, link_w = topology.n_bs, fronthaul_w(topology.fronthaul_capacity_bps)
-        site = (antennas, _sums_at(watts, _SITE_AT), link_w, n)
-        cmos = cran_power_columns([w * n for w in _sums_at(watts, _CRAN_CMOS_AT)], *site)
-        qa = cran_power_columns([w * n for w in _sums_at(watts, _RESIDENT_AT)], *site,
-                                refrigeration_w=fridge_w)
-    else:
+    workload, given as one TOPS column per task in task order, and the
+    power the annealer candidate saves (negative = it loses).
+
+    One loop prices each workload. Its values are those of `cmos_power`
+    for each task, `left_sum` of the tasks each part runs, in task order,
+    and `bs_power` or `cran_power` of each candidate, bit for bit.
+    """
+    for column in tops:
+        _check_non_negative(column, "tops")
+    bs = isinstance(topology, BsTopology)
+    if not bs and not isinstance(topology, CranTopology):
         raise ValueError(f"unknown topology {topology!r}")
-    # Every component is non-negative, so finite totals mean finite parts.
-    total = next(filterfalse(math.isfinite, chain.from_iterable(zip(cmos[-1], qa[-1]))), None)
-    if total is not None:
-        raise ValueError(f"deployment power overflows: {total} W")
-    return cmos, qa
+    # The bbu_w and n_sites checks of the scalar models cannot fail here:
+    # the TOPS are non-negative, and a topology has at least one site.
+    _check_non_negative(antennas, "antennas")
+    efficiency, static = cmos_profile.efficiency_tops_per_w, 1.0 + cmos_profile.leakage_fraction
+    fridge = qa_profile.refrigeration_w
+    ru_w, pa_w, overhead = RU_CHAIN_W, PA_W, _CRAN_OVERHEAD
+    # An int times or plus a float is the float of the int times or plus
+    # it, so counts are floats and sums start from 0.0 here, which keeps
+    # the loop on float arithmetic. A total is at least 0.0 from its first
+    # part on, so adding a part that is 0.0 leaves it as it is: the totals
+    # skip the all-silicon refrigeration and a base station's fronthaul.
+    entries = []
+    add = entries.append
+    # Task order: DPD, Filter, FFT, FD(lin), FD(nonlin), FEC, CPRI, PCP.
+    if bs:  # `bs_power` of each candidate's silicon
+        for dpd, filt, fft, lin, nonlin, fec, cpri, pcp, n in zip(*tops, map(float, antennas)):
+            cpri_w, pcp_w = cpri / efficiency * static, pcp / efficiency * static
+            cmos_bbu = (0.0 + dpd / efficiency * static + filt / efficiency * static
+                        + fft / efficiency * static + lin / efficiency * static
+                        + nonlin / efficiency * static + fec / efficiency * static
+                        + cpri_w + pcp_w)
+            qa_bbu = 0.0 + cpri_w + pcp_w
+            ru, pa = n * ru_w, n * pa_w
+            cmos_overhead = (cmos_bbu + ru + pa) * overhead
+            qa_overhead = (qa_bbu + ru + pa) * overhead
+            cmos_total = cmos_bbu + ru + pa + cmos_overhead
+            qa_total = qa_bbu + ru + pa + qa_overhead + fridge
+            add((cmos_bbu, ru, pa, cmos_overhead, cmos_total, qa_bbu, qa_overhead, qa_total,
+                 cmos_total - qa_total))
+        link = 0.0
+    else:  # `cran_power` of each candidate's pool, with the sites both share
+        n_sites = float(topology.n_bs)
+        link = n_sites * fronthaul_w(topology.fronthaul_capacity_bps)
+        for dpd, filt, fft, lin, nonlin, fec, cpri, pcp, n in zip(*tops, map(float, antennas)):
+            cpri_w, pcp_w = cpri / efficiency * static, pcp / efficiency * static
+            cmos_pool = (0.0 + dpd / efficiency * static + filt / efficiency * static
+                         + lin / efficiency * static + nonlin / efficiency * static
+                         + fec / efficiency * static + cpri_w + pcp_w) * n_sites
+            qa_pool = (0.0 + cpri_w + pcp_w) * n_sites
+            site_bbu = 0.0 + fft / efficiency * static
+            site_ru, site_pa = n * ru_w, n * pa_w
+            site_overhead = n_sites * ((site_ru + site_pa + site_bbu) * overhead)
+            site_bbu *= n_sites
+            ru, pa = n_sites * site_ru, n_sites * site_pa
+            cmos_bbu, qa_bbu = cmos_pool + site_bbu, qa_pool + site_bbu
+            cmos_overhead = cmos_pool * overhead + site_overhead
+            qa_overhead = qa_pool * overhead + site_overhead
+            cmos_total = cmos_bbu + ru + pa + cmos_overhead + link
+            qa_total = qa_bbu + ru + pa + qa_overhead + link + fridge
+            add((cmos_bbu, ru, pa, cmos_overhead, cmos_total, qa_bbu, qa_overhead, qa_total,
+                 cmos_total - qa_total))
+    count = len(entries)
+    cmos_bbu, ru, pa, cmos_overhead, cmos_total, qa_bbu, qa_overhead, qa_total, savings = (
+        map(list, zip(*entries)) if entries else [[]] * 9)
+    # Every component is non-negative, so a saving is finite where both
+    # totals are, and finite totals mean finite parts.
+    if not all(map(math.isfinite, savings)):
+        total = next(filterfalse(math.isfinite, chain.from_iterable(zip(cmos_total, qa_total))),
+                     None)
+        if total is not None:
+            raise ValueError(f"deployment power overflows: {total} W")
+    links = [link] * count
+    return ((cmos_bbu, ru, pa, cmos_overhead, links, [0.0] * count, cmos_total),
+            (qa_bbu, ru, pa, qa_overhead, links, [fridge] * count, qa_total), savings)
 
 
 def compare(
@@ -163,11 +207,12 @@ def compare(
     """Power both candidates for one scenario and size the annealer: one
     cell's qubit budget scaled to the deployment's n_bs cells."""
     load = workload(scenario)
-    cmos, qa = deployment_columns([[load.tops[t]] for t in _ALL_TASKS],
-                                  [load.scenario.antennas], cmos_profile, qa_profile, topology)
+    cmos, qa, _ = deployment_columns([[load.tops[t]] for t in _ALL_TASKS],
+                                     [load.scenario.antennas], cmos_profile, qa_profile, topology)
     per_bs, n_bs = total_budget(load, qa_profile, samples), topology.n_bs
     budget = QubitBudget({t: n * n_bs for t, n in per_bs.per_task.items()}, per_bs.total * n_bs)
-    return ComparisonResult(_breakdown(cmos), _breakdown(qa), budget)
+    return ComparisonResult(*[PowerBreakdown(*[column[0] for column in side[:6]])
+                              for side in (cmos, qa)], budget)
 
 
 class _CostAssumptions(NamedTuple):
@@ -247,10 +292,18 @@ def offload_advantage_w(
 def advantage_columns(tops: Sequence[Sequence[float]], cmos_profile: CmosProfile,
                       qa_profile: QaProfile) -> List[float]:
     """`offload_advantage_w` for each workload, given as one TOPS column per
-    task in task order."""
-    silicon_w = cmos_power_column(_sums_at(tops, _OFFLOADABLE_AT), cmos_profile)
-    value = next(filterfalse(math.isfinite, silicon_w), None)
+    task in task order: `cmos_power` of the `left_sum` of its offloadable
+    tasks' TOPS, less the refrigeration."""
+    # The offloadable tasks are the first six: DPD to FEC.
+    offloaded = [0 + dpd + filt + fft + lin + nonlin + fec
+                 for dpd, filt, fft, lin, nonlin, fec in zip(*tops[:6])]
+    _check_non_negative(offloaded, "tops")
+    efficiency, static = cmos_profile.efficiency_tops_per_w, 1.0 + cmos_profile.leakage_fraction
+    fridge = qa_profile.refrigeration_w
+    advantage = [value / efficiency * static - fridge for value in offloaded]
+    # The silicon watts are non-negative and the refrigeration finite, so an
+    # advantage is finite where the silicon is, and reads as it does if not.
+    value = next(filterfalse(math.isfinite, advantage), None)
     if value is not None:
         raise ValueError(f"offloadable silicon power overflows: {value} W")
-    return [w - qa_profile.refrigeration_w for w in silicon_w]
-
+    return advantage

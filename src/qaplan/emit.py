@@ -12,9 +12,11 @@ and then a shared entry, which the rows of one cli scenario (and node)
 share; every row of a table splits at the same column. Renderers read
 the blocks once, in order, so they may be a stream.
 
-Each column of a block is formatted with one `map` of `format`, a repeated
-cell once, and the block's lines are built with `map` and `join` over its
-index lists: no Python code runs per row. A column whose spec would format
+Each column of a block is formatted with one `map`, a repeated cell once,
+and the block's lines are built with `map` and `join` over its index
+lists: no Python code runs per row. A column of floats or of ints maps
+`float.__format__` or `int.__format__`, which refuses a cell of any other
+type, and that column then maps `format`. A column whose spec would format
 a string, which `format_cell` writes as it is, goes through `format_cell`.
 A block with a column that fails to format is formatted again row by row,
 own cells first, so the first failing cell raises and a string under a
@@ -205,27 +207,41 @@ def _takes_strings(spec: str) -> bool:
 def _side(parts: Sequence[Sequence], columns: range, column: Callable) -> List[List[str]]:
     """The texts `column(c, cells)` gives each column of `parts`, numbered
     by `columns`, over their entries: a part's `itertools.repeat` is
-    formatted once, its one text standing for each entry. Cells past the
-    table's columns are dropped."""
+    formatted once, its one text standing for each entry, and a sequence
+    that several parts hold in one column once. Cells past the table's
+    columns are dropped."""
     texts = []
     for at, c in zip(range(len(parts[0]) if parts else 0), columns):
         out: List[str] = []
+        done: Dict[int, List[str]] = {}  # by the `id` of each sequence, held by `parts`
         for part in parts:
-            if type(part[at]) is repeat:
-                out += column(c, (next(part[at]),)) * len(part[0])
+            cells = part[at]
+            if type(cells) is repeat:
+                out += column(c, (next(cells),)) * len(part[0])
             else:
-                out += column(c, part[at])
+                if id(cells) not in done:
+                    done[id(cells)] = column(c, cells)
+                out += done[id(cells)]
         texts.append(out)
     return texts
 
 
 def _cell_texts(specs: Sequence[str]) -> Tuple[Callable, Callable]:
     """`column(c, cells)` and `cell(c, value)` for `_formatted`, giving the
-    texts of `format_cell`, with one `format` pass over a column whose spec
-    formats no string."""
+    texts of `format_cell`, with one pass over a column: of its first
+    cell's type's `__format__` where that is exactly float or int, which
+    raises TypeError for a cell of any other type (a bool, a str, an int
+    among floats); else of `format`, or of `format_cell` where the spec
+    would format a string."""
     forms = [format_cell if spec and _takes_strings(spec) else format for spec in specs]
 
     def column(c: int, cells: Sequence[Cell]) -> List[str]:
+        kind = type(cells[0]) if cells else None
+        if kind is float or kind is int:
+            try:
+                return list(map(kind.__format__, cells, repeat(specs[c])))
+            except TypeError:
+                pass
         return list(map(forms[c], cells, repeat(specs[c])))
 
     return column, lambda c, value: format_cell(value, specs[c])

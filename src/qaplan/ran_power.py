@@ -8,16 +8,16 @@ A centralized deployment is priced from one pool, a count of like radio
 sites, each given by its antenna count and silicon, and the watts of one
 site's fronthaul link at full load (`fronthaul_w`); pool and sites share
 the default loss chain. A `PowerBreakdown` is a named tuple of the
-components whose grid total sums them in field order. The power models
-are column functions over sites (`bs_power_columns`, `cran_power_columns`),
-and `bs_power` and `cran_power` are the same for one site.
+components whose grid total sums them in field order. `bs_power` and
+`cran_power` price one site or deployment; `economics.deployment_columns`
+prices a block of them in one loop, in the same float order.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence
 
 from .record import Checked
 
@@ -88,82 +88,45 @@ class PowerBreakdown(NamedTuple):
     @property
     def total_w(self) -> float:
         """The grid draw: the components summed in field order."""
-        return _grid_totals(*([part] for part in self))[0]
-
-
-# The fields of a `PowerBreakdown` as columns, one entry per site or
-# deployment, then their `total_w`: what the column functions below return.
-Breakdowns = Tuple[List[float], ...]
-
-
-def _grid_totals(*components: Sequence[float]) -> List[float]:
-    """Each breakdown's grid draw: its six components summed in field order."""
-    return [bbu + ru + pa + ps + fh + fridge for bbu, ru, pa, ps, fh, fridge in zip(*components)]
+        bbu, ru, pa, power_system, fronthaul, refrigeration = self
+        return bbu + ru + pa + power_system + fronthaul + refrigeration
 
 
 def _check_non_negative(values: Sequence[float], name: str) -> None:
-    negative = [value for value in values if value < 0]
-    if negative:
-        raise ValueError(f"{name} must be non-negative, got {negative[0]}")
-
-
-def radio_columns(antennas: Sequence[int]) -> Tuple[List[float], List[float]]:
-    """Radio-unit and amplifier watts of each antenna count."""
-    return [n * RU_CHAIN_W for n in antennas], [n * PA_W for n in antennas]
-
-
-def bs_power_columns(bbu_w: Sequence[float], antennas: Sequence[int],
-                     losses: PowerSystemLosses = DEFAULT_LOSSES,
-                     refrigeration_w: float = 0.0) -> Breakdowns:
-    """Grid power of base stations, one per baseband silicon draw and
-    antenna count: one transceiver chain and one PA per antenna. Anything
-    in `refrigeration_w` is added after the supply losses."""
-    _check_non_negative(bbu_w, "bbu_w")
-    _check_non_negative(antennas, "antennas")
-    ru, pa = radio_columns(antennas)
-    factor = losses.supply_factor - 1.0
-    overhead = [(bbu + r + p) * factor for bbu, r, p in zip(bbu_w, ru, pa)]
-    fronthaul, fridge = [0.0] * len(ru), [refrigeration_w] * len(ru)
-    return (bbu_w, ru, pa, overhead, fronthaul, fridge,
-            _grid_totals(bbu_w, ru, pa, overhead, fronthaul, fridge))
-
-
-def _breakdown(columns: Breakdowns) -> PowerBreakdown:
-    """The one breakdown of single-entry columns."""
-    return PowerBreakdown(*[column[0] for column in columns[:6]])
+    """Refuse the first negative of `values`, naming it `name`."""
+    # `min` is below 0 or nan wherever a value is negative: it can miss one
+    # only after a leading nan, which it returns.
+    if values and not min(values) >= 0:
+        negative = [value for value in values if value < 0]
+        if negative:
+            raise ValueError(f"{name} must be non-negative, got {negative[0]}")
 
 
 def bs_power(bbu_w: float, antennas: int, losses: PowerSystemLosses = DEFAULT_LOSSES,
              refrigeration_w: float = 0.0) -> PowerBreakdown:
-    """`bs_power_columns` of one base station."""
-    return _breakdown(bs_power_columns([bbu_w], [antennas], losses, refrigeration_w))
-
-
-def cran_power_columns(bbu_w: Sequence[float], antennas: Sequence[int],
-                       site_bbu_w: Sequence[float], link_w: float, n_sites: int,
-                       refrigeration_w: float = 0.0) -> Breakdowns:
-    """Grid power of centralized deployments: per entry a pool drawing
-    `bbu_w` and `n_sites` like radio sites, each with one transceiver chain
-    and one PA per antenna, `site_bbu_w` of silicon and a fronthaul link
-    drawing `link_w`. Pool and sites pass through the default loss chain;
-    links and `refrigeration_w` bypass it."""
-    _check_non_negative(bbu_w, "bbu_w")
-    _check_non_negative(antennas, "antennas")
-    if n_sites < 0:
-        raise ValueError(f"n_sites must be non-negative, got {n_sites}")
-    site_ru, site_pa = radio_columns(antennas)
-    site_overhead = [(r + p + b) * _CRAN_OVERHEAD for r, p, b in zip(site_ru, site_pa, site_bbu_w)]
-    bbu = [pool + n_sites * site for pool, site in zip(bbu_w, site_bbu_w)]
-    ru = [n_sites * site for site in site_ru]
-    pa = [n_sites * site for site in site_pa]
-    overhead = [pool * _CRAN_OVERHEAD + n_sites * site for pool, site in zip(bbu_w, site_overhead)]
-    links = [n_sites * link_w] * len(bbu)
-    fridge = [refrigeration_w] * len(bbu)
-    return bbu, ru, pa, overhead, links, fridge, _grid_totals(bbu, ru, pa, overhead, links, fridge)
+    """Grid power of a base station drawing `bbu_w` of baseband silicon,
+    with one transceiver chain and one PA per antenna. Anything in
+    `refrigeration_w` is added after the supply losses."""
+    _check_non_negative([bbu_w], "bbu_w")
+    _check_non_negative([antennas], "antennas")
+    ru, pa = antennas * RU_CHAIN_W, antennas * PA_W
+    overhead = (bbu_w + ru + pa) * (losses.supply_factor - 1.0)
+    return PowerBreakdown(bbu_w, ru, pa, overhead, 0.0, refrigeration_w)
 
 
 def cran_power(bbu_w: float, antennas: int, site_bbu_w: float, link_w: float, n_sites: int,
                refrigeration_w: float = 0.0) -> PowerBreakdown:
-    """`cran_power_columns` of one pool and its `n_sites` sites."""
-    return _breakdown(cran_power_columns([bbu_w], [antennas], [site_bbu_w], link_w, n_sites,
-                                         refrigeration_w))
+    """Grid power of a centralized deployment: a pool drawing `bbu_w` and
+    `n_sites` like radio sites, each with one transceiver chain and one PA
+    per antenna, `site_bbu_w` of silicon and a fronthaul link drawing
+    `link_w`. Pool and sites pass through the default loss chain; links
+    and `refrigeration_w` bypass it."""
+    _check_non_negative([bbu_w], "bbu_w")
+    _check_non_negative([antennas], "antennas")
+    if n_sites < 0:
+        raise ValueError(f"n_sites must be non-negative, got {n_sites}")
+    site_ru, site_pa = antennas * RU_CHAIN_W, antennas * PA_W
+    site_overhead = (site_ru + site_pa + site_bbu_w) * _CRAN_OVERHEAD
+    return PowerBreakdown(bbu_w + n_sites * site_bbu_w, n_sites * site_ru, n_sites * site_pa,
+                          bbu_w * _CRAN_OVERHEAD + n_sites * site_overhead, n_sites * link_w,
+                          refrigeration_w)

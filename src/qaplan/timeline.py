@@ -1,13 +1,17 @@
 """Device-size growth trends and feasibility milestones.
 
 Extrapolates annealer qubit counts from the shipped-hardware record and
-finds the first year a trend supplies a required qubit count.
+finds the first year a trend supplies a required qubit count:
+`year_available` for one count, `YearTable.years` for a column of them,
+looked up in a table of each year's `qubits_at`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from bisect import bisect_left
+from itertools import repeat
+from typing import List, Mapping, NamedTuple, Sequence
 
 from .record import Checked
 
@@ -87,3 +91,33 @@ def year_available(trend: GrowthTrend, required_qubits: int) -> int:
     while year > trend.anchor_year and qubits_at(trend, year - 1) >= required_qubits:
         year -= 1
     return year
+
+
+# Counts past this go to `year_available`: far below it, `qubits_at` is
+# finite at every year its closed form tries.
+LOOKUP_LIMIT = 10 ** 300
+
+
+class YearTable:
+    """`year_available` of one trend, looked up in its `qubits_at` of the
+    anchor year and of each year after, which it extends as counts need;
+    no year's size is below the year before's."""
+
+    def __init__(self, trend: GrowthTrend) -> None:
+        self.trend, self.sizes = trend, [qubits_at(trend, trend.anchor_year)]
+
+    def years(self, required_qubits: Sequence[int]) -> List[int]:
+        """`year_available` of each count: the first year whose size is
+        at least it. A column holding a count below 1 or past
+        `LOOKUP_LIMIT` is taken by `year_available`, count by count, and
+        raises as it does."""
+        trend, sizes = self.trend, self.sizes
+        if not required_qubits:
+            return []
+        top = max(required_qubits)
+        if not (min(required_qubits) >= 1 and top <= LOOKUP_LIMIT):
+            return [year_available(trend, count) for count in required_qubits]
+        while sizes[-1] < top:
+            sizes.append(qubits_at(trend, trend.anchor_year + len(sizes)))
+        return list(map(trend.anchor_year.__add__, map(bisect_left, repeat(sizes),
+                                                       required_qubits)))

@@ -4,14 +4,21 @@ Computes per-task compute targets (TOPS) for a cell configuration by
 scaling a measured reference operating point along six axes: bandwidth,
 modulation order, coding rate, antenna count, and time/frequency duty
 cycles. Each baseband task has its own scaling exponents.
+
+`task_tops` takes a block of scenarios as one column per axis. An axis
+whose column is one object, as for every axis a sweep leaves alone, is
+folded: its ratio and powers are taken once, and a power of exactly 1.0
+is skipped. The other axes are taken in one pass per ratio, power and
+product, in the order of `scale_task`, which it equals bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import add, mul
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from itertools import repeat
+from operator import add, is_, mul, truediv
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .record import Checked
 
@@ -241,26 +248,54 @@ def _powers(ratios: List[float], power: int) -> List[float]:
         return [_power(ratio, power) for ratio in ratios]
 
 
+def _fixed(column: Sequence[float]) -> bool:
+    """Whether every entry of `column` is one object: one value, of one
+    type and sign, which the other entries cannot tell apart from it."""
+    return bool(column) and all(map(is_, column, repeat(column[0])))
+
+
 def task_tops(*scenario_columns: Sequence[float]) -> Tuple[List[float], ...]:
     """Per task, in task order, the TOPS of each scenario given as one
     column per `SCENARIO_FIELDS` entry; each equals `scale_task`.
 
+    A column whose entries are one object, such as an axis a sweep leaves
+    alone, is folded: its ratio and each power of it are taken once, a
+    power of exactly 1.0 is skipped (a product times 1.0 is unchanged),
+    and the others multiply in at their place in `_scaled`'s order. Only
+    the other columns are taken entry by entry.
+
     Raises for the first scenario whose total is past float range.
     """
-    ratios = [[value / ref for value in column]
+    count = len(scenario_columns[0])
+    ratios = [column[0] / ref if _fixed(column) else list(map(truediv, column, repeat(ref)))
               for column, ref in zip(scenario_columns, REFERENCE_SCENARIO)]
-    powered: Dict[Tuple[int, int], List[float]] = {}
+    powered: Dict[Tuple[int, int], Any] = {}
     tops = []
     for result, factors in _TASK_FACTORS:
-        column = [result] * len(ratios[0])
+        column = None  # while None, every entry's product is `result`
         for factor in factors:  # the order of `_scaled`
             if factor not in powered:
-                powered[factor] = _powers(ratios[factor[0]], factor[1])
-            column = list(map(mul, column, powered[factor]))
-        tops.append(column)
+                axis, power = factor
+                ratio = ratios[axis]
+                powered[factor] = (_powers(ratio, power) if type(ratio) is list
+                                   else _power(ratio, power))
+            value = powered[factor]
+            if type(value) is not list:  # a folded column's
+                if value == 1.0:
+                    continue
+                if column is None:
+                    result *= value
+                    continue
+                value = repeat(value)
+            column = list(map(mul, repeat(result) if column is None else column, value))
+        tops.append([result] * count if column is None else column)
     # Non-negative TOPS sum to inf at worst; a power past range (inf) times
-    # an underflowed product (0.0) gives nan.
-    if not all(map(math.isfinite, left_sums(tops, len(ratios[0])))):
+    # an underflowed product (0.0) gives nan. Non-negative TOPS whose grand
+    # total is finite and far from the end of float range (so no nan, no
+    # inf) sum within range for every scenario, which leaves the sums of
+    # each scenario to be taken only otherwise.
+    screened = not count or sum(map(sum, tops)) < 1e300 and min(map(min, tops)) >= 0
+    if not screened and not all(map(math.isfinite, left_sums(tops, count))):
         raise ValueError(f"compute targets overflow: {math.inf} TOPS")
     return tuple(tops)
 

@@ -15,7 +15,7 @@ import qaplan
 import qaplan.cli
 from qaplan.cli import (_COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_WARNINGS,
                         _expand_points, _plain_args, build_parser, cmd_timeline, main)
-from qaplan.config import ENV_CONFIG_PATH, SWEEP_AXES, default_config
+from qaplan.config import ENV_CONFIG_PATH, SWEEP_AXES, ConfigError, default_config
 from qaplan.emit import read_csv, read_json
 from qaplan.tables import PAPER_TABLES
 from qaplan.workload import CellScenario
@@ -250,6 +250,41 @@ def test_skip_reasons_are_worded_once_per_combination_of_failing_values(monkeypa
     # less the combination where nothing fails.
     checks = sum(len(values) for values in sweep.values())
     assert len(built) <= checks + 4 * 2 * 2 - 1
+
+
+# Values of each sweep axis, valid and failing; a failing count on the
+# samples axis.
+_SWEEP_VALUES = {
+    "bandwidth_mhz": [20.0, 400.0, -5.0, 0.0, -0.0, float("nan")],
+    "antennas": [1, 64, 0, -3],
+    "samples": [1, 20, 0, -1],
+    "modulation_bits": [2, 6, 3],
+    "coding_rate": [0.5, 1.0, 1.5],
+    "duty_time": [0.3, 1.0, 0.0],
+    "duty_freq": [1.0, 2.0],
+}
+
+
+@st.composite
+def _sweeps(draw):
+    axes = draw(st.lists(st.sampled_from(sorted(_SWEEP_VALUES)), min_size=1, max_size=5,
+                         unique=True))
+    return {axis: draw(st.lists(st.sampled_from(_SWEEP_VALUES[axis]), min_size=1, max_size=4,
+                                unique_by=repr)) for axis in axes}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweeps())
+def test_skipped_points_are_those_of_a_walk_over_the_whole_grid(sweep):
+    # Only the points with a failing value are visited, in grid order; the
+    # warnings are those of wording every point of the grid on its own.
+    cfg = default_config()
+    warnings = []
+    try:
+        _expand_points(cfg, sweep, warnings)
+    except ConfigError as exc:
+        assert str(exc) == "sweep produced no valid points"
+    assert [f"qaplan: warning: {line}\n" for line in warnings] == _skip_lines_per_point(cfg, sweep)
 
 
 _SKIP_NAN = ("qaplan: warning: skipping sweep point 5g-400mhz-64ant[bandwidth_mhz={}]: "

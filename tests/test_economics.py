@@ -5,7 +5,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qaplan.cmos import BUILTIN_CMOS, CMOS_1_5NM, CMOS_14NM, CmosProfile, cmos_power
 from qaplan.economics import (
@@ -13,15 +13,17 @@ from qaplan.economics import (
     MAX_N_BS,
     OFFLOADABLE_TASKS,
     SILICON_RESIDENT_TASKS,
+    BsTopology,
     CostAssumptions,
     CranTopology,
     compare,
     cost_report,
+    deployment_columns,
     offload_advantage_w,
 )
 from qaplan.qa_hardware import QA_PROJECTED, refrigerator_qubit_capacity
-from qaplan.ran_power import bs_power
-from qaplan.workload import VALID_MODULATION_BITS, BbuTask, CellScenario, workload
+from qaplan.ran_power import PowerBreakdown, bs_power, cran_power, fronthaul_w
+from qaplan.workload import VALID_MODULATION_BITS, BbuTask, CellScenario, left_sum, workload
 
 SCENARIO_400_64 = CellScenario(400, 6, 0.5, 64)
 # Task lists in task order: what stays on silicon beside the annealer, the
@@ -259,3 +261,88 @@ def test_standalone_sides_are_bit_identical_to_a_sum_per_candidate(scenario, nod
         assert (*got, got.total_w) == (*want, want.total_w)
     assert sides.delta_w == want_cmos.total_w - want_qa.total_w
     assert math.isfinite(sides.delta_w)
+
+
+def _deployment_by_entry(tops, antennas, cmos, qa, topology):
+    """`deployment_columns` of one workload, composed of the scalar models:
+    each task's `cmos_power`, each part's `left_sum` in task order, then
+    `bs_power` or `cran_power` of each candidate, and the saving."""
+    watts = dict(zip(BbuTask, [cmos_power(value, cmos) for value in tops]))
+    fridge = qa.refrigeration_w
+    if isinstance(topology, CranTopology):
+        n, link = topology.n_bs, fronthaul_w(topology.fronthaul_capacity_bps)
+        site = left_sum(watts[t] for t in SITE)
+        sides = [cran_power(left_sum(watts[t] for t in POOL) * n, antennas, site, link, n),
+                 cran_power(left_sum(watts[t] for t in RESIDENT) * n, antennas, site, link, n,
+                            refrigeration_w=fridge)]
+    else:
+        sides = [bs_power(left_sum(watts[t] for t in BbuTask), antennas),
+                 bs_power(left_sum(watts[t] for t in RESIDENT), antennas, refrigeration_w=fridge)]
+    return [(*side, side.total_w) for side in sides], sides[0].total_w - sides[1].total_w
+
+
+_TINY = CmosProfile(node="tiny", efficiency_tops_per_w=1e-305)
+_TOPS = (st.floats(min_value=0.0, max_value=1e300) | st.just(-0.0)
+         | st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 4070.4]))
+_TOPOLOGIES = st.just(BsTopology()) | st.builds(
+    CranTopology, n_bs=st.integers(min_value=1, max_value=MAX_N_BS) | st.just(MAX_N_BS),
+    fronthaul_capacity_bps=st.floats(min_value=1.0, max_value=1e300))
+
+
+def _check_prices(entries, cmos, topology):
+    """`deployment_columns` of `entries`, (TOPS per task, antennas) each,
+    against `_deployment_by_entry` of each, by repr."""
+    tops = [list(column) for column in zip(*[t for t, _ in entries])]
+    antennas = [n for _, n in entries]
+    want = [_deployment_by_entry(t, n, cmos, QA_PROJECTED, topology) for t, n in entries]
+    # The first total past float range, all-silicon before annealer per entry.
+    overflow = next((total for sides, _ in want for *_, total in sides
+                     if not math.isfinite(total)), None)
+    if overflow is not None:
+        with pytest.raises(ValueError) as raised:
+            deployment_columns(tops, antennas, cmos, QA_PROJECTED, topology)
+        assert str(raised.value) == f"deployment power overflows: {overflow} W"
+        return
+    cmos_w, qa_w, savings = deployment_columns(tops, antennas, cmos, QA_PROJECTED, topology)
+    got = [([tuple(column[i] for column in side) for side in (cmos_w, qa_w)], savings[i])
+           for i in range(len(entries))]
+    assert repr(got) == repr([([tuple(side) for side in sides], saving)
+                              for sides, saving in want])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.tuples(*[_TOPS] * len(BbuTask)),
+                          st.integers(min_value=0, max_value=4096)), min_size=1, max_size=6),
+       st.sampled_from([*BUILTIN_CMOS.values(), _TINY]), _TOPOLOGIES)
+@example([((-0.0,) * len(BbuTask), 0)], CMOS_14NM, BsTopology())  # sums start from 0
+@example([((-0.0,) * len(BbuTask), 0)], CMOS_14NM, CranTopology())
+def test_one_loop_prices_each_entry_as_the_scalar_models_do(entries, cmos, topology):
+    _check_prices(entries, cmos, topology)
+
+
+def test_cli_workloads_price_as_the_scalar_models_do():
+    # Whole blocks of valid workloads, at site counts up to the bound.
+    scenarios = [CellScenario(b, m, 0.5, a) for b in (1.4, 20, 400, 1e6) for m in (2, 6)
+                 for a in (1, 64, 1024)]
+    entries = [(tuple(workload(s).tops[t] for t in BbuTask), s.antennas) for s in scenarios]
+    for topology in (BsTopology(), *map(CranTopology, (1, 3, 4, 999, MAX_N_BS))):
+        for cmos in (*BUILTIN_CMOS.values(), _TINY):
+            _check_prices(entries, cmos, topology)
+
+
+@pytest.mark.parametrize("tops,antennas,message", [
+    ([1.0, 2.0, -3.0, -4.0, 0.0, 0.0, 0.0, 0.0], 8, "tops must be non-negative, got -3.0"),
+    ([1.0] * 8, -2, "antennas must be non-negative, got -2"),
+    ([float("nan"), -1.0, 0, 0, 0, 0, 0, 0], 8, "tops must be non-negative, got -1.0"),
+    ([1e300] * 8, 8, "deployment power overflows: inf W"),
+    ([float("nan")] + [1.0] * 7, 8, "deployment power overflows: nan W"),
+])
+@pytest.mark.parametrize("topology", [BsTopology(), CranTopology(n_bs=MAX_N_BS)])
+def test_a_one_entry_block_raises_as_the_scalar_models_do(tops, antennas, message, topology):
+    with pytest.raises(ValueError) as raised:
+        deployment_columns([[value] for value in tops], [antennas], _TINY, QA_PROJECTED,
+                           topology)
+    assert str(raised.value) == message
+    if "overflows" not in message:  # the scalar models raise the same
+        with pytest.raises(ValueError, match=message):
+            _deployment_by_entry(tops, antennas, _TINY, QA_PROJECTED, topology)

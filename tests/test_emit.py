@@ -15,6 +15,7 @@ from qaplan.emit import (
     Column,
     Rows,
     Table,
+    _cell_texts,
     _json_cell,
     _parse_number,
     format_cell,
@@ -465,3 +466,42 @@ def test_cli_tables_render_as_their_flat_rows(command, fmt, doc, sweep):
     table = _COMMANDS[command](cfg, points, [])
     table.rows = list(table.rows)
     assert got == _REFERENCES[fmt](table)
+
+
+class _Float(float):
+    """A float subclass: formatted through `format`, as any type but
+    float and int is."""
+
+
+_MIXED = st.sampled_from([1.5, -0.0, 0.0, float("nan"), float("inf"), 7, -3, 10**30, True,
+                          False, "", "x,y", "12.5", _Float(2.5)]) | st.floats() | _INTS
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["", ".1f", ".3f", ".0f", "d", "g", ",", ">6", "s", ".2"]),
+       st.lists(_MIXED, min_size=1, max_size=6))
+@example(".1f", [1.5, 2])  # an int after a float
+@example("d", [2, True])  # a bool after an int
+@example("d", [2, 2.5])  # a float after an int
+@example(".1f", [-0.0, float("nan"), "text"])  # a str after floats
+@example("", [1.0, "text"])  # a spec that takes strings
+def test_typed_formatting_gives_the_texts_of_format_cell(spec, cells):
+    # A column is formatted in one pass, by its first cell's type's
+    # `__format__` where that is float or int; a pass that fails leaves
+    # the block to be formatted cell by cell, as `format_cell` does.
+    column, cell = _cell_texts([spec])
+    try:
+        want = [format_cell(value, spec) for value in cells]
+    except (ValueError, TypeError, ArithmeticError):
+        with pytest.raises((ValueError, TypeError, ArithmeticError)):
+            column(0, cells)
+        return
+    assert [cell(0, value) for value in cells] == want
+    try:
+        got = column(0, cells)
+    except (ValueError, TypeError, ArithmeticError):
+        # Formatted again cell by cell: a str under a spec for numbers,
+        # which `format_cell` writes as it is.
+        assert any(isinstance(value, str) for value in cells)
+    else:
+        assert got == want

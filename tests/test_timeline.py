@@ -1,14 +1,16 @@
 """Growth-trend extrapolation and availability milestones."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qaplan.timeline import (
     BEST_CASE,
     HISTORICAL_QUBITS,
+    LOOKUP_LIMIT,
     WORST_CASE,
     GrowthTrend,
     qubits_at,
+    YearTable,
     year_available,
 )
 
@@ -86,3 +88,34 @@ def test_year_available_is_tight(trend, required):
     assert qubits_at(trend, y) >= required
     if y > trend.anchor_year:
         assert qubits_at(trend, y - 1) < required
+
+
+def _outcome(call):
+    """What `call()` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# Counts from 1 to past 1e300, where `year_available` overflows; each
+# trend's sizes, and one qubit more, where the year turns.
+_COUNTS = (st.integers(1, 10**8) | st.integers(1, 10**310)
+           | st.sampled_from([1, 5436, 7440, LOOKUP_LIMIT, LOOKUP_LIMIT + 1, 10**308, 10**400])
+           | st.builds(lambda trend, years, more: qubits_at(trend, trend.anchor_year + years)
+                       + more, trends, st.integers(0, 2000), st.integers(0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trends, st.lists(_COUNTS | st.integers(-3, 0), min_size=1, max_size=5))
+@example(WORST_CASE, [LOOKUP_LIMIT])  # the longest table the lookup builds
+@example(BEST_CASE, [2, 18 * 10**307, 0])  # the first failing count raises
+@example(BEST_CASE, [qubits_at(BEST_CASE, 4174), qubits_at(BEST_CASE, 4174) + 1])
+@example(WORST_CASE, [qubits_at(WORST_CASE, 8722) + 1])  # past each trend's last finite size
+def test_years_by_lookup_equal_year_available(trend, counts):
+    want = _outcome(lambda: [year_available(trend, count) for count in counts])
+    assert _outcome(lambda: YearTable(trend).years(counts)) == want
+    # One table, extended count by count.
+    table = YearTable(trend)
+    assert [_outcome(lambda: table.years([count])) for count in counts] == [
+        _outcome(lambda: [year_available(trend, count)]) for count in counts]

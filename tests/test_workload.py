@@ -3,15 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qaplan.workload import (
     REFERENCE_SCENARIO,
     REFERENCE_TOPS,
     SCALING,
+    VALID_MODULATION_BITS,
     BbuTask,
     CellScenario,
+    _CellScenario,
+    left_sum,
     scale_task,
+    task_tops,
     workload,
 )
 
@@ -142,3 +146,84 @@ def test_detection_demand_grows_quadratically_in_antennas(scenario, factor):
     more = scenario._replace(antennas=scenario.antennas * factor)
     ratio = scale_task(BbuTask.FD_NL, more) / scale_task(BbuTask.FD_NL, scenario)
     assert math.isclose(ratio, factor**2, rel_tol=1e-9)
+
+
+def _tops_by_scenario(columns):
+    """`task_tops` of the scenario `columns` as `scale_task` gives it, one
+    scenario at a time, with None where `task_tops` must refuse them: a
+    power past float range, or a total past it."""
+    tops = []
+    for fields in zip(*columns):
+        try:
+            values = [scale_task(task, _CellScenario(*fields)) for task in BbuTask]
+        except OverflowError:
+            return None
+        if not math.isfinite(left_sum(values)):
+            return None
+        tops.append(values)
+    return [list(column) for column in zip(*tops)]
+
+
+def _check_tops(columns):
+    want = _tops_by_scenario(columns)
+    if want is None:
+        with pytest.raises(ValueError, match="compute targets overflow: inf TOPS"):
+            task_tops(*columns)
+    else:
+        assert repr(list(task_tops(*columns))) == repr(want)
+
+
+# Valid values of each field, as ints and floats: the reference value, values
+# off it, and values whose powers leave float range (antennas 10**155).
+_FIELDS = [
+    st.sampled_from([20.0, 20, 0.1, 400, 1e6, 1e300, 5e-324]) | st.floats(1e-300, 1e300),
+    st.sampled_from(VALID_MODULATION_BITS) | st.sampled_from([4.0, 6.0]),
+    st.sampled_from([1.0, 1, 0.5, 0.3]) | st.floats(5e-324, 1.0),
+    st.sampled_from([1, 1.0, 8.0, 64, 2 ** 60, 10 ** 155]) | st.integers(1, 4096),
+    st.sampled_from([1.0, 1, 0.3]) | st.floats(5e-324, 1.0),
+    st.sampled_from([1.0, 1, 0.3]) | st.floats(5e-324, 1.0),
+]
+
+
+@st.composite
+def scenario_columns(draw):
+    """A block of valid scenarios as one column per field: each column
+    either one object repeated, as a sweep leaves an axis, or drawn entry
+    by entry, mixing ints and floats."""
+    count = draw(st.integers(1, 6))
+    return [[draw(field)] * count if draw(st.booleans())
+            else [draw(field) for _ in range(count)] for field in _FIELDS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_columns())
+def test_task_tops_of_a_block_equals_scale_task_bit_for_bit(columns):
+    _check_tops(columns)
+
+
+@pytest.mark.parametrize("fixed", [
+    (20.0, 6, 1.0, 1, 1.0, 1.0),  # the reference point: every power 1.0
+    (20, 6.0, 1, 1.0, 1, 1),  # the reference point, as other types
+    (400.0, 4, 0.5, 64, 0.3, 1.0),  # off the reference
+    (1e300, 8, 0.5, 10 ** 155, 0.3, 0.3),  # past float range
+])
+@pytest.mark.parametrize("swept", [None, 0, 3, 4])
+def test_task_tops_folds_fixed_fields_bit_for_bit(fixed, swept):
+    # Every field one object, as a sweep leaves it, but the swept one.
+    columns = [[value] * 4 for value in fixed]
+    if swept is not None:
+        columns[swept] = [columns[swept][0], 1, 0.25, 0.9]
+    _check_tops(columns)
+
+
+@pytest.mark.parametrize("column", [
+    [0.0, -0.0], [-0.0, 0.0], [-0.0] * 2, [float("nan"), float("nan")], [float("nan")] * 2,
+    [1, 1.0], [1.0, True], [20.0, 20],
+])
+def test_task_tops_never_folds_values_that_print_apart(column):
+    # Equal but not one object: 0.0 and -0.0, ints and floats; nan is not
+    # even equal to itself. Fields `task_tops` takes unchecked.
+    for field in range(len(_FIELDS)):
+        columns = [[value] * len(column) for value in REFERENCE_SCENARIO]
+        columns[field] = column
+        _check_tops(columns)
