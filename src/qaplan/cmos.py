@@ -50,13 +50,21 @@ def efficiency_from_vdd(vdd: float) -> float:
     """Project the anchor's dynamic efficiency to a new supply voltage.
 
     Dynamic energy per op goes as Vdd^2, so efficiency scales as
-    (ANCHOR_VDD / vdd)^2 relative to `CMOS_65NM`.
+    (ANCHOR_VDD / vdd)^2 relative to `CMOS_65NM`. A vdd so small that
+    the efficiency passes float range raises ValueError.
     """
     if vdd <= 0:
         raise ValueError(f"vdd must be positive, got {vdd}")
     if not math.isfinite(vdd):
         raise ValueError(f"vdd must be finite, got {vdd}")
-    return CMOS_65NM.efficiency_tops_per_w * (ANCHOR_VDD / vdd) ** 2
+    # A finite ratio whose square overflows raises; an inf ratio squares to inf.
+    try:
+        efficiency = CMOS_65NM.efficiency_tops_per_w * (ANCHOR_VDD / vdd) ** 2
+    except OverflowError:
+        efficiency = math.inf
+    if efficiency == math.inf:
+        raise ValueError(f"vdd {vdd} projects an efficiency past float range")
+    return efficiency
 
 
 def round_sig(value: float) -> float:

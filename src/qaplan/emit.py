@@ -9,20 +9,20 @@ read back with the readers below.
 
 A table's rows come in blocks of columns (`Block`). A row is an own entry
 and then a shared entry, which the rows of one cli scenario (and node)
-share; every row of a table splits at the same column. Renderers read
-the blocks once, in order, so they may be a stream.
+share; every row of a table splits at the same column. A table built
+from dicts, one per row, is one block of own entries. Renderers read the
+blocks once, in order, so they may be a stream.
 
-Each column of a block is formatted with one `map`, a repeated cell once,
+Each column of a block is formatted in one pass, a repeated cell once,
 and the block's lines are built with `map` and `join` over its index
-lists: no Python code runs per row. A column of floats or of ints maps
-`float.__format__` or `int.__format__`, which refuses a cell of any other
-type, and that column then maps `format`. A column whose spec would format
-a string, which `format_cell` writes as it is, goes through `format_cell`.
-A block with a column that fails to format is formatted again row by row,
-own cells first, so the first failing cell raises and a string under a
-number spec is written as it is. Csv quotes a column's cells where its
-text holds a delimiter, quote, CR or LF, as the csv module does; text
-holds every block's texts until each column's width is known.
+lists: no Python code runs per row. A column whose first cell is exactly
+a float or an int maps `float.__format__` or `int.__format__`, which
+refuses a cell of any other type. Any other column, or one so refused,
+maps `format` where its spec is empty and `format_cell`, which writes a
+string as it is, otherwise. A cell its spec cannot format raises. Csv
+quotes a column's cells where its text holds a delimiter, quote, CR or
+LF, as the csv module does; text holds every block's texts until each
+column's width is known.
 """
 
 from __future__ import annotations
@@ -104,43 +104,25 @@ class Table:
     the same column. Column keys are unique: each is one csv header and
     one json field.
 
-    `rows` are `Rows`, or a list of dicts keyed by column key (all cells
-    their own) or of (own, shared) pairs, made one block here, once: an own
-    entry per row, and a shared entry wherever a row's shared tuple is not
-    the previous row's (identity, never equality: 0.0 and -0.0, or 1, 1.0
-    and True, are equal but format differently).
+    `rows` are `Rows`, or an iterable of dicts keyed by column key, one
+    per row, made here one block of own entries with no shared side.
     """
 
-    def __init__(self, name: str, columns: List[Column], rows: Union[Rows, Iterable],
-                 notes: Iterable[str] = ()) -> None:
+    def __init__(self, name: str, columns: List[Column],
+                 rows: Union[Rows, Iterable[Mapping[str, Cell]]], notes: Iterable[str] = ()
+                 ) -> None:
         seen = set()
         for column in columns:
             if column.key in seen:
                 raise ValueError(f"repeated column key: {column.key!r}")
             seen.add(column.key)
-        self.name, self.columns, self.notes = name, columns, list(notes)
-        self.rows = rows
-
-    @property
-    def rows(self) -> Rows:
-        """The rows, a sized view over the blocks, read once per pass."""
-        return self._rows
-
-    @rows.setter
-    def rows(self, rows: Union[Rows, Iterable]) -> None:
         if not isinstance(rows, Rows):
-            pairs = [(tuple([row[c.key] for c in self.columns]), ()) if isinstance(row, Mapping)
-                     else row for row in rows]
-            shared: List[Sequence[Cell]] = []
-            shared_at: List[int] = []
-            for _, cells in pairs:
-                if not shared or cells is not shared[-1]:
-                    shared.append(cells)
-                shared_at.append(len(shared) - 1)
-            blocks = [Block([list(zip(*[cells for cells, _ in pairs]))], [list(zip(*shared))],
-                            range(len(pairs)), shared_at)] if pairs else []
-            rows = Rows(blocks.__iter__, len(pairs))
-        self._rows = rows
+            records = list(rows)
+            own = [[record[c.key] for record in records] for c in columns]
+            at = range(len(records))
+            blocks = [Block([own], [], at, at)] if records else []
+            rows = Rows(blocks.__iter__, len(records))
+        self.name, self.columns, self.rows, self.notes = name, columns, rows, list(notes)
 
     def records(self) -> List[Dict[str, Cell]]:
         """The rows as dicts keyed by column key."""
@@ -194,16 +176,6 @@ def _json_nested(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _takes_strings(spec: str) -> bool:
-    """Whether `format(text, spec)` works for a string, which `format_cell`
-    writes as it is: the spec names no number type, sign or grouping."""
-    try:
-        format("", spec)
-    except ValueError:
-        return False
-    return True
-
-
 def _side(parts: Sequence[Sequence], columns: range, column: Callable) -> List[List[str]]:
     """The texts `column(c, cells)` gives each column of `parts`, numbered
     by `columns`, over their entries: a part's `itertools.repeat` is
@@ -226,14 +198,14 @@ def _side(parts: Sequence[Sequence], columns: range, column: Callable) -> List[L
     return texts
 
 
-def _cell_texts(specs: Sequence[str]) -> Tuple[Callable, Callable]:
-    """`column(c, cells)` and `cell(c, value)` for `_formatted`, giving the
-    texts of `format_cell`, with one pass over a column: of its first
-    cell's type's `__format__` where that is exactly float or int, which
-    raises TypeError for a cell of any other type (a bool, a str, an int
-    among floats); else of `format`, or of `format_cell` where the spec
-    would format a string."""
-    forms = [format_cell if spec and _takes_strings(spec) else format for spec in specs]
+def _cell_texts(specs: Sequence[str]) -> Callable[[int, Sequence[Cell]], List[str]]:
+    """`column(c, cells)` for `_formatted`: the texts `format_cell` gives
+    the cells of column `c`, in one pass, of its first cell's type's
+    `__format__` where that is exactly float or int, which raises
+    TypeError for a cell of any other type (a bool, a str, an int among
+    floats); else of `format` where the spec is empty, and of
+    `format_cell`, which writes a string as it is, otherwise."""
+    forms = [format_cell if spec else format for spec in specs]
 
     def column(c: int, cells: Sequence[Cell]) -> List[str]:
         kind = type(cells[0]) if cells else None
@@ -244,33 +216,17 @@ def _cell_texts(specs: Sequence[str]) -> Tuple[Callable, Callable]:
                 pass
         return list(map(forms[c], cells, repeat(specs[c])))
 
-    return column, lambda c, value: format_cell(value, specs[c])
+    return column
 
 
-def _formatted(table: Table, column: Callable, cell: Callable
-               ) -> Iterator[Tuple[Block, List, List]]:
-    """Each block of `table`, with the texts of its own and of its shared
-    columns over their entries: `column(c, cells)` gives those of column
-    `c`, and where that fails, `cell(c, value)` gives each cell's."""
+def _formatted(table: Table, column: Callable) -> Iterator[Tuple[Block, List, List]]:
+    """Each block of `table`, with the texts `column(c, cells)` gives each
+    column `c` of its own and of its shared columns, over their entries."""
     count = len(table.columns)
-
-    def one_by_one(c: int, cells: Sequence[Cell]) -> List[str]:
-        return [cell(c, value) for value in cells]
-
     for block in table.rows.produce():
         split = min(len(block.own[0]) if block.own else 0, count)
-        own_columns, shared_columns = range(split), range(split, count)
-        try:
-            own = _side(block.own, own_columns, column)
-            shared = _side(block.shared, shared_columns, column)
-        except (ValueError, TypeError, ArithmeticError):
-            # Row by row, own cells first: the first failing cell raises.
-            for own_cells, shared_cells in block.rows():
-                list(map(cell, own_columns, own_cells))
-                list(map(cell, shared_columns, shared_cells))
-            own = _side(block.own, own_columns, one_by_one)
-            shared = _side(block.shared, shared_columns, one_by_one)
-        yield block, own, shared
+        yield (block, _side(block.own, range(split), column),
+               _side(block.shared, range(split, count), column))
 
 
 def _lines(block: Block, own: Sequence, shared: Sequence, sep: str) -> Iterable[str]:
@@ -313,7 +269,7 @@ def render_csv(table: Table) -> str:
     for note in table.notes:
         buf.write(f"# {note}\r\n")
     buf.write(",".join(_csv_quoted([c.key for c in table.columns], lone)) + "\r\n")
-    for block, own, shared in _formatted(table, *_cell_texts(specs)):
+    for block, own, shared in _formatted(table, _cell_texts(specs)):
         rows = _lines(block, list(map(_csv_quoted, own, repeat(lone))),
                       list(map(_csv_quoted, shared, repeat(lone))), ",")
         buf.write("\r\n".join(rows) + "\r\n")
@@ -337,9 +293,6 @@ def render_json(table: Table) -> str:
             texts = list(map(_json_literal, cells, repeat(specs[c])))
         return list(map(prefixes[c].__add__, texts))
 
-    def cell(c: int, value: Cell) -> str:
-        return prefixes[c] + _json_literal(value, specs[c])
-
     buf = io.StringIO()
     buf.write('{\n  "table": ' + _json_string(table.name))
     buf.write(',\n  "columns": ' + _json_nested(
@@ -348,7 +301,7 @@ def render_json(table: Table) -> str:
     # Each row between braces; json.dumps writes {} for an empty dict.
     wrap = ("{{{}\n    }}" if prefixes else "{{{}}}").format
     separator = "\n    "
-    for block, own, shared in _formatted(table, column, cell):
+    for block, own, shared in _formatted(table, column):
         buf.write(separator + ",\n    ".join(map(wrap, _lines(block, own, shared, ","))))
         separator = ",\n    "
     buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows
@@ -362,7 +315,7 @@ def render_text(table: Table) -> str:
     # Widths need every block first: each block's texts are held, a text
     # standing for a repeated cell held once, until every width is known.
     widths = list(map(len, headers))
-    held = list(_formatted(table, *_cell_texts([c.spec for c in table.columns])))
+    held = list(_formatted(table, _cell_texts([c.spec for c in table.columns])))
     for _, own, shared in held:
         widths = list(map(max, widths, [max(map(len, texts)) for texts in own + shared]))
     lines = [table.name]
@@ -407,9 +360,16 @@ def read_csv(text: str) -> Table:
         elif line.strip():
             data_lines.append(line)
     reader = csv.reader(data_lines)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("csv text has no header line")
     columns = [Column(key=k, title=k) for k in header]
-    rows = [(tuple([_parse_number(cell) for cell in record]), ()) for record in reader]
+    rows = []
+    for record in reader:
+        if len(record) != len(header):
+            raise ValueError(f"csv row {len(rows) + 1} has {len(record)} fields, "
+                             f"its header {len(header)}")
+        rows.append(dict(zip(header, map(_parse_number, record))))
     return Table(name="", columns=columns, rows=rows, notes=notes)
 
 
@@ -420,6 +380,6 @@ def read_json(text: str) -> Table:
     return Table(
         name=doc["table"],
         columns=columns,
-        rows=list(doc["rows"]),
+        rows=doc["rows"],
         notes=list(doc.get("notes", [])),
     )

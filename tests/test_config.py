@@ -95,6 +95,16 @@ def test_bad_documents_rejected(doc):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("mode", ["as-printed", "exact"])
+@pytest.mark.parametrize("vdd", [1e-155, 1e-200, 5e-324])
+def test_a_vdd_whose_projection_passes_float_range_is_named(vdd, mode):
+    # (1.1 / vdd) ** 2 overflows from about 8.2e-155 down; 1.1 / 5e-324 is inf.
+    with pytest.raises(ConfigError) as raised:
+        parse_config({"cmos": [{"node": "x", "vdd": vdd, "mode": mode}]})
+    assert str(raised.value) == f"cmos[0]: vdd {vdd} projects an efficiency past float range"
+    parse_config({"cmos": [{"node": "x", "vdd": 1e-150, "mode": mode}]})  # still in range
+
+
 @pytest.mark.parametrize("key", [
     "cooling_power_w", "dac_critical_current_a", "couplers_per_qubit",
     "dacs_per_qubit", "dacs_per_coupler", "bit_precision", "name",
