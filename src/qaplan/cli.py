@@ -10,14 +10,15 @@ Every subcommand is a list of columns over one row loop, `_table`: its
 own cells and its shared cells, as columns over a block of consecutive
 scenarios (`_expand_points`, up to `BLOCK` of them as columns of their
 fields). Each model stage is one call of a model column function over a
-block (`_Stages`), and the problem runtime runs once per sample count per
-call. A block goes to the renderer as columns (`emit.Block`): the own
-columns of each sample count, names first, the shared columns of each
-scenario and node, and the index lists that put them in row order. Only
-`_table` calls the stages in the order a row reads their values. The
-capacity verdict is taken once per sample count and block, at the qubit
-scale the table gives `_table` (`_Stages.budget`); the `qubits` fits
-cells and the warnings of `qubits` and `economics` all read it.
+block (`evaluate.Stages`, which the paper tables read too), and the
+problem runtime runs once per sample count per call. A block goes to the
+renderer as columns (`emit.Block`): the own columns of each sample count,
+names first, the shared columns of each scenario and node, and the index
+lists that put them in row order. Only `_table` calls the stages in the
+order a row reads their values. The capacity verdict is taken once per
+sample count and block, at the qubit scale the table gives `_table`
+(`Stages.budget`); the `qubits` fits cells and the warnings of `qubits`
+and `economics` all read it.
 
 Neither points nor rows are held: each block is built, evaluated, its
 warnings written to stderr in one write, and handed over as the renderer
@@ -46,12 +47,12 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
 
 from .cmos import CmosProfile
 from .config import _INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
-from .economics import advantage_columns, cost_columns, deployment_columns
+from .economics import advantage_columns, cost_columns
 from .emit import Block, Column, Lazy, Rows, Table, render
-from .qa_hardware import refrigerator_qubit_capacity
-from .qubit_budget import MODELED_LOAD_FRACTION, budget_columns, problem_runtime, rate_columns
+from .evaluate import Stages
+from .qubit_budget import MODELED_LOAD_FRACTION
 from .timeline import BEST_CASE, WORST_CASE, YearTable
-from .workload import SCENARIO_FIELDS, BbuTask, CellScenario, left_sums, task_tops
+from .workload import SCENARIO_FIELDS, BbuTask, CellScenario, left_sums
 
 if TYPE_CHECKING:
     import argparse
@@ -83,10 +84,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                              "the configured scenarios")
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser. Every subcommand is listed, but only
-    `command` takes the flags, or with None every subcommand: a call
-    parses one subcommand, so building the others' flags is wasted."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand, each with every flag."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -106,9 +105,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         ("economics", "operating savings of the annealer candidate"),
         ("timeline", "when the required device sizes become available"),
     ):
-        subparser = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            _add_common_flags(subparser)
+        _add_common_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -318,57 +315,6 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> L
 
 
 _MODEL_ERRORS = (ValueError, ArithmeticError)
-_BW, _ANT, _MOD = map(SCENARIO_FIELDS.index, ("bandwidth_mhz", "antennas", "modulation_bits"))
-_FD_NL, _FEC = map(list(BbuTask).index, (BbuTask.FD_NL, BbuTask.FEC))
-
-
-class _Stages:
-    """The model stages of one call, run over one block at a time. The
-    qubit budget and its capacity verdict are taken once per sample count
-    and block, by whichever cell or warning reads them first."""
-
-    def __init__(self, cfg: RunConfig, scale: int) -> None:
-        self.cfg, self.scale = cfg, scale
-        self.capacity = refrigerator_qubit_capacity()
-        self._runtimes: Dict[int, float] = {}
-
-    def start(self, block: _Block) -> None:
-        self.bandwidth, self.antennas = block.fields[_BW], block.fields[_ANT]
-        self._modulation = block.fields[_MOD]
-        self.tops = task_tops(*block.fields)
-        self._rates: Optional[Tuple[List[float], List[float]]] = None
-        self._budgets: Dict[int, Tuple[List, ...]] = {}
-
-    def runtime(self, samples: int) -> float:  # once per sample count per call
-        if samples not in self._runtimes:
-            self._runtimes[samples] = problem_runtime(self.cfg.qa_profile, samples)
-        return self._runtimes[samples]
-
-    def budget(self, samples: int) -> Tuple[List, ...]:
-        """Each scenario's detection, decoding and total qubits, and its
-        capacity verdict: the total times `scale` where that exceeds the
-        refrigerator capacity, else None."""
-        if samples not in self._budgets:
-            runtime = self.runtime(samples)  # read before the qubits, as a row does
-            tops = self.tops
-            if self._rates is None:
-                self._rates = rate_columns(tops[_FD_NL], tops[_FEC], self.antennas,
-                                           self._modulation)
-            fdnl, fec, total = budget_columns(tops[_FD_NL], self._rates[0], tops[_FEC],
-                                              self._rates[1], runtime)
-            # Counts are whole: `t * scale > capacity` where `t > capacity // scale`.
-            limit, scale = self.capacity // self.scale, self.scale
-            over = ([t * scale if t > limit else None for t in total] if max(total) > limit
-                    else [None] * len(total))
-            self._budgets[samples] = fdnl, fec, total, over
-        return self._budgets[samples]
-
-    def deployments(self, cmos: CmosProfile) -> Tuple[List[float], ...]:
-        """Both candidates' `PowerBreakdown` columns and totals, then the saving."""
-        cfg = self.cfg
-        cmos_w, qa_w, savings = deployment_columns(self.tops, self.antennas, cmos,
-                                                   cfg.qa_profile, cfg.topology)
-        return (*cmos_w, *qa_w, savings)
 
 
 def _rows_apart(block: _Block, node_groups: Sequence[Sequence[CmosProfile]]
@@ -386,7 +332,7 @@ Columns = Sequence[Iterable]  # cells, as columns over a block's scenarios
 
 
 def _table(name: str, cfg: RunConfig, points: Lazy, columns: List[Column], warnings,
-           own: Optional[Callable[[_Stages, int], Columns]] = None,
+           own: Optional[Callable[[Stages, int], Columns]] = None,
            shared: Optional[Callable[..., Columns]] = None, per_node: bool = False,
            scale: int = 1, warning: Optional[str] = None, notes: Sequence[str] = ()) -> Table:
     """The row loop every subcommand shares. A subcommand gives only its
@@ -395,7 +341,7 @@ def _table(name: str, cfg: RunConfig, points: Lazy, columns: List[Column], warni
     the rows of one scenario (and node) share; on tables per node these
     follow the scenario's bandwidth and antennas and the node's name. On a
     table that warns, each row whose qubit total times `scale` exceeds the
-    refrigerator capacity (the verdict of `_Stages.budget`) writes
+    refrigerator capacity (the verdict of `Stages.budget`) writes
     `warning`, formatted with the row's `name`, `node`, `value` and the
     `capacity`.
 
@@ -404,7 +350,7 @@ def _table(name: str, cfg: RunConfig, points: Lazy, columns: List[Column], warni
     workload, the own cells, the shared cells, then the warned value. A
     block that raises a model error is evaluated again one row at a time,
     so the first row that fails ends the call after the rows before it."""
-    stages = _Stages(cfg, scale)
+    stages = Stages(cfg, scale)
     # The nodes of a row's cells: on tables not per node, one shared entry
     # serves all nodes, and a row warns for the first.
     row_nodes = cfg.cmos_profiles if per_node else cfg.cmos_profiles[:1]
@@ -413,7 +359,7 @@ def _table(name: str, cfg: RunConfig, points: Lazy, columns: List[Column], warni
     shapes: Dict[Tuple[int, ...], Tuple[List[Tuple[int, int]], List[int], List[int]]] = {}
 
     def evaluated(block: _Block, nodes: Sequence[CmosProfile]) -> Block:
-        stages.start(block)
+        stages.start(block.fields)
         owns = [own(stages, samples) if own else () for samples in block.samples]
         tails = [[stages.bandwidth, stages.antennas, repeat(node.node), *shared(stages, node)]
                  for node in nodes] if per_node else [list(shared(stages)) if shared else []]
@@ -458,7 +404,7 @@ def cmd_targets(cfg: RunConfig, points: Lazy, warnings) -> Table:
                *[Column(f"{task.value}_tops", task.label, ".3f") for task in BbuTask],
                Column("total_tops", "Total", ".3f")]
 
-    def shared(stages: _Stages) -> Columns:
+    def shared(stages: Stages) -> Columns:
         tops = stages.tops
         return stages.bandwidth, stages.antennas, *tops, left_sums(tops, len(tops[0]))
 
@@ -466,7 +412,7 @@ def cmd_targets(cfg: RunConfig, points: Lazy, warnings) -> Table:
 
 
 # The power table's columns after the node, each with its position in
-# `_Stages.deployments`.
+# `Stages.deployments`.
 _POWER_COLUMNS = (
     ("cmos_bbu_w", "CMOS BBU (W)", 0), ("cmos_ru_w", "RU (W)", 1),
     ("cmos_pa_w", "PA (W)", 2), ("cmos_ps_w", "Power sys (W)", 3),
@@ -480,7 +426,7 @@ def cmd_power(cfg: RunConfig, points: Lazy, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
                *[Column(key, title, ".1f") for key, title, _ in _POWER_COLUMNS]]
 
-    def shared(stages: _Stages, cmos: CmosProfile) -> Columns:
+    def shared(stages: Stages, cmos: CmosProfile) -> Columns:
         sides = stages.deployments(cmos)
         return [sides[at] for _, _, at in _POWER_COLUMNS]
 
@@ -495,7 +441,7 @@ def cmd_qubits(cfg: RunConfig, points: Lazy, warnings) -> Table:
         ("fits", "Fits"))]]
     repeat = itertools.repeat
 
-    def own(stages: _Stages, samples: int) -> Columns:
+    def own(stages: Stages, samples: int) -> Columns:
         fdnl, fec, total, over = stages.budget(samples)
         return (stages.bandwidth, stages.antennas, repeat(samples),
                 repeat(stages.runtime(samples)), fdnl, fec, repeat(MODELED_LOAD_FRACTION),
@@ -513,7 +459,7 @@ def cmd_economics(cfg: RunConfig, points: Lazy, warnings) -> Table:
         columns += [Column(f"opex_{label}yr_usd", f"OpEx {label}yr ($)", ".0f"),
                     Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f")]
 
-    def shared(stages: _Stages, cmos: CmosProfile) -> Columns:
+    def shared(stages: Stages, cmos: CmosProfile) -> Columns:
         savings = stages.deployments(cmos)[14]
         opex, co2 = cost_columns(savings, cfg.horizons_years, cfg.costs)
         return [savings, *itertools.chain.from_iterable(zip(opex, co2))]
@@ -539,12 +485,12 @@ def cmd_timeline(cfg: RunConfig, points: Lazy, warnings) -> Table:
 
     best, worst = YearTable(BEST_CASE), YearTable(WORST_CASE)
 
-    def own(stages: _Stages, samples: int) -> Columns:
+    def own(stages: Stages, samples: int) -> Columns:
         total = stages.budget(samples)[2]
         return (stages.bandwidth, stages.antennas, itertools.repeat(samples), total,
                 best.years(total), worst.years(total))
 
-    def shared(stages: _Stages) -> Columns:
+    def shared(stages: Stages) -> Columns:
         return [advantage_columns(stages.tops, cmos, cfg.qa_profile)
                 for cmos in cfg.cmos_profiles]
 
@@ -587,12 +533,7 @@ class _Warnings:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
-    if args is None:
-        # The subcommand is the first argument that is no option, since the
-        # top level's only option, --help, takes no value.
-        command = next((arg for arg in argv if not arg.startswith("-")), None)
-        args = build_parser(command).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     # Warnings come first on stderr, also on failure: they may say why it failed.
     warnings = _Warnings()
     try:

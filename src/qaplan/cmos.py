@@ -51,7 +51,8 @@ def efficiency_from_vdd(vdd: float) -> float:
 
     Dynamic energy per op goes as Vdd^2, so efficiency scales as
     (ANCHOR_VDD / vdd)^2 relative to `CMOS_65NM`. A vdd so small that
-    the efficiency passes float range raises ValueError.
+    the efficiency passes float range, or so large that it underflows to
+    zero, raises ValueError.
     """
     if vdd <= 0:
         raise ValueError(f"vdd must be positive, got {vdd}")
@@ -64,6 +65,8 @@ def efficiency_from_vdd(vdd: float) -> float:
         efficiency = math.inf
     if efficiency == math.inf:
         raise ValueError(f"vdd {vdd} projects an efficiency past float range")
+    if efficiency == 0.0:
+        raise ValueError(f"vdd {vdd} projects an efficiency below float range")
     return efficiency
 
 

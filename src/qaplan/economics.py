@@ -8,8 +8,10 @@ both candidates.
 
 The deployments depend on the scenario alone, and the qubit budget also
 on the sample count. Each model step is a column function over workloads
-(`deployment_columns`, `cost_columns`, `advantage_columns`); `compare`,
-`cost_report` and `offload_advantage_w` are the same for one cell.
+(`deployment_columns`, `cost_columns`, `advantage_columns`), which the
+CLI and the paper tables call, the first through `evaluate.Stages`.
+`compare`, `cost_report` and `offload_advantage_w` are the same for one
+cell: the reference API, which the tests hold the block evaluation to.
 `deployment_columns` prices a block of workloads in one loop, one entry
 per iteration: each task's silicon watts (`cmos_power`), taken once and
 shared by both candidates, which sum them in task order from 0

@@ -349,17 +349,18 @@ def render(table: Table, fmt: str) -> str:
 
 
 def read_csv(text: str) -> Table:
-    """Parse a csv emission back into a Table (numbers typed, specs lost)."""
+    """Parse a csv emission back into a Table (numbers typed, specs lost).
+    The leading lines that start with "# " are its notes, as `render_csv`
+    writes them; the csv reader reads the rest, quoted line breaks
+    included, and skips empty records."""
     import csv
 
-    notes = []
-    data_lines = []
-    for line in text.splitlines():
-        if line.startswith("# "):
-            notes.append(line[2:])
-        elif line.strip():
-            data_lines.append(line)
-    reader = csv.reader(data_lines)
+    notes, at = [], 0
+    while text.startswith("# ", at):
+        end = text.find("\n", at) + 1 or len(text)  # past the line, or the text's end
+        notes.append(text[at + 2:end].rstrip("\r\n"))
+        at = end
+    reader = filter(None, csv.reader(io.StringIO(text[at:], newline="")))
     header = next(reader, None)
     if header is None:
         raise ValueError("csv text has no header line")

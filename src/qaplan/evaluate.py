@@ -1,0 +1,79 @@
+"""One evaluation of the model chain over a block of scenarios.
+
+`Stages` runs the chain for one config over one block at a time, each
+stage one call of a model column function: the workload (`task_tops`),
+the qubit budget and its capacity verdict (`rate_columns` and
+`budget_columns`, once per sample count) and both deployments
+(`deployment_columns`, once per cmos node). The CLI subcommands read it
+through `cli._table`, and the model-derived paper tables in `tables`
+read it at `config.default_config()`, so both reach the model through
+this one evaluator. The one-scenario wrappers `workload`,
+`total_budget`, `compare`, `cost_report` and `offload_advantage_w` stay
+the library's reference API: each cell of `Stages` equals theirs bit for
+bit, as the tests check.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .cmos import CmosProfile
+from .config import RunConfig
+from .economics import deployment_columns
+from .qa_hardware import refrigerator_qubit_capacity
+from .qubit_budget import budget_columns, problem_runtime, rate_columns
+from .workload import SCENARIO_FIELDS, BbuTask, task_tops
+
+_BW, _ANT, _MOD = map(SCENARIO_FIELDS.index, ("bandwidth_mhz", "antennas", "modulation_bits"))
+_FD_NL, _FEC = map(list(BbuTask).index, (BbuTask.FD_NL, BbuTask.FEC))
+
+
+class Stages:
+    """The model stages of one config, run over one block at a time. The
+    qubit budget and its capacity verdict are taken once per sample count
+    and block, by whichever cell or warning reads them first."""
+
+    def __init__(self, cfg: RunConfig, scale: int = 1) -> None:
+        self.cfg, self.scale = cfg, scale
+        self.capacity = refrigerator_qubit_capacity()
+        self._runtimes: Dict[int, float] = {}
+
+    def start(self, fields: Sequence[Sequence]) -> None:
+        """Evaluate the block of scenarios given as one column per
+        `SCENARIO_FIELDS` entry."""
+        self.bandwidth, self.antennas = fields[_BW], fields[_ANT]
+        self._modulation = fields[_MOD]
+        self.tops = task_tops(*fields)
+        self._rates: Optional[Tuple[List[float], List[float]]] = None
+        self._budgets: Dict[int, Tuple[List, ...]] = {}
+
+    def runtime(self, samples: int) -> float:  # once per sample count per call
+        if samples not in self._runtimes:
+            self._runtimes[samples] = problem_runtime(self.cfg.qa_profile, samples)
+        return self._runtimes[samples]
+
+    def budget(self, samples: int) -> Tuple[List, ...]:
+        """Each scenario's detection, decoding and total qubits, and its
+        capacity verdict: the total times `scale` where that exceeds the
+        refrigerator capacity, else None."""
+        if samples not in self._budgets:
+            runtime = self.runtime(samples)  # read before the qubits, as a row does
+            tops = self.tops
+            if self._rates is None:
+                self._rates = rate_columns(tops[_FD_NL], tops[_FEC], self.antennas,
+                                           self._modulation)
+            fdnl, fec, total = budget_columns(tops[_FD_NL], self._rates[0], tops[_FEC],
+                                              self._rates[1], runtime)
+            # Counts are whole: `t * scale > capacity` where `t > capacity // scale`.
+            limit, scale = self.capacity // self.scale, self.scale
+            over = ([t * scale if t > limit else None for t in total] if max(total) > limit
+                    else [None] * len(total))
+            self._budgets[samples] = fdnl, fec, total, over
+        return self._budgets[samples]
+
+    def deployments(self, cmos: CmosProfile) -> Tuple[List[float], ...]:
+        """Both candidates' `PowerBreakdown` columns and totals, then the saving."""
+        cfg = self.cfg
+        cmos_w, qa_w, savings = deployment_columns(self.tops, self.antennas, cmos,
+                                                   cfg.qa_profile, cfg.topology)
+        return (*cmos_w, *qa_w, savings)

@@ -5,64 +5,49 @@ this tool models, computed live from the model. Cells where the published
 print is known to disagree with its own stated formulas carry a
 "paper-inconsistent" note naming the cell, so downstream consumers can
 tell a model bug from a known print defect.
+
+The tables the model derives read the evaluation the CLI reads, at the
+built-in config (`config.default_config()`): `targets` is one
+`task_tops` pass over its scenarios, `qubits-time` and `powerbenefit`
+read `evaluate.Stages` over one block, and `costsavings` is one
+`cost_columns` call. This module does not import the CLI.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from itertools import chain
+from typing import Callable, Dict, List, Sequence
 
-from .cmos import CMOS_14NM
-from .economics import (
-    BsTopology,
-    CostAssumptions,
-    CranTopology,
-    compare,
-    cost_report,
-)
+from .config import default_config
+from .economics import BsTopology, CranTopology, cost_columns
 from .emit import Column, Table
-from .qa_hardware import (
-    QA_PROJECTED,
-    programming_energy,
-    qmi_runtime_us,
-    readout_parallelism,
-)
-from .qubit_budget import total_budget
-from .workload import BbuTask, CellScenario, workload
+from .evaluate import Stages
+from .qa_hardware import programming_energy, readout_parallelism
+from .qubit_budget import MODELED_LOAD_FRACTION
+from .workload import BbuTask, CellScenario, left_sums, task_tops
 
-# Default fidelity target (samples per problem) for sizing reports.
-DEFAULT_SAMPLES = 20
+
+def _records(columns: Sequence[Column], cells: Sequence[Sequence]) -> List[Dict]:
+    """The rows of `cells`, one sequence per column, as dicts by column key."""
+    keys = [c.key for c in columns]
+    return [dict(zip(keys, row)) for row in zip(*cells)]
 
 
 def targets_table() -> Table:
     """Per-task compute targets across reference cell configurations."""
-    reference = CellScenario(20, 6, 1.0, 1)
-    columns = [Column("task", "Task")]
-    scenarios = [("reference", reference, ".3f")]
+    scenarios = [("reference", CellScenario(20, 6, 1.0, 1), ".3f")]
     for bw, group in ((20, "4g"), (200, "5g200"), (400, "5g400")):
         for antennas in ((2, 4, 8) if bw == 20 else (32, 64, 128)):
-            key = f"{group}_{antennas}"
-            spec = ".3f" if bw == 20 else ".1f"
-            scenarios.append(
-                (key, CellScenario(bw, 6, 0.5, antennas), spec)
-            )
-    for key, _, spec in scenarios:
-        columns.append(Column(key, key, spec))
-
-    loads = {key: workload(s) for key, s, _ in scenarios}
-    rows: List[Dict] = []
-    for task in BbuTask:
-        row: Dict = {"task": task.label}
-        for key, _, _ in scenarios:
-            row[key] = loads[key].tops[task]
-        rows.append(row)
-    total_row: Dict = {"task": "Total"}
-    for key, _, _ in scenarios:
-        total_row[key] = loads[key].total_tops
-    rows.append(total_row)
+            scenarios.append((f"{group}_{antennas}", CellScenario(bw, 6, 0.5, antennas),
+                              ".3f" if bw == 20 else ".1f"))
+    columns = [Column("task", "Task"), *[Column(key, key, spec) for key, _, spec in scenarios]]
+    tops = task_tops(*zip(*[scenario for _, scenario, _ in scenarios]))
+    # Each scenario's column: its tasks' TOPS, then their total.
+    per_scenario = zip(*tops, left_sums(tops, len(scenarios)))
     return Table(
         name="targets",
         columns=columns,
-        rows=rows,
+        rows=_records(columns, [[t.label for t in BbuTask] + ["Total"], *per_scenario]),
         notes=[
             "units: TOPS; 64-QAM, coding rate 0.5 (reference column at rate 1.0), "
             "full duty cycles",
@@ -141,7 +126,6 @@ def readout_table() -> Table:
     return Table(name="readout", columns=columns, rows=rows)
 
 
-QUBITS_TIME_SCENARIO = CellScenario(400, 6, 0.5, 64)
 QUBITS_TIME_SAMPLES = (1, 20, 50, 100)
 # Published totals at these sample counts disagree with the published
 # per-task rows; kept here to annotate emissions.
@@ -149,7 +133,7 @@ QUBITS_TIME_DIVERGENT = {1: "1.60M", 20: "1.99M"}
 
 
 def qubits_time_table() -> Table:
-    """Qubit requirement vs problem runtime for one heavy 5G cell."""
+    """Qubit requirement vs problem runtime for the built-in heavy 5G cell."""
     columns = [
         Column("samples", "Samples", "d"),
         Column("runtime_us", "Runtime (us)", ".0f"),
@@ -157,26 +141,21 @@ def qubits_time_table() -> Table:
         Column("fec_qubits", "Decoding qubits", "d"),
         Column("total_qubits", "Total qubits", "d"),
     ]
-    load = workload(QUBITS_TIME_SCENARIO)
-    rows = []
-    notes = []
-    for samples in QUBITS_TIME_SAMPLES:
-        budget = total_budget(load, QA_PROJECTED, samples)
-        rows.append({
-            "samples": samples,
-            "runtime_us": qmi_runtime_us(QA_PROJECTED, samples),
-            "fdnl_qubits": budget.per_task[BbuTask.FD_NL],
-            "fec_qubits": budget.per_task[BbuTask.FEC],
-            "total_qubits": budget.total,
-        })
-        if samples in QUBITS_TIME_DIVERGENT:
-            notes.append(
-                f"paper-inconsistent: total_qubits at samples={samples}; source "
-                f"prints {QUBITS_TIME_DIVERGENT[samples]}, which disagrees with its "
-                f"own per-task rows; tool reports per-task sum scaled by covered "
-                f"fraction {budget.covered_fraction}"
-            )
-    return Table(name="qubits-time", columns=columns, rows=rows, notes=notes)
+    cfg = default_config()
+    stages = Stages(cfg)
+    stages.start(list(zip(*[scenario for _, scenario in cfg.scenarios])))
+    # Per sample count, the cell's detection, decoding and total qubits.
+    budgets = [[part[0] for part in stages.budget(samples)[:3]]
+               for samples in QUBITS_TIME_SAMPLES]
+    notes = [
+        f"paper-inconsistent: total_qubits at samples={samples}; source "
+        f"prints {QUBITS_TIME_DIVERGENT[samples]}, which disagrees with its "
+        f"own per-task rows; tool reports per-task sum scaled by covered "
+        f"fraction {MODELED_LOAD_FRACTION}"
+        for samples in QUBITS_TIME_SAMPLES if samples in QUBITS_TIME_DIVERGENT
+    ]
+    cells = [QUBITS_TIME_SAMPLES, list(map(stages.runtime, QUBITS_TIME_SAMPLES)), *zip(*budgets)]
+    return Table(name="qubits-time", columns=columns, rows=_records(columns, cells), notes=notes)
 
 
 POWERBENEFIT_BANDWIDTHS = (50, 100, 200, 400)
@@ -193,24 +172,21 @@ def powerbenefit_table() -> Table:
         Column("cran_cmos_mw", "C-RAN CMOS (MW)", ".3f"),
         Column("cran_qa_mw", "C-RAN QA (MW)", ".3f"),
     ]
-    rows = []
-    for bw in POWERBENEFIT_BANDWIDTHS:
-        scenario = CellScenario(bw, 6, 0.5, 64)
-        bs = compare(scenario, CMOS_14NM, QA_PROJECTED, DEFAULT_SAMPLES, BsTopology())
-        cran = compare(scenario, CMOS_14NM, QA_PROJECTED, DEFAULT_SAMPLES, CranTopology())
-        rows.append({
-            "bandwidth_mhz": bw,
-            "qubits_bs": bs.budget.total,
-            "qubits_cran": cran.budget.total,
-            "bs_cmos_kw": bs.cmos.total_w / 1e3,
-            "bs_qa_kw": bs.qa.total_w / 1e3,
-            "cran_cmos_mw": cran.cmos.total_w / 1e6,
-            "cran_qa_mw": cran.qa.total_w / 1e6,
-        })
+    cfg = default_config()
+    base = cfg.scenarios[0][1]
+    scenarios = [base._replace(bandwidth_mhz=bw) for bw in POWERBENEFIT_BANDWIDTHS]
+    qubits, power = [], []
+    for topology, unit in ((BsTopology(), 1e3), (CranTopology(), 1e6)):
+        stages = Stages(cfg._replace(topology=topology))
+        stages.start(list(zip(*scenarios)))
+        # The deployment's qubit ask: each cell's total times its n_bs cells.
+        qubits.append([total * topology.n_bs for total in stages.budget(cfg.samples)[2]])
+        sides = stages.deployments(cfg.cmos_profiles[0])
+        power += [[watts / unit for watts in sides[at]] for at in (6, 13)]  # the totals
     return Table(
         name="powerbenefit",
         columns=columns,
-        rows=rows,
+        rows=_records(columns, [POWERBENEFIT_BANDWIDTHS, *qubits, *power]),
         notes=[
             "qubit columns run ~7% above the source's printed counts (386K-3.08M "
             "BS), whose derivation from its stated per-task models is not exactly "
@@ -234,21 +210,14 @@ def costsavings_table() -> Table:
     for name, _ in COSTSAVINGS_DELTAS:
         columns.append(Column(f"cost_{name}_usd", f"Cost {name} ($)", ".0f"))
         columns.append(Column(f"co2_{name}_kt", f"CO2 {name} (kt)", ".2f"))
-    reports = {
-        name: cost_report(delta_w, COSTSAVINGS_HORIZONS, CostAssumptions())
-        for name, delta_w in COSTSAVINGS_DELTAS
-    }
-    rows = []
-    for i, years in enumerate(COSTSAVINGS_HORIZONS):
-        row: Dict = {"years": years}
-        for name, _ in COSTSAVINGS_DELTAS:
-            row[f"cost_{name}_usd"] = reports[name].opex_savings_usd[i]
-            row[f"co2_{name}_kt"] = reports[name].co2_savings_kt[i]
-        rows.append(row)
+    opex, co2 = cost_columns([delta_w for _, delta_w in COSTSAVINGS_DELTAS],
+                             COSTSAVINGS_HORIZONS, default_config().costs)
+    # Per delta, its cost and CO2 columns over the horizons.
+    per_delta = chain.from_iterable(zip(zip(*opex), zip(*co2)))
     return Table(
         name="costsavings",
         columns=columns,
-        rows=rows,
+        rows=_records(columns, [COSTSAVINGS_HORIZONS, *per_delta]),
         notes=[
             "power deltas fixed at the source's stated savings (41/188/159 kW for "
             "bs64/bs128/cran); this tool's own comparison yields larger deltas "

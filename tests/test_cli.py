@@ -344,7 +344,7 @@ def test_non_finite_sweep_values_end_in_one_line_each(capsys, command, sweep, co
     ({"cmos": [{"node": "x", "vdd": -1}]}, "cmos[0]: vdd must be positive, got -1.0"),
     # (1.1 / 1e200) ** 2 underflows to an efficiency of zero
     ({"cmos": [{"node": "x", "vdd": 1e200}]},
-     "cmos[0]: efficiency must be positive, got 0.0"),
+     "cmos[0]: vdd 1e+200 projects an efficiency below float range"),
     ({"horizons_years": [1, -1]}, "horizons_years: horizons must be non-negative, got -1.0"),
 ])
 def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, message):

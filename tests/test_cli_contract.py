@@ -255,3 +255,73 @@ def test_qubits_and_economics_warn_on_the_one_capacity_verdict(doc, flags):
     assert sorted((name, node, int(value)) for name, node, value, _ in got) == expected
     assert all(int(limit) == capacity for *_, limit in got)
     assert economics_code == (3 if expected else 0)
+
+
+# A sample-count sweep, with or without sweeps of other axes.
+agreement_sweeps = st.tuples(
+    _sweeps({"samples": verdict_values["samples"]}),
+    st.one_of(st.just(()), _sweeps({axis: values for axis, values in verdict_values.items()
+                                    if axis != "samples"})),
+).map(lambda parts: parts[0] + parts[1])
+
+
+def _records(argv):
+    """The records of one call, as csv reads them back, and its stderr
+    lines, once its json and text carry the same cells and every format
+    the same exit code and stderr."""
+    calls = {fmt: _call([*argv, "--format", fmt]) for fmt in ("csv", "json", "table")}
+    code, csv_text, err = calls["csv"]
+    assert {(c, e) for c, _, e in calls.values()} == {(3 if err else 0, err)}
+    records = read_csv(csv_text).records()
+    assert read_json(calls["json"][1]).records() == records
+    # Text cells hold no spaces: each row splits into its cells at printed precision.
+    lines = calls["table"][1].splitlines()[3:]
+    assert [[_parse_number(cell) for cell in line.split()]
+            for line in lines if not line.startswith("note: ")] == [
+        list(record.values()) for record in records]
+    return records, err.splitlines()
+
+
+@settings(max_examples=25, deadline=None)
+@given(verdict_configs, agreement_sweeps)
+@example({"topology": {"kind": "cran", "n_bs": 4}, "cmos": ["65nm", "14nm", "1.5nm"],
+          "qa": {"profile": "projected"}},
+         ("samples=1,50", "bandwidth_mhz=400,1000", "antennas=64,128"))
+def test_the_subcommands_agree_on_one_config_and_sweep(doc, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["--config", path, *[part for flag in flags for part in ("--sweep", flag)]]
+        tables = {command: _records([command, *argv]) for command in COMMANDS}
+
+    qubits = {row["name"]: row for row in tables["qubits"][0]}
+    timeline = {row["name"]: row for row in tables["timeline"][0]}
+    assert list(qubits) == list(timeline) == [row["name"] for row in tables["targets"][0]]
+    for name, row in qubits.items():
+        assert row["total_qubits"] == timeline[name]["required_qubits"]
+    per_node = [(name, node) for name in qubits for node in doc["cmos"]]
+    power = {(row["name"], row["node"]): row for row in tables["power"][0]}
+    economics = {(row["name"], row["node"]): row for row in tables["economics"][0]}
+    assert list(power) == list(economics) == per_node
+    for key, row in power.items():
+        assert row["delta_w"] == economics[key]["delta_w"]
+    for records, _ in tables.values():
+        for row in records:
+            scenario = qubits[row["name"]]
+            assert (row["bandwidth_mhz"], row["antennas"]) == (
+                scenario["bandwidth_mhz"], scenario["antennas"])
+
+    # Today's verdicts: `qubits` per cell, `economics` per deployment of n_bs cells.
+    capacity = tables["qubits"][0][0]["capacity"]
+    n_bs = doc["topology"].get("n_bs", 1)
+    for row in qubits.values():
+        assert row["fits"] == ("no" if row["total_qubits"] > capacity else "yes")
+    assert tables["qubits"][1] == [
+        f"qaplan: warning: {name}: requirement {row['total_qubits']} exceeds refrigerator "
+        f"capacity {capacity}" for name, row in qubits.items() if row["fits"] == "no"]
+    assert tables["economics"][1] == [
+        f"qaplan: warning: {name} ({node}): qubit requirement "
+        f"{qubits[name]['total_qubits'] * n_bs} exceeds refrigerator capacity {capacity}"
+        for name, node in per_node if qubits[name]["total_qubits"] * n_bs > capacity]
+    assert tables["targets"][1] == tables["power"][1] == tables["timeline"][1] == []

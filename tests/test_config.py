@@ -96,13 +96,16 @@ def test_bad_documents_rejected(doc):
 
 
 @pytest.mark.parametrize("mode", ["as-printed", "exact"])
-@pytest.mark.parametrize("vdd", [1e-155, 1e-200, 5e-324])
+@pytest.mark.parametrize("vdd", [1e-155, 1e-200, 5e-324, 1.5e161, 1e200, 1e300])
 def test_a_vdd_whose_projection_passes_float_range_is_named(vdd, mode):
-    # (1.1 / vdd) ** 2 overflows from about 8.2e-155 down; 1.1 / 5e-324 is inf.
+    # (1.1 / vdd) ** 2 overflows from about 8.2e-155 down; 1.1 / 5e-324 is
+    # inf. From about 1.5e161 up, the efficiency underflows to zero.
     with pytest.raises(ConfigError) as raised:
         parse_config({"cmos": [{"node": "x", "vdd": vdd, "mode": mode}]})
-    assert str(raised.value) == f"cmos[0]: vdd {vdd} projects an efficiency past float range"
-    parse_config({"cmos": [{"node": "x", "vdd": 1e-150, "mode": mode}]})  # still in range
+    side = "past" if vdd < 1 else "below"
+    assert str(raised.value) == f"cmos[0]: vdd {vdd} projects an efficiency {side} float range"
+    for in_range in (1e-150, 1e160):
+        parse_config({"cmos": [{"node": "x", "vdd": in_range, "mode": mode}]})
 
 
 @pytest.mark.parametrize("key", [

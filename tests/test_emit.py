@@ -128,6 +128,22 @@ def test_json_round_trip():
     assert back.notes == ["first note", "second note"]
 
 
+# Cells with line breaks, delimiters, quotes and leading "# "; no digits,
+# so none reads back as a number.
+csv_texts = st.text("ab ,\"#\r\n", max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(csv_texts, csv_texts), max_size=5),
+       st.lists(st.text("ab #,\"", max_size=4), max_size=2))
+@example([("l\nm", "p\r\nq"), ("# x", "# x,2"), ('say "hi", then', "")], ["a note"])
+def test_csv_reads_back_every_cell_and_note(rows, notes):
+    table = Table("t", [Column("a", "A"), Column("b", "B"), Column("n", "N", "d")],
+                  [{"a": a, "b": b, "n": i} for i, (a, b) in enumerate(rows)], notes)
+    back = read_csv(render_csv(table))
+    assert (back.notes, back.records()) == (notes, table.records())
+
+
 @pytest.mark.parametrize("text", ["", "\r\n", "# a note\r\n", "# one\r\n# two\r\n"])
 def test_csv_without_a_header_line_is_refused(text):
     with pytest.raises(ValueError, match="csv text has no header line"):

@@ -68,3 +68,13 @@ def test_the_cli_loads_neither_dataclasses_nor_the_paper_tables():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_the_paper_tables_load_without_the_cli():
+    # They read the model's evaluation, not the CLI's.
+    src = os.path.join(ROOT, "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qaplan.tables; "
+            "print('qaplan.cli' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "False\n"

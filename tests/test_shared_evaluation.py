@@ -12,7 +12,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qaplan import cli, qubit_budget
+from qaplan import cli, evaluate, qubit_budget
 from qaplan.cli import (_COMMANDS, _expand_points, cmd_economics, cmd_power, cmd_qubits,
                         cmd_targets, cmd_timeline)
 from qaplan.config import SWEEP_AXES, _parse_sweep, parse_config
@@ -176,7 +176,7 @@ def _evaluate(monkeypatch, command, doc, sweep):
         runtimes.append(samples)
         return qmi_runtime_us(profile, samples)
 
-    monkeypatch.setattr(cli, "task_tops", counted_tops)
+    monkeypatch.setattr(evaluate, "task_tops", counted_tops)
     monkeypatch.setattr(qubit_budget, "qmi_runtime_us", counted_runtime)
     cfg = parse_config(doc)
     rows = list(command(cfg, _expand_points(cfg, sweep, []), []).rows)

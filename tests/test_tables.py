@@ -3,7 +3,13 @@
 import pytest
 
 from qaplan.cli import PAPER_TABLE_NAMES
+from qaplan.cmos import CMOS_14NM
+from qaplan.economics import BsTopology, CostAssumptions, CranTopology, compare, cost_report
+from qaplan.qa_hardware import QA_PROJECTED, qmi_runtime_us
+from qaplan.qubit_budget import total_budget
 from qaplan.tables import (
+    COSTSAVINGS_DELTAS,
+    COSTSAVINGS_HORIZONS,
     PAPER_TABLES,
     costsavings_table,
     energy_table,
@@ -12,6 +18,7 @@ from qaplan.tables import (
     readout_table,
     targets_table,
 )
+from qaplan.workload import BbuTask, CellScenario, workload
 
 
 def test_registry_is_complete():
@@ -95,3 +102,60 @@ def test_costsavings_rows():
     assert last["cost_bs128_usd"] == pytest.approx(2_355_038.4)
     assert last["co2_cran_kt"] == pytest.approx(5.8124, rel=1e-3)
     assert t.notes  # deltas come from the source, not compare()
+
+
+# The model-derived tables read the CLI's block evaluation at the built-in
+# config. Each cell equals, exactly, what the one-scenario reference API
+# gives at the reference operating point: 14 nm silicon, the projected
+# annealer, 20 samples and the default cost assumptions.
+
+
+def test_targets_cells_equal_the_one_scenario_workload():
+    scenarios = {"reference": CellScenario(20, 6, 1.0, 1)}
+    for group, bw in (("4g", 20), ("5g200", 200), ("5g400", 400)):
+        for antennas in ((2, 4, 8) if bw == 20 else (32, 64, 128)):
+            scenarios[f"{group}_{antennas}"] = CellScenario(bw, 6, 0.5, antennas)
+    t = targets_table()
+    assert [c.key for c in t.columns[1:]] == list(scenarios)
+    assert [r["task"] for r in t.records()] == [task.label for task in BbuTask] + ["Total"]
+    for key, scenario in scenarios.items():
+        load = workload(scenario)
+        assert [r[key] for r in t.records()] == [load.tops[task] for task in BbuTask] + [
+            load.total_tops]
+
+
+def test_qubits_time_cells_equal_total_budget():
+    load = workload(CellScenario(400, 6, 0.5, 64))
+    expected = []
+    for samples in (1, 20, 50, 100):
+        budget = total_budget(load, QA_PROJECTED, samples)
+        expected.append({"samples": samples, "runtime_us": qmi_runtime_us(QA_PROJECTED, samples),
+                         "fdnl_qubits": budget.per_task[BbuTask.FD_NL],
+                         "fec_qubits": budget.per_task[BbuTask.FEC],
+                         "total_qubits": budget.total})
+    assert qubits_time_table().records() == expected
+
+
+def test_powerbenefit_cells_equal_compare():
+    t = powerbenefit_table()
+    for row, bw in zip(t.records(), (50, 100, 200, 400), strict=True):
+        scenario = CellScenario(bw, 6, 0.5, 64)
+        bs, cran = [compare(scenario, CMOS_14NM, QA_PROJECTED, 20, topology)
+                    for topology in (BsTopology(), CranTopology())]
+        assert row == {"bandwidth_mhz": bw,
+                       "qubits_bs": bs.budget.total, "qubits_cran": cran.budget.total,
+                       "bs_cmos_kw": bs.cmos.total_w / 1e3, "bs_qa_kw": bs.qa.total_w / 1e3,
+                       "cran_cmos_mw": cran.cmos.total_w / 1e6,
+                       "cran_qa_mw": cran.qa.total_w / 1e6}
+        # The C-RAN ask is one cell's budget times its n_bs cells.
+        per_cell = total_budget(workload(scenario), QA_PROJECTED, 20).total
+        assert (row["qubits_bs"], row["qubits_cran"]) == (per_cell, per_cell * 3)
+
+
+def test_costsavings_cells_equal_cost_report():
+    t = costsavings_table()
+    assert [r["years"] for r in t.records()] == list(COSTSAVINGS_HORIZONS)
+    for name, delta_w in COSTSAVINGS_DELTAS:
+        report = cost_report(delta_w, COSTSAVINGS_HORIZONS, CostAssumptions())
+        assert [r[f"cost_{name}_usd"] for r in t.records()] == list(report.opex_savings_usd)
+        assert [r[f"co2_{name}_kt"] for r in t.records()] == list(report.co2_savings_kt)
