@@ -12,19 +12,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .record import Checked
+from .record import checked
 
 
-class _CmosProfile(NamedTuple):
+@checked
+class CmosProfile(NamedTuple):
+    """One process node's compute-efficiency operating point."""
+
     node: str
     efficiency_tops_per_w: float  # dynamic efficiency, TOPS/W
     leakage_fraction: float = 0.30  # static power as fraction of dynamic
-
-
-class CmosProfile(Checked, _CmosProfile):
-    """One process node's compute-efficiency operating point."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for name in ("efficiency_tops_per_w", "leakage_fraction"):

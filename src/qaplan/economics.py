@@ -39,7 +39,7 @@ from .ran_power import (
     _check_non_negative,
     fronthaul_w,
 )
-from .record import Checked
+from .record import checked
 from .workload import BbuTask, CellScenario, workload
 
 # Tasks that stay on silicon (control and transport) and those an annealer
@@ -70,15 +70,12 @@ class BsTopology(NamedTuple):
         return True
 
 
-class _CranTopology(NamedTuple):
-    n_bs: int = 3
-    fronthaul_capacity_bps: float = 100e9
-
-
-class CranTopology(Checked, _CranTopology):
+@checked
+class CranTopology(NamedTuple):
     """Centralized pool serving n identical radio sites over fronthaul."""
 
-    __slots__ = ()
+    n_bs: int = 3
+    fronthaul_capacity_bps: float = 100e9
 
     def _check(self) -> None:
         if not math.isfinite(self.fronthaul_capacity_bps):
@@ -217,17 +214,14 @@ def compare(
                               for side in (cmos, qa)], budget)
 
 
-class _CostAssumptions(NamedTuple):
-    electricity_price_per_kwh: float = 0.143  # USD
-    co2_lb_per_kwh: float = 0.92
-    hours_per_year: float = HOURS_PER_YEAR
-
-
-class CostAssumptions(Checked, _CostAssumptions):
+@checked
+class CostAssumptions(NamedTuple):
     """Prices and conversion factors that turn a power saving into money
     and avoided CO2."""
 
-    __slots__ = ()
+    electricity_price_per_kwh: float = 0.143  # USD
+    co2_lb_per_kwh: float = 0.92
+    hours_per_year: float = HOURS_PER_YEAR
 
     def _check(self) -> None:
         for name in ("electricity_price_per_kwh", "co2_lb_per_kwh", "hours_per_year"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .record import Checked
+from .record import checked
 
 # Magnetic flux quantum h/2e, webers.
 PHI0 = 2.067833848e-15
@@ -40,19 +40,16 @@ DIE_EDGE_MM = 0.335  # square die holding one unit cell
 QUBITS_PER_DIE = 8
 
 
-class _QaProfile(NamedTuple):
+@checked
+class QaProfile(NamedTuple):
+    """Operating parameters of one annealer generation."""
+
     name: str
     programming_us: float = 42.0  # per problem, incl. thermalization + reset
     anneal_us: float = 1.0  # per sample
     readout_us: float = 1.0  # per sample
     readout_delay_us: float = 1.0  # per sample, qubit reset interval
     refrigeration_w: float = 25e3  # flat draw of the refrigeration unit
-
-
-class QaProfile(Checked, _QaProfile):
-    """Operating parameters of one annealer generation."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for name in ("programming_us", "anneal_us", "readout_us",

@@ -28,7 +28,7 @@ from itertools import repeat
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .qa_hardware import QaProfile, qmi_runtime_us
-from .record import Checked
+from .record import checked
 from .workload import BbuTask, BbuWorkload
 
 # Share of total baseband compute carried by the two modeled tasks at the
@@ -36,16 +36,13 @@ from .workload import BbuTask, BbuWorkload
 MODELED_LOAD_FRACTION = 0.75
 
 
-class _TaskProblemModel(NamedTuple):
+@checked
+class TaskProblemModel(NamedTuple):
+    """How one task decomposes into annealer problem instances."""
+
     ops_per_problem: float  # silicon operations one instance replaces
     qubits_per_problem: int
     runtime_us: float  # wall time per instance
-
-
-class TaskProblemModel(Checked, _TaskProblemModel):
-    """How one task decomposes into annealer problem instances."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if self.ops_per_problem <= 0:

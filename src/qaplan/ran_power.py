@@ -16,10 +16,9 @@ prices a block of them in one loop, in the same float order.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .record import Checked
+from .record import checked
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
@@ -28,16 +27,13 @@ FRONTHAUL_REF_W = 37.0
 FRONTHAUL_REF_BPS = 500e6
 
 
-class _PowerSystemLosses(NamedTuple):
+@checked
+class PowerSystemLosses(NamedTuple):
+    """Fractional losses of the site power system."""
+
     sigma_ac: float = 0.09  # air conditioning / cooling
     sigma_ms: float = 0.07  # mains supply
     sigma_dc: float = 0.06  # DC-DC conversion
-
-
-class PowerSystemLosses(Checked, _PowerSystemLosses):
-    """Fractional losses of the site power system."""
-
-    # No `__slots__ = ()`: `supply_factor` is cached in the instance dict.
 
     def _check(self) -> None:
         for name in ("sigma_ac", "sigma_ms", "sigma_dc"):
@@ -45,7 +41,7 @@ class PowerSystemLosses(Checked, _PowerSystemLosses):
             if not 0 <= value < 1:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
 
-    @cached_property
+    @property
     def supply_factor(self) -> float:
         """Multiplier turning component watts into grid watts."""
         return 1.0 / (

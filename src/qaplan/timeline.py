@@ -13,7 +13,7 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import List, Mapping, NamedTuple, Sequence
 
-from .record import Checked
+from .record import checked
 
 # Shipped (and announced) device sizes by year.
 HISTORICAL_QUBITS: Mapping[int, int] = {
@@ -29,17 +29,14 @@ HISTORICAL_QUBITS: Mapping[int, int] = {
 PERIOD_YEARS = 3.0
 
 
-class _GrowthTrend(NamedTuple):
+@checked
+class GrowthTrend(NamedTuple):
+    """Geometric device-size growth anchored at one shipped device."""
+
     name: str
     anchor_year: int
     anchor_qubits: int
     growth_factor: float  # size multiplier per period
-
-
-class GrowthTrend(Checked, _GrowthTrend):
-    """Geometric device-size growth anchored at one shipped device."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         if self.anchor_qubits < 1:

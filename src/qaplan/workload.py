@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import add, is_, mul, truediv
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .record import Checked
+from .record import checked
 
 
 class BbuTask(Enum):
@@ -34,11 +34,6 @@ class BbuTask(Enum):
     FEC = "fec"
     CPRI = "cpri"
     PCP = "pcp"
-
-    # Members compare by identity, so the C-level identity hash agrees with
-    # equality (Enum's hashes the name in Python). No output iterates a set
-    # of tasks: every sum walks a fixed task-order tuple.
-    __hash__ = object.__hash__
 
     @property
     def label(self) -> str:
@@ -77,16 +72,8 @@ def left_sum(values: Iterable[float]) -> float:
 VALID_MODULATION_BITS = (1, 2, 4, 6, 8)
 
 
-class _CellScenario(NamedTuple):
-    bandwidth_mhz: float
-    modulation_bits: int = 6
-    coding_rate: float = 1.0
-    antennas: int = 1
-    duty_time: float = 1.0
-    duty_freq: float = 1.0
-
-
-class CellScenario(Checked, _CellScenario):
+@checked
+class CellScenario(NamedTuple):
     """One cell operating point.
 
     Attributes
@@ -99,7 +86,12 @@ class CellScenario(Checked, _CellScenario):
     duty_freq : fraction of spectrum in use, in (0, 1]
     """
 
-    __slots__ = ()
+    bandwidth_mhz: float
+    modulation_bits: int = 6
+    coding_rate: float = 1.0
+    antennas: int = 1
+    duty_time: float = 1.0
+    duty_freq: float = 1.0
 
     def _check(self) -> None:
         for name in ("bandwidth_mhz", "coding_rate", "antennas", "duty_time", "duty_freq"):
@@ -123,19 +115,16 @@ class CellScenario(Checked, _CellScenario):
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
-class _ScalingExponents(NamedTuple):
+@checked
+class ScalingExponents(NamedTuple):
+    """Per-axis scaling exponents for one task's compute demand."""
+
     bandwidth: int
     modulation: int
     coding_rate: int
     antennas: int
     duty_time: int
     duty_freq: int
-
-
-class ScalingExponents(Checked, _ScalingExponents):
-    """Per-axis scaling exponents for one task's compute demand."""
-
-    __slots__ = ()
 
     def _check(self) -> None:
         for name in ("bandwidth", "modulation", "coding_rate", "antennas",

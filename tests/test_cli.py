@@ -66,8 +66,8 @@ def test_output_stable_under_hash_randomization(tmp_path):
 
 @pytest.mark.parametrize("command,fmt", [("economics", "csv"), ("power", "table")])
 def test_cran_sweep_is_byte_identical_under_any_hash_seed(tmp_path, command, fmt):
-    # Tasks hash by identity, and string hashes follow PYTHONHASHSEED: no
-    # set or dict order may reach the output.
+    # Task and string hashes follow PYTHONHASHSEED: no set or dict order
+    # may reach the output.
     config = tmp_path / "cran.json"
     config.write_text(json.dumps({
         "topology": {"kind": "cran", "n_bs": 3},

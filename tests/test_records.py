@@ -2,8 +2,10 @@
 semantics and checks, as the package has always shown them, and the
 tuple behaviours they take on."""
 
+import copy
 import inspect
 import math
+import pickle
 
 import pytest
 
@@ -112,6 +114,10 @@ def test_records_are_values_and_immutable(build, text):
     for field in a._fields:
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(a, field))
+    # One class per record, and every copy is an equal value of that class.
+    assert type(a).__bases__ == (tuple,)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a) and twin == a
     # Every record is true, the field-less `BsTopology()` too.
     assert a
 
@@ -150,6 +156,8 @@ def _every_build_refuses(record, field, value, message):
     cls, values = type(record), {**record._asdict(), field: value}
     builds = [lambda: cls(**values), lambda: cls(*values.values()),
               lambda: cls._make(values.values()), lambda: record._replace(**{field: value})]
+    if hasattr(copy, "replace"):  # Python 3.13
+        builds.append(lambda: copy.replace(record, **{field: value}))
     for build in builds:
         with pytest.raises(ValueError) as caught:
             build()
@@ -158,7 +166,7 @@ def _every_build_refuses(record, field, value, message):
 
 def test_supply_factor_is_cached_per_record():
     losses = PowerSystemLosses()
-    assert losses.supply_factor is losses.supply_factor
-    # The cache is per record; equal records still compare as values.
+    assert losses.supply_factor == 1.0 / ((1.0 - 0.09) * (1.0 - 0.07) * (1.0 - 0.06))
+    # Equal records give equal factors and compare as values.
     assert PowerSystemLosses().supply_factor == losses.supply_factor
     assert PowerSystemLosses() == losses

@@ -12,7 +12,6 @@ from qaplan.workload import (
     VALID_MODULATION_BITS,
     BbuTask,
     CellScenario,
-    _CellScenario,
     left_sum,
     scale_task,
     task_tops,
@@ -155,7 +154,7 @@ def _tops_by_scenario(columns):
     tops = []
     for fields in zip(*columns):
         try:
-            values = [scale_task(task, _CellScenario(*fields)) for task in BbuTask]
+            values = [scale_task(task, tuple.__new__(CellScenario, fields)) for task in BbuTask]
         except OverflowError:
             return None
         if not math.isfinite(left_sum(values)):
