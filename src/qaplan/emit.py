@@ -102,7 +102,8 @@ class Rows(Lazy):
 class Table:
     """A named table whose rows split into own and shared cells, all at
     the same column. Column keys are unique: each is one csv header and
-    one json field.
+    one json field. No note holds a line break and the first key does not
+    start with "# ", so csv reads the notes and header back as written.
 
     `rows` are `Rows`, or an iterable of dicts keyed by column key, one
     per row, made here one block of own entries with no shared side.
@@ -116,13 +117,19 @@ class Table:
             if column.key in seen:
                 raise ValueError(f"repeated column key: {column.key!r}")
             seen.add(column.key)
+        if columns and columns[0].key.startswith("# "):
+            raise ValueError(f"first column key reads back as a csv note: {columns[0].key!r}")
+        notes = list(notes)
+        for note in notes:
+            if "\n" in note or "\r" in note:
+                raise ValueError(f"note holds a line break: {note!r}")
         if not isinstance(rows, Rows):
             records = list(rows)
             own = [[record[c.key] for record in records] for c in columns]
             at = range(len(records))
             blocks = [Block([own], [], at, at)] if records else []
             rows = Rows(blocks.__iter__, len(records))
-        self.name, self.columns, self.rows, self.notes = name, columns, rows, list(notes)
+        self.name, self.columns, self.rows, self.notes = name, columns, rows, notes
 
     def records(self) -> List[Dict[str, Cell]]:
         """The rows as dicts keyed by column key."""

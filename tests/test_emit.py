@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import tempfile
 import unittest.mock
 
@@ -103,6 +104,20 @@ def test_a_repeated_column_key_is_refused(keys):
         Table("t", [Column(k, k.upper()) for k in keys], [])
     with pytest.raises(ValueError, match="repeated column key"):
         read_csv(",".join(keys) + "\r\n" + ",".join("1" * len(keys)) + "\r\n")
+
+
+@pytest.mark.parametrize("keys, notes, named", [
+    (["k"], ["two\nlines"], "note holds a line break: 'two\\nlines'"),
+    (["k"], ["ok", "cr\r"], "note holds a line break: 'cr\\r'"),
+    (["k"], ["\r\n"], "note holds a line break: '\\r\\n'"),
+    (["# k", "v"], [], "first column key reads back as a csv note: '# k'"),
+    (["# "], ["ok"], "first column key reads back as a csv note: '# '"),
+])
+def test_a_note_or_first_key_that_csv_cannot_read_back_is_refused(keys, notes, named):
+    # `read_csv` takes each leading "# " line for one note, so a line break
+    # in a note, or a header that starts with "# ", would not read back.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Table("t", [Column(k, k) for k in keys], [], notes)
 
 
 def test_rendering_is_deterministic():
@@ -261,10 +276,18 @@ _STRINGS = st.text(max_size=6) | st.sampled_from(
     ["0", "-0.0", "007", "1,000", "1e5", "nan", "-inf", "12.50"])  # read as numbers
 
 
+def _csv_safe_key(key):
+    return not key.startswith("# ")  # a first key a `Table` refuses
+
+
+def _one_line(note):
+    return "\n" not in note and "\r" not in note  # a note a `Table` takes
+
+
 @st.composite
 def json_tables(draw):
     # Keys needing json escapes, and unique, as a table's keys must be.
-    keys = st.sampled_from(["k", "v", "ü", "n x"]) | st.text(max_size=3)
+    keys = st.sampled_from(["k", "v", "ü", "n x"]) | st.text(max_size=3).filter(_csv_safe_key)
     specs = draw(st.lists(st.tuples(keys, st.text(max_size=6),
                                     st.sampled_from(["", ",", ".3f", "d", "g"])),
                           max_size=6, unique_by=lambda spec: spec[0]))
@@ -277,7 +300,8 @@ def json_tables(draw):
     return split_table(columns, [tuple(row[c.key] for c in columns) for row in rows],
                        draw(st.integers(min_value=0, max_value=len(columns))),
                        draw(st.sets(st.integers(1, 3))),
-                       draw(st.lists(st.text(max_size=8), max_size=3)), draw(st.text(max_size=8)))
+                       draw(st.lists(st.text(max_size=8).filter(_one_line), max_size=3)),
+                       draw(st.text(max_size=8)))
 
 
 @given(json_tables())
@@ -343,6 +367,7 @@ def test_csv_row_parts_quote_as_the_whole_row(rows):
 # brace, which in a format string would take the spec from another cell.
 _CSV_SPECS = ["", ",", ".3f", "d", "g", "s", ">5", ".2", "_", '",>7', ",<6", "+.1e", "%", "{1}"]
 _CSV_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\x1f{}0')), max_size=5)
+_CSV_NOTE = _CSV_TEXT.filter(_one_line)
 _CSV_CELLS = (_CSV_TEXT | st.booleans() | _INTS | st.floats()
               | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), ""]))
 
@@ -354,7 +379,7 @@ def csv_tables(draw):
     rows = [tuple(draw(_CSV_CELLS) for _ in columns)
             for _ in range(draw(st.integers(min_value=0, max_value=4)))]
     return split_table(columns, rows, draw(st.integers(min_value=0, max_value=len(columns))),
-                       draw(st.sets(st.integers(1, 3))), draw(st.lists(_CSV_TEXT, max_size=2)))
+                       draw(st.sets(st.integers(1, 3))), draw(st.lists(_CSV_NOTE, max_size=2)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -447,7 +472,7 @@ def cut_tables(draw):
         blocks.append(Block(_parts(draw, own, split), _parts(draw, shared, len(columns) - split),
                             [own_at[i] for i in range(len(chunk))],
                             [at[id(shared)] for _, shared in chunk]))
-    notes = draw(st.lists(_CSV_TEXT, max_size=2))
+    notes = draw(st.lists(_CSV_NOTE, max_size=2))
     keys = [c.key for c in columns]
     return (Table("t", columns, Rows(blocks.__iter__, count), notes),
             Table("t", columns, [dict(zip(keys, own + shared)) for own, shared in rows], notes))

@@ -1,5 +1,5 @@
-"""The README's config example, sample output and dependency promise
-match the code."""
+"""The README's config example, sample output, library example,
+dependency promise and package layout match the code."""
 
 import ast
 import glob
@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import qaplan
 from qaplan.cli import main
 from qaplan.config import ENV_CONFIG_PATH, parse_config
 
@@ -78,3 +79,62 @@ def test_the_paper_tables_load_without_the_cli():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout == "False\n"
+
+
+# Every name the package once re-exported, by the module that defines it.
+_DEFINED_IN = {
+    "cmos": ["BUILTIN_CMOS", "CMOS_14NM", "CMOS_1_5NM", "CMOS_65NM", "CmosProfile", "cmos_power"],
+    "economics": ["BsTopology", "ComparisonResult", "CostAssumptions", "CostReport",
+                  "CranTopology", "compare", "cost_report"],
+    "qa_hardware": ["BUILTIN_QA", "QA_CURRENT", "QA_PROJECTED", "QaProfile", "programming_energy",
+                    "qmi_runtime_us", "readout_parallelism", "refrigerator_qubit_capacity"],
+    "qubit_budget": ["QubitBudget", "task_qubits", "total_budget"],
+    "ran_power": ["PowerBreakdown", "PowerSystemLosses", "bs_power", "cran_power"],
+    "timeline": ["BEST_CASE", "HISTORICAL_QUBITS", "WORST_CASE", "GrowthTrend", "qubits_at",
+                 "year_available"],
+    "workload": ["BbuTask", "BbuWorkload", "CellScenario", "scale_task", "workload"],
+}
+
+
+def test_the_package_namespace_is_its_modules():
+    # `qaplan` holds no model name, so `qaplan.workload` is the module, not
+    # the function of that name, and a module loads only what it imports.
+    # Each former package name is defined in its module, not imported there.
+    src = os.path.join(ROOT, "src")
+    names = sorted(n for ns in _DEFINED_IN.values() for n in ns)
+    code = "\n".join([
+        f"import importlib, sys, types; sys.path.insert(0, {src!r})",
+        "loaded = lambda: sorted(n for n in sys.modules if n.startswith('qaplan.'))",
+        "import qaplan",
+        f"print(loaded(), [n for n in {names!r} if hasattr(qaplan, n)])",
+        "import qaplan.emit",
+        "print(loaded())",
+        "import qaplan.workload as w",
+        "print(isinstance(w, types.ModuleType), qaplan.workload.CellScenario.__name__)",
+        f"for m, ns in {_DEFINED_IN!r}.items():",
+        "    home = importlib.import_module('qaplan.' + m)",
+        "    for n in ns:",
+        "        obj = getattr(home, n)",
+        "        if callable(obj) and obj.__module__ != home.__name__:",
+        "            print(m, n, obj.__module__)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines() == ["[] []", "['qaplan.emit']", "True CellScenario"]
+
+
+def test_the_package_version_is_the_project_version():
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        project = fh.read().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [qaplan.__version__]
+
+
+def test_library_example_is_live(readme):
+    # The snippet runs in a fresh interpreter and prints what the README shows.
+    section = readme.split("## Library", 1)[1]
+    code, printed = re.search(r"```python\n(.*?)```\n\nprints\n\n```\n(.*?)```", section,
+                              re.S).groups()
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert proc.stdout == printed
