@@ -411,24 +411,20 @@ def cmd_targets(cfg: RunConfig, points: Lazy, warnings) -> Table:
     return _table("targets", cfg, points, columns, warnings, shared=shared, notes=["units: TOPS"])
 
 
-# The power table's columns after the node, each with its position in
-# `Stages.deployments`.
-_POWER_COLUMNS = (
-    ("cmos_bbu_w", "CMOS BBU (W)", 0), ("cmos_ru_w", "RU (W)", 1),
-    ("cmos_pa_w", "PA (W)", 2), ("cmos_ps_w", "Power sys (W)", 3),
-    ("cmos_fronthaul_w", "Fronthaul (W)", 4), ("cmos_total_w", "CMOS total (W)", 6),
-    ("qa_silicon_w", "QA-side silicon (W)", 7), ("qa_refrigeration_w", "Refrigeration (W)", 12),
-    ("qa_total_w", "QA total (W)", 13), ("delta_w", "Saving (W)", 14),
-)
-
-
 def cmd_power(cfg: RunConfig, points: Lazy, warnings) -> Table:
-    columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
-               *[Column(key, title, ".1f") for key, title, _ in _POWER_COLUMNS]]
+    columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN, *[Column(*c, ".1f") for c in (
+        ("cmos_bbu_w", "CMOS BBU (W)"), ("cmos_ru_w", "RU (W)"), ("cmos_pa_w", "PA (W)"),
+        ("cmos_ps_w", "Power sys (W)"), ("cmos_fronthaul_w", "Fronthaul (W)"),
+        ("cmos_total_w", "CMOS total (W)"), ("qa_silicon_w", "QA-side silicon (W)"),
+        ("qa_refrigeration_w", "Refrigeration (W)"), ("qa_total_w", "QA total (W)"),
+        ("delta_w", "Saving (W)"))]]
 
     def shared(stages: Stages, cmos: CmosProfile) -> Columns:
-        sides = stages.deployments(cmos)
-        return [sides[at] for _, _, at in _POWER_COLUMNS]
+        cmos_w, qa_w, savings = stages.deployments(cmos)
+        bbu, ru, pa, power_system, fronthaul, _, cmos_total = cmos_w
+        qa_silicon, *_, refrigeration, qa_total = qa_w
+        return (bbu, ru, pa, power_system, fronthaul, cmos_total, qa_silicon, refrigeration,
+                qa_total, savings)
 
     return _table("power", cfg, points, columns, warnings, shared=shared, per_node=True)
 
@@ -460,7 +456,7 @@ def cmd_economics(cfg: RunConfig, points: Lazy, warnings) -> Table:
                     Column(f"co2_{label}yr_kt", f"CO2 {label}yr (kt)", ".3f")]
 
     def shared(stages: Stages, cmos: CmosProfile) -> Columns:
-        savings = stages.deployments(cmos)[14]
+        _, _, savings = stages.deployments(cmos)
         opex, co2 = cost_columns(savings, cfg.horizons_years, cfg.costs)
         return [savings, *itertools.chain.from_iterable(zip(opex, co2))]
 

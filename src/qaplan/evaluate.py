@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cmos import CmosProfile
 from .config import RunConfig
-from .economics import deployment_columns
+from .economics import Breakdowns, deployment_columns
 from .qa_hardware import refrigerator_qubit_capacity
 from .qubit_budget import budget_columns, problem_runtime, rate_columns
 from .workload import SCENARIO_FIELDS, BbuTask, task_tops
@@ -71,9 +71,7 @@ class Stages:
             self._budgets[samples] = fdnl, fec, total, over
         return self._budgets[samples]
 
-    def deployments(self, cmos: CmosProfile) -> Tuple[List[float], ...]:
-        """Both candidates' `PowerBreakdown` columns and totals, then the saving."""
+    def deployments(self, cmos: CmosProfile) -> Tuple[Breakdowns, Breakdowns, List[float]]:
+        """Both candidates' `PowerBreakdown` columns and totals, and the saving."""
         cfg = self.cfg
-        cmos_w, qa_w, savings = deployment_columns(self.tops, self.antennas, cmos,
-                                                   cfg.qa_profile, cfg.topology)
-        return (*cmos_w, *qa_w, savings)
+        return deployment_columns(self.tops, self.antennas, cmos, cfg.qa_profile, cfg.topology)

@@ -181,8 +181,8 @@ def powerbenefit_table() -> Table:
         stages.start(list(zip(*scenarios)))
         # The deployment's qubit ask: each cell's total times its n_bs cells.
         qubits.append([total * topology.n_bs for total in stages.budget(cfg.samples)[2]])
-        sides = stages.deployments(cfg.cmos_profiles[0])
-        power += [[watts / unit for watts in sides[at]] for at in (6, 13)]  # the totals
+        (*_, cmos_total), (*_, qa_total), _ = stages.deployments(cfg.cmos_profiles[0])
+        power += [[watts / unit for watts in total] for total in (cmos_total, qa_total)]
     return Table(
         name="powerbenefit",
         columns=columns,

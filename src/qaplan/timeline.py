@@ -69,18 +69,26 @@ def qubits_at(trend: GrowthTrend, year: float) -> int:
             f"{trend.name} trend starts at {trend.anchor_year}; got {year}"
         )
     periods = (year - trend.anchor_year) / PERIOD_YEARS
-    return math.floor(trend.anchor_qubits * trend.growth_factor ** periods)
+    try:
+        return math.floor(trend.anchor_qubits * trend.growth_factor ** periods)
+    except OverflowError:  # a float power past range raises, and so does floor(inf)
+        raise ValueError(f"{trend.name} trend size in {year} is past float range") from None
 
 
 def year_available(trend: GrowthTrend, required_qubits: int) -> int:
-    """First whole year the trend supplies `required_qubits`."""
+    """First whole year the trend supplies `required_qubits`. A count the
+    trend passes only past float range raises `qubits_at`'s error."""
     if required_qubits < 1:
         raise ValueError(f"required_qubits must be positive, got {required_qubits}")
     if required_qubits <= trend.anchor_qubits:
         return trend.anchor_year
-    periods = math.log(required_qubits / trend.anchor_qubits) / math.log(
-        trend.growth_factor
-    )
+    try:
+        periods = math.log(required_qubits / trend.anchor_qubits) / math.log(
+            trend.growth_factor
+        )
+    except OverflowError:  # an int past float range
+        raise ValueError(
+            f"required_qubits past float range: {len(str(required_qubits))} digits") from None
     year = trend.anchor_year + math.ceil(periods * PERIOD_YEARS)
     # Closed form can land one year off either way after flooring.
     while qubits_at(trend, year) < required_qubits:

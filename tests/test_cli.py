@@ -92,6 +92,29 @@ def test_cran_sweep_is_byte_identical_under_any_hash_seed(tmp_path, command, fmt
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+# Centralized calls whose rows share cells across sample counts, modulations
+# and nodes, one of them over 200 scenarios, so several blocks on each node.
+@pytest.mark.parametrize("argv,rows", [
+    (["economics", "--format", "json", "--sweep", "samples=1,20", "--sweep", "antennas=8,16"], 12),
+    (["power", "--format", "table", "--sweep", "samples=1,20,50", "--sweep", "antennas=8,64"], 18),
+    (["power", "--format", "table", "--sweep", f"antennas={','.join(map(str, range(1, 201)))}"],
+     600),
+    (["timeline", "--format", "json", "--sweep", "samples=1,20",
+      "--sweep", "modulation_bits=2,6"], 4),
+], ids=["economics-json", "power-table", "power-table-blocks", "timeline-json"])
+def test_centralized_rows_that_share_cells_render_one_row_per_point(tmp_path, monkeypatch,
+                                                                    capsys, argv, rows):
+    path = tmp_path / "cran.json"
+    path.write_text(json.dumps(CRAN_CONFIG), encoding="utf-8")
+    argv = argv + ["--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    # A text table's three lines before its rows: its name, header and rule.
+    assert (len(read_json(out).records()) if "json" in argv else out.count("\n") - 3) == rows
+    monkeypatch.setattr(qaplan.cli, "BLOCK", 1)
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_csv_and_json_agree_numerically(capsys):
     _, csv_text, _ = run(capsys, "qubits", "--format", "csv")
     _, json_text, _ = run(capsys, "qubits", "--format", "json")

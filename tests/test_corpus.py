@@ -5,10 +5,13 @@ format and sweep axis, with the configs in `CONFIGS`: both topologies,
 fixed fields off the reference point, a node too slow to price
 (1e-305 TOPS/W), a config that is refused, sweeps heavy with failing
 values or past one block, paper tables, `--out` files and the forms
-only argparse reads (`--format=csv`, `--form csv`). `corpus.json` holds
-each one's exit code and the sha256 of its stdout (then of its `--out`
-file) and of its stderr, run through `cli.main` in a directory holding
-the configs under the names given.
+only argparse reads (`--format=csv`, `--form csv`). The fixed cases in
+`FIXED` follow the drawn ones: a `costs` block and a refused one,
+config files that cannot be read, and a timeline whose ask is past
+`timeline.LOOKUP_LIMIT`. `corpus.json` holds each one's exit code and
+the sha256 of its stdout (then of its `--out` file) and of its stderr,
+run through `cli.main` in a directory holding the configs and `FILES`
+under the names given.
 
 After an intended output change, record the corpus again and name the
 change in CHANGES.md:
@@ -52,6 +55,22 @@ CONFIGS = {
                       "samples": 50, "qa": {"profile": "projected"}},
     "refused.json": {"topology": {"kind": "cran", "fronthaul_gbps": 0}},
 }
+# The files the fixed cases read, as bytes; `missing.json` is not written.
+FILES = {
+    "costs.json": json.dumps({"costs": {"electricity_price_per_kwh": 0.3, "co2_lb_per_kwh": 1.1,
+                                        "hours_per_year": 8000}}).encode("utf-8"),
+    "costsrefused.json": json.dumps({"costs": {"co2_lb_per_kwh": -1}}).encode("utf-8"),
+    "notutf8.json": b"\xff",
+    "badjson.json": b'{"samples": ',
+}
+FIXED = [
+    ["economics", "--format", "csv", "--config", "costs.json", "--sweep", "samples=1,20"],
+    ["economics", "--format", "csv", "--config", "costsrefused.json"],
+    *[["targets", "--format", "csv", "--config", name]
+      for name in ("notutf8.json", "badjson.json", "missing.json")],
+    # An ask of 6.48e300 qubits: `YearTable.years` takes `year_available`.
+    ["timeline", "--format", "csv", "--sweep", "bandwidth_mhz=5e298", "--sweep", "antennas=1"],
+]
 OUT = "out.txt"
 COMMANDS = ("targets", "power", "qubits", "economics", "timeline")
 FORMATS = ("csv", "json", "table")
@@ -122,6 +141,9 @@ def write_configs(directory):
     for name, doc in CONFIGS.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+    for name, data in FILES.items():
+        with open(os.path.join(directory, name), "wb") as fh:
+            fh.write(data)
 
 
 def _load():
@@ -130,7 +152,9 @@ def _load():
 
 
 def test_the_corpus_is_the_seeded_draw():
-    assert [case["argv"] for case in _load()] == corpus_argv()
+    argv = [case["argv"] for case in _load()]
+    assert argv[:COUNT] == corpus_argv()
+    assert argv[COUNT:] == FIXED
 
 
 def test_every_call_of_the_corpus_gives_its_recorded_bytes(tmp_path, monkeypatch):
@@ -156,7 +180,7 @@ def record():
         write_configs(directory)
         os.chdir(directory)
         try:
-            for argv in corpus_argv():
+            for argv in corpus_argv() + FIXED:
                 code, out, err = run(argv)
                 cases.append({"argv": argv, "exit": code, "stdout_sha256": out,
                               "stderr_sha256": err})

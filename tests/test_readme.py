@@ -81,6 +81,16 @@ def test_the_paper_tables_load_without_the_cli():
     assert proc.stdout == "False\n"
 
 
+def test_the_checked_records_build_without_a_warning():
+    # `record.checked` patches `typing.NamedTuple` classes, which no Python
+    # version may warn about: any warning fails the import.
+    src = os.path.join(ROOT, "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import qaplan.cli, qaplan.tables"
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 # Every name the package once re-exported, by the module that defines it.
 _DEFINED_IN = {
     "cmos": ["BUILTIN_CMOS", "CMOS_14NM", "CMOS_1_5NM", "CMOS_65NM", "CmosProfile", "cmos_power"],

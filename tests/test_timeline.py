@@ -58,6 +58,22 @@ def test_small_requirements_available_at_anchor():
     assert year_available(BEST_CASE, 5437) > 2020
 
 
+@pytest.mark.parametrize("trend,year,count", [
+    (BEST_CASE, 4175, 14 * 10**307), (WORST_CASE, 8723, 17 * 10**307),
+], ids=["best-case", "worst-case"])
+def test_a_size_past_float_range_is_a_named_domain_error(trend, year, count):
+    # Each trend's size leaves float range in `year`; a count it passes
+    # only there raises the same error from `year_available`.
+    assert qubits_at(trend, year - 1) < count
+    message = f"{trend.name} trend size in {year} is past float range"
+    with pytest.raises(ValueError, match=message):
+        qubits_at(trend, year)
+    with pytest.raises(ValueError, match=message):
+        year_available(trend, count)
+    with pytest.raises(ValueError, match="required_qubits past float range: 401 digits"):
+        year_available(trend, 10**400)
+
+
 def test_invalid_trends_rejected():
     with pytest.raises(ValueError):
         GrowthTrend("flat", 2020, 5436, growth_factor=1.0)
