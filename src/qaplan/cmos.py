@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .record import checked
+from .record import check_non_negative, checked
 
 
 @checked
@@ -32,10 +32,7 @@ class CmosProfile(NamedTuple):
             raise ValueError(
                 f"efficiency must be positive, got {self.efficiency_tops_per_w}"
             )
-        if self.leakage_fraction < 0:
-            raise ValueError(
-                f"leakage_fraction must be non-negative, got {self.leakage_fraction}"
-            )
+        check_non_negative([self.leakage_fraction], "leakage_fraction")
 
 
 # Measured anchor the projections scale from, and its supply voltage.
@@ -107,6 +104,5 @@ BUILTIN_CMOS = {
 
 def cmos_power(tops: float, profile: CmosProfile) -> float:
     """Watts to sustain `tops` on the given node, leakage included."""
-    if tops < 0:
-        raise ValueError(f"tops must be non-negative, got {tops}")
+    check_non_negative([tops], "tops")
     return tops / profile.efficiency_tops_per_w * (1.0 + profile.leakage_fraction)

@@ -4,7 +4,10 @@ The config names the scenarios to evaluate and the hardware and cost
 assumptions to evaluate them under. Every key is optional; the built-in
 defaults reproduce the reference operating point (one 400 MHz, 64-antenna
 cell at 20 samples on the 14nm node). Unknown keys are rejected so typos
-fail loudly rather than silently falling back to defaults.
+fail loudly rather than silently falling back to defaults. A section takes
+its keys from the record it builds; a key left out takes the built-in
+config's value, or the record's default (`CmosProfile`, `CranTopology`).
+A name holds no line break: it heads one line of text.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .cmos import BUILTIN_CMOS, CmosProfile, scaled_profile
 from .economics import MAX_N_BS, BsTopology, CostAssumptions, CranTopology, Topology
 from .qa_hardware import BUILTIN_QA, QaProfile
+from .record import check_non_negative
 from .workload import CellScenario
 
 ENV_CONFIG_PATH = "QAPLAN_CONFIG"
@@ -73,6 +77,9 @@ def _name(value, key: str) -> str:
     different things yet print the same."""
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {json.dumps(value)}")
+    # A name heads a row of text and a warning, each one line.
+    if "\n" in value or "\r" in value:
+        raise ConfigError(f"{key} holds a line break: {value!r}")
     return value
 
 
@@ -95,30 +102,24 @@ def _check_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-_SCENARIO_KEYS = ("name", "bandwidth_mhz", "modulation_bits", "coding_rate",
-                  "antennas", "duty_time", "duty_freq")
+SWEEP_AXES = ("bandwidth_mhz", "antennas", "samples", "modulation_bits",
+              "coding_rate", "duty_time", "duty_freq")
+_INTEGER_AXES = ("antennas", "samples", "modulation_bits")
 
 
-def _parse_scenario(obj: dict, index: int) -> Tuple[str, CellScenario]:
-    _check_keys(obj, _SCENARIO_KEYS, f"scenarios[{index}]")
+def _parse_scenario(obj: dict, index: int, base: CellScenario) -> Tuple[str, CellScenario]:
+    """One named scenario; a field it leaves out takes its value in `base`."""
+    where = f"scenarios[{index}]"
+    _check_keys(obj, ("name", *CellScenario._fields), where)
     if "bandwidth_mhz" not in obj:
-        raise ConfigError(f"scenarios[{index}] needs bandwidth_mhz")
-    name = _name(obj.get("name", f"scenario-{index}"), f"scenarios[{index}].name")
-
-    def get(key: str, default=None, check=_real):
-        return check(obj.get(key, default), f"scenarios[{index}].{key}")
-
+        raise ConfigError(f"{where} needs bandwidth_mhz")
+    name = _name(obj.get("name", f"scenario-{index}"), f"{where}.name")
     try:
-        scenario = CellScenario(
-            bandwidth_mhz=get("bandwidth_mhz"),
-            modulation_bits=get("modulation_bits", 6, _whole),
-            coding_rate=get("coding_rate", 0.5),
-            antennas=get("antennas", 64, _whole),
-            duty_time=get("duty_time", 1.0),
-            duty_freq=get("duty_freq", 1.0),
-        )
+        scenario = CellScenario._make(
+            (_whole if key in _INTEGER_AXES else _real)(obj.get(key, value), f"{where}.{key}")
+            for key, value in zip(CellScenario._fields, base))
     except _BAD_VALUE as exc:
-        raise ConfigError(f"scenarios[{index}]: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     return name, scenario
 
 
@@ -130,9 +131,8 @@ def _check_unique(names: Sequence[str], what: str) -> None:
         seen.add(name)
 
 
-# The keys of each `cmos[]` object: an explicit efficiency, or a projection
-# from the 65 nm anchor at a supply voltage.
-_EFFICIENCY_KEYS = ("node", "efficiency_tops_per_w", "leakage_fraction")
+# The keys of a `cmos[]` object that projects from the 65 nm anchor at a
+# supply voltage; one that gives its efficiency takes `CmosProfile`'s.
 _VDD_KEYS = ("node", "vdd", "mode")
 
 
@@ -150,7 +150,7 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
             profiles.append(BUILTIN_CMOS[obj])
             continue
         explicit = isinstance(obj, dict) and "efficiency_tops_per_w" in obj
-        _check_keys(obj, _EFFICIENCY_KEYS if explicit else _VDD_KEYS, f"cmos[{i}]")
+        _check_keys(obj, CmosProfile._fields if explicit else _VDD_KEYS, f"cmos[{i}]")
         node = _name(obj.get("node", f"custom-{i}"), f"cmos[{i}].node")
 
         def get(key: str, default=None):
@@ -158,11 +158,9 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
 
         try:
             if explicit:
-                profiles.append(CmosProfile(
-                    node=node,
-                    efficiency_tops_per_w=get("efficiency_tops_per_w"),
-                    leakage_fraction=get("leakage_fraction", 0.30),
-                ))
+                profiles.append(CmosProfile(node, *(
+                    get(key, CmosProfile._field_defaults.get(key))
+                    for key in CmosProfile._fields[1:])))
             elif "vdd" in obj:
                 profiles.append(scaled_profile(
                     node=node,
@@ -179,10 +177,10 @@ def _parse_cmos(entries) -> Tuple[CmosProfile, ...]:
     return tuple(profiles)
 
 
-def _parse_qa(obj: dict) -> QaProfile:
+def _parse_qa(obj: dict, base: QaProfile) -> QaProfile:
+    """`base`, or the built-in profile `profile` names, with the overrides."""
     # The profile's name is not a setting: `profile` picks it.
     _check_keys(obj, ("profile",) + tuple(f for f in QaProfile._fields if f != "name"), "qa")
-    base = BUILTIN_QA["projected"]
     if "profile" in obj:
         try:
             base = BUILTIN_QA[obj["profile"]]
@@ -208,12 +206,14 @@ def _parse_topology(obj: dict) -> Topology:
             _check_keys(obj, ("kind",), "topology (kind=bs)")
             return BsTopology()
         if kind == "cran":
-            n_bs = _whole(obj.get("n_bs", 3), "topology.n_bs")
+            default = CranTopology()
+            n_bs = _whole(obj.get("n_bs", default.n_bs), "topology.n_bs")
             return CranTopology(
                 # out of range, as given, for `CranTopology` to refuse
                 n_bs=n_bs if 1 <= n_bs <= MAX_N_BS else obj["n_bs"],
                 fronthaul_capacity_bps=_real(
-                    obj.get("fronthaul_gbps", 100), "topology.fronthaul_gbps") * 1e9,
+                    obj.get("fronthaul_gbps", default.fronthaul_capacity_bps / 1e9),
+                    "topology.fronthaul_gbps") * 1e9,
             )
     except _BAD_VALUE as exc:
         raise ConfigError(f"topology: {exc}") from exc
@@ -227,11 +227,6 @@ def _parse_costs(obj: dict) -> CostAssumptions:
             **{k: _real(v, f"costs.{k}") for k, v in obj.items()})
     except _BAD_VALUE as exc:
         raise ConfigError(f"costs: {exc}") from exc
-
-
-SWEEP_AXES = ("bandwidth_mhz", "antennas", "samples", "modulation_bits",
-              "coding_rate", "duty_time", "duty_freq")
-_INTEGER_AXES = ("antennas", "samples", "modulation_bits")
 
 
 def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
@@ -270,7 +265,7 @@ def parse_config(doc: dict) -> RunConfig:
         if not isinstance(doc["scenarios"], list) or not doc["scenarios"]:
             raise ConfigError("scenarios must be a non-empty list")
         scenarios = tuple(
-            _parse_scenario(s, i) for i, s in enumerate(doc["scenarios"])
+            _parse_scenario(s, i, base.scenarios[0][1]) for i, s in enumerate(doc["scenarios"])
         )
         # Scenario names become row names.
         _check_unique([name for name, _ in scenarios], "scenario name")
@@ -286,8 +281,7 @@ def parse_config(doc: dict) -> RunConfig:
         for years in horizons:
             if not math.isfinite(years):
                 raise ValueError(f"horizons must be finite, got {years}")
-            if years < 0:
-                raise ValueError(f"horizons must be non-negative, got {years}")
+            check_non_negative([years], "horizons")
     except _BAD_VALUE as exc:
         raise ConfigError(f"horizons_years: {exc}") from exc
     # Economics column keys name each horizon by its :g label.
@@ -295,7 +289,7 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         scenarios=scenarios,
         cmos_profiles=_parse_cmos(doc["cmos"]) if "cmos" in doc else base.cmos_profiles,
-        qa_profile=_parse_qa(doc["qa"]) if "qa" in doc else base.qa_profile,
+        qa_profile=_parse_qa(doc["qa"], base.qa_profile) if "qa" in doc else base.qa_profile,
         samples=int(samples),
         topology=_parse_topology(doc["topology"]) if "topology" in doc else base.topology,
         costs=_parse_costs(doc["costs"]) if "costs" in doc else base.costs,

@@ -36,10 +36,9 @@ from .ran_power import (
     PA_W,
     RU_CHAIN_W,
     PowerBreakdown,
-    _check_non_negative,
     fronthaul_w,
 )
-from .record import checked
+from .record import check_non_negative, checked
 from .workload import BbuTask, CellScenario, workload
 
 # Tasks that stay on silicon (control and transport) and those an annealer
@@ -126,13 +125,13 @@ def deployment_columns(tops: Sequence[Sequence[float]], antennas: Sequence[int],
     and `bs_power` or `cran_power` of each candidate, bit for bit.
     """
     for column in tops:
-        _check_non_negative(column, "tops")
+        check_non_negative(column, "tops")
     bs = isinstance(topology, BsTopology)
     if not bs and not isinstance(topology, CranTopology):
         raise ValueError(f"unknown topology {topology!r}")
     # The bbu_w and n_sites checks of the scalar models cannot fail here:
     # the TOPS are non-negative, and a topology has at least one site.
-    _check_non_negative(antennas, "antennas")
+    check_non_negative(antennas, "antennas")
     efficiency, static = cmos_profile.efficiency_tops_per_w, 1.0 + cmos_profile.leakage_fraction
     fridge = qa_profile.refrigeration_w
     ru_w, pa_w, overhead = RU_CHAIN_W, PA_W, _SUPPLY_OVERHEAD
@@ -293,7 +292,7 @@ def advantage_columns(tops: Sequence[Sequence[float]], cmos_profile: CmosProfile
     # The offloadable tasks are the first six: DPD to FEC.
     offloaded = [0 + dpd + filt + fft + lin + nonlin + fec
                  for dpd, filt, fft, lin, nonlin, fec in zip(*tops[:6])]
-    _check_non_negative(offloaded, "tops")
+    check_non_negative(offloaded, "tops")
     efficiency, static = cmos_profile.efficiency_tops_per_w, 1.0 + cmos_profile.leakage_fraction
     fridge = qa_profile.refrigeration_w
     advantage = [value / efficiency * static - fridge for value in offloaded]

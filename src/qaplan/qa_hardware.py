@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .record import checked
+from .record import check_non_negative, checked
 
 # Magnetic flux quantum h/2e, webers.
 PHI0 = 2.067833848e-15
@@ -139,8 +139,7 @@ def readout_parallelism(
     band, 4*Q_r/6 GHz-wide channels, capped at the device size; requires
     `quality_factor`.
     """
-    if n_qubits < 0:
-        raise ValueError(f"n_qubits must be non-negative, got {n_qubits}")
+    check_non_negative([n_qubits], "n_qubits")
     if scheme == "time-division":
         return math.floor(math.sqrt(n_qubits / 2.0))
     if scheme == "frequency-multiplex":

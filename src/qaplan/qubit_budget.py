@@ -28,7 +28,7 @@ from itertools import repeat
 from typing import Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .qa_hardware import QaProfile, qmi_runtime_us
-from .record import checked
+from .record import check_non_negative, checked
 from .workload import BbuTask, BbuWorkload
 
 # Share of total baseband compute carried by the two modeled tasks at the
@@ -73,8 +73,7 @@ def ldpc_aux_depth(row_weight: float) -> int:
 
     Smallest n >= 0 with 2^(n+1) - 2 covering the (evened) row weight.
     """
-    if row_weight < 0:
-        raise ValueError(f"row_weight must be non-negative, got {row_weight}")
+    check_non_negative([row_weight], "row_weight")
     target = row_weight - math.fmod(row_weight, 2.0)
     n = 0
     while 2 ** (n + 1) - 2 < target:
@@ -100,9 +99,7 @@ def _qubit_rates(tops: Sequence[float], ops_per_problem: Iterable[float],
                  qubits_per_problem: Iterable[int]) -> List[float]:
     """Problems/s x qubits per problem of each load: qubits held per second
     of problem runtime."""
-    negative = [value for value in tops if value < 0]
-    if negative:
-        raise ValueError(f"tops must be non-negative, got {negative[0]}")
+    check_non_negative(tops, "tops")
     return [value * 1e12 / ops * qubits
             for value, ops, qubits in zip(tops, ops_per_problem, qubits_per_problem)]
 

@@ -16,9 +16,9 @@ prices a block of them in one loop, in the same float order.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .record import checked
+from .record import check_non_negative, checked
 
 RU_CHAIN_W = 10.8  # watts per transceiver chain
 PA_W = 102.6  # watts per power amplifier (incl. antenna feeder)
@@ -89,23 +89,13 @@ class PowerBreakdown(NamedTuple):
         return bbu + ru + pa + power_system + fronthaul + refrigeration
 
 
-def _check_non_negative(values: Sequence[float], name: str) -> None:
-    """Refuse the first negative of `values`, naming it `name`."""
-    # `min` is below 0 or nan wherever a value is negative: it can miss one
-    # only after a leading nan, which it returns.
-    if values and not min(values) >= 0:
-        negative = [value for value in values if value < 0]
-        if negative:
-            raise ValueError(f"{name} must be non-negative, got {negative[0]}")
-
-
 def bs_power(bbu_w: float, antennas: int, losses: PowerSystemLosses = DEFAULT_LOSSES,
              refrigeration_w: float = 0.0) -> PowerBreakdown:
     """Grid power of a base station drawing `bbu_w` of baseband silicon,
     with one transceiver chain and one PA per antenna. Anything in
     `refrigeration_w` is added after the supply losses."""
-    _check_non_negative([bbu_w], "bbu_w")
-    _check_non_negative([antennas], "antennas")
+    check_non_negative([bbu_w], "bbu_w")
+    check_non_negative([antennas], "antennas")
     ru, pa = antennas * RU_CHAIN_W, antennas * PA_W
     overhead = (bbu_w + ru + pa) * (losses.supply_factor - 1.0)
     return PowerBreakdown(bbu_w, ru, pa, overhead, 0.0, refrigeration_w)
@@ -118,10 +108,9 @@ def cran_power(bbu_w: float, antennas: int, site_bbu_w: float, link_w: float, n_
     per antenna, `site_bbu_w` of silicon and a fronthaul link drawing
     `link_w`. Pool and sites pass through the default loss chain; links
     and `refrigeration_w` bypass it."""
-    _check_non_negative([bbu_w], "bbu_w")
-    _check_non_negative([antennas], "antennas")
-    if n_sites < 0:
-        raise ValueError(f"n_sites must be non-negative, got {n_sites}")
+    check_non_negative([bbu_w], "bbu_w")
+    check_non_negative([antennas], "antennas")
+    check_non_negative([n_sites], "n_sites")
     site_ru, site_pa = antennas * RU_CHAIN_W, antennas * PA_W
     site_overhead = (site_ru + site_pa + site_bbu_w) * _SUPPLY_OVERHEAD
     return PowerBreakdown(bbu_w + n_sites * site_bbu_w, n_sites * site_ru, n_sites * site_pa,

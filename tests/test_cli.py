@@ -369,6 +369,7 @@ def test_non_finite_sweep_values_end_in_one_line_each(capsys, command, sweep, co
     ({"cmos": [{"node": "x", "vdd": 1e200}]},
      "cmos[0]: vdd 1e+200 projects an efficiency below float range"),
     ({"horizons_years": [1, -1]}, "horizons_years: horizons must be non-negative, got -1.0"),
+    ({"cmos": [{"node": "x", "vdd": 0}]}, "cmos[0]: vdd must be positive, got 0.0"),
 ])
 def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, message):
     path = tmp_path / "nonfinite.json"
@@ -378,6 +379,22 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, doc, messa
         assert code == EXIT_CONFIG
         assert out == ""
         assert err == f"qaplan: config error: {message}\n"
+
+
+@pytest.mark.parametrize("doc,key,name", [
+    ({"scenarios": [{"name": "a\nb", "bandwidth_mhz": 20}]}, "scenarios[0].name", "a\nb"),
+    ({"scenarios": [{"name": "a\rb", "bandwidth_mhz": 20}]}, "scenarios[0].name", "a\rb"),
+    ({"cmos": [{"node": "x\ny", "efficiency_tops_per_w": 0.1}]}, "cmos[0].node", "x\ny"),
+    ({"cmos": ["14nm", {"node": "x\r\ny", "vdd": 0.7}]}, "cmos[1].node", "x\r\ny"),
+], ids=["scenario-lf", "scenario-cr", "node-lf", "node-crlf"])
+def test_a_name_holding_a_line_break_is_a_config_error(tmp_path, capsys, doc, key, name):
+    # A name heads a text row and a warning, which would span two lines.
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("targets", "power", "qubits"):
+        code, out, err = run(capsys, command, "--config", str(path), "--sweep", "antennas=512")
+        assert (code, out, err) == (
+            EXIT_CONFIG, "", f"qaplan: config error: {key} holds a line break: {name!r}\n")
 
 
 @pytest.mark.parametrize("n_bs,message", [

@@ -9,6 +9,7 @@ from qaplan.cmos import (
     CMOS_1_5NM,
     CMOS_14NM,
     CMOS_65NM,
+    CmosProfile,
     cmos_power,
     efficiency_from_vdd,
     round_sig,
@@ -63,6 +64,10 @@ def test_zero_load_draws_nothing():
 def test_negative_load_rejected():
     with pytest.raises(ValueError):
         cmos_power(-1.0, CMOS_14NM)
+
+
+def test_a_profile_without_leakage_builds():
+    assert CmosProfile("x", 1.0, 0.0).leakage_fraction == 0.0
 
 
 def test_bad_mode_rejected():

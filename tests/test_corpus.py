@@ -17,6 +17,10 @@ After an intended output change, record the corpus again and name the
 change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_corpus.py --record
+
+It prints each case whose exit code or digests moved, with its index and
+argv and whether the exit, stdout or stderr moved, and nothing if none
+did.
 """
 
 import contextlib
@@ -172,8 +176,35 @@ def test_the_corpus_reaches_every_exit_code(code):
     assert any(case["exit"] == code for case in _load())
 
 
+def test_recording_again_names_each_case_whose_bytes_moved():
+    case = {"argv": ["targets"], "exit": 0, "stdout_sha256": "a", "stderr_sha256": "b"}
+    assert moved([case], [case]) == []
+    assert moved([case], [{**case, "exit": 1, "stderr_sha256": "c"}]) == [
+        '0 ["targets"]: exit, stderr']
+    assert moved([], [case]) == ['0 ["targets"]: new']
+
+
+def moved(old, new):
+    """A line for each case of `new` whose exit code or digests differ from
+    the case at its index in `old`: the index, the argv and what moved. A
+    case whose argv is not the one at its index in `old` is new."""
+    lines = []
+    for index, case in enumerate(new):
+        before = old[index] if index < len(old) else None
+        if before is None or before["argv"] != case["argv"]:
+            what = "new"
+        else:
+            what = ", ".join(key.split("_")[0] for key in ("exit", "stdout_sha256", "stderr_sha256")
+                             if before[key] != case[key])
+        if what:
+            lines.append(f"{index} {json.dumps(case['argv'])}: {what}")
+    return lines
+
+
 def record():
+    """Record the corpus again, and print each case whose bytes moved."""
     os.environ.pop(ENV_CONFIG_PATH, None)
+    old = _load() if os.path.exists(CORPUS) else []
     cases = []
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
@@ -189,6 +220,8 @@ def record():
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")
+    for line in moved(old, cases):
+        print(line)
 
 
 if __name__ == "__main__":

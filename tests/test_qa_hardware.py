@@ -85,9 +85,14 @@ def test_programming_energy_formula():
     assert got.energy_j == pytest.approx(6 * 32 * 4.0 * 1e-6 * PHI0, rel=1e-12)
 
 
+def test_programming_energy_needs_a_positive_critical_current():
+    with pytest.raises(ValueError, match="critical current must be positive, got 0.0"):
+        programming_energy(512, 1472, 0.0)
+
+
 def test_readout_time_division():
-    got = [readout_parallelism(n) for n in (512, 2048, 5436, 10_000_000)]
-    assert got == [16, 32, 52, 2236]
+    got = [readout_parallelism(n) for n in (0, 512, 2048, 5436, 10_000_000)]
+    assert got == [0, 16, 32, 52, 2236]
 
 
 def test_readout_frequency_multiplex():
@@ -104,6 +109,8 @@ def test_readout_rejects_unknown_scheme():
         readout_parallelism(512, "psychic")
     with pytest.raises(ValueError):
         readout_parallelism(512, "frequency-multiplex")
+    with pytest.raises(ValueError, match="needs a positive quality factor"):
+        readout_parallelism(512, "frequency-multiplex", 0.0)
 
 
 def test_wafer_die_budget():

@@ -16,6 +16,7 @@ from qaplan.emit import Column, Table
 from qaplan.qa_hardware import QaProfile
 from qaplan.qubit_budget import TaskProblemModel
 from qaplan.ran_power import PowerSystemLosses
+from qaplan.record import check_non_negative
 from qaplan.timeline import GrowthTrend
 from qaplan.workload import BbuWorkload, CellScenario, ScalingExponents, workload
 
@@ -162,6 +163,14 @@ def _every_build_refuses(record, field, value, message):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
+
+
+def test_check_non_negative_names_the_first_negative_value():
+    check_non_negative([0.0, math.nan, 2.0], "tops")
+    with pytest.raises(ValueError, match=r"^tops must be non-negative, got -1.0$"):
+        check_non_negative([0.0, -1.0], "tops")
+    with pytest.raises(ValueError, match=r"^tops must be non-negative, got -2$"):
+        check_non_negative([math.nan, -2, -3], "tops")
 
 
 def test_supply_factor_is_cached_per_record():

@@ -56,6 +56,8 @@ def test_small_requirements_available_at_anchor():
     assert year_available(BEST_CASE, 1) == 2020
     assert year_available(BEST_CASE, 5436) == 2020
     assert year_available(BEST_CASE, 5437) > 2020
+    # A trend may start at one qubit.
+    assert year_available(GrowthTrend("t", 2020, 1, 2.0), 1) == 2020
 
 
 @pytest.mark.parametrize("trend,year,count", [
