@@ -6,19 +6,21 @@ the same config and flags produce byte-identical bytes. Exit codes:
 0 success, 1 config problem, 2 model-domain error, 3 success with
 warnings (warnings go to stderr, before the problem line of a failure).
 
-Every subcommand is a list of columns over one row loop, `_table`: its
-own cells and its shared cells, as columns over a block of consecutive
-scenarios (`_expand_points`, up to `BLOCK` of them as columns of their
-fields). Each model stage is one call of a model column function over a
-block (`evaluate.Stages`, which the paper tables read too), and the
-problem runtime runs once per sample count per call. A block goes to the
-renderer as columns (`emit.Block`): the own columns of each sample count,
-names first, the shared columns of each scenario and node, and the index
-lists that put them in row order. Only `_table` calls the stages in the
-order a row reads their values. The capacity verdict is taken once per
-sample count and block, at the qubit scale the table gives `_table`
-(`Stages.budget`); the `qubits` fits cells and the warnings of `qubits`
-and `economics` all read it.
+A call's run is one `RunConfig`: `config` reads the config file and the
+`--sweep` flags, whose sweep replaces the file's, and every subcommand
+takes that config alone. Every subcommand is a list of columns over one
+row loop, `_table`: its own cells and its shared cells, as columns over a
+block of consecutive scenarios (`_expand_points` of the config, up to
+`BLOCK` of them as columns of their fields). Each model stage is one call
+of a model column function over a block (`evaluate.Stages`, which the
+paper tables read too), and the problem runtime runs once per sample
+count per call. A block goes to the renderer as columns (`emit.Block`):
+the own columns of each sample count, names first, the shared columns of
+each scenario and node, and the index lists that put them in row order.
+Only `_table` calls the stages in the order a row reads their values. The
+capacity verdict is taken once per sample count and block, at the qubit
+scale the table gives `_table` (`Stages.budget`); the `qubits` fits cells
+and the warnings of `qubits` and `economics` all read it.
 
 Neither points nor rows are held: each block is built, evaluated, its
 warnings written to stderr in one write, and handed over as the renderer
@@ -46,7 +48,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
                     Optional, Sequence, Tuple)
 
 from .cmos import CmosProfile
-from .config import _INTEGER_AXES, SWEEP_AXES, ConfigError, RunConfig, _parse_sweep, load_config
+from .config import SWEEP_AXES, ConfigError, RunConfig, load_config, parse_sweep_flags
 from .economics import advantage_columns, cost_columns
 from .emit import Block, Column, Lazy, Rows, Table, render
 from .evaluate import Stages
@@ -130,38 +132,6 @@ def _plain_args(argv: Sequence[str]) -> Optional[types.SimpleNamespace]:
     return types.SimpleNamespace(**args)
 
 
-def _count(text: str) -> float:
-    """`text` as an int, else as a float: an int past float range stays exact."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def _parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
-    sweep: Dict[str, List[float]] = {}
-    for flag in flags:
-        axis, sep, values = flag.partition("=")
-        if not sep or not values:
-            raise ConfigError(f"--sweep needs AXIS=V1,V2,...; got {flag!r}")
-        if axis not in SWEEP_AXES:
-            raise ConfigError(
-                f"unknown sweep axis {axis!r}; axes: {', '.join(SWEEP_AXES)}"
-            )
-        if axis in sweep:
-            raise ConfigError(
-                f"--sweep {axis} given twice; list all its values in one flag")
-        # The text first; `_parse_sweep` refuses strings, and reads a whole
-        # float such as 8.0 on a count axis as the config does.
-        cast = _count if axis in _INTEGER_AXES else float
-        try:
-            numbers = [cast(v) for v in values.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--sweep {axis}: {exc}") from exc
-        sweep.update(_parse_sweep({axis: numbers}, where="--sweep "))
-    return sweep
-
-
 def _label(value: float) -> str:
     """`:g` where it reads back as the same value, else the exact repr."""
     try:
@@ -220,9 +190,10 @@ def _skipped_points(grid: Sequence[Sequence[Tuple[Any, str, bool]]]
     return walk(0, ())
 
 
-def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> Lazy:
-    """Evaluation points: the configured scenarios, or with a sweep the
-    grid anchored on the first configured scenario, which replaces them.
+def _expand_points(cfg: RunConfig, warnings) -> Lazy:
+    """Evaluation points: the configured scenarios, or with a sweep
+    (`cfg.sweep`) the grid anchored on the first configured scenario, which
+    replaces them.
 
     Each swept value is checked once. Grid points with a failing value are
     skipped with a warning, written here, rather than aborting the run;
@@ -231,6 +202,7 @@ def _expand_points(cfg: RunConfig, sweep: Dict[str, List[float]], warnings) -> L
     after samples take turns within a sample count: a block holds whole
     groups of them.
     """
+    sweep = cfg.sweep
     if not sweep:
         named = cfg.scenarios
 
@@ -331,25 +303,27 @@ def _rows_apart(block: _Block, node_groups: Sequence[Sequence[CmosProfile]]
 Columns = Sequence[Iterable]  # cells, as columns over a block's scenarios
 
 
-def _table(name: str, cfg: RunConfig, points: Lazy, columns: List[Column], warnings,
+def _table(name: str, cfg: RunConfig, columns: List[Column], warnings,
            own: Optional[Callable[[Stages, int], Columns]] = None,
            shared: Optional[Callable[..., Columns]] = None, per_node: bool = False,
            scale: int = 1, warning: Optional[str] = None, notes: Sequence[str] = ()) -> Table:
-    """The row loop every subcommand shares. A subcommand gives only its
-    columns: `own(stages, samples)`, the cells after each row's name, and
-    `shared(stages)`, or with `per_node` `shared(stages, node)`, the cells
-    the rows of one scenario (and node) share; on tables per node these
-    follow the scenario's bandwidth and antennas and the node's name. On a
-    table that warns, each row whose qubit total times `scale` exceeds the
-    refrigerator capacity (the verdict of `Stages.budget`) writes
-    `warning`, formatted with the row's `name`, `node`, `value` and the
-    `capacity`.
+    """The row loop every subcommand shares, over the points of `cfg`
+    (`_expand_points`, whose skip warnings come first). A subcommand gives
+    only its columns: `own(stages, samples)`, the cells after each row's
+    name, and `shared(stages)`, or with `per_node` `shared(stages, node)`,
+    the cells the rows of one scenario (and node) share; on tables per node
+    these follow the scenario's bandwidth and antennas and the node's
+    name. On a table that warns, each row whose qubit total times `scale`
+    exceeds the refrigerator capacity (the verdict of `Stages.budget`)
+    writes `warning`, formatted with the row's `name`, `node`, `value` and
+    the `capacity`.
 
     Each block goes to the renderer as one `Block` once its warnings are
     written. The stages run in the one order a row reads their values: the
     workload, the own cells, the shared cells, then the warned value. A
     block that raises a model error is evaluated again one row at a time,
     so the first row that fails ends the call after the rows before it."""
+    points = _expand_points(cfg, warnings)
     stages = Stages(cfg, scale)
     # The nodes of a row's cells: on tables not per node, one shared entry
     # serves all nodes, and a row warns for the first.
@@ -399,7 +373,7 @@ _SAMPLES_COLUMN = Column("samples", "Samples", "d")
 _NODE_COLUMN = Column("node", "Node")
 
 
-def cmd_targets(cfg: RunConfig, points: Lazy, warnings) -> Table:
+def cmd_targets(cfg: RunConfig, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS,
                *[Column(f"{task.value}_tops", task.label, ".3f") for task in BbuTask],
                Column("total_tops", "Total", ".3f")]
@@ -408,10 +382,10 @@ def cmd_targets(cfg: RunConfig, points: Lazy, warnings) -> Table:
         tops = stages.tops
         return stages.bandwidth, stages.antennas, *tops, left_sums(tops, len(tops[0]))
 
-    return _table("targets", cfg, points, columns, warnings, shared=shared, notes=["units: TOPS"])
+    return _table("targets", cfg, columns, warnings, shared=shared, notes=["units: TOPS"])
 
 
-def cmd_power(cfg: RunConfig, points: Lazy, warnings) -> Table:
+def cmd_power(cfg: RunConfig, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN, *[Column(*c, ".1f") for c in (
         ("cmos_bbu_w", "CMOS BBU (W)"), ("cmos_ru_w", "RU (W)"), ("cmos_pa_w", "PA (W)"),
         ("cmos_ps_w", "Power sys (W)"), ("cmos_fronthaul_w", "Fronthaul (W)"),
@@ -426,10 +400,10 @@ def cmd_power(cfg: RunConfig, points: Lazy, warnings) -> Table:
         return (bbu, ru, pa, power_system, fronthaul, cmos_total, qa_silicon, refrigeration,
                 qa_total, savings)
 
-    return _table("power", cfg, points, columns, warnings, shared=shared, per_node=True)
+    return _table("power", cfg, columns, warnings, shared=shared, per_node=True)
 
 
-def cmd_qubits(cfg: RunConfig, points: Lazy, warnings) -> Table:
+def cmd_qubits(cfg: RunConfig, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _SAMPLES_COLUMN, *[Column(*c) for c in (
         ("runtime_us", "Runtime (us)", ".0f"), ("fdnl_qubits", "Detection qubits", "d"),
         ("fec_qubits", "Decoding qubits", "d"), ("covered_fraction", "Covered fraction", ".4f"),
@@ -443,11 +417,11 @@ def cmd_qubits(cfg: RunConfig, points: Lazy, warnings) -> Table:
                 repeat(stages.runtime(samples)), fdnl, fec, repeat(MODELED_LOAD_FRACTION),
                 total, repeat(stages.capacity), ["yes" if v is None else "no" for v in over])
 
-    return _table("qubits", cfg, points, columns, warnings, own=own, scale=1,
+    return _table("qubits", cfg, columns, warnings, own=own, scale=1,
                   warning="{name}: requirement {value} exceeds refrigerator capacity {capacity}")
 
 
-def cmd_economics(cfg: RunConfig, points: Lazy, warnings) -> Table:
+def cmd_economics(cfg: RunConfig, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _NODE_COLUMN,
                Column("delta_w", "Saving (W)", ".1f")]
     for years in cfg.horizons_years:
@@ -462,7 +436,7 @@ def cmd_economics(cfg: RunConfig, points: Lazy, warnings) -> Table:
 
     # The deployment's qubit ask: each cell's total times its n_bs cells.
     return _table(
-        "economics", cfg, points, columns, warnings, shared=shared, per_node=True,
+        "economics", cfg, columns, warnings, shared=shared, per_node=True,
         scale=cfg.topology.n_bs,
         warning="{name} ({node}): qubit requirement {value} exceeds refrigerator capacity "
                 "{capacity}",
@@ -471,7 +445,7 @@ def cmd_economics(cfg: RunConfig, points: Lazy, warnings) -> Table:
     )
 
 
-def cmd_timeline(cfg: RunConfig, points: Lazy, warnings) -> Table:
+def cmd_timeline(cfg: RunConfig, warnings) -> Table:
     columns = [_NAME_COLUMN, *_SCENARIO_COLUMNS, _SAMPLES_COLUMN,
                Column("required_qubits", "Required qubits", "d"),
                Column("year_best", "Year (best case)", "d"),
@@ -491,7 +465,7 @@ def cmd_timeline(cfg: RunConfig, points: Lazy, warnings) -> Table:
                 for cmos in cfg.cmos_profiles]
 
     return _table(
-        "timeline", cfg, points, columns, warnings, own=own, shared=shared,
+        "timeline", cfg, columns, warnings, own=own, shared=shared,
         notes=["years are first availability of the required device size under "
                "the best/worst historical growth trends"],
     )
@@ -539,9 +513,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             table = PAPER_TABLES[args.paper_table]()
         else:
             cfg = load_config(args.config)
-            sweep = _parse_sweep_flags(args.sweep) or cfg.sweep
-            points = _expand_points(cfg, sweep, warnings)
-            table = _COMMANDS[args.command](cfg, points, warnings)
+            if args.sweep:  # the flags' sweep replaces the file's
+                cfg = cfg._replace(sweep=parse_sweep_flags(args.sweep))
+            table = _COMMANDS[args.command](cfg, warnings)
         _emit(render(table, args.format), args.out)
     except ConfigError as exc:
         code, problem = EXIT_CONFIG, f"config error: {exc}"

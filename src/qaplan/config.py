@@ -8,6 +8,9 @@ fail loudly rather than silently falling back to defaults. A section takes
 its keys from the record it builds; a key left out takes the built-in
 config's value, or the record's default (`CmosProfile`, `CranTopology`).
 A name holds no line break: it heads one line of text.
+
+The resolved `RunConfig` is the whole run: its `sweep` is the file's, or
+the one the `--sweep` flags give (`parse_sweep_flags`), which replaces it.
 """
 
 from __future__ import annotations
@@ -229,7 +232,7 @@ def _parse_costs(obj: dict) -> CostAssumptions:
         raise ConfigError(f"costs: {exc}") from exc
 
 
-def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
+def parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
     """Check each axis's values, which must be distinct since each names
     its rows; `where` prefixes the axis in messages."""
     _check_keys(obj, SWEEP_AXES, "sweep")
@@ -245,6 +248,40 @@ def _parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
         # By repr, which tells values apart as row names do: nan is not
         # equal to itself.
         _check_unique([repr(v) for v in sweep[axis]], f"{where}{axis} value")
+    return sweep
+
+
+def _count(text: str) -> float:
+    """`text` as an int, else as a float: an int past float range stays exact."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
+    """The sweep of `AXIS=V1,V2,...` flags, one flag per axis, each axis's
+    values checked as `parse_sweep` checks the config's."""
+    sweep: Dict[str, List[float]] = {}
+    for flag in flags:
+        axis, sep, values = flag.partition("=")
+        if not sep or not values:
+            raise ConfigError(f"--sweep needs AXIS=V1,V2,...; got {flag!r}")
+        if axis not in SWEEP_AXES:
+            raise ConfigError(
+                f"unknown sweep axis {axis!r}; axes: {', '.join(SWEEP_AXES)}"
+            )
+        if axis in sweep:
+            raise ConfigError(
+                f"--sweep {axis} given twice; list all its values in one flag")
+        # The text first; `parse_sweep` refuses strings, and reads a whole
+        # float such as 8.0 on a count axis as the config does.
+        cast = _count if axis in _INTEGER_AXES else float
+        try:
+            numbers = [cast(v) for v in values.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--sweep {axis}: {exc}") from exc
+        sweep.update(parse_sweep({axis: numbers}, where="--sweep "))
     return sweep
 
 
@@ -294,7 +331,7 @@ def parse_config(doc: dict) -> RunConfig:
         topology=_parse_topology(doc["topology"]) if "topology" in doc else base.topology,
         costs=_parse_costs(doc["costs"]) if "costs" in doc else base.costs,
         horizons_years=horizons,
-        sweep=_parse_sweep(doc["sweep"]) if "sweep" in doc else {},
+        sweep=parse_sweep(doc["sweep"]) if "sweep" in doc else {},
     )
 
 

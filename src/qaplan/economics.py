@@ -31,13 +31,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 from .cmos import CmosProfile
 from .qa_hardware import QaProfile
 from .qubit_budget import QubitBudget, total_budget
-from .ran_power import (
-    _SUPPLY_OVERHEAD,
-    PA_W,
-    RU_CHAIN_W,
-    PowerBreakdown,
-    fronthaul_w,
-)
+from .ran_power import PA_W, RU_CHAIN_W, SUPPLY_OVERHEAD, PowerBreakdown, fronthaul_w
 from .record import check_non_negative, checked
 from .workload import BbuTask, CellScenario, workload
 
@@ -134,7 +128,7 @@ def deployment_columns(tops: Sequence[Sequence[float]], antennas: Sequence[int],
     check_non_negative(antennas, "antennas")
     efficiency, static = cmos_profile.efficiency_tops_per_w, 1.0 + cmos_profile.leakage_fraction
     fridge = qa_profile.refrigeration_w
-    ru_w, pa_w, overhead = RU_CHAIN_W, PA_W, _SUPPLY_OVERHEAD
+    ru_w, pa_w, overhead = RU_CHAIN_W, PA_W, SUPPLY_OVERHEAD
     # An int times or plus a float is the float of the int times or plus
     # it, so counts are floats and sums start from 0.0 here, which keeps
     # the loop on float arithmetic. A total is at least 0.0 from its first

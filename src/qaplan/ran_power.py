@@ -52,7 +52,7 @@ class PowerSystemLosses(NamedTuple):
 DEFAULT_LOSSES = PowerSystemLosses()
 # Supply overhead per component watt under the default losses: of a
 # standalone base station, and of a centralized pool and its sites.
-_SUPPLY_OVERHEAD = DEFAULT_LOSSES.supply_factor - 1.0
+SUPPLY_OVERHEAD = DEFAULT_LOSSES.supply_factor - 1.0
 
 
 def fronthaul_w(capacity_bps: float) -> float:
@@ -112,7 +112,7 @@ def cran_power(bbu_w: float, antennas: int, site_bbu_w: float, link_w: float, n_
     check_non_negative([antennas], "antennas")
     check_non_negative([n_sites], "n_sites")
     site_ru, site_pa = antennas * RU_CHAIN_W, antennas * PA_W
-    site_overhead = (site_ru + site_pa + site_bbu_w) * _SUPPLY_OVERHEAD
+    site_overhead = (site_ru + site_pa + site_bbu_w) * SUPPLY_OVERHEAD
     return PowerBreakdown(bbu_w + n_sites * site_bbu_w, n_sites * site_ru, n_sites * site_pa,
-                          bbu_w * _SUPPLY_OVERHEAD + n_sites * site_overhead, n_sites * link_w,
+                          bbu_w * SUPPLY_OVERHEAD + n_sites * site_overhead, n_sites * link_w,
                           refrigeration_w)

@@ -182,31 +182,15 @@ class BbuWorkload(NamedTuple):
         return left_sum(self.tops.values())
 
 
-def _axis_ratios(scenario: CellScenario):
-    """Each axis of `scenario` over the reference operating point."""
-    reference = REFERENCE_SCENARIO
-    return (
-        scenario.bandwidth_mhz / reference.bandwidth_mhz,
-        scenario.modulation_bits / reference.modulation_bits,
-        scenario.coding_rate / reference.coding_rate,
-        scenario.antennas / reference.antennas,
-        scenario.duty_time / reference.duty_time,
-        scenario.duty_freq / reference.duty_freq,
-    )
-
-
-def _scaled(reference_tops: float, powers, ratios) -> float:
-    result = reference_tops
-    for ratio, power in zip(ratios, powers):
-        result *= ratio ** power
-    return result
-
-
 def scale_task(task: BbuTask, scenario: CellScenario) -> float:
     """Compute demand of one task at `scenario`, in TOPS: the reference
-    demand times each axis ratio to the task's exponent for that axis.
-    `task_tops` equals it bit for bit; the acceptance checks compare."""
-    return _scaled(REFERENCE_TOPS[task], SCALING[task], _axis_ratios(scenario))
+    demand times each axis ratio to the task's exponent for that axis, in
+    axis order. `task_tops` equals it bit for bit; the acceptance checks
+    compare."""
+    result = REFERENCE_TOPS[task]
+    for value, reference, power in zip(scenario, REFERENCE_SCENARIO, SCALING[task]):
+        result *= (value / reference) ** power
+    return result
 
 
 # (reference TOPS, (axis, exponent) per nonzero exponent) in task
@@ -250,7 +234,7 @@ def task_tops(*scenario_columns: Sequence[float]) -> Tuple[List[float], ...]:
     A column whose entries are one object, such as an axis a sweep leaves
     alone, is folded: its ratio and each power of it are taken once, a
     power of exactly 1.0 is skipped (a product times 1.0 is unchanged),
-    and the others multiply in at their place in `_scaled`'s order. Only
+    and the others multiply in at their place in `scale_task`'s order. Only
     the other columns are taken entry by entry.
 
     Raises for the first scenario whose total is past float range.
@@ -262,7 +246,7 @@ def task_tops(*scenario_columns: Sequence[float]) -> Tuple[List[float], ...]:
     tops = []
     for result, factors in _TASK_FACTORS:
         column = None  # while None, every entry's product is `result`
-        for factor in factors:  # the order of `_scaled`
+        for factor in factors:  # the order of `scale_task`
             if factor not in powered:
                 axis, power = factor
                 ratio = ratios[axis]

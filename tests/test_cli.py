@@ -211,7 +211,7 @@ def test_sweep_with_only_bad_samples_is_config_error(capsys, samples):
 
 def test_timeline_row_at_reference_point():
     cfg = default_config()  # 400 MHz, 64 antennas, 20 samples, 14nm
-    (row,) = cmd_timeline(cfg, _expand_points(cfg, {}, []), []).records()
+    (row,) = cmd_timeline(cfg, []).records()
     assert (row["name"], row["samples"]) == ("5g-400mhz-64ant", 20)
     assert row["required_qubits"] == 3_320_055
     assert row["year_best"] == 2040
@@ -304,7 +304,7 @@ def test_skipped_points_are_those_of_a_walk_over_the_whole_grid(sweep):
     cfg = default_config()
     warnings = []
     try:
-        _expand_points(cfg, sweep, warnings)
+        _expand_points(cfg._replace(sweep=sweep), warnings)
     except ConfigError as exc:
         assert str(exc) == "sweep produced no valid points"
     assert [f"qaplan: warning: {line}\n" for line in warnings] == _skip_lines_per_point(cfg, sweep)

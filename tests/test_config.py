@@ -3,14 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaplan.cmos import CMOS_14NM
 from qaplan.config import (
     ENV_CONFIG_PATH,
+    SWEEP_AXES,
     ConfigError,
     default_config,
     load_config,
     parse_config,
+    parse_sweep,
+    parse_sweep_flags,
 )
 from qaplan.economics import BsTopology, CranTopology
 
@@ -140,3 +144,34 @@ def test_load_env_fallback(tmp_path, monkeypatch):
     assert load_config(None).samples == 9
     monkeypatch.delenv(ENV_CONFIG_PATH)
     assert load_config(None).samples == 20
+
+
+# Values a sweep axis may be given, by whether it counts. Every float
+# (nan, inf, -0.0 and whole floats among them) and, on a count axis, ints
+# past float range, which a count keeps exact. An int on a real axis stays
+# within float range: there a flag reads 10**400 as inf, while the config
+# refuses it.
+_SWEEP_VALUES = {
+    False: st.floats() | st.integers(-10**300, 10**300),
+    True: st.floats() | st.integers(-10, 10**6).map(float) | st.integers()
+    | st.integers(min_value=2**1024) | st.integers(max_value=-2**1024),
+}
+
+
+def _read_sweep(read, source):
+    """What `read` makes of `source`: the sweep's repr, or the error with its
+    place in the config's words."""
+    try:
+        return repr(read(source))
+    except ConfigError as exc:
+        return "error: " + str(exc).replace("--sweep ", "sweep.")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_sweep_flag_reads_its_values_as_the_config_sweep_does(data):
+    axis = data.draw(st.sampled_from(SWEEP_AXES))
+    values = data.draw(st.lists(_SWEEP_VALUES[axis in ("antennas", "samples", "modulation_bits")],
+                                min_size=1, max_size=4, unique_by=repr))
+    flag = f"{axis}={','.join(map(repr, values))}"
+    assert _read_sweep(parse_sweep_flags, [flag]) == _read_sweep(parse_sweep, {axis: values})

@@ -133,6 +133,23 @@ def test_the_package_namespace_is_its_modules():
     assert proc.stdout.splitlines() == ["[] []", "['qaplan.emit']", "True CellScenario"]
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # A name with a leading underscore is its module's own; what another
+    # module reads is public.
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "qaplan", "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}: from {'.' * node.level}{node.module} import "
+                  f"{alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "qaplan")
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_the_package_version_is_the_project_version():
     with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
         project = fh.read().split("\n[project]\n", 1)[1].split("\n[", 1)[0]

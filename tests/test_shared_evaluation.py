@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from qaplan import cli, evaluate, qubit_budget
 from qaplan.cli import (_COMMANDS, _expand_points, cmd_economics, cmd_power, cmd_qubits,
                         cmd_targets, cmd_timeline)
-from qaplan.config import SWEEP_AXES, _parse_sweep, parse_config
+from qaplan.config import SWEEP_AXES, parse_config, parse_sweep
 from qaplan.economics import compare, cost_report, offload_advantage_w
 from qaplan.qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
 from qaplan.qubit_budget import total_budget
@@ -92,19 +92,19 @@ def _reference_points(cfg, sweep):
      "modulation_bits": [6, 2]},
 )
 def test_every_cell_matches_an_unshared_evaluation(doc, sweep):
-    cfg = parse_config(doc)
-    points = _expand_points(cfg, sweep, [])
+    cfg = parse_config(doc)._replace(sweep=sweep)
+    points = _expand_points(cfg, [])
     assert list(_rows_of(points)) == _reference_points(cfg, sweep)
     assert len(points) == len(_reference_points(cfg, sweep))
     qa, topology = cfg.qa_profile, cfg.topology
     capacity = refrigerator_qubit_capacity()
 
-    targets = iter(cmd_targets(cfg, points, []).records())
-    qubits = iter(cmd_qubits(cfg, points, []).records())
-    timeline = iter(cmd_timeline(cfg, points, []).records())
-    power = iter(cmd_power(cfg, points, []).records())
+    targets = iter(cmd_targets(cfg, []).records())
+    qubits = iter(cmd_qubits(cfg, []).records())
+    timeline = iter(cmd_timeline(cfg, []).records())
+    power = iter(cmd_power(cfg, []).records())
     economics_warnings = []
-    economics = iter(cmd_economics(cfg, points, economics_warnings).records())
+    economics = iter(cmd_economics(cfg, economics_warnings).records())
     expected_warnings = []
 
     for name, scenario, samples in _rows_of(points):
@@ -178,8 +178,8 @@ def _evaluate(monkeypatch, command, doc, sweep):
 
     monkeypatch.setattr(evaluate, "task_tops", counted_tops)
     monkeypatch.setattr(qubit_budget, "qmi_runtime_us", counted_runtime)
-    cfg = parse_config(doc)
-    rows = list(command(cfg, _expand_points(cfg, sweep, []), []).rows)
+    cfg = parse_config(doc)._replace(sweep=sweep)
+    rows = list(command(cfg, []).rows)
     return rows, scenarios, runtimes
 
 
@@ -207,8 +207,8 @@ def test_each_scenario_reaches_the_column_workload_once(monkeypatch, command, sw
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_the_runtime_runs_once_per_sample_count_per_call(monkeypatch, command):
     # The benchmark's 30k-point grid: 10,000 scenarios over many blocks.
-    sweep = _parse_sweep({"bandwidth_mhz": list(range(10, 1001, 10)),
-                          "antennas": list(range(1, 101)), "samples": [1, 20, 50]})
+    sweep = parse_sweep({"bandwidth_mhz": list(range(10, 1001, 10)),
+                         "antennas": list(range(1, 101)), "samples": [1, 20, 50]})
     rows, seen, runtimes = _evaluate(monkeypatch, _COMMANDS[command], {}, sweep)
     assert (len(rows), len(seen)) == (30_000, 10_000)
     assert runtimes == ([1, 20, 50] if command in _READS_RUNTIME else [])
