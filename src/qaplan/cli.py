@@ -19,18 +19,18 @@ the own columns of each sample count, names first, the shared columns of
 each scenario and node, and the index lists that put them in row order.
 Only `_table` calls the stages in the order a row reads their values. The
 capacity verdict is taken once per sample count and block, at the qubit
-scale the table gives `_table` (`Stages.budget`); the `qubits` fits cells
-and the warnings of `qubits` and `economics` all read it.
+scale the table gives `_table`: the `qubits` fits cells read the budget's,
+and the warnings `Stages.verdict`, which tries an exact bound first.
 
-Neither points nor rows are held: each block is built, evaluated, its
-warnings written to stderr in one write, and handed over as the renderer
-reads it, so memory stays flat; both answer `len()` up front. A block
-whose evaluation raises is evaluated again one row at a time, so the
-error comes out at the first row that reads a failing value, after the
-warnings of the rows before. A block's warnings precede the formatting of
-its cells, none of which fails. The rendered text is held whole and
-written only once the call has succeeded, so a failing call prints
-nothing on stdout and creates no `--out` file.
+Neither points nor rows are held: each block, whole runs of the last outer
+sweep axis where one fits, is built, evaluated, its warnings written to
+stderr in one write, and handed over as the renderer reads it; both answer
+`len()` up front. A block whose evaluation raises is evaluated again one
+row at a time, so the error comes out at the first row that reads a
+failing value, after the warnings of the rows before. Warnings precede the
+formatting of cells, none of which fails. The text is held as one text per
+block (`emit.render_parts`) and written with `writelines` once the call has
+succeeded, so a failing call prints nothing and creates no `--out` file.
 
 A plain command line, a subcommand and then whole `--flag value` pairs, is
 read by `_plain_args` into what argparse would return; argparse is
@@ -50,7 +50,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
 from .cmos import CmosProfile
 from .config import SWEEP_AXES, ConfigError, RunConfig, load_config, parse_sweep_flags
 from .economics import advantage_columns, cost_columns
-from .emit import Block, Column, Lazy, Rows, Table, render
+from .emit import Block, Column, Lazy, Rows, Table, render_parts
 from .evaluate import Stages
 from .qubit_budget import MODELED_LOAD_FRACTION
 from .timeline import BEST_CASE, WORST_CASE, YearTable
@@ -269,10 +269,15 @@ def _expand_points(cfg: RunConfig, warnings) -> Lazy:
     inner_values, inner_labels = zip(*axes_product(inner))
     tails = [("," if outer and inner else "") + ",".join(names) for names in inner_labels]
 
+    # A block takes whole runs of the last outer axis where one fits, so
+    # each other outer axis is one object across it, which `task_tops` folds.
+    per, run = max(1, BLOCK // len(tails)), len(ok[outer[-1]]) if outer else 1
+    size = per // run * run or per
+
     def swept() -> Iterator[_Block]:
         outer_combos = axes_product(outer)
         while True:
-            chunk = list(itertools.islice(outer_combos, max(1, BLOCK // len(tails))))
+            chunk = list(itertools.islice(outer_combos, size))
             if not chunk:
                 return
             combos = [o + i for o, _ in chunk for i in inner_values]
@@ -337,7 +342,7 @@ def _table(name: str, cfg: RunConfig, columns: List[Column], warnings,
         owns = [own(stages, samples) if own else () for samples in block.samples]
         tails = [[stages.bandwidth, stages.antennas, repeat(node.node), *shared(stages, node)]
                  for node in nodes] if per_node else [list(shared(stages)) if shared else []]
-        over = [stages.budget(samples)[3] for samples in block.samples] if warning else None
+        over = [stages.verdict(samples) for samples in block.samples] if warning else None
         # Names read no stage. Joined last, where pymalloc places them, they
         # keep a 30k-point csv call's peak RSS about 0.7 MiB lower.
         names = [[prefix + label for prefix in block.prefixes] for label in block.labels]
@@ -480,12 +485,12 @@ _COMMANDS = {
 }
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(parts: List[str], out_path: Optional[str]) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 class _Warnings:
@@ -516,7 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.sweep:  # the flags' sweep replaces the file's
                 cfg = cfg._replace(sweep=parse_sweep_flags(args.sweep))
             table = _COMMANDS[args.command](cfg, warnings)
-        _emit(render(table, args.format), args.out)
+        _emit(render_parts(table, args.format), args.out)
     except ConfigError as exc:
         code, problem = EXIT_CONFIG, f"config error: {exc}"
     except ValueError as exc:

@@ -251,8 +251,12 @@ def parse_sweep(obj: dict, where: str = "sweep.") -> Dict[str, List[float]]:
     return sweep
 
 
-def _count(text: str) -> float:
-    """`text` as an int, else as a float: an int past float range stays exact."""
+def _count(text: str, real: bool = False) -> float:
+    """`text` as an int, else as a float: an int past float range stays
+    exact, which `parse_sweep` refuses on a `real` axis as in the config.
+    A `real` axis reads any other text as a float."""
+    if real and not math.isinf(float(text)):
+        return float(text)
     try:
         return int(text)
     except ValueError:
@@ -276,9 +280,8 @@ def parse_sweep_flags(flags: Sequence[str]) -> Dict[str, List[float]]:
                 f"--sweep {axis} given twice; list all its values in one flag")
         # The text first; `parse_sweep` refuses strings, and reads a whole
         # float such as 8.0 on a count axis as the config does.
-        cast = _count if axis in _INTEGER_AXES else float
         try:
-            numbers = [cast(v) for v in values.split(",")]
+            numbers = [_count(v, axis not in _INTEGER_AXES) for v in values.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--sweep {axis}: {exc}") from exc
         sweep.update(parse_sweep({axis: numbers}, where="--sweep "))

@@ -238,7 +238,10 @@ def cost_columns(delta_w: Sequence[float], horizons_years: Sequence[float] = (1,
                  assumptions: CostAssumptions = DEFAULT_COSTS
                  ) -> Tuple[List[List[float]], List[List[float]]]:
     """Price each power saving in electricity dollars and avoided CO2: per
-    horizon, a column of OpEx savings and one of CO2 savings."""
+    horizon, a column of OpEx savings and one of CO2 savings. Values grow
+    with |kWh| and the horizon, so they are scanned for one that is not
+    finite only where a kWh or horizon is not (a sum with a nan or an inf is
+    not), or the largest |kWh| over the longest horizon gives one."""
     hours = assumptions.hours_per_year
     price, co2_lb = assumptions.electricity_price_per_kwh, assumptions.co2_lb_per_kwh
     kwh_per_year = [delta / 1000.0 * hours for delta in delta_w]
@@ -246,10 +249,13 @@ def cost_columns(delta_w: Sequence[float], horizons_years: Sequence[float] = (1,
     for years in horizons_years:
         if years < 0:
             raise ValueError("horizons must be non-negative")
-        kwh = [value * years for value in kwh_per_year]
-        opex.append([value * price for value in kwh])
-        co2.append([value * co2_lb / LB_PER_METRIC_KILOTON for value in kwh])
-    if next(filterfalse(math.isfinite, chain.from_iterable(opex + co2)), None) is not None:
+        opex.append([value * years * price for value in kwh_per_year])
+        co2.append([value * years * co2_lb / LB_PER_METRIC_KILOTON for value in kwh_per_year])
+    top = max(map(abs, kwh_per_year), default=0.0) * max(horizons_years, default=0.0)
+    bound = (sum(kwh_per_year) + sum(horizons_years) + top * price
+             + top * co2_lb / LB_PER_METRIC_KILOTON)
+    if not math.isfinite(bound) and next(
+            filterfalse(math.isfinite, chain.from_iterable(opex + co2)), None) is not None:
         delta = next(d for d, *values in zip(delta_w, *opex, *co2)
                      if not all(map(math.isfinite, values)))
         raise ValueError(f"savings of {delta:g} W overflow over the horizons")

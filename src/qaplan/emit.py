@@ -22,7 +22,8 @@ maps `format` where its spec is empty and `format_cell`, which writes a
 string as it is, otherwise. A cell its spec cannot format raises. Csv
 quotes a column's cells where its text holds a delimiter, quote, CR or
 LF, as the csv module does; text holds every block's texts until each
-column's width is known.
+column's width is known. Each renderer yields one text per block, between
+the texts before and after the rows (`render_parts`); `render` joins them.
 """
 
 from __future__ import annotations
@@ -209,15 +210,17 @@ def _side(parts: Sequence[Sequence], columns: range, column: Callable) -> List[L
 
 def _cell_texts(specs: Sequence[str]) -> Callable[[int, Sequence[Cell]], List[str]]:
     """`column(c, cells)` for `_formatted`: the texts `format_cell` gives
-    the cells of column `c`, in one pass, of its first cell's type's
-    `__format__` where that is exactly float or int, which raises
-    TypeError for a cell of any other type (a bool, a str, an int among
-    floats); else of `format` where the spec is empty, and of
-    `format_cell`, which writes a string as it is, otherwise."""
+    the cells of column `c`: the cells themselves where all are exactly str;
+    else in one pass of its first cell's type's `__format__` where that is
+    exactly float or int, which raises TypeError for a cell of any other
+    type (a bool, a str, an int among floats); else of `format` where the
+    spec is empty, and of `format_cell`, which writes a string as it is."""
     forms = [format_cell if spec else format for spec in specs]
 
     def column(c: int, cells: Sequence[Cell]) -> List[str]:
         kind = type(cells[0]) if cells else None
+        if kind is str and list(map(type, cells)).count(str) == len(cells):
+            return cells  # `format_cell` and `format(text, "")` give the text itself
         if kind is float or kind is int:
             try:
                 return list(map(kind.__format__, cells, repeat(specs[c])))
@@ -260,13 +263,13 @@ def _csv_quoted(texts: List[str], lone: bool) -> List[str]:
     joined = "".join(texts)
     if not _quoted(joined) and not (lone and "" in texts):
         return texts
-    if '"' not in joined and all(map(str.__contains__, texts, repeat(","))):
+    if '"' not in joined and all([',' in text for text in texts]):
         return ['"' + text + '"' for text in texts]  # a sweep's row names all hold commas
     return ['"' + text.replace('"', '""') + '"' if _quoted(text) or lone and not text
             else text for text in texts]
 
 
-def render_csv(table: Table) -> str:
+def _csv_parts(table: Table) -> Iterator[str]:
     """Csv emission; notes become leading '#' comment lines.
 
     The bytes are those of `csv.writer` writing each row whole, the cells
@@ -274,18 +277,15 @@ def render_csv(table: Table) -> str:
     """
     specs = [c.spec for c in table.columns]
     lone = len(specs) == 1  # a row of one empty field is written ""
-    buf = io.StringIO()
-    for note in table.notes:
-        buf.write(f"# {note}\r\n")
-    buf.write(",".join(_csv_quoted([c.key for c in table.columns], lone)) + "\r\n")
+    yield "".join([f"# {note}\r\n" for note in table.notes]) + ",".join(
+        _csv_quoted([c.key for c in table.columns], lone)) + "\r\n"
     for block, own, shared in _formatted(table, _cell_texts(specs)):
         rows = _lines(block, list(map(_csv_quoted, own, repeat(lone))),
                       list(map(_csv_quoted, shared, repeat(lone))), ",")
-        buf.write("\r\n".join(rows) + "\r\n")
-    return buf.getvalue()
+        yield "\r\n".join(rows) + "\r\n"
 
 
-def render_json(table: Table) -> str:
+def _json_parts(table: Table) -> Iterator[str]:
     """Json emission carrying the same numbers as the csv rendering.
 
     The bytes are `json.dumps(doc, indent=2) + "\\n"` of the document
@@ -302,23 +302,20 @@ def render_json(table: Table) -> str:
             texts = list(map(_json_literal, cells, repeat(specs[c])))
         return list(map(prefixes[c].__add__, texts))
 
-    buf = io.StringIO()
-    buf.write('{\n  "table": ' + _json_string(table.name))
-    buf.write(',\n  "columns": ' + _json_nested(
-        [{"key": c.key, "title": c.title} for c in table.columns]))
-    buf.write(',\n  "rows": [')
+    yield ('{\n  "table": ' + _json_string(table.name) + ',\n  "columns": '
+           + _json_nested([{"key": c.key, "title": c.title} for c in table.columns])
+           + ',\n  "rows": [')
     # Each row between braces; json.dumps writes {} for an empty dict.
     wrap = ("{{{}\n    }}" if prefixes else "{{{}}}").format
     separator = "\n    "
     for block, own, shared in _formatted(table, column):
-        buf.write(separator + ",\n    ".join(map(wrap, _lines(block, own, shared, ","))))
+        yield separator + ",\n    ".join(map(wrap, _lines(block, own, shared, ",")))
         separator = ",\n    "
-    buf.write("]" if separator == "\n    " else "\n  ]")  # [] when no rows
-    buf.write(',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
-    return buf.getvalue()
+    yield (("]" if separator == "\n    " else "\n  ]")  # [] when no rows
+           + ',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
 
 
-def render_text(table: Table) -> str:
+def _text_parts(table: Table) -> Iterator[str]:
     """Fixed-width text rendering for terminals."""
     headers = [c.title for c in table.columns]
     # Widths need every block first: each block's texts are held, a text
@@ -327,34 +324,45 @@ def render_text(table: Table) -> str:
     held = list(_formatted(table, _cell_texts([c.spec for c in table.columns])))
     for _, own, shared in held:
         widths = list(map(max, widths, [max(map(len, texts)) for texts in own + shared]))
-    lines = [table.name]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
+    yield "\n".join([table.name, "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+                     "  ".join("-" * w for w in widths), ""])
     held.reverse()
     while held:  # each block's texts freed once its lines are built
         block, own, shared = held.pop()
         # Each column's texts as `map(str.rjust, texts, repeat(width))`.
         padded = list(map(map, repeat(str.rjust), own + shared, map(repeat, widths)))
-        lines += map(str.rstrip, _lines(block, padded[:len(own)], padded[len(own):], "  "))
-    for note in table.notes:
-        lines.append(f"note: {note}")
-    lines.append("")  # the final newline, without a copy of the whole text
-    return "\n".join(lines)
+        rows = _lines(block, padded[:len(own)], padded[len(own):], "  ")
+        yield "\n".join([*map(str.rstrip, rows), ""])  # "" ends the block's last line
+    yield "".join([f"note: {note}\n" for note in table.notes])
 
 
-RENDERERS = {
-    "csv": render_csv,
-    "json": render_json,
-    "table": render_text,
-}
+_PARTS = {"csv": _csv_parts, "json": _json_parts, "table": _text_parts}
+
+
+def render_parts(table: Table, fmt: str) -> List[str]:
+    """The text of `table` in `fmt`, as parts that join into `render`'s:
+    the lines before the rows, each block's rows, the lines after."""
+    try:
+        parts = _PARTS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}; choose from {sorted(_PARTS)}")
+    return list(parts(table))
 
 
 def render(table: Table, fmt: str) -> str:
-    try:
-        renderer = RENDERERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}; choose from {sorted(RENDERERS)}")
-    return renderer(table)
+    return "".join(render_parts(table, fmt))
+
+
+def render_csv(table: Table) -> str:
+    return render(table, "csv")
+
+
+def render_json(table: Table) -> str:
+    return render(table, "json")
+
+
+def render_text(table: Table) -> str:
+    return render(table, "table")
 
 
 def read_csv(text: str) -> Table:

@@ -90,7 +90,9 @@ def qmi_runtime_us(profile: QaProfile, samples: int) -> float:
     if samples < 0 or int(samples) != samples:
         raise ValueError(f"samples must be a non-negative integer, got {samples}")
     try:
-        return profile.programming_us + samples * profile.sample_cycle_us
+        runtime = profile.programming_us + samples * profile.sample_cycle_us
+        float(runtime)  # exact where every term is an int, so converted here
+        return runtime
     except OverflowError:  # int * float converts the int first
         raise ValueError(
             f"sample count past float range: {len(str(samples))} digits") from None

@@ -109,6 +109,8 @@ def _call(argv):
 @example("power", {"cmos": [{"efficiency_tops_per_w": 1e-300}]}, [])
 @example("timeline", {"qa": {"programming_us": 1e300}}, ["bandwidth_mhz=1e300"])
 @example("qubits", {"samples": 10**400}, [])
+@example("qubits", {"samples": 10**400, "qa": {"programming_us": 1, "anneal_us": 1,
+                                                 "readout_us": 1, "readout_delay_us": 1}}, [])
 @example("economics", {}, ["samples=1" + "0" * 400])
 @example("qubits", {}, ["samples=20,20"])
 def test_cli_contract(command, doc, flags):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qaplan.cmos import BUILTIN_CMOS, CMOS_1_5NM, CMOS_14NM, CmosProfile, cmos_power
 from qaplan.economics import (
+    HOURS_PER_YEAR,
     LB_PER_METRIC_KILOTON,
     MAX_N_BS,
     OFFLOADABLE_TASKS,
@@ -17,6 +18,7 @@ from qaplan.economics import (
     CostAssumptions,
     CranTopology,
     compare,
+    cost_columns,
     cost_report,
     deployment_columns,
     offload_advantage_w,
@@ -121,6 +123,47 @@ def test_overflowing_results_are_model_errors():
         offload_advantage_w(SCENARIO_400_64, tiny, QA_PROJECTED)
     with pytest.raises(ValueError, match="overflow over the horizons"):
         cost_report(1e308, (1e308,))
+
+def _cost_columns_scanned(delta_w, horizons_years, assumptions):
+    """`cost_columns` as a scan of every value: the kWh of each horizon, its
+    OpEx and its CO2, and the first saving with a value that is not finite."""
+    kwh_per_year = [delta / 1000.0 * assumptions.hours_per_year for delta in delta_w]
+    opex, co2 = [], []
+    for years in horizons_years:
+        if years < 0:
+            raise ValueError("horizons must be non-negative")
+        kwh = [value * years for value in kwh_per_year]
+        opex.append([value * assumptions.electricity_price_per_kwh for value in kwh])
+        co2.append([value * assumptions.co2_lb_per_kwh / LB_PER_METRIC_KILOTON
+                    for value in kwh])
+    for delta, *values in zip(delta_w, *opex, *co2):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"savings of {delta:g} W overflow over the horizons")
+    return opex, co2
+
+
+def _outcome(function, *args):
+    try:
+        return repr(function(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+_HUGE = st.sampled_from([1e300, 1e305, 1.7e308, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6) | _HUGE, min_size=1, max_size=4),
+       st.lists(st.sampled_from([0.0, 1.0, 2.5, 10.0]) | _HUGE, max_size=3),
+       st.builds(CostAssumptions, st.floats(0, 1e10) | st.sampled_from([0.0, 1e300]),
+                 st.floats(0, 1e10) | st.sampled_from([0.0, 1e300]),
+                 st.sampled_from([HOURS_PER_YEAR, 1e300])))
+@example([1.0, 2.0], [1.0, math.nan], CostAssumptions())  # a nan horizon after the longest
+@example([1e300], [1.0], CostAssumptions(0.0, 1e10))  # only the CO2 overflows
+def test_cost_columns_fails_where_a_scan_of_every_value_fails(delta_w, horizons, costs):
+    assert (_outcome(cost_columns, delta_w, horizons, costs)
+            == _outcome(_cost_columns_scanned, delta_w, horizons, costs))
+
 
 def test_capacity_excess_reported_not_raised():
     big = CellScenario(1000, 6, 0.5, 512)

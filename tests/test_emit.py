@@ -30,6 +30,7 @@ from qaplan.emit import (
     render,
     render_csv,
     render_json,
+    render_parts,
     render_text,
 )
 
@@ -511,6 +512,10 @@ def test_blocks_render_as_their_flat_rows(tables, fmt):
             _assert_fails(table, [fmt])
     else:
         assert render(cut, fmt) == render(flat, fmt) == want
+        # One part before the rows, one per block, and on json and text one after.
+        parts = render_parts(cut, fmt)
+        assert "".join(parts) == want
+        assert len(parts) == len(list(cut.rows.produce())) + (1 if fmt == "csv" else 2)
 
 
 _AXES = {"bandwidth_mhz": [20.0, 100.0, 400.0], "antennas": [8, 64],
@@ -609,8 +614,8 @@ typed_sweeps = st.dictionaries(st.sampled_from(sorted(_TYPED_VALUES)), st.none()
                                    for axis in axes]))
 
 
-def _checked_render(table, fmt):
-    """`render`, once every column sequence of `table`'s blocks is checked
+def _checked_render_parts(table, fmt):
+    """`render_parts`, once every column sequence of `table`'s blocks is checked
     to hold cells of one type its spec formats in one pass: an int or a
     float, never a bool, under a number spec, and a str under an empty one."""
     count = len(table.columns)
@@ -624,7 +629,7 @@ def _checked_render(table, fmt):
                     kinds = set(map(type, cells))
                     assert kinds in ([{int}, {float}] if column.spec else [{str}]), (
                         table.name, column, kinds)
-    return render(table, fmt)
+    return render_parts(table, fmt)
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -645,7 +650,7 @@ def test_cli_cells_have_types_their_columns_format_in_one_pass(command, doc, fla
         for flag in flags:
             argv += ["--sweep", flag]
         out, err = io.StringIO(), io.StringIO()
-        with unittest.mock.patch.object(cli, "render", _checked_render), \
+        with unittest.mock.patch.object(cli, "render_parts", _checked_render_parts), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     # Exit 1 only where every point is skipped, 2 where the model fails.

@@ -14,6 +14,7 @@ from qaplan.qa_hardware import (
     QA_CURRENT,
     QA_PROJECTED,
     QUBITS_PER_DIE,
+    QaProfile,
     dac_count,
     die_count,
     programming_energy,
@@ -42,6 +43,17 @@ def test_runtime_rejects_bad_samples():
         qmi_runtime_us(QA_PROJECTED, -1)
     with pytest.raises(ValueError):
         qmi_runtime_us(QA_PROJECTED, 1.5)
+
+
+def test_runtime_past_float_range_is_a_domain_error_for_whole_profiles():
+    # Whole-number times keep the runtime an exact int, which overflows
+    # only where a rate multiplies it.
+    whole = QaProfile("whole", programming_us=1, anneal_us=1, readout_us=1,
+                      readout_delay_us=1, refrigeration_w=1)
+    for profile in (QA_PROJECTED, whole):
+        with pytest.raises(ValueError, match="past float range: 401 digits"):
+            qmi_runtime_us(profile, 10**400)
+    assert qmi_runtime_us(whole, 20) == 61
 
 
 def test_builtin_profiles():

@@ -7,7 +7,10 @@ still equal, bit for bit, what the model functions give when called
 afresh for that row.
 """
 
+import functools
 import itertools
+import math
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,9 +21,9 @@ from qaplan.cli import (_COMMANDS, _expand_points, cmd_economics, cmd_power, cmd
 from qaplan.config import SWEEP_AXES, parse_config, parse_sweep
 from qaplan.economics import compare, cost_report, offload_advantage_w
 from qaplan.qa_hardware import qmi_runtime_us, refrigerator_qubit_capacity
-from qaplan.qubit_budget import total_budget
+from qaplan.qubit_budget import problem_runtime, total_budget
 from qaplan.timeline import BEST_CASE, WORST_CASE, year_available
-from qaplan.workload import BbuTask, CellScenario, task_tops, workload
+from qaplan.workload import SCENARIO_FIELDS, BbuTask, CellScenario, _fixed, task_tops, workload
 
 # Small value sets, drawn with repeats, so runs of equal scenarios and
 # equal neighbouring values both occur.
@@ -233,3 +236,128 @@ def test_per_node_rows_take_turns_between_the_nodes_shared_tuples(monkeypatch):
         assert scenario[0] is scenario[2] is scenario[4]
         assert scenario[1] is scenario[3] is scenario[5]
         assert scenario[0] is not scenario[1]
+
+
+_TASKS = list(BbuTask)
+
+
+def _stages(fdnl_tops, fec_tops, antennas, modulation, scale):
+    """A fresh `Stages` over a block whose detection and decoding TOPS are
+    given, the other tasks' 0."""
+    tops = [[0.0] * len(antennas) for _ in _TASKS]
+    tops[_TASKS.index(BbuTask.FD_NL)], tops[_TASKS.index(BbuTask.FEC)] = fdnl_tops, fec_tops
+    fields = {"antennas": antennas, "modulation_bits": modulation}
+    stages = evaluate.Stages(parse_config({}), scale)
+    with unittest.mock.patch.object(evaluate, "task_tops", lambda *columns: tuple(tops)):
+        stages.start([fields.get(f, [1.0] * len(antennas)) for f in SCENARIO_FIELDS])
+    return stages
+
+
+@functools.lru_cache(maxsize=None)
+def _decoding_tops_past(limit, samples):
+    """The least decoding TOPS whose one-cell total exceeds `limit`: one
+    float less gives the largest total within it."""
+    def past(tops):
+        return _stages([0.0], [tops], [1], [6], 1).budget(samples)[2][0] > limit
+
+    low, high = 0.0, 1.0
+    while not past(high):
+        high *= 2
+    while (low + high) / 2 not in (low, high):
+        middle = (low + high) / 2
+        low, high = (low, middle) if past(middle) else (middle, high)
+    return high
+
+
+def _verdict_or_error(stages, samples, read):
+    try:
+        return read(stages, samples)
+    except ValueError as exc:
+        return repr(exc)
+
+
+_SCALES = [1, 3, 10_000]
+_SAMPLES = [1, 20, 50]
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+@pytest.mark.parametrize("samples", _SAMPLES)
+def test_the_verdict_holds_at_the_totals_either_side_of_the_limit(scale, samples):
+    limit = refrigerator_qubit_capacity() // scale
+    edge = _decoding_tops_past(limit, samples)
+    for tops, fits in ((math.nextafter(edge, 0), True), (edge, False)):
+        total = _stages([0.0], [tops], [1], [6], scale).budget(samples)[2][0]
+        assert (total <= limit) is fits
+        assert _stages([0.0], [tops], [1], [6], scale).verdict(samples) == (
+            [None] if fits else [total * scale])
+    # A nan after a rate that fits, which `max` passes over, still raises.
+    block = ([0.0, 0.0], [math.nextafter(edge, 0), math.nan], [1, 1], [6, 6], scale)
+    with pytest.raises(ValueError, match="qubit requirement at nan TOPS is not finite"):
+        _stages(*block).verdict(samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_verdict_bound_gives_the_budget_s_verdict(data):
+    # The bound is exact: on blocks fitting and not, with totals at the
+    # limit and just past it, and with rates, counts or runtimes that are
+    # not finite, the verdict from the bound equals the full budget's, or
+    # raises as it does.
+    scale = data.draw(st.sampled_from(_SCALES))
+    samples = data.draw(st.sampled_from(_SAMPLES + [10**300, 10**306]))
+    edge = _decoding_tops_past(refrigerator_qubit_capacity() // scale, min(samples, 50))
+    tops = (st.sampled_from([0.0, math.nextafter(edge, 0), edge, 1e290, 1e300, math.inf,
+                             math.nan])
+            | st.floats(0, 2 * edge))
+    n = data.draw(st.integers(1, 5))
+    block = (data.draw(st.lists(st.just(0.0) | tops, min_size=n, max_size=n)),
+             data.draw(st.lists(tops, min_size=n, max_size=n)),
+             data.draw(st.lists(st.integers(1, 128), min_size=n, max_size=n)),
+             data.draw(st.lists(st.sampled_from([1, 2, 4, 6, 8]), min_size=n, max_size=n)))
+    assert (_verdict_or_error(_stages(*block, scale), samples, evaluate.Stages.verdict)
+            == _verdict_or_error(_stages(*block, scale), samples,
+                                 lambda stages, s: stages.budget(s)[3]))
+
+
+@pytest.mark.parametrize("sweep,warned", [
+    ({"bandwidth_mhz": [100.0, 400.0], "antennas": [8, 64], "samples": [1, 20, 50]}, []),
+    # Each antenna count is a block of its own, and only 50 samples warn.
+    ({"bandwidth_mhz": [1000.0], "antennas": [64, 100], "samples": [1, 20, 50]}, [50, 50]),
+])
+def test_the_full_budget_runs_only_where_the_bound_does_not_fit(monkeypatch, sweep, warned):
+    runtimes = []
+
+    def counted(*args):
+        runtimes.append(args[-1])
+        return qubit_budget.budget_columns(*args)
+
+    monkeypatch.setattr(evaluate, "budget_columns", counted)
+    monkeypatch.setattr(cli, "BLOCK", 1)
+    cfg = parse_config({})._replace(sweep=sweep)
+    warnings = []
+    list(cmd_economics(cfg, warnings).rows)
+    assert runtimes == [problem_runtime(cfg.qa_profile, s) for s in warned]
+    assert len(warnings) == (2 if warned else 0)
+
+
+_GRID30K = {"bandwidth_mhz": list(range(10, 1001, 10)), "antennas": list(range(1, 101)),
+            "samples": [1, 20, 50]}
+_CRAN3 = {"bandwidth_mhz": list(range(20, 1001, 20)), "antennas": [8, 16, 32, 64, 128],
+          "modulation_bits": [2, 4, 6, 8]}
+
+
+@pytest.mark.parametrize("sweep", [_GRID30K, _CRAN3], ids=["grid30k", "cran3"])
+def test_blocks_hold_whole_runs_of_the_last_outer_axis(sweep):
+    cfg = parse_config({})._replace(sweep=parse_sweep(sweep))
+    blocks = list(_expand_points(cfg, []))
+    bandwidth, antennas, modulation = map(SCENARIO_FIELDS.index,
+                                          ("bandwidth_mhz", "antennas", "modulation_bits"))
+    for block in blocks:
+        if sweep is _GRID30K:  # one bandwidth, as one object, by 100 antennas
+            assert _fixed(block.fields[bandwidth])
+            assert block.fields[antennas] == _GRID30K["antennas"]
+        else:  # whole antenna runs, each over the four modulations
+            runs = len(block.prefixes) // 4
+            assert block.fields[modulation] == _CRAN3["modulation_bits"] * runs
+    assert len(blocks) == (100 if sweep is _GRID30K else 8)
+    assert list(_rows_of(blocks)) == _reference_points(cfg, sweep)
