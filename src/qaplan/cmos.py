@@ -103,6 +103,9 @@ BUILTIN_CMOS = {
 
 
 def cmos_power(tops: float, profile: CmosProfile) -> float:
-    """Watts to sustain `tops` on the given node, leakage included."""
+    """Watts to sustain `tops` on the given node, leakage included. An
+    oracle: the tests hold each task's silicon power in
+    `economics.deployment_columns`, whose loop fuses the power model for
+    speed, equal to it bit for bit."""
     check_non_negative([tops], "tops")
     return tops / profile.efficiency_tops_per_w * (1.0 + profile.leakage_fraction)

@@ -97,7 +97,9 @@ class ComparisonResult(NamedTuple):
 
     @property
     def delta_w(self) -> float:
-        """Power saved by the annealer candidate (negative = it loses)."""
+        """Power saved by the annealer candidate (negative = it loses). An
+        oracle: the tests hold the saving `deployment_columns` returns
+        equal to it bit for bit."""
         return self.cmos.total_w - self.qa.total_w
 
 

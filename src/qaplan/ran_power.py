@@ -93,7 +93,11 @@ def bs_power(bbu_w: float, antennas: int, losses: PowerSystemLosses = DEFAULT_LO
              refrigeration_w: float = 0.0) -> PowerBreakdown:
     """Grid power of a base station drawing `bbu_w` of baseband silicon,
     with one transceiver chain and one PA per antenna. Anything in
-    `refrigeration_w` is added after the supply losses."""
+    `refrigeration_w` is added after the supply losses. An oracle: the
+    tests hold each base station breakdown of
+    `economics.deployment_columns`, whose loop fuses the power model for
+    speed, equal to it bit for bit; the acceptance checks call it with
+    other `losses`."""
     check_non_negative([bbu_w], "bbu_w")
     check_non_negative([antennas], "antennas")
     ru, pa = antennas * RU_CHAIN_W, antennas * PA_W
@@ -107,7 +111,9 @@ def cran_power(bbu_w: float, antennas: int, site_bbu_w: float, link_w: float, n_
     `n_sites` like radio sites, each with one transceiver chain and one PA
     per antenna, `site_bbu_w` of silicon and a fronthaul link drawing
     `link_w`. Pool and sites pass through the default loss chain; links
-    and `refrigeration_w` bypass it."""
+    and `refrigeration_w` bypass it. An oracle: the tests hold each
+    centralized breakdown of `economics.deployment_columns`, whose loop
+    fuses the power model for speed, equal to it bit for bit."""
     check_non_negative([bbu_w], "bbu_w")
     check_non_negative([antennas], "antennas")
     check_non_negative([n_sites], "n_sites")

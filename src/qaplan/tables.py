@@ -20,17 +20,18 @@ from typing import Callable, Dict, List, Sequence
 
 from .config import default_config
 from .economics import BsTopology, CranTopology, cost_columns
-from .emit import Column, Table
+from .emit import Block, Column, Rows, Table
 from .evaluate import Stages
 from .qa_hardware import programming_energy, readout_parallelism
 from .qubit_budget import MODELED_LOAD_FRACTION
 from .workload import BbuTask, CellScenario, left_sums, task_tops
 
 
-def _records(columns: Sequence[Column], cells: Sequence[Sequence]) -> List[Dict]:
-    """The rows of `cells`, one sequence per column, as dicts by column key."""
-    keys = [c.key for c in columns]
-    return [dict(zip(keys, row)) for row in zip(*cells)]
+def _table(name: str, columns: List[Column], cells: Sequence[Sequence],
+           notes: Sequence[str] = ()) -> Table:
+    """A table of one block: `cells` holds each column's cells in row order."""
+    at = range(len(cells[0]))
+    return Table(name, columns, Rows([Block([cells], [], at, at)].__iter__, len(at)), notes)
 
 
 def targets_table() -> Table:
@@ -44,10 +45,8 @@ def targets_table() -> Table:
     tops = task_tops(*zip(*[scenario for _, scenario, _ in scenarios]))
     # Each scenario's column: its tasks' TOPS, then their total.
     per_scenario = zip(*tops, left_sums(tops, len(scenarios)))
-    return Table(
-        name="targets",
-        columns=columns,
-        rows=_records(columns, [[t.label for t in BbuTask] + ["Total"], *per_scenario]),
+    return _table(
+        "targets", columns, [[t.label for t in BbuTask] + ["Total"], *per_scenario],
         notes=[
             "units: TOPS; 64-QAM, coding rate 0.5 (reference column at rate 1.0), "
             "full duty cycles",
@@ -78,23 +77,13 @@ def energy_table() -> Table:
         Column("energy_1ua_j", "E @1uA (J)", ".4e"),
         Column("therm_1ua_s", "t @1uA (s)", ".4e"),
     ]
-    rows = []
-    for n_qubits, n_couplers in ENERGY_DEVICES:
-        high = programming_energy(n_qubits, n_couplers, 55e-6)
-        low = programming_energy(n_qubits, n_couplers, 1e-6)
-        rows.append({
-            "qubits": n_qubits,
-            "couplers": n_couplers,
-            "dacs": high.dacs,
-            "energy_55ua_j": high.energy_j,
-            "therm_55ua_s": high.thermalization_s,
-            "energy_1ua_j": low.energy_j,
-            "therm_1ua_s": low.thermalization_s,
-        })
-    return Table(
-        name="energy",
-        columns=columns,
-        rows=rows,
+    qubits, couplers = zip(*ENERGY_DEVICES)
+    # Per critical current, the devices' energy, thermalization and DAC columns.
+    (energy_55ua, therm_55ua, dacs), (energy_1ua, therm_1ua, _) = [
+        zip(*[programming_energy(n_qubits, n_couplers, i_c_a)
+              for n_qubits, n_couplers in ENERGY_DEVICES]) for i_c_a in (55e-6, 1e-6)]
+    return _table(
+        "energy", columns, [qubits, couplers, dacs, energy_55ua, therm_55ua, energy_1ua, therm_1ua],
         notes=[
             "paper-inconsistent: energy_1ua_j and therm_1ua_s at qubits=512; source "
             "prints ~1 fJ / 33 ps, linear scaling of its own 55 uA cell gives 1.2 fJ "
@@ -114,16 +103,9 @@ def readout_table() -> Table:
         Column("freq_mux_q1e3", "Freq-mux Qr=1e3", "d"),
         Column("freq_mux_q1e6", "Freq-mux Qr=1e6", "d"),
     ]
-    rows = [
-        {
-            "qubits": n,
-            "time_division": readout_parallelism(n, "time-division"),
-            "freq_mux_q1e3": readout_parallelism(n, "frequency-multiplex", 1e3),
-            "freq_mux_q1e6": readout_parallelism(n, "frequency-multiplex", 1e6),
-        }
-        for n in READOUT_DEVICES
-    ]
-    return Table(name="readout", columns=columns, rows=rows)
+    schemes = (("time-division",), ("frequency-multiplex", 1e3), ("frequency-multiplex", 1e6))
+    return _table("readout", columns, [READOUT_DEVICES, *[
+        [readout_parallelism(n, *scheme) for n in READOUT_DEVICES] for scheme in schemes]])
 
 
 QUBITS_TIME_SAMPLES = (1, 20, 50, 100)
@@ -155,7 +137,7 @@ def qubits_time_table() -> Table:
         for samples in QUBITS_TIME_SAMPLES if samples in QUBITS_TIME_DIVERGENT
     ]
     cells = [QUBITS_TIME_SAMPLES, list(map(stages.runtime, QUBITS_TIME_SAMPLES)), *zip(*budgets)]
-    return Table(name="qubits-time", columns=columns, rows=_records(columns, cells), notes=notes)
+    return _table("qubits-time", columns, cells, notes)
 
 
 POWERBENEFIT_BANDWIDTHS = (50, 100, 200, 400)
@@ -183,10 +165,8 @@ def powerbenefit_table() -> Table:
         qubits.append([total * topology.n_bs for total in stages.budget(cfg.samples)[2]])
         (*_, cmos_total), (*_, qa_total), _ = stages.deployments(cfg.cmos_profiles[0])
         power += [[watts / unit for watts in total] for total in (cmos_total, qa_total)]
-    return Table(
-        name="powerbenefit",
-        columns=columns,
-        rows=_records(columns, [POWERBENEFIT_BANDWIDTHS, *qubits, *power]),
+    return _table(
+        "powerbenefit", columns, [POWERBENEFIT_BANDWIDTHS, *qubits, *power],
         notes=[
             "qubit columns run ~7% above the source's printed counts (386K-3.08M "
             "BS), whose derivation from its stated per-task models is not exactly "
@@ -214,10 +194,8 @@ def costsavings_table() -> Table:
                              COSTSAVINGS_HORIZONS, default_config().costs)
     # Per delta, its cost and CO2 columns over the horizons.
     per_delta = chain.from_iterable(zip(zip(*opex), zip(*co2)))
-    return Table(
-        name="costsavings",
-        columns=columns,
-        rows=_records(columns, [COSTSAVINGS_HORIZONS, *per_delta]),
+    return _table(
+        "costsavings", columns, [COSTSAVINGS_HORIZONS, *per_delta],
         notes=[
             "power deltas fixed at the source's stated savings (41/188/159 kW for "
             "bs64/bs128/cran); this tool's own comparison yields larger deltas "

@@ -1,14 +1,16 @@
 """Device-size growth trends and feasibility milestones.
 
 Extrapolates annealer qubit counts from the shipped-hardware record and
-finds the first year a trend supplies a required qubit count:
-`year_available` for one count, `YearTable.years` for a column of them,
-looked up in a table of each year's `qubits_at`.
+finds the first year a trend supplies a required qubit count. One
+algorithm finds it: `YearTable.years` looks each count of a column up in
+a table of each year's `qubits_at`, and `year_available` is that lookup
+of one count.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from itertools import repeat
 from typing import List, Mapping, NamedTuple, Sequence
@@ -76,51 +78,37 @@ def qubits_at(trend: GrowthTrend, year: float) -> int:
 
 
 def year_available(trend: GrowthTrend, required_qubits: int) -> int:
-    """First whole year the trend supplies `required_qubits`. A count the
-    trend passes only past float range raises `qubits_at`'s error."""
-    if required_qubits < 1:
+    """First whole year the trend supplies `required_qubits`: its
+    `YearTable` lookup of the one count. A count above the largest float
+    is refused; one the trend passes only past float range raises
+    `qubits_at`'s error."""
+    # These checks fail for every count `years` does not look up, nan too.
+    if not required_qubits >= 1:
         raise ValueError(f"required_qubits must be positive, got {required_qubits}")
-    if required_qubits <= trend.anchor_qubits:
-        return trend.anchor_year
-    try:
-        periods = math.log(required_qubits / trend.anchor_qubits) / math.log(
-            trend.growth_factor
-        )
-    except OverflowError:  # an int past float range
+    if required_qubits > sys.float_info.max:
         raise ValueError(
-            f"required_qubits past float range: {len(str(required_qubits))} digits") from None
-    year = trend.anchor_year + math.ceil(periods * PERIOD_YEARS)
-    # Closed form can land one year off either way after flooring.
-    while qubits_at(trend, year) < required_qubits:
-        year += 1
-    while year > trend.anchor_year and qubits_at(trend, year - 1) >= required_qubits:
-        year -= 1
-    return year
-
-
-# Counts past this go to `year_available`: far below it, `qubits_at` is
-# finite at every year its closed form tries.
-LOOKUP_LIMIT = 10 ** 300
+            f"required_qubits past float range: {len(str(required_qubits))} digits")
+    return YearTable(trend).years([required_qubits])[0]
 
 
 class YearTable:
-    """`year_available` of one trend, looked up in its `qubits_at` of the
-    anchor year and of each year after, which it extends as counts need;
-    no year's size is below the year before's."""
+    """The availability years of one trend, looked up in its `qubits_at`
+    of the anchor year and of each year after, which it extends as counts
+    need; no year's size is below the year before's."""
 
     def __init__(self, trend: GrowthTrend) -> None:
         self.trend, self.sizes = trend, [qubits_at(trend, trend.anchor_year)]
 
     def years(self, required_qubits: Sequence[int]) -> List[int]:
         """`year_available` of each count: the first year whose size is
-        at least it. A column holding a count below 1 or past
-        `LOOKUP_LIMIT` is taken by `year_available`, count by count, and
-        raises as it does."""
+        at least it. A column holding a count below 1 or past the largest
+        float is taken by `year_available`, count by count, and raises as
+        it does."""
         trend, sizes = self.trend, self.sizes
         if not required_qubits:
             return []
         top = max(required_qubits)
-        if not (min(required_qubits) >= 1 and top <= LOOKUP_LIMIT):
+        if not (min(required_qubits) >= 1 and top <= sys.float_info.max):
             return [year_available(trend, count) for count in required_qubits]
         while sizes[-1] < top:
             sizes.append(qubits_at(trend, trend.anchor_year + len(sizes)))

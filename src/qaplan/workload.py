@@ -185,8 +185,8 @@ class BbuWorkload(NamedTuple):
 def scale_task(task: BbuTask, scenario: CellScenario) -> float:
     """Compute demand of one task at `scenario`, in TOPS: the reference
     demand times each axis ratio to the task's exponent for that axis, in
-    axis order. `task_tops` equals it bit for bit; the acceptance checks
-    compare."""
+    axis order. An oracle: the tests hold `task_tops` equal to it bit
+    for bit, and the acceptance checks call it."""
     result = REFERENCE_TOPS[task]
     for value, reference, power in zip(scenario, REFERENCE_SCENARIO, SCALING[task]):
         result *= (value / reference) ** power

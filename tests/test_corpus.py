@@ -7,8 +7,8 @@ fixed fields off the reference point, a node too slow to price
 values or past one block, paper tables, `--out` files and the forms
 only argparse reads (`--format=csv`, `--form csv`). The fixed cases in
 `FIXED` follow the drawn ones: a `costs` block and a refused one,
-config files that cannot be read, and a timeline whose ask is past
-`timeline.LOOKUP_LIMIT`. `corpus.json` holds each one's exit code and
+config files that cannot be read, and a timeline whose ask is near the
+top of float range. `corpus.json` holds each one's exit code and
 the sha256 of its stdout (then of its `--out` file) and of its stderr,
 run through `cli.main` in a directory holding the configs and `FILES`
 under the names given.
@@ -72,7 +72,7 @@ FIXED = [
     ["economics", "--format", "csv", "--config", "costsrefused.json"],
     *[["targets", "--format", "csv", "--config", name]
       for name in ("notutf8.json", "badjson.json", "missing.json")],
-    # An ask of 6.48e300 qubits: `YearTable.years` takes `year_available`.
+    # An ask of 6.48e300 qubits: `YearTable.years` tables over 2,000 years.
     ["timeline", "--format", "csv", "--sweep", "bandwidth_mhz=5e298", "--sweep", "antennas=1"],
 ]
 OUT = "out.txt"

@@ -48,3 +48,24 @@ def test_unpaired_runs_are_refused():
         pairs.summarize([1.0, 2.0], [1.0], True)
     with pytest.raises(ValueError):
         pairs.summarize([], [], True)
+
+
+def test_a_regression_is_a_median_worse_by_more_than_the_bound_of_the_parent_median():
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+    # 10% worse against a 25% bound: no regression; 30% worse: a regression.
+    assert pairs.regression(parent, [v * 1.1 for v in parent], True, 0.25) == "no"
+    assert pairs.regression(parent, [v * 1.3 for v in parent], True, 0.25) == "yes"
+    # Higher is better: the same runs read the other way round.
+    assert pairs.regression(parent, [v * 0.7 for v in parent], False, 0.25) == "yes"
+    assert pairs.regression(parent, [v * 1.3 for v in parent], False, 0.25) == "no"
+    # A 1% loss in a metric bound at 5% is within the bound.
+    assert pairs.regression(parent, [v * 0.99 for v in parent], False, 0.05) == "no"
+
+
+def test_a_parent_spread_past_the_bound_leaves_the_verdict_unresolved():
+    parent = [10.0, 20.0, 10.0, 20.0, 10.0, 20.0, 10.0, 20.0, 10.0, 20.0]  # quartiles 10 apart
+    assert pairs.regression(parent, parent, True, 0.25) == "unresolved"
+    assert pairs.regression(parent, [v * 2 for v in parent], True, 0.25) == "unresolved"
+    # Unless every change run beats every parent run.
+    assert pairs.regression(parent, [9.0] * 10, True, 0.25) == "no"
+    assert pairs.regression(parent, [21.0] * 10, False, 0.25) == "no"

@@ -1,12 +1,14 @@
 """Growth-trend extrapolation and availability milestones."""
 
+import sys
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qaplan.timeline import (
     BEST_CASE,
     HISTORICAL_QUBITS,
-    LOOKUP_LIMIT,
     WORST_CASE,
     GrowthTrend,
     qubits_at,
@@ -116,24 +118,44 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-# Counts from 1 to past 1e300, where `year_available` overflows; each
-# trend's sizes, and one qubit more, where the year turns.
+_size = lru_cache(maxsize=None)(qubits_at)
+
+
+def _first_year(trend, count):
+    """The definition: the first year, from the anchor on, whose `qubits_at`
+    reaches `count`. A count the sizes pass only past float range raises at
+    the first year whose size is past it."""
+    if count < 1:
+        raise ValueError(f"required_qubits must be positive, got {count}")
+    if count > sys.float_info.max:
+        raise ValueError(f"required_qubits past float range: {len(str(count))} digits")
+    year = trend.anchor_year
+    while _size(trend, year) < count:
+        year += 1
+    return year
+
+
+# Counts from 1 to past the largest float, where every size is too small;
+# each trend's sizes, and one qubit more, where the year turns.
 _COUNTS = (st.integers(1, 10**8) | st.integers(1, 10**310)
-           | st.sampled_from([1, 5436, 7440, LOOKUP_LIMIT, LOOKUP_LIMIT + 1, 10**308, 10**400])
+           | st.sampled_from([1, 5436, 7440, 10**300, int(sys.float_info.max),
+                              int(sys.float_info.max) + 1, 10**308, 10**400])
            | st.builds(lambda trend, years, more: qubits_at(trend, trend.anchor_year + years)
                        + more, trends, st.integers(0, 2000), st.integers(0, 1)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(trends, st.lists(_COUNTS | st.integers(-3, 0), min_size=1, max_size=5))
-@example(WORST_CASE, [LOOKUP_LIMIT])  # the longest table the lookup builds
+@example(WORST_CASE, [10**300])  # a long table
 @example(BEST_CASE, [2, 18 * 10**307, 0])  # the first failing count raises
 @example(BEST_CASE, [qubits_at(BEST_CASE, 4174), qubits_at(BEST_CASE, 4174) + 1])
 @example(WORST_CASE, [qubits_at(WORST_CASE, 8722) + 1])  # past each trend's last finite size
 def test_years_by_lookup_equal_year_available(trend, counts):
-    want = _outcome(lambda: [year_available(trend, count) for count in counts])
+    # Errors come in column order: the first failing count raises.
+    want = _outcome(lambda: [_first_year(trend, count) for count in counts])
     assert _outcome(lambda: YearTable(trend).years(counts)) == want
-    # One table, extended count by count.
+    # One table, extended count by count, and `year_available` of each.
     table = YearTable(trend)
-    assert [_outcome(lambda: table.years([count])) for count in counts] == [
-        _outcome(lambda: [year_available(trend, count)]) for count in counts]
+    each = [_outcome(lambda: [_first_year(trend, count)]) for count in counts]
+    assert [_outcome(lambda: table.years([count])) for count in counts] == each
+    assert [_outcome(lambda: [year_available(trend, count)]) for count in counts] == each
