@@ -31,6 +31,10 @@ failing value, after the warnings of the rows before. Warnings precede the
 formatting of cells, none of which fails. The text is held as one text per
 block (`emit.render_parts`) and written with `writelines` once the call has
 succeeded, so a failing call prints nothing and creates no `--out` file.
+A csv or json call with `BLOCKS_PER_PROCESS` blocks for each of several
+usable cores renders contiguous ranges of its blocks on as many processes
+(`_render`, `parallel.render`), with the same bytes, warnings and exit
+code; where any process fails, the call is rendered again on this one.
 
 A plain command line, a subcommand and then whole `--flag value` pairs, is
 read by `_plain_args` into what argparse would return; argparse is
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 import types
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
@@ -200,19 +205,22 @@ def _expand_points(cfg: RunConfig, warnings) -> Lazy:
     only they build a `CellScenario` for the reason. Axes vary in
     `SWEEP_AXES` order, the last fastest, so the scenarios of the axes
     after samples take turns within a sample count: a block holds whole
-    groups of them.
+    groups of them. The points know their block count (`blocks`), and
+    `produce(span)` builds the blocks in the range `span` alone.
     """
     sweep = cfg.sweep
     if not sweep:
         named = cfg.scenarios
 
-        def configured() -> Iterator[_Block]:
-            for at in range(0, len(named), BLOCK):
+        blocks = -(-len(named) // BLOCK)
+
+        def configured(span: range = range(blocks)) -> Iterator[_Block]:
+            for at in range(span.start * BLOCK, min(span.stop * BLOCK, len(named)), BLOCK):
                 chunk = named[at:at + BLOCK]
                 fields = zip(*[scenario for _, scenario in chunk])
                 yield _Block(tuple(map(list, fields)), [name for name, _ in chunk], 1,
                              [cfg.samples], [""])
-        return Lazy(configured, len(named))
+        return Lazy(configured, len(named), blocks)
     base_name, base = cfg.scenarios[0]
     base_fields = base._asdict()
 
@@ -273,9 +281,10 @@ def _expand_points(cfg: RunConfig, warnings) -> Lazy:
     # each other outer axis is one object across it, which `task_tops` folds.
     per, run = max(1, BLOCK // len(tails)), len(ok[outer[-1]]) if outer else 1
     size = per // run * run or per
+    blocks = -(-math.prod([len(ok[a]) for a in outer]) // size)
 
-    def swept() -> Iterator[_Block]:
-        outer_combos = axes_product(outer)
+    def swept(span: range = range(blocks)) -> Iterator[_Block]:
+        outer_combos = itertools.islice(axes_product(outer), span.start * size, span.stop * size)
         while True:
             chunk = list(itertools.islice(outer_combos, size))
             if not chunk:
@@ -288,7 +297,7 @@ def _expand_points(cfg: RunConfig, warnings) -> Lazy:
             prefixes = [head + tail for head in heads for tail in tails]
             yield _Block(tuple(fields), prefixes, len(tails), samples, labels)
 
-    return Lazy(swept, count)
+    return Lazy(swept, count, blocks)
 
 
 _MODEL_ERRORS = (ValueError, ArithmeticError)
@@ -327,7 +336,8 @@ def _table(name: str, cfg: RunConfig, columns: List[Column], warnings,
     written. The stages run in the one order a row reads their values: the
     workload, the own cells, the shared cells, then the warned value. A
     block that raises a model error is evaluated again one row at a time,
-    so the first row that fails ends the call after the rows before it."""
+    so the first row that fails ends the call after the rows before it.
+    The rows take a range of the points' blocks as `_expand_points` does."""
     points = _expand_points(cfg, warnings)
     stages = Stages(cfg, scale)
     # The nodes of a row's cells: on tables not per node, one shared entry
@@ -360,15 +370,15 @@ def _table(name: str, cfg: RunConfig, columns: List[Column], warnings,
         return Block([[part_names, *part] for part_names, part in zip(names, owns)], tails,
                      own_at, shared_at)
 
-    def blocks() -> Iterator[Block]:
-        for block in points:
+    def blocks(span: range = range(points.blocks)) -> Iterator[Block]:
+        for block in points.produce(span):
             try:
                 done: Iterable[Block] = [evaluated(block, row_nodes)]
             except _MODEL_ERRORS:
                 done = itertools.starmap(evaluated, _rows_apart(block, node_groups))
             yield from done
 
-    return Table(name, columns, Rows(blocks, len(points) * len(row_nodes)), notes)
+    return Table(name, columns, Rows(blocks, len(points) * len(row_nodes), points.blocks), notes)
 
 
 _NAME_COLUMN = Column("name", "Scenario")
@@ -485,25 +495,79 @@ _COMMANDS = {
 }
 
 
-def _emit(parts: List[str], out_path: Optional[str]) -> None:
-    if out_path is None:
-        sys.stdout.writelines(parts)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(parts)
+def _emit(parts: Iterable[str], out_path: Optional[str]) -> None:
+    """Write `parts`, and then close them where they can be closed."""
+    try:
+        if out_path is None:
+            sys.stdout.writelines(parts)
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(parts)
+    finally:
+        if hasattr(parts, "close"):
+            parts.close()
 
 
 class _Warnings:
-    """Warnings written to stderr as they are gathered; only their count is
-    kept. They come through `extend`, as a list takes them: those of one
+    """Warnings written to stderr as they are gathered, or held as text
+    while `held` is a list, until `release` writes them; only their count
+    is kept. They come through `extend`, as a list takes them: those of one
     block in one write."""
 
     def __init__(self) -> None:
-        self.count = 0
+        self.count, self.held = 0, None
 
     def extend(self, warnings: List[str]) -> None:
         self.count += len(warnings)
-        sys.stderr.write("".join([f"qaplan: warning: {warning}\n" for warning in warnings]))
+        text = "".join([f"qaplan: warning: {warning}\n" for warning in warnings])
+        if self.held is None:
+            sys.stderr.write(text)
+        else:
+            self.held.append(text)
+
+    def release(self, more: Iterable[str] = ()) -> None:
+        """Write the held warnings and then the texts `more`, and hold no
+        more."""
+        sys.stderr.writelines(self.held)
+        sys.stderr.writelines(more)
+        self.held = None
+
+
+# The blocks each process must render before a csv or json call is cut
+# across processes: below this, forking costs more than it saves.
+BLOCKS_PER_PROCESS = 16
+
+
+def _cores(fmt: str) -> List[int]:
+    """The cores a call in `fmt` may render its blocks on, one process
+    each: for csv and json, those the process may use, where `os.fork`,
+    `os.sched_getaffinity` and `os.memfd_create` exist and it runs one
+    thread; else none."""
+    if fmt not in ("csv", "json") or not all(hasattr(os, name) for name in (
+            "fork", "sched_getaffinity", "memfd_create")):
+        return []
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:  # forking a threaded process is unsafe
+            return []
+    except OSError:
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _render(command: str, cfg: RunConfig, fmt: str, warnings: _Warnings) -> Iterable[str]:
+    """The text of the subcommand's table in `fmt`. A call with at least
+    `BLOCKS_PER_PROCESS` blocks for each of several cores (`_cores`) is
+    rendered on them (`parallel.render`); where that fails, the table is
+    rendered again on this process alone, as every other call is."""
+    table = _COMMANDS[command](cfg, warnings)
+    cores = _cores(fmt)[:table.rows.blocks // BLOCKS_PER_PROCESS]
+    if len(cores) > 1:
+        from .parallel import render
+
+        text = render(table, fmt, cores, warnings)
+        if text is not None:
+            return text
+    return render_parts(table, fmt)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -515,13 +579,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.paper_table:
             from .tables import PAPER_TABLES
 
-            table = PAPER_TABLES[args.paper_table]()
+            parts = render_parts(PAPER_TABLES[args.paper_table](), args.format)
         else:
             cfg = load_config(args.config)
             if args.sweep:  # the flags' sweep replaces the file's
                 cfg = cfg._replace(sweep=parse_sweep_flags(args.sweep))
-            table = _COMMANDS[args.command](cfg, warnings)
-        _emit(render_parts(table, args.format), args.out)
+            parts = _render(args.command, cfg, args.format, warnings)
+        _emit(parts, args.out)
     except ConfigError as exc:
         code, problem = EXIT_CONFIG, f"config error: {exc}"
     except ValueError as exc:

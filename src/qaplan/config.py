@@ -15,7 +15,6 @@ the one the `--sweep` flags give (`parse_sweep_flags`), which replaces it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -62,11 +61,19 @@ def default_config() -> RunConfig:
     )
 
 
+def _json_text(value) -> str:
+    """`value` as json writes it, to word a config error. `json` loads only
+    here and where a file is read."""
+    import json
+
+    return json.dumps(value)
+
+
 def _number(value, key: str):
     """`value`, refused unless it is a json number: Python would cast true
     and false as 1 and 0, and "5" as 5."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+        raise ConfigError(f"{key} must be a number, got {_json_text(value)}")
     return value
 
 
@@ -79,7 +86,7 @@ def _name(value, key: str) -> str:
     """`value`, refused unless it is a json string: 5 and "5" would name
     different things yet print the same."""
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {json.dumps(value)}")
+        raise ConfigError(f"{key} must be a string, got {_json_text(value)}")
     # A name heads a row of text and a warning, each one line.
     if "\n" in value or "\r" in value:
         raise ConfigError(f"{key} holds a line break: {value!r}")
@@ -99,7 +106,7 @@ def _whole(value, key: str) -> int:
 def _check_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
     """Refuse `obj` unless it is a json object with only `allowed` keys."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a json object, got {json.dumps(obj)}")
+        raise ConfigError(f"{where} must be a json object, got {_json_text(obj)}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -315,7 +322,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     listed = doc.get("horizons_years", base.horizons_years)
     if not isinstance(listed, (list, tuple)):
-        raise ConfigError(f"horizons_years must be a list, got {json.dumps(listed)}")
+        raise ConfigError(f"horizons_years must be a list, got {_json_text(listed)}")
     try:
         horizons = tuple(_real(y, "horizons_years") for y in listed)
         for years in horizons:
@@ -344,6 +351,8 @@ def load_config(path: Optional[str]) -> RunConfig:
         path = os.environ.get(ENV_CONFIG_PATH)
     if path is None:
         return default_config()
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

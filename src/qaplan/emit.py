@@ -24,17 +24,19 @@ quotes a column's cells where its text holds a delimiter, quote, CR or
 LF, as the csv module does; text holds every block's texts until each
 column's width is known. Each renderer yields one text per block, between
 the texts before and after the rows (`render_parts`); `render` joins them.
+Csv and json render any range of a table's blocks on its own: the texts
+of consecutive ranges join into the whole table's.
 """
 
 from __future__ import annotations
 
-# `csv` is imported where csv is read back; no rendering loads it.
+# `csv` and `json` are imported where they are read back or written; a csv
+# rendering loads neither.
 import io
-import json
 import math
 from itertools import repeat
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 Cell = Union[str, int, float]
 
@@ -75,10 +77,13 @@ def _entries(parts: Sequence[Sequence]) -> List[Tuple[Cell, ...]]:
 
 
 class Lazy:
-    """Items produced each time they are read; `len` is known up front."""
+    """Items produced each time they are read; `len` is known up front.
+    Where `blocks` is given, they come in that many blocks, and
+    `produce(span)` yields those of the blocks in the range `span` alone."""
 
-    def __init__(self, produce: Callable[[], Iterator], count: int) -> None:
-        self.produce, self._count = produce, count
+    def __init__(self, produce: Callable[..., Iterator], count: int,
+                 blocks: Optional[int] = None) -> None:
+        self.produce, self._count, self.blocks = produce, count, blocks
 
     def __iter__(self) -> Iterator:
         return self.produce()
@@ -163,15 +168,13 @@ def _json_cell(value: Cell, spec: str) -> Cell:
     return formatted if isinstance(value, str) else _parse_number(formatted)
 
 
-# What json.dumps writes for a string, with its default ensure_ascii.
-_json_string = json.encoder.encode_basestring_ascii
-
-
 def _json_literal(value: Cell, spec: str) -> str:
     """The json text `json.dumps` gives `_json_cell(value, spec)`."""
     cell = _json_cell(value, spec)
     if isinstance(cell, str):
-        return _json_string(cell)
+        from json.encoder import encode_basestring_ascii
+
+        return encode_basestring_ascii(cell)
     if isinstance(cell, int):
         return int.__repr__(cell)
     if math.isfinite(cell):
@@ -181,6 +184,8 @@ def _json_literal(value: Cell, spec: str) -> str:
 
 def _json_nested(value: Any) -> str:
     """`value` as `json.dumps(..., indent=2)` writes it one level down."""
+    import json
+
     # Json text holds no raw newline inside a string, so every newline is
     # a line break of the layout.
     return json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -231,11 +236,13 @@ def _cell_texts(specs: Sequence[str]) -> Callable[[int, Sequence[Cell]], List[st
     return column
 
 
-def _formatted(table: Table, column: Callable) -> Iterator[Tuple[Block, List, List]]:
-    """Each block of `table`, with the texts `column(c, cells)` gives each
-    column `c` of its own and of its shared columns, over their entries."""
+def _formatted(table: Table, column: Callable, span: Optional[range] = None
+               ) -> Iterator[Tuple[Block, List, List]]:
+    """Each block of `table`, or of its blocks in the range `span`, with the
+    texts `column(c, cells)` gives each column `c` of its own and of its
+    shared columns, over their entries."""
     count = len(table.columns)
-    for block in table.rows.produce():
+    for block in table.rows.produce() if span is None else table.rows.produce(span):
         split = min(len(block.own[0]) if block.own else 0, count)
         yield (block, _side(block.own, range(split), column),
                _side(block.shared, range(split, count), column))
@@ -269,50 +276,62 @@ def _csv_quoted(texts: List[str], lone: bool) -> List[str]:
             else text for text in texts]
 
 
-def _csv_parts(table: Table) -> Iterator[str]:
-    """Csv emission; notes become leading '#' comment lines.
+def _csv_parts(table: Table, span: Optional[range] = None) -> Iterator[str]:
+    """Csv emission; notes become leading '#' comment lines. With a block
+    range `span`, the text of its blocks, after the header where it starts
+    at the first.
 
     The bytes are those of `csv.writer` writing each row whole, the cells
     formatted by `format_cell`.
     """
     specs = [c.spec for c in table.columns]
     lone = len(specs) == 1  # a row of one empty field is written ""
-    yield "".join([f"# {note}\r\n" for note in table.notes]) + ",".join(
-        _csv_quoted([c.key for c in table.columns], lone)) + "\r\n"
-    for block, own, shared in _formatted(table, _cell_texts(specs)):
+    if span is None or span.start == 0:
+        yield "".join([f"# {note}\r\n" for note in table.notes]) + ",".join(
+            _csv_quoted([c.key for c in table.columns], lone)) + "\r\n"
+    for block, own, shared in _formatted(table, _cell_texts(specs), span):
         rows = _lines(block, list(map(_csv_quoted, own, repeat(lone))),
                       list(map(_csv_quoted, shared, repeat(lone))), ",")
         yield "\r\n".join(rows) + "\r\n"
 
 
-def _json_parts(table: Table) -> Iterator[str]:
-    """Json emission carrying the same numbers as the csv rendering.
+def _json_parts(table: Table, span: Optional[range] = None) -> Iterator[str]:
+    """Json emission carrying the same numbers as the csv rendering. With a
+    block range `span`, the text of its blocks, after the text before the
+    rows where it starts at the first block, and before the text after them
+    where it ends at the last.
 
     The bytes are `json.dumps(doc, indent=2) + "\\n"` of the document
     {"table", "columns", "rows", "notes"}, with each row the dict of its
     column keys and `_json_cell` values.
     """
+    from json.encoder import encode_basestring_ascii as json_string  # as json.dumps writes
+
     specs = [c.spec for c in table.columns]
-    prefixes = ["\n      " + _json_string(c.key) + ": " for c in table.columns]
+    prefixes = ["\n      " + json_string(c.key) + ": " for c in table.columns]
 
     def column(c: int, cells: Sequence[Cell]) -> List[str]:
         try:
-            texts = list(map(_json_string, cells))  # strings, in one pass
+            texts = list(map(json_string, cells))  # strings, in one pass
         except TypeError:  # a cell that is no string
             texts = list(map(_json_literal, cells, repeat(specs[c])))
         return list(map(prefixes[c].__add__, texts))
 
-    yield ('{\n  "table": ' + _json_string(table.name) + ',\n  "columns": '
-           + _json_nested([{"key": c.key, "title": c.title} for c in table.columns])
-           + ',\n  "rows": [')
+    first = span is None or span.start == 0
+    if first:
+        yield ('{\n  "table": ' + json_string(table.name) + ',\n  "columns": '
+               + _json_nested([{"key": c.key, "title": c.title} for c in table.columns])
+               + ',\n  "rows": [')
     # Each row between braces; json.dumps writes {} for an empty dict.
     wrap = ("{{{}\n    }}" if prefixes else "{{{}}}").format
-    separator = "\n    "
-    for block, own, shared in _formatted(table, column):
+    # A range after the first follows rows: each block holds some.
+    separator = "\n    " if first else ",\n    "
+    for block, own, shared in _formatted(table, column, span):
         yield separator + ",\n    ".join(map(wrap, _lines(block, own, shared, ",")))
         separator = ",\n    "
-    yield (("]" if separator == "\n    " else "\n  ]")  # [] when no rows
-           + ',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
+    if span is None or span.stop >= table.rows.blocks:
+        yield (("]" if separator == "\n    " else "\n  ]")  # [] when no rows
+               + ',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
 
 
 def _text_parts(table: Table) -> Iterator[str]:
@@ -339,14 +358,22 @@ def _text_parts(table: Table) -> Iterator[str]:
 _PARTS = {"csv": _csv_parts, "json": _json_parts, "table": _text_parts}
 
 
-def render_parts(table: Table, fmt: str) -> List[str]:
+def iter_parts(table: Table, fmt: str, span: Optional[range] = None) -> Iterator[str]:
     """The text of `table` in `fmt`, as parts that join into `render`'s:
-    the lines before the rows, each block's rows, the lines after."""
+    the lines before the rows, each block's rows, the lines after. With a
+    range `span` of the blocks of `table.rows` (csv and json only), the
+    parts of those blocks: the lines before the rows only where it starts
+    at the first block, and those after only where it ends at the last."""
     try:
         parts = _PARTS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}; choose from {sorted(_PARTS)}")
-    return list(parts(table))
+    return parts(table) if span is None else parts(table, span)
+
+
+def render_parts(table: Table, fmt: str) -> List[str]:
+    """The parts `iter_parts` gives, as a list."""
+    return list(iter_parts(table, fmt))
 
 
 def render(table: Table, fmt: str) -> str:
@@ -393,6 +420,8 @@ def read_csv(text: str) -> Table:
 
 def read_json(text: str) -> Table:
     """Parse a json emission back into a Table."""
+    import json
+
     doc = json.loads(text)
     columns = [Column(key=c["key"], title=c["title"]) for c in doc["columns"]]
     return Table(

@@ -79,16 +79,22 @@ def qubits_at(trend: GrowthTrend, year: float) -> int:
 
 def year_available(trend: GrowthTrend, required_qubits: int) -> int:
     """First whole year the trend supplies `required_qubits`: its
-    `YearTable` lookup of the one count. A count above the largest float
-    is refused; one the trend passes only past float range raises
-    `qubits_at`'s error."""
-    # These checks fail for every count `years` does not look up, nan too.
+    `YearTable` lookup of the one count. A count below 1 or above the
+    largest float is refused; one the trend passes only past float range
+    raises `qubits_at`'s error."""
+    return YearTable(trend).years([required_qubits])[0]
+
+
+def _checked(required_qubits: int) -> int:
+    """`required_qubits`, refused where below 1 (nan too) or above the
+    largest float: an int by its digits, any other count by its value."""
     if not required_qubits >= 1:
         raise ValueError(f"required_qubits must be positive, got {required_qubits}")
     if required_qubits > sys.float_info.max:
-        raise ValueError(
-            f"required_qubits past float range: {len(str(required_qubits))} digits")
-    return YearTable(trend).years([required_qubits])[0]
+        size = (f"{len(str(required_qubits))} digits" if isinstance(required_qubits, int)
+                else repr(required_qubits))
+        raise ValueError(f"required_qubits past float range: {size}")
+    return required_qubits
 
 
 class YearTable:
@@ -102,14 +108,15 @@ class YearTable:
     def years(self, required_qubits: Sequence[int]) -> List[int]:
         """`year_available` of each count: the first year whose size is
         at least it. A column holding a count below 1 or past the largest
-        float is taken by `year_available`, count by count, and raises as
-        it does."""
+        float is looked up count by count, in order, so the first count
+        that is refused or that the trend passes only past float range
+        raises."""
         trend, sizes = self.trend, self.sizes
         if not required_qubits:
             return []
         top = max(required_qubits)
         if not (min(required_qubits) >= 1 and top <= sys.float_info.max):
-            return [year_available(trend, count) for count in required_qubits]
+            return [self.years([_checked(count)])[0] for count in required_qubits]
         while sizes[-1] < top:
             sizes.append(qubits_at(trend, trend.anchor_year + len(sizes)))
         return list(map(trend.anchor_year.__add__, map(bisect_left, repeat(sizes),

@@ -78,6 +78,41 @@ def test_a_size_past_float_range_is_a_named_domain_error(trend, year, count):
         year_available(trend, 10**400)
 
 
+@pytest.mark.parametrize("count,size", [
+    (float("inf"), "inf"), (sys.float_info.max * 2, "inf"), (10**309, "310 digits"),
+    (int(sys.float_info.max) + 1, "309 digits"),
+], ids=["inf", "float-past-max", "int-310-digits", "int-309-digits"])
+def test_a_count_past_float_range_is_named_by_digits_or_by_value(count, size):
+    # An int by its digits; a float, which has none, by its value.
+    with pytest.raises(ValueError) as raised:
+        year_available(BEST_CASE, count)
+    assert str(raised.value) == f"required_qubits past float range: {size}"
+
+
+@pytest.mark.parametrize("counts,error", [
+    ([10, 10**6, 0], "required_qubits must be positive, got 0"),
+    ([10**6, 10, 10**309, 0], "required_qubits past float range: 310 digits"),
+    ([float("nan"), 10**6], "required_qubits must be positive, got nan"),
+])
+def test_a_column_with_a_bad_count_builds_its_table_once(monkeypatch, counts, error):
+    # The counts before the bad one are looked up through the one table, so
+    # each year's size is projected once, and the bad count's error raises.
+    calls, want = [], year_available(BEST_CASE, 10**6)
+
+    def counted(trend, year):
+        calls.append(year)
+        return qubits_at(trend, year)
+
+    monkeypatch.setattr("qaplan.timeline.qubits_at", counted)
+    table = YearTable(BEST_CASE)
+    with pytest.raises(ValueError) as raised:
+        table.years(counts)
+    assert str(raised.value) == error
+    assert calls == list(range(2020, 2020 + len(table.sizes)))
+    assert table.years([10**6, 10]) == [want, 2020]
+    assert calls == list(range(2020, 2020 + len(table.sizes)))  # each year once
+
+
 def test_invalid_trends_rejected():
     with pytest.raises(ValueError):
         GrowthTrend("flat", 2020, 5436, growth_factor=1.0)
