@@ -28,13 +28,16 @@ stderr in one write, and handed over as the renderer reads it; both answer
 `len()` up front. A block whose evaluation raises is evaluated again one
 row at a time, so the error comes out at the first row that reads a
 failing value, after the warnings of the rows before. Warnings precede the
-formatting of cells, none of which fails. The text is held as one text per
-block (`emit.render_parts`) and written with `writelines` once the call has
-succeeded, so a failing call prints nothing and creates no `--out` file.
-A csv or json call with `BLOCKS_PER_PROCESS` blocks for each of several
-usable cores renders contiguous ranges of its blocks on as many processes
-(`_render`, `parallel.render`), with the same bytes, warnings and exit
-code; where any process fails, the call is rendered again on this one.
+formatting of cells, none of which fails. Emit's render API is
+`emit.iter_parts` and `emit.render`. `_render` renders every table, a
+subcommand's or a paper table, as the parts of `iter_parts`, one text per
+block, which are written with `writelines` once the call has succeeded:
+a failing call prints nothing and creates no `--out` file. A csv or json
+range of any table's blocks is a piece of its text, so a table with
+`BLOCKS_PER_PROCESS` blocks for each of several usable cores renders
+contiguous ranges of them on as many processes (`parallel.render`), with
+the same bytes, warnings and exit code; where any process fails, the
+call is rendered again on this one.
 
 A plain command line, a subcommand and then whole `--flag value` pairs, is
 read by `_plain_args` into what argparse would return; argparse is
@@ -55,7 +58,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
 from .cmos import CmosProfile
 from .config import SWEEP_AXES, ConfigError, RunConfig, load_config, parse_sweep_flags
 from .economics import advantage_columns, cost_columns
-from .emit import Block, Column, Lazy, Rows, Table, render_parts
+from .emit import Block, Column, Lazy, Rows, Table, iter_parts
 from .evaluate import Stages
 from .qubit_budget import MODELED_LOAD_FRACTION
 from .timeline import BEST_CASE, WORST_CASE, YearTable
@@ -214,7 +217,7 @@ def _expand_points(cfg: RunConfig, warnings) -> Lazy:
 
         blocks = -(-len(named) // BLOCK)
 
-        def configured(span: range = range(blocks)) -> Iterator[_Block]:
+        def configured(span: range) -> Iterator[_Block]:
             for at in range(span.start * BLOCK, min(span.stop * BLOCK, len(named)), BLOCK):
                 chunk = named[at:at + BLOCK]
                 fields = zip(*[scenario for _, scenario in chunk])
@@ -283,7 +286,7 @@ def _expand_points(cfg: RunConfig, warnings) -> Lazy:
     size = per // run * run or per
     blocks = -(-math.prod([len(ok[a]) for a in outer]) // size)
 
-    def swept(span: range = range(blocks)) -> Iterator[_Block]:
+    def swept(span: range) -> Iterator[_Block]:
         outer_combos = itertools.islice(axes_product(outer), span.start * size, span.stop * size)
         while True:
             chunk = list(itertools.islice(outer_combos, size))
@@ -370,7 +373,7 @@ def _table(name: str, cfg: RunConfig, columns: List[Column], warnings,
         return Block([[part_names, *part] for part_names, part in zip(names, owns)], tails,
                      own_at, shared_at)
 
-    def blocks(span: range = range(points.blocks)) -> Iterator[Block]:
+    def blocks(span: range) -> Iterator[Block]:
         for block in points.produce(span):
             try:
                 done: Iterable[Block] = [evaluated(block, row_nodes)]
@@ -554,12 +557,11 @@ def _cores(fmt: str) -> List[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _render(command: str, cfg: RunConfig, fmt: str, warnings: _Warnings) -> Iterable[str]:
-    """The text of the subcommand's table in `fmt`. A call with at least
+def _render(table: Table, fmt: str, warnings: _Warnings) -> Iterable[str]:
+    """The text of `table` in `fmt`. A table with at least
     `BLOCKS_PER_PROCESS` blocks for each of several cores (`_cores`) is
     rendered on them (`parallel.render`); where that fails, the table is
-    rendered again on this process alone, as every other call is."""
-    table = _COMMANDS[command](cfg, warnings)
+    rendered again on this process alone, as every other table is."""
     cores = _cores(fmt)[:table.rows.blocks // BLOCKS_PER_PROCESS]
     if len(cores) > 1:
         from .parallel import render
@@ -567,7 +569,7 @@ def _render(command: str, cfg: RunConfig, fmt: str, warnings: _Warnings) -> Iter
         text = render(table, fmt, cores, warnings)
         if text is not None:
             return text
-    return render_parts(table, fmt)
+    return list(iter_parts(table, fmt))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -579,13 +581,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.paper_table:
             from .tables import PAPER_TABLES
 
-            parts = render_parts(PAPER_TABLES[args.paper_table](), args.format)
+            table = PAPER_TABLES[args.paper_table]()
         else:
             cfg = load_config(args.config)
             if args.sweep:  # the flags' sweep replaces the file's
                 cfg = cfg._replace(sweep=parse_sweep_flags(args.sweep))
-            parts = _render(args.command, cfg, args.format, warnings)
-        _emit(parts, args.out)
+            table = _COMMANDS[args.command](cfg, warnings)
+        _emit(_render(table, args.format, warnings), args.out)
     except ConfigError as exc:
         code, problem = EXIT_CONFIG, f"config error: {exc}"
     except ValueError as exc:

@@ -7,11 +7,11 @@ are unique, as a `Table` checks, so a csv header names each column once
 and a json row has one field per column. Emitted csv and json can be
 read back with the readers below.
 
-A table's rows come in blocks of columns (`Block`). A row is an own entry
-and then a shared entry, which the rows of one cli scenario (and node)
-share; every row of a table splits at the same column. A table built
-from dicts, one per row, is one block of own entries. Renderers read the
-blocks once, in order, so they may be a stream.
+A table's rows come in blocks of columns (`Block`), `Rows.blocks` of
+them. A row is an own entry and then a shared entry, which the rows of
+one cli scenario (and node) share; every row of a table splits at the
+same column. A table built from dicts, one per row, is one block of own
+entries. Renderers read the blocks once, in order, so they may be a stream.
 
 Each column of a block is formatted in one pass, a repeated cell once,
 and the block's lines are built with `map` and `join` over its index
@@ -22,10 +22,10 @@ maps `format` where its spec is empty and `format_cell`, which writes a
 string as it is, otherwise. A cell its spec cannot format raises. Csv
 quotes a column's cells where its text holds a delimiter, quote, CR or
 LF, as the csv module does; text holds every block's texts until each
-column's width is known. Each renderer yields one text per block, between
-the texts before and after the rows (`render_parts`); `render` joins them.
-Csv and json render any range of a table's blocks on its own: the texts
-of consecutive ranges join into the whole table's.
+column's width is known. The render API is `iter_parts`, which renders a
+range of a table's blocks, all by default, as one text per block between
+the texts before and after the rows, and `render`, which joins them. A
+csv or json range of any table is a piece of its text.
 """
 
 from __future__ import annotations
@@ -77,16 +77,15 @@ def _entries(parts: Sequence[Sequence]) -> List[Tuple[Cell, ...]]:
 
 
 class Lazy:
-    """Items produced each time they are read; `len` is known up front.
-    Where `blocks` is given, they come in that many blocks, and
-    `produce(span)` yields those of the blocks in the range `span` alone."""
+    """Items produced each time they are read, in `blocks` blocks; `len` is
+    known up front. `produce(span)` yields those of the blocks in the range
+    `span` alone, and reading the items reads every block."""
 
-    def __init__(self, produce: Callable[..., Iterator], count: int,
-                 blocks: Optional[int] = None) -> None:
+    def __init__(self, produce: Callable[[range], Iterator], count: int, blocks: int) -> None:
         self.produce, self._count, self.blocks = produce, count, blocks
 
     def __iter__(self) -> Iterator:
-        return self.produce()
+        return self.produce(range(self.blocks))
 
     def __len__(self) -> int:
         return self._count
@@ -96,8 +95,14 @@ class Rows(Lazy):
     """A table's rows, produced as blocks each time they are read; `len`
     is the row count."""
 
+    @classmethod
+    def of(cls, blocks: Sequence[Block]) -> Rows:
+        """The rows of the list `blocks`, held."""
+        return cls(lambda span: map(blocks.__getitem__, span), sum(len(b.own_at) for b in blocks),
+                   len(blocks))
+
     def __iter__(self) -> Iterator[Row]:
-        for block in self.produce():
+        for block in super().__iter__():
             yield from block.rows()
 
     def __eq__(self, other: object) -> bool:
@@ -135,8 +140,7 @@ class Table:
             records = list(rows)
             own = [[record[c.key] for record in records] for c in columns]
             at = range(len(records))
-            blocks = [Block([own], [], at, at)] if records else []
-            rows = Rows(blocks.__iter__, len(records))
+            rows = Rows.of([Block([own], [], at, at)] if records else [])
         self.name, self.columns, self.rows, self.notes = name, columns, rows, notes
 
     def records(self) -> List[Dict[str, Cell]]:
@@ -236,13 +240,13 @@ def _cell_texts(specs: Sequence[str]) -> Callable[[int, Sequence[Cell]], List[st
     return column
 
 
-def _formatted(table: Table, column: Callable, span: Optional[range] = None
+def _formatted(table: Table, span: range, column: Callable
                ) -> Iterator[Tuple[Block, List, List]]:
-    """Each block of `table`, or of its blocks in the range `span`, with the
-    texts `column(c, cells)` gives each column `c` of its own and of its
-    shared columns, over their entries."""
+    """Each of the blocks of `table` in the range `span`, with the texts
+    `column(c, cells)` gives each column `c` of its own and of its shared
+    columns, over their entries."""
     count = len(table.columns)
-    for block in table.rows.produce() if span is None else table.rows.produce(span):
+    for block in table.rows.produce(span):
         split = min(len(block.own[0]) if block.own else 0, count)
         yield (block, _side(block.own, range(split), column),
                _side(block.shared, range(split, count), column))
@@ -276,30 +280,29 @@ def _csv_quoted(texts: List[str], lone: bool) -> List[str]:
             else text for text in texts]
 
 
-def _csv_parts(table: Table, span: Optional[range] = None) -> Iterator[str]:
-    """Csv emission; notes become leading '#' comment lines. With a block
-    range `span`, the text of its blocks, after the header where it starts
-    at the first.
+def _csv_parts(table: Table, span: range) -> Iterator[str]:
+    """Csv emission of the blocks in the range `span`, after the header
+    where it starts at the first; notes become leading '#' comment lines.
 
     The bytes are those of `csv.writer` writing each row whole, the cells
     formatted by `format_cell`.
     """
     specs = [c.spec for c in table.columns]
     lone = len(specs) == 1  # a row of one empty field is written ""
-    if span is None or span.start == 0:
+    if span.start == 0:
         yield "".join([f"# {note}\r\n" for note in table.notes]) + ",".join(
             _csv_quoted([c.key for c in table.columns], lone)) + "\r\n"
-    for block, own, shared in _formatted(table, _cell_texts(specs), span):
+    for block, own, shared in _formatted(table, span, _cell_texts(specs)):
         rows = _lines(block, list(map(_csv_quoted, own, repeat(lone))),
                       list(map(_csv_quoted, shared, repeat(lone))), ",")
         yield "\r\n".join(rows) + "\r\n"
 
 
-def _json_parts(table: Table, span: Optional[range] = None) -> Iterator[str]:
-    """Json emission carrying the same numbers as the csv rendering. With a
-    block range `span`, the text of its blocks, after the text before the
-    rows where it starts at the first block, and before the text after them
-    where it ends at the last.
+def _json_parts(table: Table, span: range) -> Iterator[str]:
+    """Json emission carrying the same numbers as the csv rendering, of the
+    blocks in the range `span`: after the text before the rows where it
+    starts at the first block, and before the text after them where it ends
+    at the last.
 
     The bytes are `json.dumps(doc, indent=2) + "\\n"` of the document
     {"table", "columns", "rows", "notes"}, with each row the dict of its
@@ -317,7 +320,7 @@ def _json_parts(table: Table, span: Optional[range] = None) -> Iterator[str]:
             texts = list(map(_json_literal, cells, repeat(specs[c])))
         return list(map(prefixes[c].__add__, texts))
 
-    first = span is None or span.start == 0
+    first = span.start == 0
     if first:
         yield ('{\n  "table": ' + json_string(table.name) + ',\n  "columns": '
                + _json_nested([{"key": c.key, "title": c.title} for c in table.columns])
@@ -326,21 +329,22 @@ def _json_parts(table: Table, span: Optional[range] = None) -> Iterator[str]:
     wrap = ("{{{}\n    }}" if prefixes else "{{{}}}").format
     # A range after the first follows rows: each block holds some.
     separator = "\n    " if first else ",\n    "
-    for block, own, shared in _formatted(table, column, span):
+    for block, own, shared in _formatted(table, span, column):
         yield separator + ",\n    ".join(map(wrap, _lines(block, own, shared, ",")))
         separator = ",\n    "
-    if span is None or span.stop >= table.rows.blocks:
+    if span.stop >= table.rows.blocks:
         yield (("]" if separator == "\n    " else "\n  ]")  # [] when no rows
                + ',\n  "notes": ' + _json_nested(list(table.notes)) + "\n}\n")
 
 
-def _text_parts(table: Table) -> Iterator[str]:
-    """Fixed-width text rendering for terminals."""
+def _text_parts(table: Table, span: range) -> Iterator[str]:
+    """Fixed-width text rendering for terminals of the blocks in the range
+    `span`, laid out on their own widths."""
     headers = [c.title for c in table.columns]
     # Widths need every block first: each block's texts are held, a text
     # standing for a repeated cell held once, until every width is known.
     widths = list(map(len, headers))
-    held = list(_formatted(table, _cell_texts([c.spec for c in table.columns])))
+    held = list(_formatted(table, span, _cell_texts([c.spec for c in table.columns])))
     for _, own, shared in held:
         widths = list(map(max, widths, [max(map(len, texts)) for texts in own + shared]))
     yield "\n".join([table.name, "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
@@ -359,25 +363,22 @@ _PARTS = {"csv": _csv_parts, "json": _json_parts, "table": _text_parts}
 
 
 def iter_parts(table: Table, fmt: str, span: Optional[range] = None) -> Iterator[str]:
-    """The text of `table` in `fmt`, as parts that join into `render`'s:
-    the lines before the rows, each block's rows, the lines after. With a
-    range `span` of the blocks of `table.rows` (csv and json only), the
-    parts of those blocks: the lines before the rows only where it starts
-    at the first block, and those after only where it ends at the last."""
+    """The text of `table` in `fmt` as parts: the lines before the rows, one
+    per block of the range `span` of `table.rows`'s blocks (all by default),
+    the lines after. A csv or json range has the lines before only where it
+    starts at the first block and those after only where it ends at the last,
+    so consecutive ranges join into the whole text; text lays a range out on
+    its own widths."""
     try:
         parts = _PARTS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}; choose from {sorted(_PARTS)}")
-    return parts(table) if span is None else parts(table, span)
-
-
-def render_parts(table: Table, fmt: str) -> List[str]:
-    """The parts `iter_parts` gives, as a list."""
-    return list(iter_parts(table, fmt))
+    return parts(table, range(table.rows.blocks) if span is None else span)
 
 
 def render(table: Table, fmt: str) -> str:
-    return "".join(render_parts(table, fmt))
+    """The text of `table` in `fmt`: the parts `iter_parts` gives, joined."""
+    return "".join(iter_parts(table, fmt))
 
 
 def render_csv(table: Table) -> str:
@@ -386,10 +387,6 @@ def render_csv(table: Table) -> str:
 
 def render_json(table: Table) -> str:
     return render(table, "json")
-
-
-def render_text(table: Table) -> str:
-    return render(table, "table")
 
 
 def read_csv(text: str) -> Table:

@@ -31,7 +31,7 @@ def _table(name: str, columns: List[Column], cells: Sequence[Sequence],
            notes: Sequence[str] = ()) -> Table:
     """A table of one block: `cells` holds each column's cells in row order."""
     at = range(len(cells[0]))
-    return Table(name, columns, Rows([Block([cells], [], at, at)].__iter__, len(at)), notes)
+    return Table(name, columns, Rows.of([Block([cells], [], at, at)]), notes)
 
 
 def targets_table() -> Table:

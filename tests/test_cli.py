@@ -161,11 +161,22 @@ def test_sweep_with_no_valid_points_is_config_error(capsys):
     assert "config error" in err
 
 
-@pytest.mark.parametrize("flag", ["nonsense", "bandwidth_mhz", "volume=11"])
+_MALFORMED_SWEEPS = {
+    "nonsense": "--sweep needs AXIS=V1,V2,...; got 'nonsense'",
+    "bandwidth_mhz": "--sweep needs AXIS=V1,V2,...; got 'bandwidth_mhz'",
+    "volume=11": "unknown sweep axis 'volume'; axes: bandwidth_mhz, antennas, samples, "
+                 "modulation_bits, coding_rate, duty_time, duty_freq",
+    # A value that is no number, or none between two commas.
+    "antennas=abc": "--sweep antennas: could not convert string to float: 'abc'",
+    "antennas=1,,2": "--sweep antennas: could not convert string to float: ''",
+}
+
+
+@pytest.mark.parametrize("flag", list(_MALFORMED_SWEEPS))
 def test_malformed_sweep_is_config_error(capsys, flag):
-    code, _, err = run(capsys, "targets", "--sweep", flag)
-    assert code == EXIT_CONFIG
-    assert "config error" in err
+    code, out, err = run(capsys, "targets", "--sweep", flag)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"qaplan: config error: {_MALFORMED_SWEEPS[flag]}\n"
 
 
 def test_capacity_warning_sets_exit_code(capsys):

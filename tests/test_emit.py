@@ -25,13 +25,12 @@ from qaplan.emit import (
     _json_cell,
     _parse_number,
     format_cell,
+    iter_parts,
     read_csv,
     read_json,
     render,
     render_csv,
     render_json,
-    render_parts,
-    render_text,
 )
 
 
@@ -55,7 +54,7 @@ def split_table(columns, rows, split, reused=(), notes=(), name="t"):
         shared_at.append(len(shared) - 1)
     blocks = [Block([list(zip(*[cells[:split] for cells in rows]))], [list(zip(*shared))],
                     range(len(rows)), shared_at)] if rows else []
-    return Table(name, columns, Rows(blocks.__iter__, len(rows)), notes)
+    return Table(name, columns, Rows.of(blocks), notes)
 
 
 def test_format_cell():
@@ -85,12 +84,24 @@ def test_json_layout():
 
 
 def test_text_layout():
-    out = render_text(sample_table())
+    out = render(sample_table(), "table")
     lines = out.splitlines()
     assert lines[0] == "demo"
     assert lines[1].split() == ["Key", "Value", "N"]
     assert set(lines[2]) == {"-", " "}
     assert lines[-1] == "note: second note"
+
+
+def test_a_text_range_is_a_table_of_its_own_blocks():
+    # Text needs every width first, so a range is laid out on its own.
+    columns = [Column("name", "Name"), Column("x", "X", ".2f")]
+    blocks = [Block([[["a"], [1.5]]], [], [0], [0]),
+              Block([[["a long name"], [12345.25]]], [], [0], [0])]
+    table = Table("t", columns, Rows.of(blocks), ["a note"])
+    for at, block in enumerate(blocks):
+        alone = render(Table("t", columns, Rows.of([block]), ["a note"]), "table")
+        assert "".join(iter_parts(table, "table", range(at, at + 1))) == alone
+        assert alone not in render(table, "table")
 
 
 def test_unknown_format_rejected():
@@ -174,12 +185,12 @@ def test_a_csv_row_whose_field_count_is_not_its_header_s_is_refused(text, fields
 
 def test_dicts_make_one_block_of_own_entries():
     table = sample_table()
-    (block,) = table.rows.produce()
+    (block,) = table.rows.produce(range(table.rows.blocks))
     assert (block.own, block.shared) == ([[["a", "b"], [1.234, 50.0], [7, 1200]]], [])
     assert list(table.rows) == [(("a", 1.234, 7), ()), (("b", 50.0, 1200), ())]
     assert len(table.rows) == 2
     empty = Table("t", table.columns, [])
-    assert (list(empty.rows.produce()), len(empty.rows)) == ([], 0)
+    assert (list(empty.rows), len(empty.rows), empty.rows.blocks) == ([], 0, 0)
 
 
 cells = st.floats(
@@ -218,14 +229,14 @@ def test_equal_but_distinct_neighbours_are_formatted_on_their_own():
     assert parts[0] == parts[4] == parts[5]  # equal, yet each formatted
     names = [f"r{i}" for i in range(len(parts))]
     block = Block([[names]], parts, range(len(parts)), range(len(parts)))
-    table = Table("reuse", columns, Rows([block].__iter__, len(parts)))
+    table = Table("reuse", columns, Rows.of([block]))
     expected = [[format_cell(row[c.key], c.spec) for c in columns] for row in table.records()]
     assert [cells[1] for cells in expected[:2]] == ["0.0", "-0.0"]
     assert [cells[2] for cells in expected[:3]] == ["1", "1.0", "True"]
     assert expected[4][2] == "True"
 
     assert render_csv(table).split("\r\n")[1:-1] == [",".join(c) for c in expected]
-    text_rows = render_text(table).splitlines()[3:]
+    text_rows = render(table, "table").splitlines()[3:]
     assert [line.split() for line in text_rows] == expected
     for row, texts, got in zip(table.records(), expected, json.loads(render_json(table))["rows"]):
         for column, text in zip(columns, texts):
@@ -251,7 +262,7 @@ def test_a_shared_tuple_is_formatted_once_while_it_comes_back(fmt):
     block = Block([[["a", "b", "c", "d"]]], [[[_Counted(1.5), _Counted(2.5)]]], range(4),
                   [0, 0, 1, 0])
     table = Table("t", [Column("name", "Name"), Column("x", "X", ".2f")],
-                  Rows([block].__iter__, 4))
+                  Rows.of([block]))
     _Counted.formats = 0
     got = render(table, fmt)
     assert _Counted.formats == 2
@@ -347,7 +358,7 @@ def test_csv_and_text_match_a_rendering_of_flat_rows(table):
     # Strings with commas, quotes, newlines or nothing at all test the csv
     # module's quoting of a row written in two parts.
     assert render_csv(table) == _reference_csv(table)
-    assert render_text(table) == _reference_text(table)
+    assert render(table, "table") == _reference_text(table)
 
 
 @pytest.mark.parametrize("rows", [
@@ -394,7 +405,7 @@ def csv_tables(draw):
 @example(split_table([Column("a", "A", "d"), Column("b", "B", "d")], [(1.5, 2.5j)], 1))
 def test_csv_fast_path_writes_what_the_csv_module_writes(table):
     # `render_csv` formats each column in one pass and quotes its fields by
-    # hand, and `render_text` formats each column in one pass; the
+    # hand, and the text rendering formats each column in one pass; the
     # references format every cell through `format_cell` and
     # write every row whole, csv through the csv module. Where a cell
     # fails its spec, every rendering fails with a failing cell's error.
@@ -404,7 +415,7 @@ def test_csv_fast_path_writes_what_the_csv_module_writes(table):
         _assert_fails(table, ("csv", "table", "json"))
     else:
         assert render_csv(table) == want
-        assert render_text(table) == _reference_text(table)
+        assert render(table, "table") == _reference_text(table)
 
 
 def _assert_fails(table, fmts):
@@ -475,13 +486,13 @@ def cut_tables(draw):
                             [at[id(shared)] for _, shared in chunk]))
     notes = draw(st.lists(_CSV_NOTE, max_size=2))
     keys = [c.key for c in columns]
-    return (Table("t", columns, Rows(blocks.__iter__, count), notes),
+    return (Table("t", columns, Rows.of(blocks), notes),
             Table("t", columns, [dict(zip(keys, own + shared)) for own, shared in rows], notes))
 
 
 def _cut(columns, blocks, notes=()):
     """A table of `blocks`, and the same rows given as dicts."""
-    cut = Table("t", columns, Rows(blocks.__iter__, sum(len(b.own_at) for b in blocks)), notes)
+    cut = Table("t", columns, Rows.of(blocks), notes)
     return cut, Table("t", columns, cut.records(), notes)
 
 
@@ -513,9 +524,9 @@ def test_blocks_render_as_their_flat_rows(tables, fmt):
     else:
         assert render(cut, fmt) == render(flat, fmt) == want
         # One part before the rows, one per block, and on json and text one after.
-        parts = render_parts(cut, fmt)
+        parts = list(iter_parts(cut, fmt))
         assert "".join(parts) == want
-        assert len(parts) == len(list(cut.rows.produce())) + (1 if fmt == "csv" else 2)
+        assert len(parts) == cut.rows.blocks + (1 if fmt == "csv" else 2)
 
 
 _AXES = {"bandwidth_mhz": [20.0, 100.0, 400.0], "antennas": [8, 64],
@@ -614,12 +625,12 @@ typed_sweeps = st.dictionaries(st.sampled_from(sorted(_TYPED_VALUES)), st.none()
                                    for axis in axes]))
 
 
-def _checked_render_parts(table, fmt):
-    """`render_parts`, once every column sequence of `table`'s blocks is checked
+def _checked_iter_parts(table, fmt, span=None):
+    """`iter_parts`, once every column sequence of `table`'s blocks is checked
     to hold cells of one type its spec formats in one pass: an int or a
     float, never a bool, under a number spec, and a str under an empty one."""
     count = len(table.columns)
-    for block in table.rows.produce():
+    for block in table.rows.produce(range(table.rows.blocks)):
         split = min(len(block.own[0]) if block.own else 0, count)
         for parts, first in ((block.own, 0), (block.shared, split)):
             for part in parts:
@@ -629,7 +640,7 @@ def _checked_render_parts(table, fmt):
                     kinds = set(map(type, cells))
                     assert kinds in ([{int}, {float}] if column.spec else [{str}]), (
                         table.name, column, kinds)
-    return render_parts(table, fmt)
+    return iter_parts(table, fmt, span)
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -650,7 +661,7 @@ def test_cli_cells_have_types_their_columns_format_in_one_pass(command, doc, fla
         for flag in flags:
             argv += ["--sweep", flag]
         out, err = io.StringIO(), io.StringIO()
-        with unittest.mock.patch.object(cli, "render_parts", _checked_render_parts), \
+        with unittest.mock.patch.object(cli, "iter_parts", _checked_iter_parts), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     # Exit 1 only where every point is skipped, 2 where the model fails.

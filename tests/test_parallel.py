@@ -23,7 +23,8 @@ import qaplan.cli as cli
 from qaplan import parallel
 from qaplan.cli import BLOCKS_PER_PROCESS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_WARNINGS, main
 from qaplan.config import ENV_CONFIG_PATH, load_config, parse_sweep_flags
-from qaplan.emit import iter_parts, render
+from qaplan.emit import Column, Table, iter_parts, render
+from qaplan.tables import PAPER_TABLES
 
 
 def _bandwidths(blocks):
@@ -157,15 +158,23 @@ def test_configured_scenarios_split_into_ranges(capfd, monkeypatch, outcomes, tm
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_block_ranges_render_pieces_of_the_whole_text(fmt):
+    # A cli table of many blocks, and tables of one block or none: the
+    # paper tables, one built from dicts and an empty one.
     cfg = load_config(None)._replace(sweep=parse_sweep_flags(_SWEEP[1::2]))
-    table = cli.cmd_qubits(cfg, [])
-    blocks = table.rows.blocks
-    assert blocks == _BLOCKS
-    whole = render(table, fmt)
-    for cuts in ([0, blocks], [0, 1, blocks], [0, 5, 6, 23, blocks], list(range(blocks + 1))):
-        pieces = ["".join(iter_parts(table, fmt, range(start, stop)))
-                  for start, stop in zip(cuts, cuts[1:])]
-        assert "".join(pieces) == whole
+    columns = [Column("name", "Name"), Column("x", "X", ".2f")]
+    tables = [(cli.cmd_qubits(cfg, []), _BLOCKS),
+              *[(build(), 1) for build in PAPER_TABLES.values()],
+              (Table("dicts", columns, [{"name": "a", "x": 1.5}, {"name": "b", "x": 2}]), 1),
+              (Table("empty", columns, [], notes=["no rows"]), 0)]
+    assert len(tables) == 1 + 6 + 2
+    for table, blocks in tables:
+        whole = render(table, fmt)
+        for inner in ([], [1], [5, 6, 23], range(1, blocks)):
+            cuts = [0, *[cut for cut in inner if cut < blocks], blocks]
+            pieces = ["".join(iter_parts(table, fmt, range(start, stop)))
+                      for start, stop in zip(cuts, cuts[1:])]
+            assert "".join(pieces) == whole, table.name
+        assert table.rows.blocks == blocks
 
 
 def test_ranges_cut_every_block_once_and_evenly():
